@@ -104,6 +104,15 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("data.seed is required; refusing to default a seed")
     if "run" in cfg and "base_seed" not in cfg["run"]:
         raise ConfigError("run.base_seed is required; refusing to default a seed")
+    run = cfg.get("run", {})
+    for key in ("M", "base_seed"):
+        if key in run and type(run[key]) is not int:  # bool and float are refused too
+            raise ConfigError(f"run.{key} must be an integer, got {run[key]!r}")
+    if run.get("M", 1) < 1:
+        raise ConfigError(f"run.M must be >= 1, got {run['M']}")
+    for section in ("model", "potential"):
+        if not isinstance(cfg.get(section, {}).get("params", {}), dict):
+            raise ConfigError(f"{section}.params must be an object")
     return cfg
 
 

@@ -51,7 +51,10 @@ class RateFit:
 
 
 def fit_line(x, y) -> RateFit:
-    """Ordinary least squares through the normal equations."""
+    """Ordinary least squares through the normal equations.
+
+    A constant ``y`` carries no rate information, so its fit gets r2 = 0.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.size < 2:
@@ -63,7 +66,7 @@ def fit_line(x, y) -> RateFit:
     intercept = ym - slope * xm
     resid = y - (slope * x + intercept)
     sst = float(np.sum((y - ym) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / sst if sst > 0 else 1.0
+    r2 = 1.0 - float(np.sum(resid**2)) / sst if sst > 0 else 0.0
     return RateFit(x=x, y=y, slope=slope, intercept=intercept, r2=r2)
 
 
@@ -154,7 +157,8 @@ def bayes_rate_experiment(
 
     For each n, ``m_datasets`` fresh datasets are drawn and the posterior
     mean is computed by the supplied oracle (default: the conjugate closed
-    form for the Gaussian location model).  Returns the OLS fit of
+    form for the Gaussian location model under the N(0, I) prior; any other
+    prior must bring its own oracle).  Returns the OLS fit of
     log MSE against log(n / log n).  The consistency theory gives
     eps_n^2 = (C_P L^2 d log n / n)^{1/alpha_c} as an upper bound on the
     MSE, so this slope is -1/alpha_c only when the bound is tight, log
@@ -163,7 +167,7 @@ def bayes_rate_experiment(
     slope: -1.18 on {100, 400, 1600, 6400}.  Read the n-exponent by
     fitting ``fit.y`` against log n instead.
     """
-    from .bayes import GaussianLocationModel, sample_dataset
+    from .bayes import GaussianLocationModel, sample_dataset, standard_gaussian_prior
 
     n_grid = list(n_grid)
     if len(n_grid) < 4 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
@@ -173,6 +177,10 @@ def bayes_rate_experiment(
     if posterior_mean is None:
         if not isinstance(model, GaussianLocationModel):
             raise ParameterError("no default posterior-mean oracle for this model")
+        if prior.name != standard_gaussian_prior(theta_star.shape[-1]).name:
+            raise ParameterError(
+                f"the default posterior-mean oracle assumes the N(0, I) prior, got {prior.name!r}"
+            )
 
         def posterior_mean(data):
             # conjugate: N(0, I) prior, N(theta, I/rho) likelihood

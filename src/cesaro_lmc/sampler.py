@@ -13,6 +13,14 @@ batched driver, one Philox stream per replicate, so results are
 bit-identical to running each chain alone and independent of how
 replicates are partitioned across workers.
 
+The driver fills one preallocated (replicates, steps, d) noise block in
+place, stream by stream, at most 2^22 doubles; the Philox stream does not
+depend on how draws are chunked, so block size never moves a bit.  The
+Euler and Kahan updates write into fixed buffers, in the same IEEE
+operation order as the plain expressions.  Divergence (a coordinate at
+least 1e12 in magnitude, NaN or inf) is screened by one reduction over the
+whole batch per step; the per-replicate check runs only when it trips.
+
 Optional per-run diagnostics: a first-variation (tangent) matrix Y
 co-integrated by explicit Euler with the Hessian at each pre-step state,
 and running averages of exp(a * W) along the path.
@@ -126,6 +134,7 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds: np.nda
     x = x0_batch.copy()
     ces = np.zeros((m, d))
     comp = np.zeros((m, d))  # Kahan compensation
+    t1, t2, hg, sz = (np.empty((m, d)) for _ in range(4))
     diverged = np.full(m, -1, dtype=int)
     alive = np.ones(m, dtype=bool)
 
@@ -141,22 +150,25 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds: np.nda
         a = cfg.track_moments
         msum = np.zeros(m)
 
-    # noise blocks are capped at ~32M doubles so huge replicate batches fit
-    chunk = max(1, min(8192 // k_sub, (1 << 25) // max(1, m * d * k_sub)))
+    # one noise block of at most 2^22 doubles (32 MiB), filled in place per
+    # stream; single chains keep 8192-step blocks
+    chunk = max(1, min(8192 // k_sub, n, (1 << 22) // max(1, m * d * k_sub)))
+    block = np.empty((m, chunk * k_sub, d))
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected, not warned
         while step < n:
             todo = min(chunk, n - step)
-            noise = np.stack(
-                [g.standard_normal((todo * k_sub, d)) for g in gens], axis=0
-            )  # (m, todo*k_sub, d)
+            rows = todo * k_sub
+            for i, g in enumerate(gens):
+                g.standard_normal((rows, d), out=block[i, :rows])
             for j in range(todo):
                 # Cesaro includes the current (pre-step) state: indices 0..N-1
                 if step >= cfg.burn_in:
-                    t1 = x - comp
-                    t2 = ces + t1
-                    comp = (t2 - ces) - t1
-                    ces = t2
+                    np.subtract(x, comp, out=t1)
+                    np.add(ces, t1, out=t2)
+                    np.subtract(t2, ces, out=comp)
+                    comp -= t1
+                    ces, t2 = t2, ces
                 if cfg.track_moments is not None:
                     msum += np.exp(a * (pot.value(x) + pot.offset))
                     if step % every == 0 or step == n - 1:
@@ -165,17 +177,22 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds: np.nda
                         for i in range(m):
                             moment_logs[i].append((t, float(running[i])))
                 for s in range(k_sub):
-                    z = noise[:, j * k_sub + s, :]
                     if cfg.track_tangent:
                         y = y - h * _hess_apply(pot, x, y)
-                    x = x - h * pot.grad(x) + sqrt2h * z
-                # NaN/inf rows fail the comparison, one reduction covers both
-                bad = alive & ~(np.max(np.abs(x), axis=1) < _DIVERGE_LIMIT)
-                if np.any(bad):
-                    diverged[bad] = step
-                    alive &= ~bad
-                    x[bad] = np.nan
-                    ces[bad] = np.nan
+                    # grad's output may alias x, so it is read, never written
+                    np.multiply(pot.grad(x), h, out=hg)
+                    np.multiply(block[:, j * k_sub + s], sqrt2h, out=sz)
+                    x -= hg
+                    x += sz
+                # NaN/inf fail the comparison: one whole-array reduction screens
+                # the batch, the per-row check runs only when it trips
+                if not np.abs(x).max() < _DIVERGE_LIMIT:
+                    bad = alive & ~(np.max(np.abs(x), axis=1) < _DIVERGE_LIMIT)
+                    if np.any(bad):
+                        diverged[bad] = step
+                        alive &= ~bad
+                        x[bad] = np.nan
+                        ces[bad] = np.nan
                 if cfg.track_tangent and (step % every == 0 or step == n - 1):
                     norms = _spectral_norms(y)
                     t = (step + 1) * gamma

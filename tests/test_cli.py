@@ -259,6 +259,28 @@ class TestExitCodeMapping:
         path = write(tmp_path, "d.json", bayes_cfg())
         assert main(["run", "--config", path, "--output", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("run", "M", "abc"),
+            ("run", "base_seed", "x"),
+            ("potential", "params", []),
+            ("run", "M", 2.5),
+        ],
+    )
+    def test_malformed_run_values_exit_2(self, tmp_path, section, key, value):
+        cfg = json.loads((CONFIGS / "ou_smoke.json").read_text())
+        cfg[section][key] = value
+        path = write(tmp_path, "bad.json", cfg)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cesaro_lmc.cli", "run", "--config", path,
+             "--output", str(tmp_path / "o")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
 
 class TestGridExperiments:
     def test_rate_experiment_emits_slope_row(self, tmp_path):

@@ -102,6 +102,13 @@ class TestRateFit:
         fit = fit_line(np.arange(10.0), rng.standard_normal(10))
         assert not fit.slope_trustworthy()
 
+    def test_constant_y_is_untrustworthy(self):
+        # a flat y (e.g. an estimator that never moves) carries no rate information
+        fit = fit_line(np.log([100.0, 400.0, 1600.0, 6400.0]), np.full(4, -2.5))
+        assert fit.slope == 0.0
+        assert fit.r2 == 0.0
+        assert not fit.slope_trustworthy()
+
     def test_bayes_rate_d_scaling(self):
         # at fixed n the oracle posterior-mean MSE is linear in d
         mses = {}
@@ -129,6 +136,30 @@ class TestRateFit:
         model = GaussianLocationModel(1, 1.0)
         with pytest.raises(ParameterError):
             bayes_rate_experiment(model, standard_gaussian_prior(1), [0.0], [100, 50, 200, 400], 10, 0)
+
+    def test_default_oracle_refuses_other_priors(self):
+        from cesaro_lmc.bayes import Prior
+
+        model = GaussianLocationModel(2, 1.0)
+        wide = Prior(
+            v0=lambda x: 0.02 * np.sum(np.asarray(x) ** 2, axis=-1),
+            grad_v0=lambda x: 0.04 * np.asarray(x),
+            lip=0.04,
+            name="gaussian(var=25)",
+        )
+        with pytest.raises(ParameterError, match="N\\(0, I\\) prior"):
+            bayes_rate_experiment(model, wide, [0.0, 0.0], [100, 400, 1600, 6400], 5, 0)
+        # a prior of the wrong dimension is not the model's N(0, I) either
+        with pytest.raises(ParameterError, match="prior"):
+            bayes_rate_experiment(
+                model, standard_gaussian_prior(3), [0.0, 0.0], [100, 400, 1600, 6400], 5, 0
+            )
+        # with its own oracle, any prior is accepted
+        fit = bayes_rate_experiment(
+            model, wide, [0.0, 0.0], [100, 400, 1600, 6400], 5, 0,
+            posterior_mean=lambda data: data.observations.sum(axis=0) / (data.n + 0.04),
+        )
+        assert fit.slope < 0
 
 
 class TestConcentration:

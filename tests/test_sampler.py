@@ -6,7 +6,7 @@ import pytest
 from cesaro_lmc.bayes import GaussianLocationModel, build_posterior, sample_dataset, standard_gaussian_prior
 from cesaro_lmc.errors import DivergenceError, ParameterError
 from cesaro_lmc.oracle import ou_cesaro_moments
-from cesaro_lmc.potentials import builtin_gaussian_location, builtin_p_power
+from cesaro_lmc.potentials import Potential, Smoothness, builtin_gaussian_location, builtin_p_power
 from cesaro_lmc.rng import mix64, stream
 from cesaro_lmc.sampler import (
     ChainConfig,
@@ -289,16 +289,26 @@ class TestBurnInAndDump:
 class TestChunkBoundaryInvariance:
     @pytest.mark.parametrize("n", [1, 7, 8192, 8193, 9001])
     def test_noise_block_boundaries(self, n):
-        # results are identical whatever the internal block size hits
-        cfg = ChainConfig(gamma=0.05, n_steps=n, x0=[0.4], seed=n)
-        a = run_chain(OU, cfg)
-        b = run_chain(OU, ChainConfig(gamma=0.05, n_steps=n, x0=[0.4], seed=n))
-        assert np.array_equal(a.cesaro, b.cesaro)
-        assert np.array_equal(a.final_state, b.final_state)
+        # the driver draws noise in 8192-step blocks; the reference draws one
+        # variate per step and runs the same Euler and Kahan recurrences, so
+        # the bits agree only if block edges never shift the stream
+        gamma = 0.05
+        run = run_chain(OU, ChainConfig(gamma=gamma, n_steps=n, x0=[0.4], seed=n))
+        rng = stream(n)
+        x, ces, comp = 0.4, 0.0, 0.0
+        for _ in range(n):
+            t1 = x - comp
+            t2 = ces + t1
+            comp = (t2 - ces) - t1
+            ces = t2
+            x = x - gamma * x + math.sqrt(2.0 * gamma) * rng.standard_normal(1)[0]
+        assert run.cesaro[0] == ces / n
+        assert run.final_state[0] == x
 
     def test_large_batch_small_blocks(self):
-        # the memory cap shrinks noise blocks for wide batches; bits must not move
-        cfg = ChainConfig(gamma=0.1, n_steps=13, x0=[0.0], seed=0)
+        # the 2^22-double cap gives this 600-wide batch 6990-step noise blocks
+        # (single chains use one block here), so 7001 steps cross a block edge
+        cfg = ChainConfig(gamma=0.1, n_steps=7001, x0=[0.0], seed=0)
         wide = replicate_runs(OU, cfg, 600, base_seed=5)
         narrow = [
             replicate_runs(OU, cfg, 1, base_seed=5, index_offset=i)[0]
@@ -306,3 +316,35 @@ class TestChunkBoundaryInvariance:
         ]
         for got, idx in zip(narrow, (0, 299, 599)):
             assert np.array_equal(wide[idx].cesaro, got.cesaro)
+            assert np.array_equal(wide[idx].final_state, got.final_state)
+
+
+QUARTIC = Potential(
+    dim=1,
+    value=lambda x: 0.25 * np.sum(np.asarray(x) ** 4, axis=-1),
+    grad=lambda x: np.asarray(x) ** 3,
+    hess_vec=lambda x, v: 3.0 * np.asarray(x) ** 2 * np.asarray(v),
+    smoothness=Smoothness(L=1.0),
+    profile=None,
+    name="quartic",
+)
+
+
+class TestMixedDivergence:
+    def test_batch_matches_singletons(self):
+        # gamma=0.3 on x^4/4 loses most replicates, each at its own step, and
+        # keeps a few: the batch runs the per-row check behind the screen
+        cfg = ChainConfig(gamma=0.3, n_steps=400, x0=[0.0], seed=0)
+        batch = replicate_runs(QUARTIC, cfg, 64, base_seed=3)
+        steps = [r.diverged_step for r in batch if r.diverged_step is not None]
+        assert len(steps) == 51 and len(set(steps)) == 44
+        for i, got in enumerate(batch):
+            single_cfg = ChainConfig(gamma=0.3, n_steps=400, x0=[0.0], seed=mix64(3, i))
+            try:
+                want = run_chain(QUARTIC, single_cfg)
+                step = None
+            except DivergenceError as exc:
+                want, step = exc.payload, exc.step
+            assert got.diverged_step == step == want.diverged_step
+            assert np.array_equal(got.cesaro, want.cesaro, equal_nan=True)
+            assert np.isnan(got.cesaro[0]) == (step is not None)
