@@ -29,7 +29,7 @@ from .bayes import (
     sample_dataset,
     standard_gaussian_prior,
 )
-from .sampler import ChainConfig, ChainRun, euler_step, replicate_runs, run_chain, run_diffusion_fine
+from .sampler import ChainConfig, ChainRun, replicate_runs, run_chain
 from .tuning import TuningInputs, TuningPlan, compute_upsilon, tune_bayes, tune_sc, tune_weak
 from .oracle import (
     PoissonGrid,

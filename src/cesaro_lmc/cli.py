@@ -111,8 +111,15 @@ def validate_config(cfg: dict) -> dict:
     if run.get("M", 1) < 1:
         raise ConfigError(f"run.M must be >= 1, got {run['M']}")
     for section in ("model", "potential"):
-        if not isinstance(cfg.get(section, {}).get("params", {}), dict):
+        block = cfg.get(section, {})
+        if not isinstance(block.get("params", {}), dict):
             raise ConfigError(f"{section}.params must be an object")
+        d = block.get("d", 1)
+        if type(d) is not int or d < 1:  # bool and float are refused too
+            raise ConfigError(f"{section}.d must be an integer >= 1, got {d!r}")
+    for key, val in cfg.get("tuning", {}).items():
+        if key in ("eps", "frak_e", "calib", "x0_dist") and type(val) not in (int, float):
+            raise ConfigError(f"tuning.{key} must be a number, got {val!r}")
     return cfg
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ExperimentError, ParameterError
 from .potentials import Potential, find_minimizer
 from .rng import mix64, stream
-from .sampler import ChainConfig, moment_clamp, replicate_runs
+from .sampler import ChainConfig, _observe_chain, moment_clamp, replicate_runs
 from .tuning import TuningPlan, compute_upsilon
 from .potentials import StronglyConvex, WeaklyConvexKL
 
@@ -371,10 +371,13 @@ def moment_check(
 ) -> MomentReport:
     """Long-run stability of W^p and exp(a W) running means along one chain.
 
-    Requires the moment clamp gamma <= 1/(4dL+1).  Passes when no
-    checkpointed running mean exceeds ten times its maximum over the first
-    decile of checkpoints.  Also reports the implied moment constants
-    sup-mean / (W^p(x0) + Upsilon^p).
+    Observes the coarse states of the chain ``cfg`` describes.  Requires
+    the moment clamp gamma <= 1/(4dL+1).  Passes when no checkpointed
+    running mean exceeds ten times its maximum over the first decile of
+    checkpoints.  Also reports the implied moment constants
+    sup-mean / (W^p(x0) + Upsilon^p).  Raises :class:`ExperimentError`
+    naming the first step at which exp(a W) is not finite or the chain
+    diverges.
     """
     if any(p <= 0 or p > 9 for p in p_grid):
         raise ParameterError("moment exponents must lie in (0, 9]")
@@ -383,40 +386,28 @@ def moment_check(
     if cfg.gamma > moment_clamp(pot) * (1.0 + 1e-12):
         raise ParameterError("moment_check requires gamma <= 1/(4dL+1)")
 
-    # stream the chain manually so all powers share one trajectory
-    from .rng import stream as _stream
-
-    rng = _stream(cfg.seed)
-    x = np.asarray(cfg.x0, dtype=float).copy()
     n = cfg.n_steps
     every = max(1, n // checkpoints)
-    sums = {p: 0.0 for p in p_grid}
-    esum = 0.0
-    logs = {p: [] for p in p_grid}
-    elog = []
-    sqrt2g = math.sqrt(2.0 * cfg.gamma)
-    block = 8192
-    step = 0
-    while step < n:
-        todo = min(block, n - step)
-        noise = rng.standard_normal((todo, pot.dim))
-        for j in range(todo):
-            w = float(pot.value(x) + pot.offset)
-            if not np.isfinite(w):
-                raise ExperimentError(f"potential blew up at step {step}")
-            for p in p_grid:
-                sums[p] += w**p
-            esum += math.exp(a * w)
-            if step % every == 0 or step == n - 1:
-                t = step * cfg.gamma
-                for p in p_grid:
-                    logs[p].append((t, sums[p] / (step + 1)))
-                elog.append((t, esum / (step + 1)))
-            x = x - cfg.gamma * pot.grad(x) + sqrt2g * noise[j]
-            step += 1
+    sums = np.zeros(len(p_grid) + 1)  # W^p for each p, then exp(a W)
+    logs = []
 
-    n_ck = len(elog)
-    decile = max(1, n_ck // 10)
+    def observe(k0, states, diverged):
+        # running means at the coarse states; cumsum keeps the sequential sum
+        w = pot.value(states[0, :: cfg.fine_substeps]) + pot.offset
+        v = np.stack([w**p for p in p_grid] + [np.exp(a * w)])
+        bad = [k0 + int(i) for i in np.flatnonzero(~np.isfinite(v[-1]))[:1]]
+        bad += [int(diverged[0])] if diverged[0] >= 0 else []
+        if bad:
+            raise ExperimentError(f"moment chain blew up at step {min(bad)}")
+        cum = np.cumsum(np.concatenate((sums[:, None], v), axis=1), axis=1)[:, 1:]
+        sums[:] = cum[:, -1]
+        k = k0 + np.arange(w.shape[0])
+        keep = (k % every == 0) | (k == n - 1)
+        logs.append(cum[:, keep] / (k[keep] + 1))
+
+    _observe_chain(pot, cfg, observe)
+    logs = np.concatenate(logs, axis=1)
+    decile = max(1, logs.shape[1] // 10)
     sup_mean, first_max, implied = {}, {}, {}
     prof = pot.profile
     if isinstance(prof, WeaklyConvexKL):
@@ -428,14 +419,13 @@ def moment_check(
         ups = 1.0
     w0 = float(pot.value(np.asarray(cfg.x0, dtype=float)) + pot.offset)
     passed = True
-    for p in p_grid:
-        vals = np.array([v for _, v in logs[p]])
+    for p, vals in zip(p_grid, logs):
         sup_mean[p] = float(vals.max())
         first_max[p] = float(vals[:decile].max())
         implied[p] = sup_mean[p] / (w0**p + ups**p)
         if sup_mean[p] > 10.0 * first_max[p]:
             passed = False
-    evals = np.array([v for _, v in elog])
+    evals = logs[-1]
     exp_sup = float(evals.max())
     exp_first = float(evals[:decile].max())
     if exp_sup > 10.0 * exp_first:

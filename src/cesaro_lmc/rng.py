@@ -30,7 +30,3 @@ def stream(seed: int) -> np.random.Generator:
     """A Philox generator keyed by a 64-bit seed."""
     return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
 
-
-def substream(base_seed: int, index: int) -> np.random.Generator:
-    """Stream for replicate ``index`` derived from ``base_seed``."""
-    return stream(mix64(base_seed, index))

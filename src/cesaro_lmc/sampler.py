@@ -8,10 +8,10 @@ with i.i.d. standard Gaussian increments, and the estimator is the plain
 average of the first N states, x0 included (indices j = 0..N-1), held in a
 Kahan-compensated accumulator.
 
-A single chain is strictly sequential.  Replicates run through the same
-batched driver, one Philox stream per replicate, so results are
-bit-identical to running each chain alone and independent of how
-replicates are partitioned across workers.
+``_drive`` is the only code that advances a chain.  A single chain is
+strictly sequential; replicates run through the same batched driver, one
+Philox stream per replicate, so results are bit-identical to running each
+chain alone and independent of how replicates are partitioned.
 
 The driver fills one preallocated (replicates, steps, d) noise block in
 place, stream by stream, at most 2^22 doubles; the Philox stream does not
@@ -21,13 +21,22 @@ operation order as the plain expressions.  Divergence (a coordinate at
 least 1e12 in magnitude, NaN or inf) is screened by one reduction over the
 whole batch per step; the per-replicate check runs only when it trips.
 
-Optional per-run diagnostics: a first-variation (tangent) matrix Y
-co-integrated by explicit Euler with the Hessian at each pre-step state,
-and running averages of exp(a * W) along the path.
+Diagnostics observe the chain rather than step a copy of it.  An observer
+is a callable ``ob(k0, states, diverged)`` that the driver calls once per
+noise block: ``states`` is (replicates, rows, d), the state before each
+fine substep of the block's coarse steps k0, k0 + 1, ... (so
+``states[:, ::K]`` are the coarse states), and ``diverged`` holds each
+replicate's divergence step so far (-1 while alive).  A diverged
+replicate's states are NaN from the step after its divergence on.  The
+buffer is reused, so observers copy what they keep.  The tangent trace
+(first-variation matrix Y, co-integrated by explicit Euler with the
+Hessian at each pre-substep state), ``dump_trajectory`` and
+``diagnostics.moment_check`` are observers.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import List, Optional
@@ -50,10 +59,10 @@ def moment_clamp(pot: Potential) -> float:
 class ChainConfig:
     """Parameters of one Euler chain.
 
-    ``track_moments`` is the exponent a in (0, 1/16] of the tracked
-    exponential moment; ``fine_substeps`` = K advances the dynamics with
-    step gamma/K between the coarse Cesaro grid points; ``clamp`` asserts
-    gamma <= 1/(4 d L + 1) against the potential at run time.
+    ``fine_substeps`` = K advances the dynamics with step gamma/K between
+    the coarse Cesaro grid points; ``clamp`` asserts gamma <= 1/(4 d L + 1)
+    against the potential at run time; ``checkpoints`` spaces the tangent
+    trace's log.
     """
 
     gamma: float
@@ -61,7 +70,6 @@ class ChainConfig:
     x0: np.ndarray
     seed: int
     track_tangent: bool = False
-    track_moments: Optional[float] = None
     fine_substeps: int = 1
     clamp: bool = False
     checkpoints: int = 200
@@ -75,34 +83,19 @@ class ChainConfig:
             raise ParameterError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.fine_substeps < 1:
             raise ParameterError("fine_substeps must be >= 1")
-        if self.track_moments is not None and not (0 < self.track_moments <= 1.0 / 16.0):
-            raise ParameterError("moment exponent must lie in (0, 1/16]")
         if not 0 <= self.burn_in < self.n_steps:
             raise ParameterError("burn_in must lie in [0, n_steps)")
 
 
 @dataclass(frozen=True)
 class ChainRun:
-    """Outputs of one chain: the Cesaro estimate and optional traces."""
+    """Outputs of one chain: the Cesaro estimate and the optional tangent trace."""
 
     cesaro: np.ndarray
     final_state: np.ndarray
     steps_done: int
     tangent_log: Optional[List[tuple]] = None
-    moment_log: Optional[List[tuple]] = None
     diverged_step: Optional[int] = None
-
-
-def euler_step(state, potential: Potential, gamma: float, noise) -> np.ndarray:
-    """One explicit Euler update: state - gamma grad W + sqrt(2 gamma) noise."""
-    if not gamma > 0:
-        raise ParameterError("gamma must be positive")
-    state = np.asarray(state, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the detected failure
-        out = state - gamma * potential.grad(state) + math.sqrt(2.0 * gamma) * np.asarray(noise)
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("euler step produced a non-finite state", step=None)
-    return out
 
 
 def _spectral_norms(y: np.ndarray) -> np.ndarray:
@@ -116,17 +109,16 @@ def _hess_apply(pot: Potential, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds: np.ndarray):
+def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observers=()):
     """Batched chain driver; one Philox stream per row of ``x0_batch``.
 
-    Returns (cesaro, final, diverged_step, tangent_logs, moment_logs) with a
-    leading batch axis.  Diverged rows freeze to NaN and the survivors keep
-    running.
+    Returns (cesaro, final, diverged_step) with a leading batch axis and
+    calls each observer once per noise block (see the module docstring).
+    Diverged rows freeze to NaN and the survivors keep running.
     """
     m, d = x0_batch.shape
-    gamma = cfg.gamma
     k_sub = cfg.fine_substeps
-    h = gamma / k_sub
+    h = cfg.gamma / k_sub
     sqrt2h = math.sqrt(2.0 * h)
     n = cfg.n_steps
 
@@ -138,22 +130,11 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds: np.nda
     diverged = np.full(m, -1, dtype=int)
     alive = np.ones(m, dtype=bool)
 
-    every = max(1, n // max(1, cfg.checkpoints))
-    tangent_logs = [[] for _ in range(m)] if cfg.track_tangent else None
-    moment_logs = [[] for _ in range(m)] if cfg.track_moments is not None else None
-    if cfg.track_tangent:
-        y = np.broadcast_to(np.eye(d), (m, d, d)).copy()
-        norms0 = _spectral_norms(y)
-        for i in range(m):
-            tangent_logs[i].append((0.0, float(norms0[i])))
-    if cfg.track_moments is not None:
-        a = cfg.track_moments
-        msum = np.zeros(m)
-
     # one noise block of at most 2^22 doubles (32 MiB), filled in place per
     # stream; single chains keep 8192-step blocks
     chunk = max(1, min(8192 // k_sub, n, (1 << 22) // max(1, m * d * k_sub)))
     block = np.empty((m, chunk * k_sub, d))
+    states = np.empty_like(block) if observers else None
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected, not warned
         while step < n:
@@ -169,19 +150,12 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds: np.nda
                     np.subtract(t2, ces, out=comp)
                     comp -= t1
                     ces, t2 = t2, ces
-                if cfg.track_moments is not None:
-                    msum += np.exp(a * (pot.value(x) + pot.offset))
-                    if step % every == 0 or step == n - 1:
-                        running = msum / (step + 1)
-                        t = step * gamma
-                        for i in range(m):
-                            moment_logs[i].append((t, float(running[i])))
-                for s in range(k_sub):
-                    if cfg.track_tangent:
-                        y = y - h * _hess_apply(pot, x, y)
+                for r in range(j * k_sub, (j + 1) * k_sub):
+                    if states is not None:
+                        states[:, r] = x
                     # grad's output may alias x, so it is read, never written
                     np.multiply(pot.grad(x), h, out=hg)
-                    np.multiply(block[:, j * k_sub + s], sqrt2h, out=sz)
+                    np.multiply(block[:, r], sqrt2h, out=sz)
                     x -= hg
                     x += sz
                 # NaN/inf fail the comparison: one whole-array reduction screens
@@ -193,14 +167,35 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds: np.nda
                         alive &= ~bad
                         x[bad] = np.nan
                         ces[bad] = np.nan
-                if cfg.track_tangent and (step % every == 0 or step == n - 1):
-                    norms = _spectral_norms(y)
-                    t = (step + 1) * gamma
-                    for i in range(m):
-                        if alive[i]:
-                            tangent_logs[i].append((t, float(norms[i])))
                 step += 1
-    return ces / (n - cfg.burn_in), x, diverged, tangent_logs, moment_logs
+            for ob in observers:
+                ob(step - todo, states[:, :rows], diverged)
+    return ces / (n - cfg.burn_in), x, diverged
+
+
+class _TangentTrace:
+    """Observer: the first variation Y, stepped y -= h H(x) y at each
+    pre-substep state, its spectral norm logged at the coarse checkpoints
+    of the replicates still alive there."""
+
+    def __init__(self, pot: Potential, cfg: ChainConfig, m: int):
+        self.pot, self.cfg = pot, cfg
+        self.h = cfg.gamma / cfg.fine_substeps
+        self.every = max(1, cfg.n_steps // max(1, cfg.checkpoints))
+        self.y = np.broadcast_to(np.eye(pot.dim), (m, pot.dim, pot.dim)).copy()
+        self.logs = [[(0.0, float(v))] for v in _spectral_norms(self.y)]
+
+    def __call__(self, k0, states, diverged):
+        k_sub, n = self.cfg.fine_substeps, self.cfg.n_steps
+        for r in range(states.shape[1]):
+            self.y = self.y - self.h * _hess_apply(self.pot, states[:, r], self.y)
+            k, s = divmod(r, k_sub)
+            k += k0
+            if s == k_sub - 1 and (k % self.every == 0 or k == n - 1):
+                live = np.flatnonzero((diverged < 0) | (diverged > k))
+                t = (k + 1) * self.cfg.gamma
+                for i, v in zip(live, _spectral_norms(self.y[live])):
+                    self.logs[i].append((t, float(v)))
 
 
 def _check_clamp(pot: Potential, cfg: ChainConfig):
@@ -212,23 +207,40 @@ def _check_clamp(pot: Potential, cfg: ChainConfig):
         raise ParameterError("x0 dimension does not match the potential")
 
 
+def _runs(pot: Potential, cfg: ChainConfig, x0: np.ndarray, seeds) -> List[ChainRun]:
+    """Drive a batch (with the tangent trace if ``cfg`` asks) into ChainRuns."""
+    tangent = _TangentTrace(pot, cfg, len(seeds)) if cfg.track_tangent else None
+    ces, final, diverged = _drive(pot, cfg, x0, seeds, (tangent,) if tangent else ())
+    return [
+        ChainRun(
+            cesaro=ces[i],
+            final_state=final[i],
+            steps_done=cfg.n_steps if bad is None else bad,
+            tangent_log=tangent.logs[i] if tangent else None,
+            diverged_step=bad,
+        )
+        for i, bad in enumerate(int(k) if k >= 0 else None for k in diverged)
+    ]
+
+
+def _observe_chain(pot: Potential, cfg: ChainConfig, observer):
+    """Drive the single chain of ``cfg`` for one diagnostic observer.
+
+    Not :func:`run_chain`, so a diagnostic's time is not also counted as a
+    chain run.  Raises DivergenceError when the chain diverges.
+    """
+    _check_clamp(pot, cfg)
+    _, _, diverged = _drive(pot, cfg, cfg.x0[None, :], [cfg.seed], (observer,))
+    if diverged[0] >= 0:
+        raise DivergenceError(f"chain diverged at step {diverged[0]}", step=int(diverged[0]))
+
+
 def run_chain(pot: Potential, cfg: ChainConfig) -> ChainRun:
     """Run one chain; raises DivergenceError carrying the partial run."""
     _check_clamp(pot, cfg)
     if not np.all(np.isfinite(pot.grad(cfg.x0))):
         raise ParameterError("potential gradient is not finite at x0")
-    ces, final, diverged, tlogs, mlogs = _drive(
-        pot, cfg, cfg.x0[None, :], np.array([cfg.seed], dtype=object)
-    )
-    bad0 = int(diverged[0]) if diverged[0] >= 0 else None
-    run = ChainRun(
-        cesaro=ces[0],
-        final_state=final[0],
-        steps_done=cfg.n_steps if bad0 is None else bad0,
-        tangent_log=tlogs[0] if tlogs is not None else None,
-        moment_log=mlogs[0] if mlogs is not None else None,
-        diverged_step=bad0,
-    )
+    run = _runs(pot, cfg, cfg.x0[None, :], [cfg.seed])[0]
     if run.diverged_step is not None:
         raise DivergenceError(
             f"chain diverged at step {run.diverged_step}", payload=run, step=run.diverged_step
@@ -236,36 +248,23 @@ def run_chain(pot: Potential, cfg: ChainConfig) -> ChainRun:
     return run
 
 
-def run_diffusion_fine(pot: Potential, cfg: ChainConfig) -> ChainRun:
-    """Reference near-continuous run: advance with step gamma/K, average on
-    the coarse grid.  K = 1 reduces exactly to :func:`run_chain`."""
-    if cfg.fine_substeps < 1:
-        raise ParameterError("fine_substeps must be >= 1")
-    return run_chain(pot, cfg)
-
-
 def dump_trajectory(pot: Potential, cfg: ChainConfig, frames_path, header_path, stride: int = 1):
     """Write every ``stride``-th chain state as little-endian float64 frames.
 
     The JSON header records {d, gamma, stride, seed} so a dump identifies
     the chain that produced it.  Diagnostics-only; the hot path never dumps.
+    A diverging chain raises DivergenceError and writes nothing.
     """
-    import json
-
     if stride < 1:
         raise ParameterError("stride must be >= 1")
-    _check_clamp(pot, cfg)
-    rng = stream(cfg.seed)
-    x = cfg.x0.copy()
-    h = cfg.gamma / cfg.fine_substeps
-    sqrt2h = math.sqrt(2.0 * h)
     frames = []
-    for k in range(cfg.n_steps):
-        if k % stride == 0:
-            frames.append(x.copy())
-        for _ in range(cfg.fine_substeps):
-            x = x - h * pot.grad(x) + sqrt2h * rng.standard_normal(pot.dim)
-    data = np.asarray(frames, dtype="<f8")
+
+    def keep(k0, states, diverged):
+        coarse = states[0, :: cfg.fine_substeps]
+        frames.append(coarse[(k0 + np.arange(coarse.shape[0])) % stride == 0])
+
+    _observe_chain(pot, cfg, keep)
+    data = np.concatenate(frames).astype("<f8", copy=False)
     with open(frames_path, "wb") as fh:
         fh.write(data.tobytes())
     with open(header_path, "w") as fh:
@@ -280,8 +279,6 @@ def dump_trajectory(pot: Potential, cfg: ChainConfig, frames_path, header_path, 
 
 def read_trajectory(frames_path, header_path):
     """Read a dump back as ((n_frames, d) array, header dict)."""
-    import json
-
     with open(header_path) as fh:
         header = json.load(fh)
     raw = np.fromfile(frames_path, dtype="<f8")
@@ -302,22 +299,6 @@ def replicate_runs(
     if m < 1:
         raise ParameterError("replicate count must be >= 1")
     _check_clamp(pot, cfg)
-    seeds = np.array(
-        [mix64(base_seed, index_offset + i) for i in range(m)], dtype=object
-    )
+    seeds = [mix64(base_seed, index_offset + i) for i in range(m)]
     x0 = np.broadcast_to(cfg.x0, (m, pot.dim)).copy()
-    ces, final, diverged, tlogs, mlogs = _drive(pot, cfg, x0, seeds)
-    runs = []
-    for i in range(m):
-        bad = int(diverged[i]) if diverged[i] >= 0 else None
-        runs.append(
-            ChainRun(
-                cesaro=ces[i],
-                final_state=final[i],
-                steps_done=cfg.n_steps if bad is None else bad,
-                tangent_log=tlogs[i] if tlogs is not None else None,
-                moment_log=mlogs[i] if mlogs is not None else None,
-                diverged_step=bad,
-            )
-        )
-    return runs
+    return _runs(pot, cfg, x0, seeds)

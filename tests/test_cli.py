@@ -47,6 +47,13 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="base_seed"):
             validate_config({"run": {"M": 5}})
 
+    def test_dimension_and_tuning_numbers_typed(self):
+        for bad in (0, 2.0, False):
+            with pytest.raises(ParameterError, match="model.d"):
+                validate_config(bayes_cfg(model={**bayes_cfg()["model"], "d": bad}))
+        with pytest.raises(ParameterError, match="tuning.frak_e"):
+            validate_config(bayes_cfg(tuning={"regime": "bayes-sc-i.a", "frak_e": True}))
+
     def test_hash_ignores_key_order(self):
         a = {"data": {"n": 10, "seed": 1}, "tuning": {"regime": "sc-i"}}
         b = {"tuning": {"regime": "sc-i"}, "data": {"seed": 1, "n": 10}}
@@ -266,6 +273,10 @@ class TestExitCodeMapping:
             ("run", "base_seed", "x"),
             ("potential", "params", []),
             ("run", "M", 2.5),
+            ("potential", "d", "x"),
+            ("tuning", "eps", "x"),
+            ("potential", "d", 1.5),
+            ("potential", "d", True),
         ],
     )
     def test_malformed_run_values_exit_2(self, tmp_path, section, key, value):

@@ -240,6 +240,22 @@ class TestMomentCheck:
         rep = moment_check(pot, cfg, p_grid=(0.01,), a=0.01)
         assert rep.sup_running_mean[0.01] == pytest.approx(1.0, rel=0.2)
 
+    def test_running_mean_matches_dump(self, tmp_path):
+        # 8200 steps cross the single chain's 8192-step block.  From the
+        # minimizer W(x0) is the smallest W, so with checkpoints=1 (logged
+        # steps 0 and n-1) the sup is the final running mean of W
+        from cesaro_lmc.sampler import dump_trajectory, read_trajectory
+
+        pot = builtin_gaussian_location(2, 0.0, 1.0)
+        cfg = ChainConfig(gamma=moment_clamp(pot), n_steps=8200, x0=[0.0, 0.0], seed=12)
+        rep = moment_check(pot, cfg, p_grid=(1.0,), checkpoints=1)
+        dump_trajectory(pot, cfg, tmp_path / "t.bin", tmp_path / "t.json", stride=1)
+        frames, _ = read_trajectory(tmp_path / "t.bin", tmp_path / "t.json")
+        assert frames.shape == (8200, 2)
+        assert rep.first_decile_max[1.0] == float(pot.value_normalized(frames[0]))
+        want = float(np.mean(pot.value_normalized(frames)))
+        assert rep.sup_running_mean[1.0] == pytest.approx(want, rel=1e-12)
+
     def test_clamp_precondition(self):
         pot = builtin_gaussian_location(1, 0.0, 1.0)
         cfg = ChainConfig(gamma=1.0, n_steps=100, x0=[0.0], seed=0)

@@ -8,36 +8,14 @@ from cesaro_lmc.errors import DivergenceError, ParameterError
 from cesaro_lmc.oracle import ou_cesaro_moments
 from cesaro_lmc.potentials import Potential, Smoothness, builtin_gaussian_location, builtin_p_power
 from cesaro_lmc.rng import mix64, stream
-from cesaro_lmc.sampler import (
-    ChainConfig,
-    euler_step,
-    moment_clamp,
-    replicate_runs,
-    run_chain,
-    run_diffusion_fine,
-)
+from cesaro_lmc.diagnostics import moment_check
+from cesaro_lmc.errors import ExperimentError
+from cesaro_lmc.sampler import ChainConfig, dump_trajectory, moment_clamp, replicate_runs, run_chain
 
 OU = builtin_gaussian_location(1, 0.0, 1.0)
 
 
 class TestEulerStep:
-    def test_deterministic_contraction(self):
-        g = builtin_gaussian_location(3, 0.0, 1.0)
-        x = np.array([1.0, -2.0, 0.5])
-        out = euler_step(x, g, 0.2, np.zeros(3))
-        assert np.allclose(out, 0.8 * x)
-
-    def test_pure_noise_at_minimizer(self):
-        g = builtin_gaussian_location(2, [1.0, 1.0], 3.0)
-        z = np.array([0.3, -0.7])
-        out = euler_step(np.array([1.0, 1.0]), g, 0.1, z)
-        assert np.allclose(out, 1.0 + math.sqrt(0.2) * z)
-
-    def test_overflow_raises(self):
-        g = builtin_gaussian_location(1, 0.0, 1.0)
-        with pytest.raises(DivergenceError):
-            euler_step(np.array([1e308]), g, 1e10, np.zeros(1))
-
     def test_stationary_variance_matches_ar1(self):
         # 2/(rho (2 - gamma rho)) is the exact AR(1) stationary variance
         gamma, rho, n = 0.01, 1.0, 10**6
@@ -119,10 +97,6 @@ class TestRunChain:
             run_chain(g, ChainConfig(gamma=2 * limit, n_steps=10, x0=[0.0, 0.0], seed=0, clamp=True))
         run_chain(g, ChainConfig(gamma=limit, n_steps=10, x0=[0.0, 0.0], seed=0, clamp=True))
 
-    def test_moment_exponent_validated(self):
-        with pytest.raises(ParameterError):
-            ChainConfig(gamma=0.1, n_steps=10, x0=[0.0], seed=0, track_moments=0.2)
-
 
 class TestTangent:
     def test_gaussian_exact_contraction(self):
@@ -134,6 +108,24 @@ class TestTangent:
         for t, norm in run.tangent_log:
             k = round(t / gamma)
             assert norm == pytest.approx((1 - gamma * rho) ** k, abs=1e-14)
+        # K = 4 substeps: single-chain blocks hold 2048 coarse steps, so 2100
+        # steps cross a block edge; a small gamma keeps the norm informative
+        # there, and the scalar recurrence y -= (gamma/4) y is the reference
+        # (its rounding drifts from the closed form by up to 4e-14, 2.3e-13 relative)
+        gamma, n = 0.001, 2100
+        cfg = ChainConfig(
+            gamma=gamma, n_steps=n, x0=[0.5], seed=2, track_tangent=True,
+            fine_substeps=4, checkpoints=n,
+        )
+        run = run_chain(OU, cfg)
+        assert len(run.tangent_log) == n + 1
+        y = 1.0
+        for k, (t, norm) in enumerate(run.tangent_log):
+            assert t == k * gamma
+            assert norm == pytest.approx(y, abs=1e-14)
+            assert norm == pytest.approx((1 - gamma / 4) ** (4 * k), rel=1e-11)
+            for _ in range(4):
+                y = y - gamma / 4 * y
 
     def test_sc_contraction_bound_nonquadratic(self):
         # W = |x|^2/2 + 0.1 sum log cosh(x_i): rho = 1, L = 1.1
@@ -162,11 +154,6 @@ class TestTangent:
 
 
 class TestFineDiffusion:
-    def test_k1_reduces_to_run_chain(self):
-        cfg1 = ChainConfig(gamma=0.1, n_steps=64, x0=[1.0], seed=17, fine_substeps=1)
-        cfg2 = ChainConfig(gamma=0.1, n_steps=64, x0=[1.0], seed=17)
-        assert np.array_equal(run_diffusion_fine(OU, cfg1).cesaro, run_chain(OU, cfg2).cesaro)
-
     def test_transient_follows_substep_ar1_algebra(self):
         # per coarse step the mean contracts by (1 - gamma/K)^K; the Cesaro
         # transient it implies converges monotonically to the diffusion value
@@ -227,15 +214,10 @@ class TestMomentTracking:
     def test_exponential_moment_stays_bounded(self):
         pot = builtin_p_power(2, 0.0, 0.75)
         gamma = moment_clamp(pot)
-        cfg = ChainConfig(
-            gamma=gamma, n_steps=20000, x0=[0.0, 0.0], seed=41,
-            track_moments=1.0 / 16.0, checkpoints=100,
-        )
-        run = run_chain(pot, cfg)
-        vals = np.array([v for _, v in run.moment_log])
-        first_decile = vals[: max(1, len(vals) // 10)].max()
+        cfg = ChainConfig(gamma=gamma, n_steps=20000, x0=[0.0, 0.0], seed=41)
+        rep = moment_check(pot, cfg, p_grid=(1.0,), a=1.0 / 16.0, checkpoints=100)
         w0 = float(pot.value_normalized(np.zeros(2)))
-        assert vals.max() <= 2.0 * (math.exp(w0 / 16.0) + first_decile)
+        assert rep.exp_sup <= 2.0 * (math.exp(w0 / 16.0) + rep.exp_first_decile_max)
 
 
 class TestBurnInAndDump:
@@ -258,22 +240,24 @@ class TestBurnInAndDump:
             ChainConfig(gamma=0.1, n_steps=10, x0=[0.0], seed=0, burn_in=10)
 
     def test_dump_round_trip(self, tmp_path):
-        from cesaro_lmc.sampler import dump_trajectory, read_trajectory
+        from cesaro_lmc.sampler import read_trajectory
 
-        cfg = ChainConfig(gamma=0.1, n_steps=20, x0=[1.0], seed=61)
-        n_frames = dump_trajectory(OU, cfg, tmp_path / "t.bin", tmp_path / "t.json", stride=4)
-        frames, header = read_trajectory(tmp_path / "t.bin", tmp_path / "t.json")
-        assert n_frames == 5 and frames.shape == (5, 1)
-        assert header == {"d": 1, "gamma": 0.1, "stride": 4, "seed": 61}
-        assert frames[0, 0] == 1.0
-        # frame k is the chain state at step k*stride
-        rng = stream(61)
-        x = 1.0
-        states = []
-        for _ in range(20):
-            states.append(x)
-            x = x - 0.1 * x + math.sqrt(0.2) * rng.standard_normal(1)[0]
-        assert np.allclose(frames[:, 0], states[::4], rtol=0, atol=0)
+        # frame k is the chain state at step k*stride; 8200 steps cross the
+        # single chain's 8192-step noise block
+        for n, stride, seed in ((20, 4, 61), (8200, 7, 63)):
+            cfg = ChainConfig(gamma=0.1, n_steps=n, x0=[1.0], seed=seed)
+            n_frames = dump_trajectory(OU, cfg, tmp_path / "t.bin", tmp_path / "t.json", stride=stride)
+            frames, header = read_trajectory(tmp_path / "t.bin", tmp_path / "t.json")
+            assert header == {"d": 1, "gamma": 0.1, "stride": stride, "seed": seed}
+            rng = stream(seed)
+            x = 1.0
+            states = []
+            for _ in range(n):
+                states.append(x)
+                x = x - 0.1 * x + math.sqrt(0.2) * rng.standard_normal(1)[0]
+            assert n_frames == frames.shape[0] == len(states[::stride])
+            assert frames.shape[1] == 1 and frames[0, 0] == 1.0
+            assert np.allclose(frames[:, 0], states[::stride], rtol=0, atol=0)
 
     def test_replicate_chunking_identical(self):
         from cesaro_lmc.diagnostics import mse_experiment
@@ -348,3 +332,40 @@ class TestMixedDivergence:
             assert got.diverged_step == step == want.diverged_step
             assert np.array_equal(got.cesaro, want.cesaro, equal_nan=True)
             assert np.isnan(got.cesaro[0]) == (step is not None)
+
+    def test_tangent_trace_survives_divergence(self):
+        gamma, n = 0.3, 400
+        cfg = ChainConfig(gamma=gamma, n_steps=n, x0=[0.0], seed=0, track_tangent=True)
+        batch = replicate_runs(QUARTIC, cfg, 64, base_seed=3)
+        assert sum(r.diverged_step is not None for r in batch) == 51
+        every = n // cfg.checkpoints
+        for i, got in enumerate(batch):
+            single_cfg = ChainConfig(
+                gamma=gamma, n_steps=n, x0=[0.0], seed=mix64(3, i), track_tangent=True
+            )
+            try:
+                want = run_chain(QUARTIC, single_cfg)
+            except DivergenceError as exc:
+                want = exc.payload
+            assert got.tangent_log == want.tangent_log
+            # logged at every checkpoint the replicate survived, and no later
+            stop = n if got.diverged_step is None else got.diverged_step
+            times = [0.0] + [(k + 1) * gamma for k in range(stop) if k % every == 0 or k == n - 1]
+            assert all(t < (stop + 1) * gamma for t, _ in got.tangent_log)
+            assert [t for t, _ in got.tangent_log] == times
+
+
+class TestDivergingDiagnostics:
+    # x0 = 10 on x^4/4 at the moment clamp: x1 = -190, so exp(W/16) overflows
+    # at step 1, and the chain leaves the finite range at step 2
+    CFG = ChainConfig(gamma=moment_clamp(QUARTIC), n_steps=100, x0=[10.0], seed=5)
+
+    def test_dump_raises_and_writes_nothing(self, tmp_path):
+        with pytest.raises(DivergenceError) as exc:
+            dump_trajectory(QUARTIC, self.CFG, tmp_path / "t.bin", tmp_path / "t.json")
+        assert exc.value.step == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_moment_check_names_the_step(self):
+        with pytest.raises(ExperimentError, match="at step 1$"):
+            moment_check(QUARTIC, self.CFG, p_grid=(1.0,))
