@@ -14,6 +14,13 @@ free extra and is not counted); a curvature-sandwich model with r = q
 yields the pair (c1 * n^{1-r}, r) for the lower branch and flat smoothness
 n*L for the upper one.  The stored gradient-Lipschitz constant includes the
 prior's contribution so it is a true bound for the full potential.
+
+The sum over observations is never streamed per observation where it need
+not be: the Gaussian location family collapses it to sufficient statistics,
+and the logistic family to a weighted sum over its distinct (feature,
+label) rows, at most 2m of them for an m-row design (``builtin_logistic``).
+No evaluator goes through BLAS, so a point's value, gradient and
+Hessian-vector product do not depend on the batch it is evaluated in.
 """
 
 from __future__ import annotations
@@ -184,7 +191,7 @@ class GaussianLocationModel:
             theta = np.asarray(theta, dtype=float)
             return (
                 0.5 * n * rho * np.sum(theta**2, axis=-1)
-                - rho * np.tensordot(theta, s, axes=([-1], [0]))
+                - rho * np.sum(theta * s, axis=-1)
                 + 0.5 * rho * ssq
             )
 
@@ -361,9 +368,11 @@ class PosteriorPotential:
 def build_posterior(model, data: Dataset, prior: Prior) -> PosteriorPotential:
     """Assemble W_n = sum_i U(xi_i, .) + V0 with aggregated constants.
 
-    The per-observation sum uses the model's sufficient-statistic closed
-    form when available (Gaussian location), otherwise a streamed
-    vectorized sum; either way one accumulator, no n x d scratch.
+    The per-observation sum is the Gaussian location model's
+    sufficient-statistic closed form, the logistic model's sum over its
+    distinct (feature, label) rows weighted by their multiplicities, or the
+    p-power model's sum streamed in fixed chunks; none keeps an n x d
+    scratch array.
     """
     obs = data.observations
     n = obs.shape[0]

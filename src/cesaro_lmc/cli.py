@@ -84,6 +84,74 @@ _SCHEMA = {
 }
 
 
+def _is_number(v) -> bool:
+    return type(v) in (int, float)  # bool is refused
+
+
+def _is_numbers(v) -> bool:
+    """A JSON number, or a non-empty rectangular (nested) list of numbers."""
+    if _is_number(v):
+        return True
+    return (
+        isinstance(v, list)
+        and len(v) > 0
+        and all(_is_numbers(u) for u in v)
+        and len({np.shape(u) for u in v}) == 1
+    )
+
+
+def _is_labels(v) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(_is_number(u) and u in (1, -1) for u in v)
+
+
+# what each value must be, by section (``params`` for the model and potential
+# blocks); keys not listed here are checked where they are read
+_NUMBER = (_is_number, "a number")
+_NUMBERS = (_is_numbers, "a number or an array of numbers")
+_INTEGER = (lambda v: type(v) is int, "an integer")  # bool and float are refused
+_VALUES = {
+    "params": {
+        "precision": _NUMBER,
+        "p": _NUMBER,
+        "ridge": _NUMBER,
+        "mean": _NUMBERS,
+        "center": _NUMBERS,
+        "design": _NUMBERS,
+        "features": _NUMBERS,
+        "labels": (_is_labels, "an array of +1/-1 labels"),
+    },
+    "model": {
+        "alpha_c": _NUMBER,
+        "b1": _NUMBER,
+        "C_P": (lambda v: v is None or _is_number(v), "a number or null"),
+        "theta_star": _NUMBERS,
+    },
+    "data": {
+        "n": _INTEGER,
+        "seed": _INTEGER,
+        "n_grid": (lambda v: isinstance(v, list) and all(type(u) is int for u in v),
+                   "an array of integers"),
+    },
+    "tuning": {
+        "regime": (lambda v: isinstance(v, str), "a string"),
+        "eps": _NUMBER,
+        "eps_grid": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                     "an array of numbers"),
+        "frak_e": _NUMBER,
+        "calib": _NUMBER,
+        "x0_dist": _NUMBER,
+    },
+    "run": {"M": _INTEGER, "base_seed": _INTEGER},
+}
+
+
+def _check_values(where: str, block: dict, table: dict) -> None:
+    for key, val in block.items():
+        check, kind = table.get(key, (None, None))
+        if check and not check(val):
+            raise ConfigError(f"{where}.{key} must be {kind}, got {val!r}")
+
+
 def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -104,22 +172,20 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("data.seed is required; refusing to default a seed")
     if "run" in cfg and "base_seed" not in cfg["run"]:
         raise ConfigError("run.base_seed is required; refusing to default a seed")
+    for section in ("model", "data", "tuning", "run"):
+        _check_values(section, cfg.get(section, {}), _VALUES[section])
     run = cfg.get("run", {})
-    for key in ("M", "base_seed"):
-        if key in run and type(run[key]) is not int:  # bool and float are refused too
-            raise ConfigError(f"run.{key} must be an integer, got {run[key]!r}")
     if run.get("M", 1) < 1:
         raise ConfigError(f"run.M must be >= 1, got {run['M']}")
     for section in ("model", "potential"):
         block = cfg.get(section, {})
-        if not isinstance(block.get("params", {}), dict):
+        params = block.get("params", {})
+        if not isinstance(params, dict):
             raise ConfigError(f"{section}.params must be an object")
+        _check_values(f"{section}.params", params, _VALUES["params"])
         d = block.get("d", 1)
         if type(d) is not int or d < 1:  # bool and float are refused too
             raise ConfigError(f"{section}.d must be an integer >= 1, got {d!r}")
-    for key, val in cfg.get("tuning", {}).items():
-        if key in ("eps", "frak_e", "calib", "x0_dist") and type(val) not in (int, float):
-            raise ConfigError(f"tuning.{key} must be a number, got {val!r}")
     return cfg
 
 

@@ -19,7 +19,9 @@ depend on how draws are chunked, so block size never moves a bit.  The
 Euler and Kahan updates write into fixed buffers, in the same IEEE
 operation order as the plain expressions.  Divergence (a coordinate at
 least 1e12 in magnitude, NaN or inf) is screened by one reduction over the
-whole batch per step; the per-replicate check runs only when it trips.
+whole batch per step; the per-replicate check runs only when it trips.  A
+diverged replicate restarts from its x0 inside the driver, so it does not
+trip the screen on every later step; every output shows it as NaN.
 
 Diagnostics observe the chain rather than step a copy of it.  An observer
 is a callable ``ob(k0, states, diverged)`` that the driver calls once per
@@ -114,7 +116,7 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
 
     Returns (cesaro, final, diverged_step) with a leading batch axis and
     calls each observer once per noise block (see the module docstring).
-    Diverged rows freeze to NaN and the survivors keep running.
+    Diverged rows are NaN in every output and the survivors keep running.
     """
     m, d = x0_batch.shape
     k_sub = cfg.fine_substeps
@@ -162,15 +164,30 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
                 # the batch, the per-row check runs only when it trips
                 if not np.abs(x).max() < _DIVERGE_LIMIT:
                     bad = alive & ~(np.max(np.abs(x), axis=1) < _DIVERGE_LIMIT)
-                    if np.any(bad):
-                        diverged[bad] = step
-                        alive &= ~bad
-                        x[bad] = np.nan
-                        ces[bad] = np.nan
+                    diverged[bad] = step
+                    alive &= ~bad
+                    ces[bad] = np.nan
+                    # dead rows restart from x0 so they do not trip the screen
+                    # on every later step; outputs show them as NaN
+                    x[~alive] = x0_batch[~alive]
                 step += 1
-            for ob in observers:
-                ob(step - todo, states[:, :rows], diverged)
+            if observers:
+                k0 = step - todo
+                _mask_dead(states[:, :rows], diverged, k0, k_sub)
+                for ob in observers:
+                    ob(k0, states[:, :rows], diverged)
+    x[~alive] = np.nan
     return ces / (n - cfg.burn_in), x, diverged
+
+
+def _mask_dead(states, diverged, k0, k_sub):
+    """NaN the states of each diverged replicate from the coarse step after
+    its divergence on (``states`` holds the block starting at step k0)."""
+    dead = np.flatnonzero(diverged >= 0)
+    if dead.size:
+        first = (diverged[dead] + 1 - k0) * k_sub  # first NaN row of the block
+        late = np.arange(states.shape[1]) >= first[:, None]
+        states[dead] = np.where(late[..., None], np.nan, states[dead])
 
 
 class _TangentTrace:

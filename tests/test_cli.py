@@ -54,6 +54,40 @@ class TestConfigValidation:
         with pytest.raises(ParameterError, match="tuning.frak_e"):
             validate_config(bayes_cfg(tuning={"regime": "bayes-sc-i.a", "frak_e": True}))
 
+    def test_params_values_typed(self):
+        def potential(**params):
+            return {"potential": {"family": "logistic", "d": 1, "params": params}}
+
+        validate_config(potential(features=[[1.0], [-0.5]], labels=[1, -1.0], ridge=0.5))
+        for params, key in [
+            ({"features": [[1.0]], "labels": [0]}, "labels"),
+            ({"features": [[1.0]], "labels": [True]}, "labels"),
+            ({"features": [[1.0], [1.0, 2.0]], "labels": [1, 1]}, "features"),
+            ({"features": [], "labels": []}, "features"),
+            ({"features": [[1.0]], "labels": [1], "ridge": "0.5"}, "ridge"),
+            ({"features": [[1.0]], "labels": [1], "ridge": None}, "ridge"),
+        ]:
+            with pytest.raises(ParameterError, match=f"potential.params.{key}"):
+                validate_config(potential(**params))
+        with pytest.raises(ParameterError, match="model.params.design"):
+            validate_config(bayes_cfg(model={**bayes_cfg()["model"], "params": {"design": "x"}}))
+
+    def test_model_and_data_values_typed(self):
+        model = bayes_cfg()["model"]
+        for block, key, bad in [
+            ("model", "alpha_c", "x"),
+            ("model", "theta_star", [0.5, "y"]),
+            ("model", "C_P", True),
+            ("data", "n", "x"),
+            ("data", "n", 100.0),
+            ("data", "seed", "7"),
+            ("data", "n_grid", [100, 400.5]),
+        ]:
+            base = model if block == "model" else bayes_cfg()["data"]
+            with pytest.raises(ParameterError, match=f"{block}.{key} must be"):
+                validate_config(bayes_cfg(**{block: {**base, key: bad}}))
+        validate_config(bayes_cfg(model={**model, "C_P": None}))
+
     def test_hash_ignores_key_order(self):
         a = {"data": {"n": 10, "seed": 1}, "tuning": {"regime": "sc-i"}}
         b = {"tuning": {"regime": "sc-i"}, "data": {"seed": 1, "n": 10}}
@@ -277,6 +311,13 @@ class TestExitCodeMapping:
             ("tuning", "eps", "x"),
             ("potential", "d", 1.5),
             ("potential", "d", True),
+            ("potential", "params", {"mean": 0.0, "precision": "x"}),
+            ("potential", "params", {"mean": [0.0, "a"]}),
+            ("potential", "params", {"mean": [[0.0], [1.0, 2.0]]}),
+            ("potential", "params", {"mean": [1.0, 2.0, 3.0]}),
+            ("tuning", "regime", 5),
+            ("tuning", "eps_grid", [0.3, "x"]),
+            ("tuning", "calib", None),
         ],
     )
     def test_malformed_run_values_exit_2(self, tmp_path, section, key, value):

@@ -2,7 +2,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from cesaro_lmc.bayes import (
+    Dataset,
+    GaussianLocationModel,
+    LogisticModel,
+    PPowerLocationModel,
+    build_posterior,
+    sample_dataset,
+    standard_gaussian_prior,
+)
 from cesaro_lmc.errors import NumericError, ParameterError
 from cesaro_lmc.potentials import (
     StronglyConvex,
@@ -150,6 +162,101 @@ class TestEvaluatorConsistency:
         for i in range(7):
             assert vals[i] == pytest.approx(float(pot.value(xs[i])))
             assert np.array_equal(grads[i], pot.grad(xs[i]))
+
+
+def _posteriors():
+    prior = standard_gaussian_prior(2)
+    gauss = GaussianLocationModel(2, precision=1.5)
+    logit = LogisticModel(stream(4).standard_normal((10, 2)), ridge=0.5)
+    ppow = PPowerLocationModel(2, p=0.75)
+    # 700 observations cross the p-power sum's 512-observation chunk edge
+    pp_obs = Dataset(stream(5).standard_normal((700, 2)), ppow.model_id, np.zeros(2), 5)
+    return [
+        build_posterior(gauss, sample_dataset(gauss, [0.3, -0.2], 300, seed=2), prior).potential,
+        build_posterior(ppow, pp_obs, prior).potential,
+        build_posterior(logit, sample_dataset(logit, [0.4, -0.3], 200, seed=8), prior).potential,
+    ]
+
+
+def _bits(a):
+    return np.asarray(a).tobytes()
+
+
+class TestBatchInvariance:
+    """Row i of an evaluator on a batch equals the evaluation of that row
+    alone, bit for bit: a chain's output may not depend on its batch."""
+
+    @pytest.mark.parametrize("pot", BUILTINS + _posteriors(), ids=lambda p: p.name)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_rows_do_not_depend_on_the_batch(self, pot, data):
+        m = data.draw(st.integers(1, 24), label="m")
+        coords = st.floats(-6.0, 6.0, allow_nan=False)
+        xs = data.draw(arrays(np.float64, (m, pot.dim), elements=coords), label="xs")
+        vs = data.draw(arrays(np.float64, (m, pot.dim), elements=coords), label="vs")
+        vals, grads, hvs = pot.value(xs), pot.grad(xs), pot.hess_vec(xs, vs)
+        hv_shared = pot.hess_vec(xs, vs[0])  # one direction broadcast over the batch
+        for i in range(m):
+            row = slice(i, i + 1)
+            assert _bits(vals[i]) == _bits(pot.value(xs[row])[0])
+            assert _bits(grads[i]) == _bits(pot.grad(xs[row])[0])
+            assert _bits(hvs[i]) == _bits(pot.hess_vec(xs[row], vs[row])[0])
+            assert _bits(hv_shared[i]) == _bits(pot.hess_vec(xs[row], vs[0])[0])
+
+
+class TestLogisticRowWeights:
+    # repeated rows, a label flip of a repeated row, and (-a, -1) which
+    # equals (a, +1) once multiplied out
+    FEATURES = np.array(
+        [[1.0, 0.5], [-0.3, 1.2], [1.0, 0.5], [2.0, -1.0], [1.0, 0.5], [-1.0, -0.5],
+         [-0.3, 1.2], [2.0, -1.0], [0.0, 0.7]]
+    )
+    LABELS = [1, -1, 1, 1, -1, -1, -1, 1, 1]
+
+    @staticmethod
+    def _reference(x, v, ridge):
+        # the plain per-observation sums, one observation at a time
+        val, grad, hv = 0.5 * ridge * float(x @ x), ridge * x, ridge * v
+        for a, y in zip(TestLogisticRowWeights.FEATURES, TestLogisticRowWeights.LABELS):
+            z = y * float(a @ x)
+            sig = 1.0 / (1.0 + np.exp(z))  # sigma(-z)
+            val += float(np.logaddexp(0.0, -z))
+            grad = grad - sig * y * a
+            hv = hv + sig * (1.0 - sig) * float(a @ v) * a
+        return val, grad, hv
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    def test_weighted_rows_match_per_observation_sum(self, ridge):
+        pot = builtin_logistic(self.FEATURES, self.LABELS, ridge=ridge)
+        rng = stream(12)
+        for _ in range(20):
+            x, v = rng.standard_normal((2, 2)) * 2.0
+            val, grad, hv = self._reference(x, v, ridge)
+            assert float(pot.value(x)) == pytest.approx(val, rel=1e-12)
+            assert np.allclose(pot.grad(x), grad, rtol=1e-12, atol=0)
+            assert np.allclose(pot.hess_vec(x, v), hv, rtol=1e-12, atol=0)
+
+    def test_large_row_sets_are_summed_in_passes(self):
+        # 500000 distinct rows in d=3 leave room for two batch rows per pass
+        # of the row sums (2^22 doubles), so a batch of 5 takes passes of 2, 2, 1
+        rng = stream(13)
+        feats = rng.standard_normal((500_000, 3))
+        labels = np.where(rng.random(500_000) < 0.5, -1.0, 1.0)
+        pot = builtin_logistic(feats, labels)
+        xs, vs = rng.standard_normal((2, 5, 3)) * 0.1
+        grads, hvs = pot.grad(xs), pot.hess_vec(xs, vs)
+        b = labels[:, None] * feats
+        for i in range(5):
+            sig = 1.0 / (1.0 + np.exp(b @ xs[i]))  # sigma(-z) per observation
+            assert np.allclose(grads[i], -(sig @ b), rtol=1e-12, atol=0)
+            assert np.allclose(hvs[i], (sig * (1.0 - sig) * (b @ vs[i])) @ b, rtol=1e-12, atol=0)
+            assert _bits(grads[i]) == _bits(pot.grad(xs[i : i + 1])[0])
+            assert _bits(hvs[i]) == _bits(pot.hess_vec(xs[i : i + 1], vs[i : i + 1])[0])
+
+    def test_lipschitz_bound_counts_every_observation(self):
+        pot = builtin_logistic(self.FEATURES, self.LABELS)
+        assert pot.smoothness.L == pytest.approx(np.sum(self.FEATURES**2) / 4.0)
+        assert pot.name == "logistic(d=2,n=9,ridge=0.0)"
 
 
 class TestExtremeEigs:

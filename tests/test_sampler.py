@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cesaro_lmc.bayes import GaussianLocationModel, build_posterior, sample_dataset, standard_gaussian_prior
+from cesaro_lmc.bayes import (
+    GaussianLocationModel,
+    LogisticModel,
+    build_posterior,
+    sample_dataset,
+    standard_gaussian_prior,
+)
 from cesaro_lmc.errors import DivergenceError, ParameterError
 from cesaro_lmc.oracle import ou_cesaro_moments
 from cesaro_lmc.potentials import Potential, Smoothness, builtin_gaussian_location, builtin_p_power
@@ -201,6 +207,21 @@ class TestReplicates:
         emp = np.var([r.cesaro[0] for r in runs], ddof=1)
         _, var = ou_cesaro_moments(1.0, 0.0, gamma, n, 0.0)
         assert emp == pytest.approx(var, rel=0.30)
+
+    def test_logistic_posterior_batch_matches_singletons(self):
+        # n = 200 observations over a 10-row design: replicate i equals its
+        # singleton chain bit for bit only if a row's posterior gradient does
+        # not depend on the batch it is evaluated in
+        model = LogisticModel(stream(4).standard_normal((10, 2)), ridge=0.5)
+        data = sample_dataset(model, [0.4, -0.3], 200, seed=8)
+        post = build_posterior(model, data, standard_gaussian_prior(2))
+        pot = post.potential
+        gamma = moment_clamp(pot)
+        batch = replicate_runs(pot, ChainConfig(gamma, 300, post.mode, seed=0), 16, base_seed=21)
+        for i, got in enumerate(batch):
+            single = run_chain(pot, ChainConfig(gamma, 300, post.mode, seed=mix64(21, i)))
+            assert got.cesaro.tobytes() == single.cesaro.tobytes()
+            assert got.final_state.tobytes() == single.final_state.tobytes()
 
     def test_divergent_replicates_do_not_abort(self):
         steep = builtin_gaussian_location(1, 0.0, 1.0)
