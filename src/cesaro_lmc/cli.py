@@ -109,6 +109,8 @@ def _is_labels(v) -> bool:
 _NUMBER = (_is_number, "a number")
 _NUMBERS = (_is_numbers, "a number or an array of numbers")
 _INTEGER = (lambda v: type(v) is int, "an integer")  # bool and float are refused
+_STRING = (lambda v: isinstance(v, str), "a string")
+_NUMBER_LIST = (lambda v: isinstance(v, list) and all(map(_is_number, v)), "an array of numbers")
 _VALUES = {
     "params": {
         "precision": _NUMBER,
@@ -133,15 +135,37 @@ _VALUES = {
                    "an array of integers"),
     },
     "tuning": {
-        "regime": (lambda v: isinstance(v, str), "a string"),
+        "regime": _STRING,
         "eps": _NUMBER,
-        "eps_grid": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
-                     "an array of numbers"),
+        "eps_grid": _NUMBER_LIST,
         "frak_e": _NUMBER,
         "calib": _NUMBER,
         "x0_dist": _NUMBER,
     },
     "run": {"M": _INTEGER, "base_seed": _INTEGER},
+    "oracle": {
+        "task": _STRING,
+        "nodes_per_axis": _INTEGER,
+        "k_sigma": _NUMBER,
+        "n_nodes": _INTEGER,
+        "f": _STRING,
+        "eps_ref": _NUMBER,
+    },
+    # the options of each diagnostics check
+    "diagnostics": {
+        "n_probes": _INTEGER,
+        "radius": _NUMBER,
+        "seed": _INTEGER,
+        "n": _INTEGER,
+        "M": _INTEGER,
+        "delta_grid": _NUMBER_LIST,
+        "statistic": _STRING,
+        "theta_alt": _NUMBERS,
+        "r_n": _NUMBER,
+        "b1": _NUMBER,
+        "b2": _NUMBER,
+        "alpha_c": _NUMBER,
+    },
 }
 
 
@@ -172,8 +196,15 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("data.seed is required; refusing to default a seed")
     if "run" in cfg and "base_seed" not in cfg["run"]:
         raise ConfigError("run.base_seed is required; refusing to default a seed")
-    for section in ("model", "data", "tuning", "run"):
+    for section in ("model", "data", "tuning", "run", "oracle"):
         _check_values(section, cfg.get(section, {}), _VALUES[section])
+    for check, opts in cfg.get("diagnostics", {}).items():
+        if isinstance(opts, dict):
+            _check_values(f"diagnostics.{check}", opts, _VALUES["diagnostics"])
+        elif check in ("concentration", "test_phi"):  # these have no defaults
+            raise ConfigError(f"diagnostics.{check} must be an object, got {opts!r}")
+        elif type(opts) is not bool:
+            raise ConfigError(f"diagnostics.{check} must be true, false or an object, got {opts!r}")
     run = cfg.get("run", {})
     if run.get("M", 1) < 1:
         raise ConfigError(f"run.M must be >= 1, got {run['M']}")

@@ -73,8 +73,13 @@ def fit_line(x, y) -> RateFit:
 def _bootstrap_ci(sq_errors: np.ndarray, seed: int, resamples: int = 2000):
     rng = stream(mix64(seed, 0xB007))
     m = sq_errors.shape[0]
-    idx = rng.integers(0, m, size=(resamples, m))
-    means = sq_errors[idx].mean(axis=1)
+    # resamples in blocks of about 2^18 indices; the Philox stream and each
+    # row's mean do not depend on the block size
+    rows = max(1, (1 << 18) // m)
+    means = np.concatenate([
+        sq_errors[rng.integers(0, m, size=(min(rows, resamples - i), m))].mean(axis=1)
+        for i in range(0, resamples, rows)
+    ])
     lo, hi = np.percentile(means, [2.5, 97.5])
     return float(lo), float(hi)
 

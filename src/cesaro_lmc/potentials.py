@@ -89,7 +89,10 @@ class Potential:
     ``value``/``grad``/``hess_vec`` accept points of shape ``(d,)`` or
     batches ``(m, d)``.  ``offset`` is the additive constant placing the
     minimum of the *normalized* potential at 1 (used by every W-power
-    check); ``value`` itself is the raw formula.
+    check); ``value`` itself is the raw formula.  ``kernel``, when set,
+    names a compiled chain loop that steps this potential with the same
+    bits as ``grad`` (``("gaussian", rho, mean)``); ``dataclasses.replace``
+    keeps it, so a potential with wrapped evaluators steps the same code.
     """
 
     dim: int
@@ -102,6 +105,7 @@ class Potential:
     offset: float = 0.0
     name: str = ""
     profile_note: str = ""
+    kernel: Optional[tuple] = None
 
     def value_normalized(self, x: np.ndarray) -> np.ndarray:
         """W shifted so its minimum sits at 1."""
@@ -158,6 +162,7 @@ def builtin_gaussian_location(d: int, mean, precision: float) -> Potential:
         minimizer_hint=m,
         offset=1.0,
         name=f"gaussian(d={d},rho={rho})",
+        kernel=("gaussian", rho, m),
     )
 
 

@@ -23,6 +23,15 @@ whole batch per step; the per-replicate check runs only when it trips.  A
 diverged replicate restarts from its x0 inside the driver, so it does not
 trip the screen on every later step; every output shows it as NaN.
 
+The built-in Gaussian potential carries the kernel field
+``("gaussian", rho, mean)``; its chains are stepped instead by the
+compiled loop of ``_kernel.c`` (built on the first such chain), one
+replicate at a time, through the same IEEE operations in the same order,
+with normals drawn by numpy's own ``random_standard_normal`` on the
+replicate's Philox generator.  It needs no noise block and gives the same
+bits; when it cannot be built the numpy driver runs instead.  The path is
+chosen from the kernel field, never from the identity of ``pot.grad``.
+
 Diagnostics observe the chain rather than step a copy of it.  An observer
 is a callable ``ob(k0, states, diverged)`` that the driver calls once per
 noise block: ``states`` is (replicates, rows, d), the state before each
@@ -117,6 +126,8 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
     Returns (cesaro, final, diverged_step) with a leading batch axis and
     calls each observer once per noise block (see the module docstring).
     Diverged rows are NaN in every output and the survivors keep running.
+    A potential whose ``kernel`` is ``("gaussian", ...)`` is stepped by the
+    compiled loop when it loads, else by numpy; both give the same bits.
     """
     m, d = x0_batch.shape
     k_sub = cfg.fine_substeps
@@ -128,55 +139,69 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
     x = x0_batch.copy()
     ces = np.zeros((m, d))
     comp = np.zeros((m, d))  # Kahan compensation
-    t1, t2, hg, sz = (np.empty((m, d)) for _ in range(4))
-    diverged = np.full(m, -1, dtype=int)
-    alive = np.ones(m, dtype=bool)
+    diverged = np.full(m, -1, dtype=np.int64)
 
     # one noise block of at most 2^22 doubles (32 MiB), filled in place per
     # stream; single chains keep 8192-step blocks
     chunk = max(1, min(8192 // k_sub, n, (1 << 22) // max(1, m * d * k_sub)))
-    block = np.empty((m, chunk * k_sub, d))
-    states = np.empty_like(block) if observers else None
+    lib = None
+    if pot.kernel is not None and pot.kernel[0] == "gaussian":
+        from . import _kernel  # at the first Gaussian chain, not at package import
+
+        lib = _kernel.load()
+    if lib is not None:
+        bitgens = _kernel.bitgens(gens)
+        if not observers:
+            chunk = n  # the compiled loop needs no noise block
+    else:
+        block = np.empty((m, chunk * k_sub, d))
+        t1, t2, hg, sz = (np.empty((m, d)) for _ in range(4))
+        alive = np.ones(m, dtype=bool)
+    states = np.empty((m, chunk * k_sub, d)) if observers else None
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected, not warned
         while step < n:
             todo = min(chunk, n - step)
             rows = todo * k_sub
-            for i, g in enumerate(gens):
-                g.standard_normal((rows, d), out=block[i, :rows])
-            for j in range(todo):
-                # Cesaro includes the current (pre-step) state: indices 0..N-1
-                if step >= cfg.burn_in:
-                    np.subtract(x, comp, out=t1)
-                    np.add(ces, t1, out=t2)
-                    np.subtract(t2, ces, out=comp)
-                    comp -= t1
-                    ces, t2 = t2, ces
-                for r in range(j * k_sub, (j + 1) * k_sub):
-                    if states is not None:
-                        states[:, r] = x
-                    # grad's output may alias x, so it is read, never written
-                    np.multiply(pot.grad(x), h, out=hg)
-                    np.multiply(block[:, r], sqrt2h, out=sz)
-                    x -= hg
-                    x += sz
-                # NaN/inf fail the comparison: one whole-array reduction screens
-                # the batch, the per-row check runs only when it trips
-                if not np.abs(x).max() < _DIVERGE_LIMIT:
-                    bad = alive & ~(np.max(np.abs(x), axis=1) < _DIVERGE_LIMIT)
-                    diverged[bad] = step
-                    alive &= ~bad
-                    ces[bad] = np.nan
-                    # dead rows restart from x0 so they do not trip the screen
-                    # on every later step; outputs show them as NaN
-                    x[~alive] = x0_batch[~alive]
-                step += 1
+            if lib is not None:
+                _kernel.step_gaussian(lib, pot.kernel, bitgens, h, sqrt2h, k_sub, step, todo,
+                                      cfg.burn_in, x, ces, comp, diverged, states)
+            else:
+                for i, g in enumerate(gens):
+                    g.standard_normal((rows, d), out=block[i, :rows])
+                for j in range(todo):
+                    k = step + j
+                    # Cesaro includes the current (pre-step) state: indices 0..N-1
+                    if k >= cfg.burn_in:
+                        np.subtract(x, comp, out=t1)
+                        np.add(ces, t1, out=t2)
+                        np.subtract(t2, ces, out=comp)
+                        comp -= t1
+                        ces, t2 = t2, ces
+                    for r in range(j * k_sub, (j + 1) * k_sub):
+                        if states is not None:
+                            states[:, r] = x
+                        # grad's output may alias x, so it is read, never written
+                        np.multiply(pot.grad(x), h, out=hg)
+                        np.multiply(block[:, r], sqrt2h, out=sz)
+                        x -= hg
+                        x += sz
+                    # NaN/inf fail the comparison: one whole-array reduction screens
+                    # the batch, the per-row check runs only when it trips
+                    if not np.abs(x).max() < _DIVERGE_LIMIT:
+                        bad = alive & ~(np.max(np.abs(x), axis=1) < _DIVERGE_LIMIT)
+                        diverged[bad] = k
+                        alive &= ~bad
+                        ces[bad] = np.nan
+                        # dead rows restart from x0 so they do not trip the screen
+                        # on every later step; outputs show them as NaN
+                        x[~alive] = x0_batch[~alive]
             if observers:
-                k0 = step - todo
-                _mask_dead(states[:, :rows], diverged, k0, k_sub)
+                _mask_dead(states[:, :rows], diverged, step, k_sub)
                 for ob in observers:
-                    ob(k0, states[:, :rows], diverged)
-    x[~alive] = np.nan
+                    ob(step, states[:, :rows], diverged)
+            step += todo
+    x[diverged >= 0] = np.nan
     return ces / (n - cfg.burn_in), x, diverged
 
 

@@ -334,6 +334,47 @@ class TestExitCodeMapping:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "command, config, section, value",
+        [
+            ("oracle", "ou_smoke.json", "oracle", {"task": "quadrature", "nodes_per_axis": "x"}),
+            ("oracle", "ou_smoke.json", "oracle", {"task": "quadrature", "k_sigma": "x"}),
+            ("oracle", "ou_smoke.json", "oracle", {"task": "poisson", "n_nodes": 2.5}),
+            ("oracle", "ou_smoke.json", "oracle", {"task": "reference_chain", "eps_ref": "x"}),
+            ("oracle", "ou_smoke.json", "oracle", {"task": 3}),
+            ("verify", "p_power_verify.json", "diagnostics", {"kl_profile": {"n_probes": "x"}}),
+            ("verify", "p_power_verify.json", "diagnostics", {"kl_profile": {"radius": "x"}}),
+            ("verify", "p_power_verify.json", "diagnostics", {"grad_bounds": {"seed": 1.5}}),
+            ("verify", "p_power_verify.json", "diagnostics", {"kl_profile": 5}),
+            ("verify", "conjugate_posterior.json", "diagnostics",
+             {"concentration": {"n": "x", "delta_grid": [0.05], "M": 10, "seed": 1}}),
+            ("verify", "conjugate_posterior.json", "diagnostics",
+             {"concentration": {"n": 100, "delta_grid": ["x"], "M": 10, "seed": 1}}),
+            ("verify", "conjugate_posterior.json", "diagnostics",
+             {"concentration": {"n": 100, "delta_grid": [0.05], "M": True, "seed": 1}}),
+            ("verify", "conjugate_posterior.json", "diagnostics", {"concentration": True}),
+            ("verify", "conjugate_posterior.json", "diagnostics",
+             {"test_phi": {"theta_alt": [1.0, 0.0], "n": 200, "r_n": "x", "M": 10, "seed": 1}}),
+            ("verify", "conjugate_posterior.json", "diagnostics",
+             {"test_phi": {"theta_alt": [1.0, 0.0], "n": 200, "r_n": 1.0, "M": 10, "seed": "x",
+                           "b1": 1.0, "b2": "y", "alpha_c": 1.0}}),
+        ],
+    )
+    def test_malformed_oracle_and_diagnostics_values_exit_2(
+        self, tmp_path, command, config, section, value
+    ):
+        cfg = json.loads((CONFIGS / config).read_text())
+        cfg[section] = value
+        path = write(tmp_path, "bad.json", cfg)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cesaro_lmc.cli", command, "--config", path],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 class TestGridExperiments:
     def test_rate_experiment_emits_slope_row(self, tmp_path):
         cfg = {

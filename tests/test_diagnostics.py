@@ -6,6 +6,7 @@ import pytest
 from cesaro_lmc.bayes import GaussianLocationModel, sample_dataset, standard_gaussian_prior
 from cesaro_lmc.diagnostics import (
     SeparationMap,
+    _bootstrap_ci,
     bayes_rate_experiment,
     concentration_check,
     fit_line,
@@ -16,6 +17,7 @@ from cesaro_lmc.diagnostics import (
 from cesaro_lmc.errors import ExperimentError, ParameterError
 from cesaro_lmc.oracle import ou_cesaro_moments
 from cesaro_lmc.potentials import builtin_gaussian_location
+from cesaro_lmc.rng import mix64, stream
 from cesaro_lmc.sampler import ChainConfig, moment_clamp
 from cesaro_lmc.tuning import TuningPlan
 
@@ -42,6 +44,14 @@ class TestMseExperiment:
         report = mse_experiment(OU, ou_plan(n=200), 100, reference=[0.0], base_seed=7)
         lo, hi = report.ci
         assert lo <= report.mse <= hi
+
+    @pytest.mark.parametrize("m", [3, 7, 200, 1999, 2000])
+    def test_bootstrap_blocks_match_one_draw(self, m):
+        """Resampling in blocks gives the bits of one (2000, m) index draw."""
+        sq = np.random.default_rng(m).exponential(size=m)
+        idx = stream(mix64(19, 0xB007)).integers(0, m, size=(2000, m))
+        lo, hi = np.percentile(sq[idx].mean(axis=1), [2.5, 97.5])
+        assert _bootstrap_ci(sq, 19) == (float(lo), float(hi))
 
     def test_ci_shrinks_with_replicates(self):
         r1 = mse_experiment(OU, ou_plan(n=100), 100, reference=[0.0], base_seed=11)
