@@ -38,7 +38,7 @@ void lmc_normals(bitgen_t *gen, int64_t n, double *out)
  * were. */
 void lmc_gaussian(bitgen_t **gens, int64_t m, int64_t d, double rho, const double *mean,
                   double h, double sqrt2h, int64_t k_sub, int64_t step0, int64_t todo,
-                  int64_t burn_in, double *x, double *ces, double *comp, int64_t *diverged,
+                  double *x, double *ces, double *comp, int64_t *diverged,
                   double *states, int64_t states_stride)
 {
     for (int64_t i = 0; i < m; i++) {
@@ -49,13 +49,11 @@ void lmc_gaussian(bitgen_t **gens, int64_t m, int64_t d, double rho, const doubl
         double *row = states ? states + i * states_stride : NULL;
         for (int64_t step = step0; step < step0 + todo; step++) {
             /* Cesaro includes the current (pre-step) state */
-            if (step >= burn_in) {
-                for (int64_t j = 0; j < d; j++) {
-                    double t1 = xi[j] - ci[j];
-                    double t2 = si[j] + t1;
-                    ci[j] = (t2 - si[j]) - t1;
-                    si[j] = t2;
-                }
+            for (int64_t j = 0; j < d; j++) {
+                double t1 = xi[j] - ci[j];
+                double t2 = si[j] + t1;
+                ci[j] = (t2 - si[j]) - t1;
+                si[j] = t2;
             }
             for (int64_t s = 0; s < k_sub; s++) {
                 if (row) {

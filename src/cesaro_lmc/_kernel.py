@@ -78,7 +78,7 @@ def _open(path: str):
     p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.lmc_normals.argtypes = [p, i64, p]
     lib.lmc_normals.restype = None
-    lib.lmc_gaussian.argtypes = [p, i64, i64, f64, p, f64, f64, i64, i64, i64, i64,
+    lib.lmc_gaussian.argtypes = [p, i64, i64, f64, p, f64, f64, i64, i64, i64,
                                  p, p, p, p, p, i64]
     lib.lmc_gaussian.restype = None
     return lib
@@ -129,7 +129,7 @@ def load():
     return _lib
 
 
-def step_gaussian(lib, spec, gens, h, sqrt2h, k_sub, step0, todo, burn_in,
+def step_gaussian(lib, spec, gens, h, sqrt2h, k_sub, step0, todo,
                   x, ces, comp, diverged, states=None):
     """Advance the (m, d) arrays of ``_drive`` by ``todo`` coarse steps in place.
 
@@ -144,7 +144,7 @@ def step_gaussian(lib, spec, gens, h, sqrt2h, k_sub, step0, todo, burn_in,
     if mean.shape != (d,):
         raise ParameterError(f"kernel mean has shape {mean.shape}, expected ({d},)")
     lib.lmc_gaussian(
-        gens, m, d, rho, mean.ctypes.data, h, sqrt2h, k_sub, step0, todo, burn_in,
+        gens, m, d, rho, mean.ctypes.data, h, sqrt2h, k_sub, step0, todo,
         x.ctypes.data, ces.ctypes.data, comp.ctypes.data, diverged.ctypes.data,
         None if states is None else states.ctypes.data,
         0 if states is None else states.shape[1] * d,

@@ -8,6 +8,13 @@ assembled from a model family (per-observation potential U plus exact
 simulation) and a log-concave prior.  Only the gradient of W_n is ever
 needed; the normalizing constant is never computed.
 
+Each model family gives the sum over its observations through one method,
+``sum_potential(obs)``, which returns ``(value, grad, hess_vec, profile,
+L_sum)``: the three evaluators of sum_i U(xi_i, .), its aggregated
+curvature profile (None when none is claimed) and the Lipschitz constant
+of its gradient.  ``build_posterior`` adds the prior to these in one path
+for every family.
+
 Aggregation of regularity constants: a rho-strongly-convex per-observation
 model yields an (n*rho)-strongly-convex sum (the prior's curvature is a
 free extra and is not counted); a curvature-sandwich model with r = q
@@ -25,8 +32,7 @@ Hessian-vector product do not depend on the batch it is evaluated in.
 
 from __future__ import annotations
 
-import csv
-import json
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -104,35 +110,6 @@ class Dataset:
         }
 
 
-def export_dataset(data: Dataset, csv_path, manifest_path) -> None:
-    """CSV with a header row (one observation per line) + JSON sidecar manifest."""
-    q = data.observations.shape[1]
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"obs_{j}" for j in range(q)])
-        for row in data.observations:
-            writer.writerow([f"{v:.17g}" for v in row])
-    with open(manifest_path, "w") as fh:
-        json.dump(data.manifest(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def import_dataset(csv_path, manifest_path) -> Dataset:
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    obs = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
-    return Dataset(
-        observations=obs,
-        model_id=manifest["model_id"],
-        theta_star=np.asarray(manifest["theta_star"], dtype=float),
-        seed=int(manifest["seed"]),
-    )
-
-
 class GaussianLocationModel:
     """Observations xi ~ N(theta, I/precision); U(xi, theta) = (rho/2)|xi-theta|^2.
 
@@ -180,7 +157,8 @@ class GaussianLocationModel:
         """Closed-form aggregate of sum_i U(xi_i, .) via sufficient statistics.
 
         Algebraically equal to the streamed per-observation sum:
-        (rho/2) sum |theta - xi_i|^2 = (n rho/2)|theta|^2 - rho <s, theta> + (rho/2) ssq.
+        (rho/2) sum |theta - xi_i|^2 = (n rho/2)|theta|^2 - rho <s, theta> + (rho/2) ssq,
+        which is (n rho)-strongly convex with an (n rho)-Lipschitz gradient.
         """
         rho = self.precision
         n = obs.shape[0]
@@ -204,30 +182,7 @@ class GaussianLocationModel:
             shape = np.broadcast_shapes(np.shape(theta), v.shape)
             return n * rho * np.broadcast_to(v, shape).copy()
 
-        return value, grad, hess_vec
-
-    def streamed_potential(self, obs: np.ndarray, chunk: int = 1024):
-        """Reference per-observation sum, streamed in fixed chunks."""
-        rho = self.precision
-
-        def value(theta):
-            theta = np.asarray(theta, dtype=float)
-            total = np.zeros(theta.shape[:-1])
-            for k in range(0, obs.shape[0], chunk):
-                block = obs[k : k + chunk]
-                diff = theta[..., None, :] - block
-                total = total + 0.5 * rho * np.sum(diff**2, axis=(-2, -1))
-            return total
-
-        def grad(theta):
-            theta = np.asarray(theta, dtype=float)
-            total = np.zeros(theta.shape)
-            for k in range(0, obs.shape[0], chunk):
-                block = obs[k : k + chunk]
-                total = total + rho * np.sum(theta[..., None, :] - block, axis=-2)
-            return total
-
-        return value, grad
+        return value, grad, hess_vec, StronglyConvex(n * rho), n * rho
 
 
 class PPowerLocationModel:
@@ -258,7 +213,16 @@ class PPowerLocationModel:
         return f"p_power_location(d={self.d},p={self.p})"
 
     def sum_potential(self, obs: np.ndarray, chunk: int = 512):
+        """The per-observation sum, streamed in fixed chunks.
+
+        Its profile is the weakly convex aggregate: with r = q, Jensen's
+        inequality turns the per-observation (c1, c2, r) into the lower
+        branch c1 n^{1-r} and the flat upper bound n L.
+        """
         p = self.p
+        n = obs.shape[0]
+        pr = self.per_obs_profile
+        profile = WeaklyConvexKL(c1=pr.c1 * n ** (1.0 - pr.r), c2=n * self.per_obs_L, q=0.0, r=pr.r)
 
         def _u(theta):
             # (..., n_chunk) bump values for one observation block
@@ -300,7 +264,7 @@ class PPowerLocationModel:
                 )
             return out
 
-        return value, grad, hess_vec
+        return value, grad, hess_vec, profile, n * self.per_obs_L
 
 
 class LogisticModel:
@@ -341,6 +305,15 @@ class LogisticModel:
     def psi(self, obs: np.ndarray) -> np.ndarray:
         return obs[..., -1]
 
+    def sum_potential(self, obs: np.ndarray):
+        """The sum over the distinct (feature, label) rows, weighted by their
+        multiplicities (``builtin_logistic``); the per-observation ridge
+        accumulates n-fold."""
+        n = obs.shape[0]
+        inner = builtin_logistic(obs[:, :-1], obs[:, -1], ridge=n * self.ridge)
+        profile = StronglyConvex(n * self.ridge) if self.ridge > 0 else None
+        return inner.value, inner.grad, inner.hess_vec, profile, n * self.per_obs_L
+
     def psi_mean(self, theta) -> float:
         theta = np.asarray(theta, dtype=float)
         z = self.design @ theta
@@ -349,139 +322,55 @@ class LogisticModel:
 
 @dataclass(frozen=True)
 class PosteriorPotential:
-    """The aggregated potential over theta, with posterior bookkeeping."""
+    """The aggregated potential over theta and its mode."""
 
     potential: Potential
-    n: int
     mode: np.ndarray
-    prior: Prior
-    base_profile: object
-    base_L: float
-
-    def __getattr__(self, item):
-        # convenience pass-through for value/grad/hess_vec/profile/etc.
-        if item == "potential":
-            raise AttributeError(item)
-        return getattr(self.potential, item)
 
 
 def build_posterior(model, data: Dataset, prior: Prior) -> PosteriorPotential:
     """Assemble W_n = sum_i U(xi_i, .) + V0 with aggregated constants.
 
-    The per-observation sum is the Gaussian location model's
-    sufficient-statistic closed form, the logistic model's sum over its
-    distinct (feature, label) rows weighted by their multiplicities, or the
-    p-power model's sum streamed in fixed chunks; none keeps an n x d
-    scratch array.
+    The family's ``sum_potential(obs)`` gives the per-observation sum and
+    its constants; with no observations the posterior is the prior.  The
+    potential's minimum is normalised to 1 at the mode, found by gradient
+    descent from the origin.
     """
-    obs = data.observations
-    n = obs.shape[0]
-
-    if isinstance(model, GaussianLocationModel):
-        if n > 0 and obs.shape[1] != model.q:
-            raise ParameterError(
-                f"observation dimension {obs.shape[1]} does not match model q={model.q}"
-            )
-        d = model.d
-        if n > 0:
-            base_value, base_grad, base_hess_vec = model.sum_potential(obs)
-        else:
-            base_value = lambda theta: np.zeros(np.shape(theta)[:-1])
-            base_grad = lambda theta: np.zeros(np.shape(theta))
-            base_hess_vec = lambda theta, v: np.zeros(
-                np.broadcast_shapes(np.shape(theta), np.shape(v))
-            )
-        rho = model.precision
-        agg_profile = StronglyConvex(n * rho) if n > 0 else None
-        base_L = n * rho
-    elif isinstance(model, PPowerLocationModel):
-        d = model.d
-        if n > 0 and obs.shape[1] != model.q:
-            raise ParameterError(
-                f"observation dimension {obs.shape[1]} does not match model q={model.q}"
-            )
-        if n > 0:
-            base_value, base_grad, base_hess_vec = model.sum_potential(obs)
-        else:
-            base_value = lambda theta: np.zeros(np.shape(theta)[:-1])
-            base_grad = lambda theta: np.zeros(np.shape(theta))
-            base_hess_vec = lambda theta, v: np.zeros(
-                np.broadcast_shapes(np.shape(theta), np.shape(v))
-            )
-        agg_profile = None
-        base_L = n * model.per_obs_L
-    elif isinstance(model, LogisticModel):
-        d = model.d
-        if n > 0 and obs.shape[1] != model.d + 1:
-            raise ParameterError("logistic observations must be (features, label) rows")
-        # per-observation ridge accumulates n-fold in the sum
-        inner = builtin_logistic(obs[:, :-1], obs[:, -1], ridge=n * model.ridge) if n > 0 else None
-        base_value = inner.value if inner else (lambda t: np.zeros(np.shape(t)[:-1]))
-        base_grad = inner.grad if inner else (lambda t: np.zeros(np.shape(t)))
-        base_hess_vec = (
-            inner.hess_vec
-            if inner
-            else (lambda t, v: np.zeros(np.broadcast_shapes(np.shape(t), np.shape(v))))
-        )
-        agg_profile = StronglyConvex(n * model.ridge) if (model.ridge > 0 and n > 0) else None
-        base_L = n * model.per_obs_L
-    else:
+    if not hasattr(model, "sum_potential"):
         raise CapabilityError(f"unsupported model family: {model!r}")
-
-    # weakly convex aggregation: (c1 n^{1-r}, r) lower branch, flat n L upper
-    if isinstance(getattr(model, "per_obs_profile", None), WeaklyConvexKL) and n > 0:
-        pr = model.per_obs_profile
-        if pr.r != pr.q:
-            raise CapabilityError("aggregation of curvature profiles requires r == q")
-        agg_profile = WeaklyConvexKL(
-            c1=pr.c1 * n ** (1.0 - pr.r), c2=n * model.per_obs_L, q=0.0, r=pr.r
-        )
-
-    def value(theta):
-        return base_value(theta) + prior.v0(theta)
-
-    def grad(theta):
-        return base_grad(theta) + prior.grad_v0(theta)
-
     if prior.hess_v0 is None:
         raise CapabilityError("posterior assembly needs a prior with hess_v0")
+    obs = data.observations
+    n = obs.shape[0]
+    if obs.shape[1] != model.q:
+        raise ParameterError(f"observation dimension {obs.shape[1]} does not match model q={model.q}")
+    if n == 0:  # the posterior is the prior
+        value, grad, hess_vec, profile, base_L = prior.v0, prior.grad_v0, prior.hess_v0, None, 0.0
+    else:
+        base_value, base_grad, base_hess_vec, profile, base_L = model.sum_potential(obs)
 
-    def hess_vec(theta, v):
-        return base_hess_vec(theta, v) + prior.hess_v0(theta, np.asarray(v, dtype=float))
+        def value(theta):
+            return base_value(theta) + prior.v0(theta)
+
+        def grad(theta):
+            return base_grad(theta) + prior.grad_v0(theta)
+
+        def hess_vec(theta, v):
+            return base_hess_vec(theta, v) + prior.hess_v0(theta, np.asarray(v, dtype=float))
 
     total_L = base_L + prior.lip
     pot = Potential(
-        dim=d,
+        dim=model.d,
         value=value,
         grad=grad,
         hess_vec=hess_vec,
-        smoothness=Smoothness(L=max(total_L, prior.lip)),
-        profile=agg_profile,
-        minimizer_hint=None,
-        offset=0.0,
+        smoothness=Smoothness(L=total_L),
+        profile=profile,
         name=f"posterior[{model.model_id}, n={n}]",
     )
-    mode = find_minimizer(pot, np.zeros(d), tol_grad=1e-9 * max(1.0, total_L))
-    w_min = float(pot.value(mode))
-    pot = Potential(
-        dim=d,
-        value=value,
-        grad=grad,
-        hess_vec=hess_vec,
-        smoothness=pot.smoothness,
-        profile=agg_profile,
-        minimizer_hint=mode,
-        offset=1.0 - w_min,
-        name=pot.name,
-    )
-    return PosteriorPotential(
-        potential=pot,
-        n=n,
-        mode=mode,
-        prior=prior,
-        base_profile=getattr(model, "per_obs_profile", None),
-        base_L=base_L,
-    )
+    mode = find_minimizer(pot, np.zeros(model.d), tol_grad=1e-9 * max(1.0, total_L))
+    pot = dataclasses.replace(pot, minimizer_hint=mode, offset=1.0 - float(pot.value(mode)))
+    return PosteriorPotential(potential=pot, mode=mode)
 
 
 def sample_dataset(model, theta_star, n: int, seed: int) -> Dataset:

@@ -49,6 +49,7 @@ from .oracle import (
     reference_chain,
 )
 from .potentials import (
+    _vector,
     builtin_gaussian_location,
     builtin_logistic,
     builtin_p_power,
@@ -266,6 +267,11 @@ def _build_potential(block: dict):
     raise ConfigError(f"unknown potential family {family!r}")
 
 
+def _theta_star(cfg: dict, model) -> np.ndarray:
+    """The model block's theta_star (default 0) as a (d,) vector."""
+    return _vector(cfg["model"].get("theta_star", 0.0), model.d, "model.theta_star")
+
+
 def _plan_from_config(cfg: dict, pot, n_obs=None, model=None):
     tb = cfg.get("tuning", {})
     regime = tb.get("regime")
@@ -337,7 +343,22 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def cmd_run(cfg: dict, output_dir=None, jobs: int = 1, out=None) -> int:
+def _write_artifacts(outdir: Path, h: str, cfg: dict, header, rows, summary: dict) -> Path:
+    """Write the run's ``-report.csv``, ``-summary.json`` and ``-manifest.json``;
+    returns the report's path."""
+    csv_path = outdir / f"{h}-report.csv"
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    for name, record in (("summary", summary), ("manifest", {"config": cfg, "config_hash": h})):
+        with open(outdir / f"{h}-{name}.json", "w") as fh:
+            json.dump(record, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    return csv_path
+
+
+def cmd_run(cfg: dict, output_dir=None, out=None) -> int:
     out = out or sys.stdout
     run_block = cfg.get("run")
     if run_block is None:
@@ -351,7 +372,7 @@ def cmd_run(cfg: dict, output_dir=None, jobs: int = 1, out=None) -> int:
     if "model" in cfg and "n_grid" in cfg.get("data", {}):
         return _run_rate_experiment(cfg, outdir, h, m_reps, base_seed, out)
     if "potential" in cfg and "eps_grid" in cfg.get("tuning", {}):
-        return _run_eps_scaling(cfg, outdir, h, m_reps, base_seed, jobs, out)
+        return _run_eps_scaling(cfg, outdir, h, m_reps, base_seed, out)
 
     if "model" in cfg:
         model = _build_model(cfg["model"])
@@ -359,8 +380,7 @@ def cmd_run(cfg: dict, output_dir=None, jobs: int = 1, out=None) -> int:
         if "n" not in data_block:
             raise ConfigError("data.n is required for posterior experiments")
         n_obs = int(data_block["n"])
-        theta_star = np.asarray(cfg["model"].get("theta_star", [0.0] * model.d), dtype=float)
-        data = sample_dataset(model, theta_star, n_obs, int(data_block["seed"]))
+        data = sample_dataset(model, _theta_star(cfg, model), n_obs, int(data_block["seed"]))
         prior = standard_gaussian_prior(model.d)
         post = build_posterior(model, data, prior)
         pot = post.potential
@@ -380,20 +400,12 @@ def cmd_run(cfg: dict, output_dir=None, jobs: int = 1, out=None) -> int:
         x0 = pot.minimizer_hint
 
     report = mse_experiment(
-        pot, plan, m_reps, reference, base_seed, x0=x0,
-        reference_provenance=provenance, jobs=max(1, jobs),
+        pot, plan, m_reps, reference, base_seed, x0=x0, reference_provenance=provenance
     )
-    csv_path = outdir / f"{h}-report.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["replicate"]
-            + [f"estimate_{j}" for j in range(pot.dim)]
-            + ["squared_error"]
-        )
-        for i, row in enumerate(report.estimates):
-            sq = float(np.sum((row - report.reference) ** 2))
-            writer.writerow([i] + [_fmt(v) for v in row] + [_fmt(sq)])
+    rows = (
+        [i] + [_fmt(v) for v in row] + [_fmt(float(np.sum((row - report.reference) ** 2)))]
+        for i, row in enumerate(report.estimates)
+    )
     summary = {
         "config_hash": h,
         "mse": report.mse,
@@ -404,35 +416,19 @@ def cmd_run(cfg: dict, output_dir=None, jobs: int = 1, out=None) -> int:
         "n_diverged": report.n_diverged,
         "version": __version__,
     }
-    with open(outdir / f"{h}-summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(outdir / f"{h}-manifest.json", "w") as fh:
-        json.dump({"config": cfg, "config_hash": h}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    header = ["replicate"] + [f"estimate_{j}" for j in range(pot.dim)] + ["squared_error"]
+    csv_path = _write_artifacts(outdir, h, cfg, header, rows, summary)
     out.write(f"{h}: mse={report.mse:.6g} -> {csv_path}\n")
     return EXIT_OK
-
-
-def _write_manifest(cfg, outdir, h):
-    with open(outdir / f"{h}-manifest.json", "w") as fh:
-        json.dump({"config": cfg, "config_hash": h}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _run_rate_experiment(cfg, outdir, h, m_reps, base_seed, out) -> int:
     """Oracle posterior-mean MSE over a sample-size grid, with the rate fit."""
     model = _build_model(cfg["model"])
     prior = standard_gaussian_prior(model.d)
-    theta_star = np.asarray(cfg["model"].get("theta_star", [0.0] * model.d), dtype=float)
     n_grid = [int(v) for v in cfg["data"]["n_grid"]]
-    fit = bayes_rate_experiment(model, prior, theta_star, n_grid, m_reps, base_seed)
-    csv_path = outdir / f"{h}-report.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "log_n_over_log_n", "log_mse"])
-        for n, x, y in zip(n_grid, fit.x, fit.y):
-            writer.writerow([n, _fmt(x), _fmt(y)])
+    fit = bayes_rate_experiment(model, prior, _theta_star(cfg, model), n_grid, m_reps, base_seed)
+    rows = ([n, _fmt(x), _fmt(y)] for n, x, y in zip(n_grid, fit.x, fit.y))
     summary = {
         "config_hash": h,
         "experiment": "bayes_rate",
@@ -443,15 +439,12 @@ def _run_rate_experiment(cfg, outdir, h, m_reps, base_seed, out) -> int:
         "n_grid": n_grid,
         "version": __version__,
     }
-    with open(outdir / f"{h}-summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(cfg, outdir, h)
+    csv_path = _write_artifacts(outdir, h, cfg, ["n", "log_n_over_log_n", "log_mse"], rows, summary)
     out.write(f"{h}: slope={fit.slope:.4f} r2={fit.r2:.4f} -> {csv_path}\n")
     return EXIT_OK
 
 
-def _run_eps_scaling(cfg, outdir, h, m_reps, base_seed, jobs, out) -> int:
+def _run_eps_scaling(cfg, outdir, h, m_reps, base_seed, out) -> int:
     """MSE/eps^2 stability across a target-accuracy grid for one potential."""
     pot = _build_potential(cfg["potential"])
     eps_grid = [float(v) for v in cfg["tuning"]["eps_grid"]]
@@ -464,19 +457,13 @@ def _run_eps_scaling(cfg, outdir, h, m_reps, base_seed, jobs, out) -> int:
         sub["tuning"].pop("eps_grid")
         plan = _plan_from_config(sub, pot)
         report = mse_experiment(
-            pot, plan, m_reps, pot.minimizer_hint, base_seed,
-            reference_provenance="closed-form", jobs=max(1, jobs),
+            pot, plan, m_reps, pot.minimizer_hint, base_seed, reference_provenance="closed-form"
         )
         rows.append((eps, plan, report))
-    csv_path = outdir / f"{h}-report.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps", "gamma", "n_steps", "mse", "mse_over_eps_sq"])
-        for eps, plan, report in rows:
-            writer.writerow(
-                [_fmt(eps), _fmt(plan.gamma), plan.n_steps, _fmt(report.mse),
-                 _fmt(report.mse / eps**2)]
-            )
+    table = (
+        [_fmt(eps), _fmt(plan.gamma), plan.n_steps, _fmt(report.mse), _fmt(report.mse / eps**2)]
+        for eps, plan, report in rows
+    )
     ratios = [report.mse / eps**2 for eps, _, report in rows]
     summary = {
         "config_hash": h,
@@ -486,10 +473,8 @@ def _run_eps_scaling(cfg, outdir, h, m_reps, base_seed, jobs, out) -> int:
         "spread": max(ratios) / min(ratios),
         "version": __version__,
     }
-    with open(outdir / f"{h}-summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_manifest(cfg, outdir, h)
+    header = ["eps", "gamma", "n_steps", "mse", "mse_over_eps_sq"]
+    csv_path = _write_artifacts(outdir, h, cfg, header, table, summary)
     out.write(f"{h}: spread={summary['spread']:.3f} -> {csv_path}\n")
     return EXIT_OK
 
@@ -504,6 +489,7 @@ def cmd_verify(cfg: dict, strict: bool = False, out=None) -> int:
         pot = _build_potential(cfg["potential"])
     if "model" in cfg:
         model = _build_model(cfg["model"])
+        theta = _theta_star(cfg, model)
     if diag.get("kl_profile"):
         opts = diag["kl_profile"] if isinstance(diag["kl_profile"], dict) else {}
         try:
@@ -534,7 +520,8 @@ def cmd_verify(cfg: dict, strict: bool = False, out=None) -> int:
     if diag.get("concentration"):
         opts = diag["concentration"]
         try:
-            theta = np.asarray(cfg["model"].get("theta_star", [0.0] * model.d), dtype=float)
+            if model is None:
+                raise CapabilityError("no model block in the config")
             rows = concentration_check(
                 model,
                 theta,
@@ -555,7 +542,6 @@ def cmd_verify(cfg: dict, strict: bool = False, out=None) -> int:
         try:
             if model is None:
                 raise CapabilityError("no model block in the config")
-            theta = np.asarray(cfg["model"].get("theta_star", [0.0] * model.d), dtype=float)
             rep = run_test_phi(
                 model,
                 theta,
@@ -596,7 +582,9 @@ def cmd_oracle(cfg: dict, out=None) -> int:
     out = out or sys.stdout
     ob = cfg.get("oracle", {})
     task = ob.get("task")
-    pot = _build_potential(cfg["potential"]) if "potential" in cfg else None
+    if "potential" not in cfg:
+        raise ConfigError("oracle tasks need a potential block")
+    pot = _build_potential(cfg["potential"])
     if task == "quadrature":
         mean, err = quadrature_posterior_mean(
             pot,
@@ -648,7 +636,6 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=["tune", "run", "verify", "oracle"])
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--output", default=None, help="output directory (run command)")
-    parser.add_argument("--jobs", type=int, default=1, help="replicate chunking limit")
     parser.add_argument("--strict", action="store_true", help="skipped checks count as failures")
     args = parser.parse_args(argv)
 
@@ -657,7 +644,7 @@ def main(argv=None) -> int:
         if args.command == "tune":
             return cmd_tune(cfg)
         if args.command == "run":
-            return cmd_run(cfg, output_dir=args.output, jobs=args.jobs)
+            return cmd_run(cfg, output_dir=args.output)
         if args.command == "verify":
             return cmd_verify(cfg, strict=args.strict)
         return cmd_oracle(cfg)

@@ -92,30 +92,22 @@ def mse_experiment(
     base_seed: int,
     x0=None,
     reference_provenance: str = "closed-form",
-    jobs: int = 1,
 ) -> ExperimentReport:
     """M tuned chains; MSE of the Cesaro estimates against the reference.
 
     Chains start at the potential's minimizer unless ``x0`` is given.
-    ``jobs`` only chunks the replicate batch (per-replicate streams make
-    results identical at any chunking).  Raises :class:`ExperimentError`
-    when more than 10% of replicates diverge.
+    Raises :class:`ExperimentError` when more than 10% of replicates
+    diverge.
     """
     if m_replicates < 1:
         raise ParameterError("need at least one replicate")
-    if jobs < 1:
-        raise ParameterError("jobs must be >= 1")
     reference = np.atleast_1d(np.asarray(reference, dtype=float))
     if x0 is None:
         x0 = pot.minimizer_hint
         if x0 is None:
             x0 = find_minimizer(pot, np.zeros(pot.dim))
     cfg = ChainConfig(gamma=plan.gamma, n_steps=plan.n_steps, x0=x0, seed=0)
-    chunk = -(-m_replicates // jobs)
-    runs = []
-    for start in range(0, m_replicates, chunk):
-        count = min(chunk, m_replicates - start)
-        runs.extend(replicate_runs(pot, cfg, count, base_seed, index_offset=start))
+    runs = replicate_runs(pot, cfg, m_replicates, base_seed)
     diverged = [i for i, r in enumerate(runs) if r.diverged_step is not None]
     if len(diverged) > 0.1 * m_replicates:
         raise ExperimentError(

@@ -70,6 +70,8 @@ def moment_clamp(pot: Potential) -> float:
 class ChainConfig:
     """Parameters of one Euler chain.
 
+    The Cesaro estimate is the plain average of all ``n_steps`` states
+    from ``x0`` on, x0 included; no prefix is discarded.
     ``fine_substeps`` = K advances the dynamics with step gamma/K between
     the coarse Cesaro grid points; ``clamp`` asserts gamma <= 1/(4 d L + 1)
     against the potential at run time; ``checkpoints`` spaces the tangent
@@ -84,7 +86,6 @@ class ChainConfig:
     fine_substeps: int = 1
     clamp: bool = False
     checkpoints: int = 200
-    burn_in: int = 0  # exploratory only; every tuned/acceptance run keeps 0
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
@@ -94,8 +95,6 @@ class ChainConfig:
             raise ParameterError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.fine_substeps < 1:
             raise ParameterError("fine_substeps must be >= 1")
-        if not 0 <= self.burn_in < self.n_steps:
-            raise ParameterError("burn_in must lie in [0, n_steps)")
 
 
 @dataclass(frozen=True)
@@ -165,19 +164,18 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
             rows = todo * k_sub
             if lib is not None:
                 _kernel.step_gaussian(lib, pot.kernel, bitgens, h, sqrt2h, k_sub, step, todo,
-                                      cfg.burn_in, x, ces, comp, diverged, states)
+                                      x, ces, comp, diverged, states)
             else:
                 for i, g in enumerate(gens):
                     g.standard_normal((rows, d), out=block[i, :rows])
                 for j in range(todo):
                     k = step + j
                     # Cesaro includes the current (pre-step) state: indices 0..N-1
-                    if k >= cfg.burn_in:
-                        np.subtract(x, comp, out=t1)
-                        np.add(ces, t1, out=t2)
-                        np.subtract(t2, ces, out=comp)
-                        comp -= t1
-                        ces, t2 = t2, ces
+                    np.subtract(x, comp, out=t1)
+                    np.add(ces, t1, out=t2)
+                    np.subtract(t2, ces, out=comp)
+                    comp -= t1
+                    ces, t2 = t2, ces
                     for r in range(j * k_sub, (j + 1) * k_sub):
                         if states is not None:
                             states[:, r] = x
@@ -202,7 +200,7 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
                     ob(step, states[:, :rows], diverged)
             step += todo
     x[diverged >= 0] = np.nan
-    return ces / (n - cfg.burn_in), x, diverged
+    return ces / n, x, diverged
 
 
 def _mask_dead(states, diverged, k0, k_sub):

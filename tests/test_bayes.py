@@ -10,14 +10,30 @@ from cesaro_lmc.bayes import (
     PPowerLocationModel,
     build_posterior,
     epsilon_n,
-    export_dataset,
-    import_dataset,
     sample_dataset,
     standard_gaussian_prior,
 )
 from cesaro_lmc.errors import CapabilityError, ParameterError
 from cesaro_lmc.potentials import StronglyConvex, WeaklyConvexKL, dense_hessian
 from cesaro_lmc.rng import stream
+
+# one model of each family, all with d = 2
+FAMILIES = {
+    "gaussian": GaussianLocationModel(2, 1.0),
+    "p_power": PPowerLocationModel(2, 0.75),
+    "logistic": LogisticModel(np.array([[1.0, 0.5], [-0.3, 1.2]]), ridge=0.5),
+}
+
+
+def streamed_gaussian_sum(obs, rho, theta, chunk=64):
+    """Reference (value, grad) of (rho/2) sum_i |theta - xi_i|^2, summed
+    observation by observation in fixed chunks."""
+    value, grad = 0.0, np.zeros_like(theta)
+    for k in range(0, obs.shape[0], chunk):
+        diff = theta - obs[k : k + chunk]
+        value += 0.5 * rho * np.sum(diff**2)
+        grad += rho * np.sum(diff, axis=0)
+    return value, grad
 
 
 class TestSampleDataset:
@@ -55,14 +71,6 @@ class TestSampleDataset:
 
 
 class TestDatasetRoundTrip:
-    def test_csv_manifest_round_trip(self, tmp_path):
-        model = GaussianLocationModel(2, 1.5)
-        data = sample_dataset(model, [0.3, -0.7], 25, seed=77)
-        export_dataset(data, tmp_path / "d.csv", tmp_path / "d.json")
-        back = import_dataset(tmp_path / "d.csv", tmp_path / "d.json")
-        assert np.array_equal(back.observations, data.observations)
-        assert back.manifest() == data.manifest()
-
     def test_manifest_regenerates_bit_identically(self):
         model = GaussianLocationModel(3, 1.0)
         data = sample_dataset(model, [0.0, 1.0, 2.0], 40, seed=123)
@@ -79,14 +87,20 @@ class TestBuildPosterior:
         post = build_posterior(model, data, standard_gaussian_prior(1))
         assert post.mode[0] == pytest.approx(2.0 / 3.0, abs=1e-8)
 
-    def test_empty_dataset_reduces_to_prior(self):
-        model = GaussianLocationModel(2, 1.0)
-        data = Dataset(np.empty((0, 2)), model.model_id, np.zeros(2), 0)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_empty_dataset_reduces_to_prior(self, family):
+        model = FAMILIES[family]
+        data = Dataset(np.empty((0, model.q)), model.model_id, np.zeros(2), 0)
         prior = standard_gaussian_prior(2)
         post = build_posterior(model, data, prior)
-        theta = np.array([0.3, -0.4])
-        assert post.potential.value(theta) == pytest.approx(prior.v0(theta))
-        assert np.allclose(post.potential.grad(theta), prior.grad_v0(theta))
+        pot = post.potential
+        theta, v = np.array([0.3, -0.4]), np.array([1.0, 2.0])
+        assert pot.value(theta) == pytest.approx(prior.v0(theta))
+        assert np.allclose(pot.grad(theta), prior.grad_v0(theta))
+        assert np.allclose(pot.hess_vec(theta, v), prior.hess_v0(theta, v))
+        assert pot.profile is None and pot.smoothness.L == prior.lip
+        assert np.array_equal(post.mode, np.zeros(2))
+        assert pot.value_normalized(post.mode) == pytest.approx(1.0)
 
     def test_gradient_matches_finite_differences(self):
         model = GaussianLocationModel(2, 2.0)
@@ -107,13 +121,13 @@ class TestBuildPosterior:
         model = GaussianLocationModel(3, 1.3)
         data = sample_dataset(model, [0.0, 0.5, -0.5], 200, seed=6)
         post = build_posterior(model, data, standard_gaussian_prior(3))
-        val_s, grad_s = model.streamed_potential(data.observations)
         prior = standard_gaussian_prior(3)
         rng = stream(10)
         for _ in range(10):
             theta = rng.standard_normal(3)
-            ref_v = val_s(theta) + prior.v0(theta)
-            ref_g = grad_s(theta) + prior.grad_v0(theta)
+            val_s, grad_s = streamed_gaussian_sum(data.observations, 1.3, theta)
+            ref_v = val_s + prior.v0(theta)
+            ref_g = grad_s + prior.grad_v0(theta)
             assert post.potential.value(theta) == pytest.approx(ref_v, rel=1e-12)
             assert np.allclose(post.potential.grad(theta), ref_g, rtol=1e-12, atol=1e-9)
 
@@ -133,11 +147,19 @@ class TestBuildPosterior:
         post = build_posterior(model, data, standard_gaussian_prior(1))
         assert post.potential.value_normalized(post.mode) == pytest.approx(1.0)
 
-    def test_dimension_mismatch_rejected(self):
-        model = GaussianLocationModel(2, 1.0)
-        data = Dataset(np.zeros((3, 1)), model.model_id, np.zeros(1), 0)
-        with pytest.raises(ParameterError):
-            build_posterior(model, data, standard_gaussian_prior(2))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_dimension_mismatch_rejected(self, family):
+        model = FAMILIES[family]
+        for q in (model.q - 1, model.q + 1):
+            for n in (0, 3):
+                data = Dataset(np.zeros((n, q)), model.model_id, np.zeros(2), 0)
+                with pytest.raises(ParameterError, match=f"does not match model q={model.q}"):
+                    build_posterior(model, data, standard_gaussian_prior(2))
+
+    def test_unsupported_family_refused(self):
+        data = Dataset(np.zeros((3, 2)), "other", np.zeros(2), 0)
+        with pytest.raises(CapabilityError, match="unsupported model family"):
+            build_posterior(object(), data, standard_gaussian_prior(2))
 
     @pytest.mark.parametrize("n", [2, 5, 10, 20, 40])
     def test_aggregated_kl_lower_bound(self, n):

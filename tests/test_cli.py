@@ -17,6 +17,18 @@ def write(tmp_path, name, cfg):
     return str(path)
 
 
+def exits_2_with_one_line(tmp_path, command, cfg):
+    """Run the CLI in a child process and check for exit 2 with a one-line message."""
+    argv = [command, "--config", write(tmp_path, "bad.json", cfg)]
+    if command == "run":
+        argv += ["--output", str(tmp_path / "o")]
+    proc = subprocess.run([sys.executable, "-m", "cesaro_lmc.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def bayes_cfg(**overrides):
     cfg = {
         "model": {
@@ -228,6 +240,20 @@ class TestVerifyCommand:
         assert main(["verify", "--config", path, "--strict"]) == 3
         assert main(["verify", "--config", path]) == 0
 
+    @pytest.mark.parametrize(
+        "check, opts",
+        [
+            ("concentration", {"n": 100, "delta_grid": [0.05], "M": 10, "seed": 1}),
+            ("test_phi", {"theta_alt": [1.0], "n": 200, "r_n": 1.0, "M": 10, "seed": 1}),
+        ],
+    )
+    def test_missing_model_block_skips(self, tmp_path, capsys, check, opts):
+        cfg = {"potential": {"family": "gaussian", "d": 1}, "diagnostics": {check: opts}}
+        path = write(tmp_path, "nm.json", cfg)
+        assert main(["verify", "--config", path]) == 0
+        assert f"{check}: SKIPPED (no model block in the config)" in capsys.readouterr().out
+        assert main(["verify", "--config", path, "--strict"]) == 3
+
 
 class TestOracleCommand:
     def test_quadrature_record(self, tmp_path, capsys):
@@ -279,14 +305,6 @@ class TestShippedConfigs:
     def test_verify_config_passes(self):
         assert main(["verify", "--config", str(CONFIGS / "p_power_verify.json")]) == 0
 
-    def test_jobs_flag_identical_output(self, tmp_path):
-        out1, out2 = tmp_path / "j1", tmp_path / "j4"
-        main(["run", "--config", str(CONFIGS / "ou_smoke.json"), "--output", str(out1)])
-        main(["run", "--config", str(CONFIGS / "ou_smoke.json"), "--output", str(out2), "--jobs", "4"])
-        a = sorted(out1.glob("*-report.csv"))[0].read_bytes()
-        b = sorted(out2.glob("*-report.csv"))[0].read_bytes()
-        assert a == b
-
 
 class TestExitCodeMapping:
     def test_divergence_maps_to_exit_3(self, tmp_path, monkeypatch):
@@ -323,16 +341,7 @@ class TestExitCodeMapping:
     def test_malformed_run_values_exit_2(self, tmp_path, section, key, value):
         cfg = json.loads((CONFIGS / "ou_smoke.json").read_text())
         cfg[section][key] = value
-        path = write(tmp_path, "bad.json", cfg)
-        proc = subprocess.run(
-            [sys.executable, "-m", "cesaro_lmc.cli", "run", "--config", path,
-             "--output", str(tmp_path / "o")],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-
+        exits_2_with_one_line(tmp_path, "run", cfg)
 
     @pytest.mark.parametrize(
         "command, config, section, value",
@@ -358,6 +367,8 @@ class TestExitCodeMapping:
             ("verify", "conjugate_posterior.json", "diagnostics",
              {"test_phi": {"theta_alt": [1.0, 0.0], "n": 200, "r_n": 1.0, "M": 10, "seed": "x",
                            "b1": 1.0, "b2": "y", "alpha_c": 1.0}}),
+            # a model block but no potential block
+            ("oracle", "conjugate_posterior.json", "oracle", {"task": "quadrature"}),
         ],
     )
     def test_malformed_oracle_and_diagnostics_values_exit_2(
@@ -365,14 +376,22 @@ class TestExitCodeMapping:
     ):
         cfg = json.loads((CONFIGS / config).read_text())
         cfg[section] = value
-        path = write(tmp_path, "bad.json", cfg)
-        proc = subprocess.run(
-            [sys.executable, "-m", "cesaro_lmc.cli", command, "--config", path],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        exits_2_with_one_line(tmp_path, command, cfg)
+
+    @pytest.mark.parametrize(
+        "command, diagnostics",
+        [
+            ("run", {}),
+            ("verify", {"concentration": {"n": 100, "delta_grid": [0.05], "M": 10, "seed": 1}}),
+            ("verify", {"test_phi": {"theta_alt": [1.0, 0.0], "n": 200, "r_n": 1.0, "M": 10,
+                                     "seed": 1}}),
+        ],
+    )
+    def test_theta_star_of_wrong_length_exits_2(self, tmp_path, command, diagnostics):
+        cfg = json.loads((CONFIGS / "conjugate_posterior.json").read_text())
+        cfg["model"]["theta_star"] = [0.4, -0.2, 0.1]  # d = 2
+        cfg["diagnostics"] = diagnostics
+        exits_2_with_one_line(tmp_path, command, cfg)
 
 
 class TestGridExperiments:

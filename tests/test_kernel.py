@@ -64,12 +64,6 @@ class TestAgainstNumpyDriver:
         ref = outputs(on_numpy(monkeypatch, replicate_runs, GAUSS, cfg, m, base_seed=21))
         assert mine == ref
 
-    def test_burn_in(self, lib, monkeypatch):
-        cfg = ChainConfig(gamma=0.1, n_steps=2000, x0=[0.0, 0.0], seed=0, burn_in=700)
-        mine = outputs(replicate_runs(GAUSS, cfg, 5, base_seed=4))
-        ref = outputs(on_numpy(monkeypatch, replicate_runs, GAUSS, cfg, 5, base_seed=4))
-        assert mine == ref
-
     def test_dump_across_block_edge(self, lib, monkeypatch, tmp_path):
         # K=3 gives 2730-step noise blocks; 6000 steps cross two block edges
         cfg = ChainConfig(gamma=0.2, n_steps=6000, x0=[1.0, -1.0], seed=8, fine_substeps=3)

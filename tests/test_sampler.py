@@ -241,25 +241,7 @@ class TestMomentTracking:
         assert rep.exp_sup <= 2.0 * (math.exp(w0 / 16.0) + rep.exp_first_decile_max)
 
 
-class TestBurnInAndDump:
-    def test_burn_in_drops_prefix(self):
-        cfg0 = ChainConfig(gamma=0.1, n_steps=10, x0=[3.0], seed=51)
-        cfg5 = ChainConfig(gamma=0.1, n_steps=10, x0=[3.0], seed=51, burn_in=5)
-        full = run_chain(OU, cfg0)
-        burned = run_chain(OU, cfg5)
-        rng = stream(51)
-        x = 3.0
-        states = []
-        for _ in range(10):
-            states.append(x)
-            x = x - 0.1 * x + math.sqrt(0.2) * rng.standard_normal(1)[0]
-        assert burned.cesaro[0] == pytest.approx(np.mean(states[5:]), rel=1e-14)
-        assert full.cesaro[0] == pytest.approx(np.mean(states), rel=1e-14)
-
-    def test_burn_in_validation(self):
-        with pytest.raises(ParameterError):
-            ChainConfig(gamma=0.1, n_steps=10, x0=[0.0], seed=0, burn_in=10)
-
+class TestTrajectoryDump:
     def test_dump_round_trip(self, tmp_path):
         from cesaro_lmc.sampler import read_trajectory
 
@@ -279,16 +261,6 @@ class TestBurnInAndDump:
             assert n_frames == frames.shape[0] == len(states[::stride])
             assert frames.shape[1] == 1 and frames[0, 0] == 1.0
             assert np.allclose(frames[:, 0], states[::stride], rtol=0, atol=0)
-
-    def test_replicate_chunking_identical(self):
-        from cesaro_lmc.diagnostics import mse_experiment
-        from cesaro_lmc.tuning import TuningPlan
-
-        plan = TuningPlan(gamma=0.1, n_steps=100, regime="manual", constants={}, clamped=False)
-        r1 = mse_experiment(OU, plan, 30, reference=[0.0], base_seed=71, jobs=1)
-        r3 = mse_experiment(OU, plan, 30, reference=[0.0], base_seed=71, jobs=3)
-        assert np.array_equal(r1.estimates, r3.estimates)
-        assert r1.mse == r3.mse
 
 
 class TestChunkBoundaryInvariance:
