@@ -73,18 +73,6 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-_SCHEMA = {
-    "model": {"family", "d", "params", "theta_star", "alpha_c", "b1", "C_P"},
-    "potential": {"family", "d", "params"},
-    "prior": {"family"},
-    "data": {"n", "n_grid", "seed"},
-    "tuning": {"regime", "eps", "eps_grid", "frak_e", "calib", "x0_dist", "certified_x0"},
-    "run": {"M", "base_seed", "output_dir"},
-    "diagnostics": {"kl_profile", "grad_bounds", "concentration", "test_phi"},
-    "oracle": {"task", "nodes_per_axis", "k_sigma", "n_nodes", "f", "eps_ref"},
-}
-
-
 def _is_number(v) -> bool:
     return type(v) in (int, float)  # bool is refused
 
@@ -105,119 +93,130 @@ def _is_labels(v) -> bool:
     return isinstance(v, list) and len(v) > 0 and all(_is_number(u) and u in (1, -1) for u in v)
 
 
-# what each value must be, by section (``params`` for the model and potential
-# blocks); keys not listed here are checked where they are read
-_NUMBER = (_is_number, "a number")
-_NUMBERS = (_is_numbers, "a number or an array of numbers")
-_INTEGER = (lambda v: type(v) is int, "an integer")  # bool and float are refused
-_STRING = (lambda v: isinstance(v, str), "a string")
-_NUMBER_LIST = (lambda v: isinstance(v, list) and all(map(_is_number, v)), "an array of numbers")
-_VALUES = {
-    "params": {
-        "precision": _NUMBER,
-        "p": _NUMBER,
-        "ridge": _NUMBER,
-        "mean": _NUMBERS,
-        "center": _NUMBERS,
-        "design": _NUMBERS,
-        "features": _NUMBERS,
-        "labels": (_is_labels, "an array of +1/-1 labels"),
-    },
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 1  # bool and float are refused
+
+
+def _is(ok, kind: str):
+    """A leaf of ``_SCHEMA``: ``ok(value)`` must hold; ``kind`` says what the value must be."""
+
+    def check(where, value):
+        if not ok(value):
+            raise ConfigError(f"{where} must be {kind}, got {value!r}")
+
+    return check
+
+
+def _required(check):
+    """``check``, on a key that must be present."""
+
+    def required(where, value):
+        check(where, value)
+
+    required.required = True
+    return required
+
+
+def _one_of(*names):
+    return _is(lambda v: isinstance(v, str) and v in names, " or ".join(map(repr, names)))
+
+
+def _flag_or(table):
+    """true, false, or an object of options checked against ``table``."""
+
+    def check(where, value):
+        if not isinstance(value, (bool, dict)):
+            raise ConfigError(f"{where} must be true, false or an object, got {value!r}")
+        if isinstance(value, dict):
+            _check(where, value, table)
+
+    return check
+
+
+_NUMBER = _is(_is_number, "a number")
+_NUMBERS = _is(_is_numbers, "a number or an array of numbers")
+_NUMBER_LIST = _is(lambda v: isinstance(v, list) and all(map(_is_number, v)), "an array of numbers")
+_INTEGER = _is(lambda v: type(v) is int, "an integer")  # bool and float are refused
+_COUNT = _is(_is_count, "an integer >= 1")
+_POSITIVE = _is(lambda v: _is_number(v) and v > 0, "a positive number")
+_STRING = _is(lambda v: isinstance(v, str), "a string")
+_SEED = _required(_INTEGER)  # seeds are never defaulted
+
+# section -> key -> check; a nested dict checks an object's keys in turn, and
+# its keys are the only ones the object may hold
+_SCHEMA = {
     "model": {
-        "alpha_c": _NUMBER,
-        "b1": _NUMBER,
-        "C_P": (lambda v: v is None or _is_number(v), "a number or null"),
-        "theta_star": _NUMBERS,
+        "family": _STRING, "d": _COUNT, "theta_star": _NUMBERS, "alpha_c": _NUMBER, "b1": _NUMBER,
+        "C_P": _is(lambda v: v is None or _is_number(v), "a number or null"),
+        "params": {"precision": _NUMBER, "ridge": _NUMBER, "design": _NUMBERS},
     },
+    "potential": {
+        "family": _STRING, "d": _COUNT,
+        "params": {
+            "precision": _NUMBER, "p": _NUMBER, "ridge": _NUMBER, "mean": _NUMBERS,
+            "center": _NUMBERS, "features": _NUMBERS,
+            "labels": _is(_is_labels, "an array of +1/-1 labels"),
+        },
+    },
+    "prior": {"family": _one_of("standard_gaussian")},
     "data": {
-        "n": _INTEGER,
-        "seed": _INTEGER,
-        "n_grid": (lambda v: isinstance(v, list) and all(type(u) is int for u in v),
-                   "an array of integers"),
+        "n": _COUNT, "seed": _SEED,
+        "n_grid": _is(lambda v: isinstance(v, list) and all(map(_is_count, v)),
+                      "an array of integers >= 1"),
     },
     "tuning": {
-        "regime": _STRING,
-        "eps": _NUMBER,
-        "eps_grid": _NUMBER_LIST,
-        "frak_e": _NUMBER,
-        "calib": _NUMBER,
-        "x0_dist": _NUMBER,
+        "regime": _STRING, "eps": _NUMBER, "eps_grid": _NUMBER_LIST, "frak_e": _NUMBER,
+        "calib": _NUMBER, "x0_dist": _NUMBER,
+        "certified_x0": _is(lambda v: type(v) is bool, "true or false"),
     },
-    "run": {"M": _INTEGER, "base_seed": _INTEGER},
-    "oracle": {
-        "task": _STRING,
-        "nodes_per_axis": _INTEGER,
-        "k_sigma": _NUMBER,
-        "n_nodes": _INTEGER,
-        "f": _STRING,
-        "eps_ref": _NUMBER,
-    },
-    # the options of each diagnostics check
+    "run": {"M": _required(_COUNT), "base_seed": _SEED, "output_dir": _STRING},
     "diagnostics": {
-        "n_probes": _INTEGER,
-        "radius": _NUMBER,
-        "seed": _INTEGER,
-        "n": _INTEGER,
-        "M": _INTEGER,
-        "delta_grid": _NUMBER_LIST,
-        "statistic": _STRING,
-        "theta_alt": _NUMBERS,
-        "r_n": _NUMBER,
-        "b1": _NUMBER,
-        "b2": _NUMBER,
-        "alpha_c": _NUMBER,
+        "kl_profile": _flag_or({"n_probes": _COUNT, "radius": _POSITIVE, "seed": _INTEGER}),
+        "grad_bounds": _flag_or({"n_probes": _COUNT, "seed": _INTEGER}),
+        # the options concentration and test_phi cannot run without are required
+        "concentration": {
+            "n": _required(_COUNT), "delta_grid": _required(_NUMBER_LIST),
+            "M": _required(_COUNT), "seed": _SEED, "statistic": _one_of("psi", "score"),
+        },
+        "test_phi": {
+            "theta_alt": _required(_NUMBERS), "n": _required(_COUNT), "r_n": _required(_POSITIVE),
+            "M": _required(_COUNT), "seed": _SEED, "b1": _NUMBER, "b2": _NUMBER, "alpha_c": _NUMBER,
+        },
+    },
+    "oracle": {
+        "task": _STRING, "nodes_per_axis": _COUNT, "k_sigma": _NUMBER, "n_nodes": _COUNT,
+        "f": _one_of("identity"), "eps_ref": _NUMBER,
     },
 }
 
 
-def _check_values(where: str, block: dict, table: dict) -> None:
-    for key, val in block.items():
-        check, kind = table.get(key, (None, None))
-        if check and not check(val):
-            raise ConfigError(f"{where}.{key} must be {kind}, got {val!r}")
+def _check(where: str, value, spec) -> None:
+    """Check ``value`` against ``spec``: a leaf check, or a table (dict) that
+    gives the check of each key an object may hold."""
+    if callable(spec):
+        return spec(where, value)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    for key, sub in spec.items():
+        if key not in value and getattr(sub, "required", False):
+            raise ConfigError(f"{where}.{key} is required")
+    for key, val in value.items():
+        if key not in spec:
+            raise ConfigError(f"unknown key {where}.{key!r}")
+        _check(f"{where}.{key}", val, spec[key])
 
 
 def validate_config(cfg: dict) -> dict:
+    """Check ``cfg`` against ``_SCHEMA`` and return it as it is (defaults are
+    never filled in: the manifest and the config hash embed the config)."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     for key, block in cfg.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config section {key!r}")
-        if not isinstance(block, dict):
-            raise ConfigError(f"config section {key!r} must be an object")
-        for sub in block:
-            if sub not in _SCHEMA[key]:
-                raise ConfigError(f"unknown key {key}.{sub!r}")
+        _check(key, block, _SCHEMA[key])
     if "model" in cfg and "potential" in cfg:
         raise ConfigError("give either a model block or a potential block, not both")
-    prior_family = cfg.get("prior", {}).get("family", "standard_gaussian")
-    if prior_family != "standard_gaussian":
-        raise ConfigError(f"unknown prior family {prior_family!r}")
-    if "data" in cfg and "seed" not in cfg["data"]:
-        raise ConfigError("data.seed is required; refusing to default a seed")
-    if "run" in cfg and "base_seed" not in cfg["run"]:
-        raise ConfigError("run.base_seed is required; refusing to default a seed")
-    for section in ("model", "data", "tuning", "run", "oracle"):
-        _check_values(section, cfg.get(section, {}), _VALUES[section])
-    for check, opts in cfg.get("diagnostics", {}).items():
-        if isinstance(opts, dict):
-            _check_values(f"diagnostics.{check}", opts, _VALUES["diagnostics"])
-        elif check in ("concentration", "test_phi"):  # these have no defaults
-            raise ConfigError(f"diagnostics.{check} must be an object, got {opts!r}")
-        elif type(opts) is not bool:
-            raise ConfigError(f"diagnostics.{check} must be true, false or an object, got {opts!r}")
-    run = cfg.get("run", {})
-    if run.get("M", 1) < 1:
-        raise ConfigError(f"run.M must be >= 1, got {run['M']}")
-    for section in ("model", "potential"):
-        block = cfg.get(section, {})
-        params = block.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"{section}.params must be an object")
-        _check_values(f"{section}.params", params, _VALUES["params"])
-        d = block.get("d", 1)
-        if type(d) is not int or d < 1:  # bool and float are refused too
-            raise ConfigError(f"{section}.d must be an integer >= 1, got {d!r}")
     return cfg
 
 
@@ -226,11 +225,19 @@ def load_config(path) -> dict:
         return validate_config(json.load(fh))
 
 
+def _check_d(section: str, block: dict, d: int) -> None:
+    """A logistic block's ``d``, if given, must be the width of its params' rows."""
+    if block.get("d", d) != d:
+        raise ConfigError(f"{section}.d is {block['d']}, but its params have {d} columns")
+
+
 def _build_model(block: dict):
     family = block.get("family")
     params = block.get("params", {})
     d = int(block.get("d", 1))
     if family == "gaussian_location":
+        if block.get("C_P") is not None:
+            raise ConfigError("model.C_P of a gaussian_location model is 1/precision; leave it out")
         return GaussianLocationModel(
             d,
             precision=float(params.get("precision", 1.0)),
@@ -238,13 +245,15 @@ def _build_model(block: dict):
             b1=float(block.get("b1", 1.0)),
         )
     if family == "logistic":
-        return LogisticModel(
+        model = LogisticModel(
             np.asarray(params["design"], dtype=float),
             ridge=float(params.get("ridge", 0.0)),
             alpha_c=float(block.get("alpha_c", 1.0)),
             b1=float(block.get("b1", 1.0)),
             C_P=block.get("C_P"),
         )
+        _check_d("model", block, model.d)
+        return model
     raise ConfigError(f"unknown model family {family!r}")
 
 
@@ -259,11 +268,13 @@ def _build_potential(block: dict):
     if family == "p_power":
         return builtin_p_power(d, params.get("center", 0.0), float(params.get("p", 0.75)))
     if family == "logistic":
-        return builtin_logistic(
+        pot = builtin_logistic(
             np.asarray(params["features"], dtype=float),
             params["labels"],
             ridge=float(params.get("ridge", 0.0)),
         )
+        _check_d("potential", block, pot.dim)
+        return pot
     raise ConfigError(f"unknown potential family {family!r}")
 
 
@@ -298,7 +309,7 @@ def _plan_from_config(cfg: dict, pot, n_obs=None, model=None):
             alpha_c=model.alpha_c,
             regime=regime.removeprefix("bayes-"),
             C_P=model.C_P if model.C_P is not None else 1.0,
-            certified_x0=bool(tb.get("certified_x0", False)),
+            certified_x0=tb.get("certified_x0", False),
         )
     if regime.startswith("weak-"):
         return tune_weak(inputs, regime.removeprefix("weak-"))
@@ -329,8 +340,7 @@ def cmd_tune(cfg: dict, out=None) -> int:
     out = out or sys.stdout
     if "model" in cfg:
         model = _build_model(cfg["model"])
-        n_obs = int(cfg.get("data", {}).get("n", 0)) or None
-        plan = _plan_from_config(cfg, None, n_obs=n_obs, model=model)
+        plan = _plan_from_config(cfg, None, n_obs=cfg.get("data", {}).get("n"), model=model)
     else:
         pot = _build_potential(cfg["potential"])
         plan = _plan_from_config(cfg, pot)
@@ -363,8 +373,8 @@ def cmd_run(cfg: dict, output_dir=None, out=None) -> int:
     run_block = cfg.get("run")
     if run_block is None:
         raise ConfigError("run block is required for the run command")
-    m_reps = int(run_block["M"])
-    base_seed = int(run_block["base_seed"])
+    m_reps = run_block["M"]
+    base_seed = run_block["base_seed"]
     outdir = Path(output_dir or run_block.get("output_dir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     h = config_hash(cfg)
@@ -379,8 +389,8 @@ def cmd_run(cfg: dict, output_dir=None, out=None) -> int:
         data_block = cfg.get("data", {})
         if "n" not in data_block:
             raise ConfigError("data.n is required for posterior experiments")
-        n_obs = int(data_block["n"])
-        data = sample_dataset(model, _theta_star(cfg, model), n_obs, int(data_block["seed"]))
+        n_obs = data_block["n"]
+        data = sample_dataset(model, _theta_star(cfg, model), n_obs, data_block["seed"])
         prior = standard_gaussian_prior(model.d)
         post = build_posterior(model, data, prior)
         pot = post.potential
@@ -479,102 +489,67 @@ def _run_eps_scaling(cfg, outdir, h, m_reps, base_seed, out) -> int:
     return EXIT_OK
 
 
+def _kl_profile(pot, _theta, opts):
+    rep = verify_kl_profile(pot, n_probes=opts.get("n_probes", 10000),
+                            radius=float(opts.get("radius", 10.0)), seed=opts.get("seed", 0))
+    return rep.passed, rep.worst
+
+
+def _grad_bounds(pot, _theta, opts):
+    rep = verify_grad_bounds(pot, n_probes=opts.get("n_probes", 1000), seed=opts.get("seed", 0))
+    return rep.passed, rep.worst
+
+
+def _concentration(model, theta, opts):
+    rows = concentration_check(model, theta, opts["n"], [float(x) for x in opts["delta_grid"]],
+                               opts["M"], opts["seed"], statistic=opts.get("statistic", "psi"))
+    return all(r.passed for r in rows), [(r.delta, r.frequency, r.bound) for r in rows]
+
+
+def _test_phi(model, theta, opts):
+    c_map = SeparationMap(b1=float(opts.get("b1", model.b1)), b2=float(opts.get("b2", 1.0)),
+                          alpha_c=float(opts.get("alpha_c", model.alpha_c)))
+    alt = _vector(opts["theta_alt"], model.d, "diagnostics.test_phi.theta_alt")
+    rep = run_test_phi(model, theta, alt, opts["n"], float(opts["r_n"]), c_map, opts["M"],
+                       opts["seed"])
+    return rep.passed, {"type1": rep.type1_frequency, "type2": rep.type2_frequency,
+                        "bound": rep.bound}
+
+
+# (diagnostics key, the block the check runs on, the check)
+_CHECKS = (
+    ("kl_profile", "potential", _kl_profile),
+    ("grad_bounds", "potential", _grad_bounds),
+    ("concentration", "model", _concentration),
+    ("test_phi", "model", _test_phi),
+)
+
+
 def cmd_verify(cfg: dict, strict: bool = False, out=None) -> int:
+    """Run the requested checks.  A check is SKIPPED when its block is missing
+    or it raises CapabilityError (it does not apply); other errors propagate."""
     out = out or sys.stdout
-    diag = cfg.get("diagnostics", {})
-    checks = []
-    pot = None
-    model = None
+    subjects = {}  # block -> (potential or model, theta_star)
     if "potential" in cfg:
-        pot = _build_potential(cfg["potential"])
+        subjects["potential"] = (_build_potential(cfg["potential"]), None)
     if "model" in cfg:
         model = _build_model(cfg["model"])
-        theta = _theta_star(cfg, model)
-    if diag.get("kl_profile"):
-        opts = diag["kl_profile"] if isinstance(diag["kl_profile"], dict) else {}
+        subjects["model"] = (model, _theta_star(cfg, model))
+    lines, failed = [], False
+    for name, block, check in _CHECKS:
+        opts = cfg.get("diagnostics", {}).get(name)
+        if not opts:
+            continue
         try:
-            if pot is None:
-                raise CapabilityError("no potential block in the config")
-            rep = verify_kl_profile(
-                pot,
-                n_probes=int(opts.get("n_probes", 10000)),
-                radius=float(opts.get("radius", 10.0)),
-                seed=int(opts.get("seed", 0)),
-            )
-            checks.append(("kl_profile", rep.passed, rep.worst))
-        except (ParameterError, CapabilityError) as exc:
-            checks.append(("kl_profile", None, str(exc)))
-    if diag.get("grad_bounds"):
-        opts = diag["grad_bounds"] if isinstance(diag["grad_bounds"], dict) else {}
-        try:
-            if pot is None:
-                raise CapabilityError("no potential block in the config")
-            rep = verify_grad_bounds(
-                pot,
-                n_probes=int(opts.get("n_probes", 1000)),
-                seed=int(opts.get("seed", 0)),
-            )
-            checks.append(("grad_bounds", rep.passed, rep.worst))
-        except (ParameterError, CapabilityError) as exc:
-            checks.append(("grad_bounds", None, str(exc)))
-    if diag.get("concentration"):
-        opts = diag["concentration"]
-        try:
-            if model is None:
-                raise CapabilityError("no model block in the config")
-            rows = concentration_check(
-                model,
-                theta,
-                int(opts["n"]),
-                [float(x) for x in opts["delta_grid"]],
-                int(opts["M"]),
-                int(opts["seed"]),
-                statistic=opts.get("statistic", "psi"),
-            )
-            checks.append(
-                ("concentration", all(r.passed for r in rows),
-                 [(r.delta, r.frequency, r.bound) for r in rows])
-            )
-        except (ParameterError, CapabilityError) as exc:
-            checks.append(("concentration", None, str(exc)))
-    if diag.get("test_phi"):
-        opts = diag["test_phi"]
-        try:
-            if model is None:
-                raise CapabilityError("no model block in the config")
-            rep = run_test_phi(
-                model,
-                theta,
-                np.asarray(opts["theta_alt"], dtype=float),
-                int(opts["n"]),
-                float(opts["r_n"]),
-                SeparationMap(
-                    b1=float(opts.get("b1", model.b1)),
-                    b2=float(opts.get("b2", 1.0)),
-                    alpha_c=float(opts.get("alpha_c", model.alpha_c)),
-                ),
-                int(opts["M"]),
-                int(opts["seed"]),
-            )
-            checks.append(
-                ("test_phi", rep.passed,
-                 {"type1": rep.type1_frequency, "type2": rep.type2_frequency,
-                  "bound": rep.bound})
-            )
-        except (ParameterError, CapabilityError) as exc:
-            checks.append(("test_phi", None, str(exc)))
-
-    failed = False
-    for name, passed, detail in checks:
-        if passed is None:
-            out.write(f"{name}: SKIPPED ({detail})\n")
-            if strict:
-                failed = True
-        else:
-            out.write(f"{name}: {'PASS' if passed else 'FAIL'} {detail}\n")
+            if block not in subjects:
+                raise CapabilityError(f"no {block} block in the config")
+            passed, detail = check(*subjects[block], opts if isinstance(opts, dict) else {})
+            lines.append(f"{name}: {'PASS' if passed else 'FAIL'} {detail}\n")
             failed = failed or not passed
-    if not checks:
-        out.write("no checks requested\n")
+        except CapabilityError as exc:
+            lines.append(f"{name}: SKIPPED ({exc})\n")
+            failed = failed or strict
+    out.write("".join(lines) or "no checks requested\n")
     return EXIT_DIVERGED if failed else EXIT_OK
 
 
@@ -586,43 +561,25 @@ def cmd_oracle(cfg: dict, out=None) -> int:
         raise ConfigError("oracle tasks need a potential block")
     pot = _build_potential(cfg["potential"])
     if task == "quadrature":
+        nodes = ob.get("nodes_per_axis", 161)
         mean, err = quadrature_posterior_mean(
-            pot,
-            nodes_per_axis=int(ob.get("nodes_per_axis", 161)),
-            k_sigma=float(ob.get("k_sigma", 8.0)),
+            pot, nodes_per_axis=nodes, k_sigma=float(ob.get("k_sigma", 8.0))
         )
-        record = {
-            "target": "posterior_mean",
-            "value": [float(v) for v in mean],
-            "error_estimate": err,
-            "method": "laplace-trapezoid",
-            "settings": {"nodes_per_axis": ob.get("nodes_per_axis", 161)},
-        }
+        record = ("posterior_mean", [float(v) for v in mean], err, "laplace-trapezoid",
+                  {"nodes_per_axis": nodes})
     elif task == "poisson":
-        fspec = ob.get("f", "identity")
-        if fspec != "identity":
-            raise ConfigError("only f=identity is exposed through the CLI")
-        sol = poisson_solve_1d(
-            pot, lambda x: x, PoissonGrid(n_nodes=int(ob.get("n_nodes", 20001)))
-        )
-        record = {
-            "target": "poisson_solution",
-            "value": {"pi_f": sol.pi_f, "residual_sup": sol.residual_sup},
-            "error_estimate": sol.residual_sup,
-            "method": "integrating-factor",
-            "settings": {"n_nodes": int(ob.get("n_nodes", 20001))},
-        }
+        n_nodes = ob.get("n_nodes", 20001)
+        sol = poisson_solve_1d(pot, lambda x: x, PoissonGrid(n_nodes=n_nodes))
+        record = ("poisson_solution", {"pi_f": sol.pi_f, "residual_sup": sol.residual_sup},
+                  sol.residual_sup, "integrating-factor", {"n_nodes": n_nodes})
     elif task == "reference_chain":
-        mean, se = reference_chain(pot, eps_ref=float(ob.get("eps_ref", 0.05)))
-        record = {
-            "target": "pi_identity",
-            "value": [float(v) for v in mean],
-            "error_estimate": se,
-            "method": "replicated-cesaro",
-            "settings": {"eps_ref": float(ob.get("eps_ref", 0.05))},
-        }
+        eps_ref = float(ob.get("eps_ref", 0.05))
+        mean, se = reference_chain(pot, eps_ref=eps_ref)
+        record = ("pi_identity", [float(v) for v in mean], se, "replicated-cesaro",
+                  {"eps_ref": eps_ref})
     else:
         raise ConfigError(f"unknown oracle task {task!r}")
+    record = dict(zip(("target", "value", "error_estimate", "method", "settings"), record))
     json.dump(record, out, indent=2, sort_keys=True)
     out.write("\n")
     return EXIT_OK

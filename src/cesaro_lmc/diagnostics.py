@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ExperimentError, ParameterError
+from .errors import CapabilityError, ExperimentError, ParameterError
 from .potentials import Potential, find_minimizer
 from .rng import mix64, stream
 from .sampler import ChainConfig, _observe_chain, moment_clamp, replicate_runs
@@ -229,7 +229,7 @@ def concentration_check(
     dimension factor 2d and L-scaling from the union bound).
     """
     if model.C_P is None:
-        raise ParameterError("model carries no exact Poincare constant")
+        raise CapabilityError("model carries no exact Poincare constant")
     cp = model.C_P
     theta = np.asarray(theta, dtype=float)
     rng = stream(seed)
@@ -324,7 +324,7 @@ def run_test_phi(
             f"alternative at distance {sep} is closer than the separation radius {r_n}"
         )
     if model.C_P is None:
-        raise ParameterError("model carries no exact Poincare constant")
+        raise CapabilityError("model carries no exact Poincare constant")
     cp = model.C_P
     c_r = c_map(r_n)
     threshold = c_r / 2.0

@@ -425,12 +425,13 @@ def verify_kl_profile(
 ) -> ProfileReport:
     """Check the curvature sandwich c1 W^-r <= eigs <= c2 W^-q at probe points.
 
-    Always returns a report; failure is a report field.  Eigenvalues come
-    from a dense eigendecomposition (d <= 50).
+    Failure is a report field; a potential without a weakly convex profile
+    raises CapabilityError.  Eigenvalues come from a dense eigendecomposition
+    (d <= 50).
     """
     prof = pot.profile
     if not isinstance(prof, WeaklyConvexKL):
-        raise ParameterError("potential does not carry a weakly convex profile")
+        raise CapabilityError("potential does not carry a weakly convex profile")
     x_star = pot.minimizer_hint
     if x_star is None:
         x_star = find_minimizer(pot, np.zeros(pot.dim))
@@ -472,14 +473,15 @@ def verify_grad_bounds(
         W^{1+q}(x) - W^{1+q}(x*) <= c2 (1+q)/(1-q) |x - x*|^2
 
     (integrating the sandwich along the gradient flow; at x = x* all sides
-    vanish).  Failure is reported, not raised.
+    vanish).  Failure is reported, not raised; a potential with no convexity
+    profile raises CapabilityError.
     """
     prof = pot.profile
     if isinstance(prof, StronglyConvex):
         # embed as the degenerate sandwich with flat exponents
         prof = WeaklyConvexKL(c1=prof.rho, c2=pot.smoothness.L, q=0.0, r=0.0)
     if not isinstance(prof, WeaklyConvexKL):
-        raise ParameterError("potential carries no convexity profile")
+        raise CapabilityError("potential carries no convexity profile")
     x_star = pot.minimizer_hint
     if x_star is None:
         x_star = find_minimizer(pot, np.zeros(pot.dim))

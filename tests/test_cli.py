@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cesaro_lmc.cli import config_hash, main, validate_config
 from cesaro_lmc.errors import ParameterError
@@ -58,6 +64,9 @@ class TestConfigValidation:
             validate_config({"data": {"n": 10}})
         with pytest.raises(ParameterError, match="base_seed"):
             validate_config({"run": {"M": 5}})
+        with pytest.raises(ParameterError, match="diagnostics.concentration.n is required"):
+            validate_config({"diagnostics": {"concentration": {"delta_grid": [0.1], "M": 5,
+                                                               "seed": 1}}})
 
     def test_dimension_and_tuning_numbers_typed(self):
         for bad in (0, 2.0, False):
@@ -197,22 +206,18 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
 
-    def test_wrong_poincare_flagged(self, tmp_path, capsys):
+    def test_wrong_poincare_flagged(self, tmp_path, capsys, monkeypatch):
         cfg = {
             "model": {
                 "family": "gaussian_location", "d": 1, "params": {"precision": 1.0},
-                "theta_star": [0.0], "C_P": 0.01,
+                "theta_star": [0.0],
             },
             "diagnostics": {
                 "concentration": {"n": 100, "delta_grid": [0.05], "M": 40000, "seed": 5}
             },
         }
         path = write(tmp_path, "vc.json", cfg)
-        # C_P is carried by the model object, so rebuild with the bad constant
-        from cesaro_lmc.cli import cmd_verify, load_config
-        import io
-
-        conf = load_config(path)
+        # a gaussian_location model's C_P is 1/precision; rebuild it with a bad constant
         import cesaro_lmc.cli as cli_mod
 
         real_build = cli_mod._build_model
@@ -222,14 +227,9 @@ class TestVerifyCommand:
             model.C_P = 0.01
             return model
 
-        cli_mod._build_model = patched
-        try:
-            buf = io.StringIO()
-            code = cmd_verify(conf, out=buf)
-        finally:
-            cli_mod._build_model = real_build
-        assert code == 3
-        assert "FAIL" in buf.getvalue()
+        monkeypatch.setattr(cli_mod, "_build_model", patched)
+        assert main(["verify", "--config", path]) == 3
+        assert "FAIL" in capsys.readouterr().out
 
     def test_strict_mode_fails_on_skip(self, tmp_path):
         cfg = {
@@ -336,6 +336,8 @@ class TestExitCodeMapping:
             ("tuning", "regime", 5),
             ("tuning", "eps_grid", [0.3, "x"]),
             ("tuning", "calib", None),
+            ("tuning", "certified_x0", "no"),
+            ("run", "output_dir", 5),
         ],
     )
     def test_malformed_run_values_exit_2(self, tmp_path, section, key, value):
@@ -369,6 +371,29 @@ class TestExitCodeMapping:
                            "b1": 1.0, "b2": "y", "alpha_c": 1.0}}),
             # a model block but no potential block
             ("oracle", "conjugate_posterior.json", "oracle", {"task": "quadrature"}),
+            ("verify", "conjugate_posterior.json", "diagnostics",
+             {"concentration": {"n": 100, "delta_grid": [0.05], "M": 10, "seed": 1,
+                                "statistic": "nope"}}),
+            ("verify", "conjugate_posterior.json", "diagnostics",
+             {"test_phi": {"theta_alt": [1.0, 0.0, 0.0], "n": 200, "r_n": 1.0, "M": 10,
+                           "seed": 1}}),
+            ("verify", "p_power_verify.json", "diagnostics", {"kl_profile": {"nprobes": 500}}),
+            ("verify", "p_power_verify.json", "diagnostics", {"kl_profile": {"statistic": "psi"}}),
+            ("verify", "p_power_verify.json", "diagnostics", {"grad_bounds": {"n_probes": 0}}),
+            ("verify", "conjugate_posterior.json", "diagnostics",
+             {"concentration": {"n": 100, "delta_grid": [0.05], "M": 0, "seed": 1}}),
+            ("verify", "conjugate_posterior.json", "diagnostics",
+             {"concentration": {"delta_grid": [0.05], "M": 10, "seed": 1}}),
+            # theta_star is (0.4, -0.2): this alternative is 0.1 away, closer than r_n
+            ("verify", "conjugate_posterior.json", "diagnostics",
+             {"test_phi": {"theta_alt": [0.5, -0.2], "n": 200, "r_n": 1.0, "M": 10, "seed": 1}}),
+            # values the family would drop: C_P is 1/precision, d is the design's width
+            ("tune", "conjugate_posterior.json", "model",
+             {"family": "gaussian_location", "d": 2, "params": {"precision": 1.0},
+              "theta_star": [0.4, -0.2], "C_P": 0.01}),
+            ("tune", "ou_smoke.json", "potential",
+             {"family": "logistic", "d": 7,
+              "params": {"features": [[1.0, 0.5], [-0.5, 1.0]], "labels": [1, -1], "ridge": 1.0}}),
         ],
     )
     def test_malformed_oracle_and_diagnostics_values_exit_2(
@@ -392,6 +417,92 @@ class TestExitCodeMapping:
         cfg["model"]["theta_star"] = [0.4, -0.2, 0.1]  # d = 2
         cfg["diagnostics"] = diagnostics
         exits_2_with_one_line(tmp_path, command, cfg)
+
+
+# small valid tune/verify configs; the fuzz test breaks one value or adds one key
+FUZZ_BASES = [
+    ("tune", {
+        "model": {"family": "gaussian_location", "d": 2, "params": {"precision": 1.0},
+                  "theta_star": [0.4, -0.2], "alpha_c": 1.0, "b1": 1.0, "C_P": None},
+        "prior": {"family": "standard_gaussian"},
+        "data": {"n": 100, "seed": 7},
+        "tuning": {"regime": "bayes-sc-i.a", "eps": 0.1, "frak_e": 0.05, "calib": 1.0,
+                   "x0_dist": 0.0, "certified_x0": False},
+    }),
+    ("verify", {
+        "potential": {"family": "p_power", "d": 2, "params": {"p": 0.75, "center": 0.0}},
+        "diagnostics": {"kl_profile": {"n_probes": 5, "radius": 1.0, "seed": 0},
+                        "grad_bounds": {"n_probes": 5, "seed": 0}},
+    }),
+    ("verify", {
+        "model": {"family": "gaussian_location", "d": 1, "params": {"precision": 1.0},
+                  "theta_star": [0.0]},
+        "diagnostics": {
+            "concentration": {"n": 10, "delta_grid": [0.5], "M": 10, "seed": 1,
+                              "statistic": "psi"},
+            "test_phi": {"theta_alt": [1.0], "n": 10, "r_n": 1.0, "M": 10, "seed": 1,
+                         "b1": 1.0, "b2": 1.0, "alpha_c": 1.0},
+        },
+    }),
+]
+_NUM = {"int", "float"}
+# the JSON types each key of FUZZ_BASES takes; any other key takes only objects
+FUZZ_TAKES = {
+    "family": {"str"}, "regime": {"str"}, "statistic": {"str"}, "certified_x0": {"bool"},
+    "d": {"int"}, "n": {"int"}, "seed": {"int"}, "M": {"int"}, "n_probes": {"int"},
+    "precision": _NUM, "p": _NUM, "alpha_c": _NUM, "b1": _NUM, "b2": _NUM, "eps": _NUM,
+    "frak_e": _NUM, "calib": _NUM, "x0_dist": _NUM, "radius": _NUM, "r_n": _NUM,
+    "C_P": _NUM | {"null"}, "theta_star": _NUM | {"list"}, "center": _NUM | {"list"},
+    "theta_alt": _NUM | {"list"}, "delta_grid": {"list"},
+    "kl_profile": {"bool", "dict"}, "grad_bounds": {"bool", "dict"},
+}
+_SCALARS = {"null": st.none(), "bool": st.booleans(), "int": st.integers(),
+            "float": st.floats(allow_nan=False, allow_infinity=False), "str": st.text(max_size=4)}
+_JSON = st.recursive(st.one_of(*_SCALARS.values()),
+                     lambda kids: st.lists(kids, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+                     max_leaves=4)
+_JSON_TYPES = {**_SCALARS, "list": st.lists(_JSON, max_size=3),
+               "dict": st.dictionaries(st.text(max_size=4), _JSON, max_size=3)}
+
+
+def _paths(node, prefix=()):
+    for key, val in node.items():
+        yield prefix + (key,)
+        if isinstance(val, dict):
+            yield from _paths(val, prefix + (key,))
+
+
+@st.composite
+def malformed_configs(draw):
+    command, base = draw(st.sampled_from(FUZZ_BASES))
+    cfg = copy.deepcopy(base)
+    *parents, key = draw(st.sampled_from(list(_paths(cfg))))
+    block = reduce(dict.__getitem__, parents, cfg)
+    if draw(st.booleans()):
+        takes = FUZZ_TAKES.get(key, {"dict"})
+        block[key] = draw(st.one_of(*(s for t, s in _JSON_TYPES.items() if t not in takes)))
+    else:  # no config key has an upper-case letter
+        target = block[key] if isinstance(block[key], dict) else block
+        target[draw(st.text("ABXYZ_", min_size=1, max_size=6))] = draw(_JSON)
+    return command, cfg
+
+
+@pytest.mark.parametrize("command, cfg", FUZZ_BASES)
+def test_fuzz_bases_are_valid(tmp_path, capsys, command, cfg):
+    assert main([command, "--config", write(tmp_path, "base.json", cfg)]) == 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=malformed_configs())
+def test_malformed_config_exits_2_in_one_line(tmp_path_factory, case):
+    command, cfg = case
+    path = write(tmp_path_factory.getbasetemp(), "fuzz.json", cfg)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--config", path])
+    assert code == 2
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestGridExperiments:
