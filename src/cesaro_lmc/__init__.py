@@ -14,7 +14,6 @@ from .potentials import (
     builtin_logistic,
     builtin_p_power,
     find_minimizer,
-    hessian_extreme_eigs,
     verify_grad_bounds,
     verify_kl_profile,
 )
@@ -23,7 +22,6 @@ from .bayes import (
     GaussianLocationModel,
     LogisticModel,
     PosteriorPotential,
-    Prior,
     build_posterior,
     epsilon_n,
     sample_dataset,

@@ -45,40 +45,18 @@ from .potentials import (
     Smoothness,
     StronglyConvex,
     WeaklyConvexKL,
+    builtin_gaussian_location,
     builtin_logistic,
     find_minimizer,
 )
 from .rng import stream
 
 
-@dataclass(frozen=True)
-class Prior:
-    """Log-prior potential V0 with gradient and Lipschitz constant of grad V0."""
-
-    v0: callable
-    grad_v0: callable
-    lip: float
-    hess_v0: callable = None
-    name: str = ""
-
-
-def standard_gaussian_prior(d: int) -> Prior:
-    """V0(theta) = |theta|^2 / 2; gradient is 1-Lipschitz."""
-
-    def v0(x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * np.sum(x**2, axis=-1)
-
-    def grad_v0(x):
-        return np.asarray(x, dtype=float)
-
-    def hess_v0(x, v):
-        v = np.asarray(v, dtype=float)
-        return np.broadcast_to(v, np.broadcast_shapes(np.shape(x), v.shape)).copy()
-
-    return Prior(
-        v0=v0, grad_v0=grad_v0, lip=1.0, hess_v0=hess_v0, name=f"standard_gaussian(d={d})"
-    )
+def standard_gaussian_prior(d: int) -> Potential:
+    """V0(theta) = |theta|^2 / 2, the built-in Gaussian potential with mean 0
+    and precision 1 (so its gradient is 1-Lipschitz)."""
+    prior = builtin_gaussian_location(d, 0.0, 1.0)
+    return dataclasses.replace(prior, name=f"standard_gaussian(d={d})")
 
 
 @dataclass(frozen=True)
@@ -328,37 +306,35 @@ class PosteriorPotential:
     mode: np.ndarray
 
 
-def build_posterior(model, data: Dataset, prior: Prior) -> PosteriorPotential:
+def build_posterior(model, data: Dataset, prior: Potential) -> PosteriorPotential:
     """Assemble W_n = sum_i U(xi_i, .) + V0 with aggregated constants.
 
     The family's ``sum_potential(obs)`` gives the per-observation sum and
-    its constants; with no observations the posterior is the prior.  The
-    potential's minimum is normalised to 1 at the mode, found by gradient
-    descent from the origin.
+    its constants, to which the prior potential V0 adds its own; with no
+    observations the posterior is the prior.  The potential's minimum is
+    normalised to 1 at the mode, found by gradient descent from the origin.
     """
     if not hasattr(model, "sum_potential"):
         raise CapabilityError(f"unsupported model family: {model!r}")
-    if prior.hess_v0 is None:
-        raise CapabilityError("posterior assembly needs a prior with hess_v0")
     obs = data.observations
     n = obs.shape[0]
     if obs.shape[1] != model.q:
         raise ParameterError(f"observation dimension {obs.shape[1]} does not match model q={model.q}")
     if n == 0:  # the posterior is the prior
-        value, grad, hess_vec, profile, base_L = prior.v0, prior.grad_v0, prior.hess_v0, None, 0.0
+        value, grad, hess_vec, profile, base_L = prior.value, prior.grad, prior.hess_vec, None, 0.0
     else:
         base_value, base_grad, base_hess_vec, profile, base_L = model.sum_potential(obs)
 
         def value(theta):
-            return base_value(theta) + prior.v0(theta)
+            return base_value(theta) + prior.value(theta)
 
         def grad(theta):
-            return base_grad(theta) + prior.grad_v0(theta)
+            return base_grad(theta) + prior.grad(theta)
 
         def hess_vec(theta, v):
-            return base_hess_vec(theta, v) + prior.hess_v0(theta, np.asarray(v, dtype=float))
+            return base_hess_vec(theta, v) + prior.hess_vec(theta, v)
 
-    total_L = base_L + prior.lip
+    total_L = base_L + prior.smoothness.L
     pot = Potential(
         dim=model.d,
         value=value,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -89,10 +90,6 @@ def _is_numbers(v) -> bool:
     )
 
 
-def _is_labels(v) -> bool:
-    return isinstance(v, list) and len(v) > 0 and all(_is_number(u) and u in (1, -1) for u in v)
-
-
 def _is_count(v) -> bool:
     return type(v) is int and v >= 1  # bool and float are refused
 
@@ -109,10 +106,7 @@ def _is(ok, kind: str):
 
 def _required(check):
     """``check``, on a key that must be present."""
-
-    def required(where, value):
-        check(where, value)
-
+    required = functools.partial(check)
     required.required = True
     return required
 
@@ -142,22 +136,62 @@ _POSITIVE = _is(lambda v: _is_number(v) and v > 0, "a positive number")
 _STRING = _is(lambda v: isinstance(v, str), "a string")
 _SEED = _required(_INTEGER)  # seeds are never defaulted
 
+
+def _family(families):
+    """A model or potential block, checked against its family's table; an
+    absent ``params`` is checked as empty, so a missing required param is named."""
+
+    def check(where, block):
+        if not isinstance(block, dict):
+            raise ConfigError(f"{where} must be an object, got {block!r}")
+        _one_of(*families)(f"{where}.family", block.get("family"))
+        _check(where, {"params": {}, **block}, families[block["family"]][0])
+
+    return check
+
+
+_MODEL = {"family": _STRING, "d": _COUNT, "theta_star": _NUMBERS, "alpha_c": _NUMBER, "b1": _NUMBER}
+_LABELS = _is(lambda v: isinstance(v, list) and len(v) > 0
+              and all(_is_number(u) and u in (1, -1) for u in v), "an array of +1/-1 labels")
+# family -> (the keys its block may hold, params included; its builder(block, params))
+_MODELS = {
+    "gaussian_location": (
+        {**_MODEL, "C_P": _is(lambda v: v is None, "null (its C_P is 1/precision)"),
+         "params": {"precision": _NUMBER}},
+        lambda b, p: GaussianLocationModel(b.get("d", 1), float(p.get("precision", 1.0)),
+                                           float(b.get("alpha_c", 1.0)), float(b.get("b1", 1.0))),
+    ),
+    "logistic": (
+        {**_MODEL, "C_P": _is(lambda v: v is None or _is_number(v), "a number or null"),
+         "params": {"design": _required(_NUMBERS), "ridge": _NUMBER}},
+        lambda b, p: LogisticModel(np.asarray(p["design"], dtype=float), float(p.get("ridge", 0.0)),
+                                   float(b.get("alpha_c", 1.0)), float(b.get("b1", 1.0)),
+                                   b.get("C_P")),
+    ),
+}
+_POTENTIALS = {
+    "gaussian": (
+        {"family": _STRING, "d": _COUNT, "params": {"mean": _NUMBERS, "precision": _NUMBER}},
+        lambda b, p: builtin_gaussian_location(b.get("d", 1), p.get("mean", 0.0),
+                                               float(p.get("precision", 1.0))),
+    ),
+    "p_power": (
+        {"family": _STRING, "d": _COUNT, "params": {"center": _NUMBERS, "p": _NUMBER}},
+        lambda b, p: builtin_p_power(b.get("d", 1), p.get("center", 0.0), float(p.get("p", 0.75))),
+    ),
+    "logistic": (
+        {"family": _STRING, "d": _COUNT, "params": {
+            "features": _required(_NUMBERS), "labels": _required(_LABELS), "ridge": _NUMBER}},
+        lambda b, p: builtin_logistic(np.asarray(p["features"], dtype=float), p["labels"],
+                                      ridge=float(p.get("ridge", 0.0))),
+    ),
+}
+
 # section -> key -> check; a nested dict checks an object's keys in turn, and
 # its keys are the only ones the object may hold
 _SCHEMA = {
-    "model": {
-        "family": _STRING, "d": _COUNT, "theta_star": _NUMBERS, "alpha_c": _NUMBER, "b1": _NUMBER,
-        "C_P": _is(lambda v: v is None or _is_number(v), "a number or null"),
-        "params": {"precision": _NUMBER, "ridge": _NUMBER, "design": _NUMBERS},
-    },
-    "potential": {
-        "family": _STRING, "d": _COUNT,
-        "params": {
-            "precision": _NUMBER, "p": _NUMBER, "ridge": _NUMBER, "mean": _NUMBERS,
-            "center": _NUMBERS, "features": _NUMBERS,
-            "labels": _is(_is_labels, "an array of +1/-1 labels"),
-        },
-    },
+    "model": _family(_MODELS),
+    "potential": _family(_POTENTIALS),
     "prior": {"family": _one_of("standard_gaussian")},
     "data": {
         "n": _COUNT, "seed": _SEED,
@@ -165,7 +199,9 @@ _SCHEMA = {
                       "an array of integers >= 1"),
     },
     "tuning": {
-        "regime": _STRING, "eps": _NUMBER, "eps_grid": _NUMBER_LIST, "frak_e": _NUMBER,
+        "regime": _STRING, "eps": _NUMBER, "frak_e": _NUMBER,
+        "eps_grid": _is(lambda v: isinstance(v, list) and len(v) > 1 and all(map(_is_number, v)),
+                        "an array of two or more numbers"),
         "calib": _NUMBER, "x0_dist": _NUMBER,
         "certified_x0": _is(lambda v: type(v) is bool, "true or false"),
     },
@@ -226,56 +262,21 @@ def load_config(path) -> dict:
 
 
 def _check_d(section: str, block: dict, d: int) -> None:
-    """A logistic block's ``d``, if given, must be the width of its params' rows."""
+    """A block's ``d``, if given, must be the width its params fix (a logistic design's)."""
     if block.get("d", d) != d:
         raise ConfigError(f"{section}.d is {block['d']}, but its params have {d} columns")
 
 
 def _build_model(block: dict):
-    family = block.get("family")
-    params = block.get("params", {})
-    d = int(block.get("d", 1))
-    if family == "gaussian_location":
-        if block.get("C_P") is not None:
-            raise ConfigError("model.C_P of a gaussian_location model is 1/precision; leave it out")
-        return GaussianLocationModel(
-            d,
-            precision=float(params.get("precision", 1.0)),
-            alpha_c=float(block.get("alpha_c", 1.0)),
-            b1=float(block.get("b1", 1.0)),
-        )
-    if family == "logistic":
-        model = LogisticModel(
-            np.asarray(params["design"], dtype=float),
-            ridge=float(params.get("ridge", 0.0)),
-            alpha_c=float(block.get("alpha_c", 1.0)),
-            b1=float(block.get("b1", 1.0)),
-            C_P=block.get("C_P"),
-        )
-        _check_d("model", block, model.d)
-        return model
-    raise ConfigError(f"unknown model family {family!r}")
+    model = _MODELS[block["family"]][1](block, block.get("params", {}))
+    _check_d("model", block, model.d)
+    return model
 
 
 def _build_potential(block: dict):
-    family = block.get("family")
-    params = block.get("params", {})
-    d = int(block.get("d", 1))
-    if family == "gaussian":
-        return builtin_gaussian_location(
-            d, params.get("mean", 0.0), float(params.get("precision", 1.0))
-        )
-    if family == "p_power":
-        return builtin_p_power(d, params.get("center", 0.0), float(params.get("p", 0.75)))
-    if family == "logistic":
-        pot = builtin_logistic(
-            np.asarray(params["features"], dtype=float),
-            params["labels"],
-            ridge=float(params.get("ridge", 0.0)),
-        )
-        _check_d("potential", block, pot.dim)
-        return pot
-    raise ConfigError(f"unknown potential family {family!r}")
+    pot = _POTENTIALS[block["family"]][1](block, block.get("params", {}))
+    _check_d("potential", block, pot.dim)
+    return pot
 
 
 def _theta_star(cfg: dict, model) -> np.ndarray:
@@ -458,8 +459,6 @@ def _run_eps_scaling(cfg, outdir, h, m_reps, base_seed, out) -> int:
     """MSE/eps^2 stability across a target-accuracy grid for one potential."""
     pot = _build_potential(cfg["potential"])
     eps_grid = [float(v) for v in cfg["tuning"]["eps_grid"]]
-    if len(eps_grid) < 2:
-        raise ConfigError("tuning.eps_grid needs at least two values")
     rows = []
     for eps in eps_grid:
         sub = dict(cfg)
@@ -538,7 +537,7 @@ def cmd_verify(cfg: dict, strict: bool = False, out=None) -> int:
     lines, failed = [], False
     for name, block, check in _CHECKS:
         opts = cfg.get("diagnostics", {}).get(name)
-        if not opts:
+        if opts is None or opts is False:  # an empty options object runs the defaults
             continue
         try:
             if block not in subjects:

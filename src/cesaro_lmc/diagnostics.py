@@ -408,10 +408,10 @@ def moment_check(
     sup_mean, first_max, implied = {}, {}, {}
     prof = pot.profile
     if isinstance(prof, WeaklyConvexKL):
-        ups = compute_upsilon(prof, pot.smoothness.L, pot.dim).value
+        ups = compute_upsilon(prof, pot.smoothness.L, pot.dim)
     elif isinstance(prof, StronglyConvex):
         flat = WeaklyConvexKL(c1=prof.rho, c2=pot.smoothness.L, q=0.0, r=0.0)
-        ups = compute_upsilon(flat, pot.smoothness.L, pot.dim).value
+        ups = compute_upsilon(flat, pot.smoothness.L, pot.dim)
     else:
         ups = 1.0
     w0 = float(pot.value(np.asarray(cfg.x0, dtype=float)) + pot.offset)

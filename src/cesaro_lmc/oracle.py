@@ -329,6 +329,6 @@ def _effective_curvature(pot: Potential) -> float:
     if isinstance(prof, WeaklyConvexKL):
         from .tuning import compute_upsilon
 
-        ups = compute_upsilon(prof, pot.smoothness.L, pot.dim).value
+        ups = compute_upsilon(prof, pot.smoothness.L, pot.dim)
         return prof.c1 * (2.0 * ups) ** (-prof.r)
     raise CapabilityError("reference_chain needs a convexity profile for its heuristic")

@@ -325,47 +325,6 @@ def dense_hessian(pot: Potential, x) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def hessian_extreme_eigs(
-    pot: Potential, x, tol: float = 1e-10, max_iter: int = 20000, seed: int = 0
-) -> tuple[float, float]:
-    """Extreme Hessian eigenvalues at x via power iteration.
-
-    Runs power iteration on H for the top eigenvalue, then on sigma*I - H
-    with sigma set to the top estimate for the bottom one.  Raises
-    :class:`NumericError` with the iteration count if either loop fails to
-    stabilize its Rayleigh quotient to relative tolerance ``tol``.
-    """
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
-    x = np.asarray(x, dtype=float)
-    rng = stream(seed)
-
-    def top_eig(matvec):
-        v = rng.standard_normal(pot.dim)
-        v /= np.linalg.norm(v)
-        lam = np.dot(v, matvec(v))
-        for it in range(1, max_iter + 1):
-            w = matvec(v)
-            nw = np.linalg.norm(w)
-            if nw == 0.0:  # H v = 0 exactly: 0 is the top eigenvalue of matvec
-                return 0.0
-            v = w / nw
-            lam_new = np.dot(v, matvec(v))
-            if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-                return lam_new
-            lam = lam_new
-        raise NumericError(
-            f"power iteration did not converge in {max_iter} iterations",
-            payload={"iterations": max_iter, "last": lam},
-        )
-
-    lam_max = top_eig(lambda v: pot.hess_vec(x, v))
-    sigma = lam_max * (1.0 + 1e-3) + 1e-12
-    shifted_top = top_eig(lambda v: sigma * v - pot.hess_vec(x, v))
-    lam_min = sigma - shifted_top
-    return float(lam_min), float(lam_max)
-
-
 def find_minimizer(pot: Potential, x0, tol_grad: float = 1e-10, max_iter: int = 200000):
     """Gradient descent with step 1/L until the gradient norm drops below tol.
 

@@ -73,8 +73,7 @@ class ChainConfig:
     The Cesaro estimate is the plain average of all ``n_steps`` states
     from ``x0`` on, x0 included; no prefix is discarded.
     ``fine_substeps`` = K advances the dynamics with step gamma/K between
-    the coarse Cesaro grid points; ``clamp`` asserts gamma <= 1/(4 d L + 1)
-    against the potential at run time; ``checkpoints`` spaces the tangent
+    the coarse Cesaro grid points; ``checkpoints`` spaces the tangent
     trace's log.
     """
 
@@ -84,7 +83,6 @@ class ChainConfig:
     seed: int
     track_tangent: bool = False
     fine_substeps: int = 1
-    clamp: bool = False
     checkpoints: int = 200
 
     def __post_init__(self):
@@ -238,11 +236,7 @@ class _TangentTrace:
                     self.logs[i].append((t, float(v)))
 
 
-def _check_clamp(pot: Potential, cfg: ChainConfig):
-    if cfg.clamp and cfg.gamma > moment_clamp(pot) * (1.0 + 1e-12):
-        raise ParameterError(
-            f"gamma={cfg.gamma} exceeds the moment clamp 1/(4dL+1)={moment_clamp(pot)}"
-        )
+def _check_x0(pot: Potential, cfg: ChainConfig):
     if cfg.x0.shape[-1] != pot.dim:
         raise ParameterError("x0 dimension does not match the potential")
 
@@ -269,7 +263,7 @@ def _observe_chain(pot: Potential, cfg: ChainConfig, observer):
     Not :func:`run_chain`, so a diagnostic's time is not also counted as a
     chain run.  Raises DivergenceError when the chain diverges.
     """
-    _check_clamp(pot, cfg)
+    _check_x0(pot, cfg)
     _, _, diverged = _drive(pot, cfg, cfg.x0[None, :], [cfg.seed], (observer,))
     if diverged[0] >= 0:
         raise DivergenceError(f"chain diverged at step {diverged[0]}", step=int(diverged[0]))
@@ -277,7 +271,7 @@ def _observe_chain(pot: Potential, cfg: ChainConfig, observer):
 
 def run_chain(pot: Potential, cfg: ChainConfig) -> ChainRun:
     """Run one chain; raises DivergenceError carrying the partial run."""
-    _check_clamp(pot, cfg)
+    _check_x0(pot, cfg)
     if not np.all(np.isfinite(pot.grad(cfg.x0))):
         raise ParameterError("potential gradient is not finite at x0")
     run = _runs(pot, cfg, cfg.x0[None, :], [cfg.seed])[0]
@@ -338,7 +332,7 @@ def replicate_runs(
     """
     if m < 1:
         raise ParameterError("replicate count must be >= 1")
-    _check_clamp(pot, cfg)
+    _check_x0(pot, cfg)
     seeds = [mix64(base_seed, index_offset + i) for i in range(m)]
     x0 = np.broadcast_to(cfg.x0, (m, pot.dim)).copy()
     return _runs(pot, cfg, x0, seeds)

@@ -59,16 +59,6 @@ class TuningInputs:
 
 
 @dataclass(frozen=True)
-class UpsilonEstimate:
-    value: float
-    mode: str  # "formula-bound" | "user-supplied"
-
-    def __post_init__(self):
-        if self.value < 1.0:
-            raise ParameterError("Upsilon is at least 1 by definition")
-
-
-@dataclass(frozen=True)
 class TuningPlan:
     gamma: float
     n_steps: int
@@ -81,21 +71,20 @@ class TuningPlan:
         return self.gamma * self.n_steps
 
 
-def compute_upsilon(profile: WeaklyConvexKL, L: float, d: int, c_r: float = 1.0) -> UpsilonEstimate:
-    """Moment-scale bound max(1, c_r (c2 v L)^{1/(1+q-r)} c1^{-1/(1-r)} log(1+dL) d^{1/(1+q-r)})."""
+def compute_upsilon(profile: WeaklyConvexKL, L: float, d: int) -> float:
+    """Moment-scale bound max(1, (c2 v L)^{1/(1+q-r)} c1^{-1/(1-r)} log(1+dL) d^{1/(1+q-r)})."""
     if not isinstance(profile, WeaklyConvexKL):
         raise ParameterError("Upsilon is defined for weakly convex profiles")
     if profile.r >= 1.0:
         raise ParameterError("r must be < 1")
     e1 = 1.0 / (1.0 + profile.q - profile.r)
     val = (
-        c_r
-        * max(profile.c2, L) ** e1
+        max(profile.c2, L) ** e1
         * profile.c1 ** (-1.0 / (1.0 - profile.r))
         * math.log(1.0 + d * L)
         * d**e1
     )
-    return UpsilonEstimate(value=max(1.0, val), mode="formula-bound")
+    return max(1.0, val)
 
 
 def weak_gamma_clamp(d: int, L: float, c2: float) -> float:
@@ -152,7 +141,7 @@ def _check_small_eps(inputs: TuningInputs, prof: WeaklyConvexKL, variant: str):
         )
 
 
-def tune_weak(inputs: TuningInputs, variant: str, upsilon: Optional[UpsilonEstimate] = None) -> TuningPlan:
+def tune_weak(inputs: TuningInputs, variant: str) -> TuningPlan:
     """Weakly convex tunings; ``variant`` in {"i.a", "i.b", "ii.a", "ii.b"}."""
     prof = inputs.profile
     if not isinstance(prof, WeaklyConvexKL):
@@ -164,7 +153,7 @@ def tune_weak(inputs: TuningInputs, variant: str, upsilon: Optional[UpsilonEstim
             "d_prime": dp, "eps": eps, "frak_e": e}
 
     if variant == "i.a":
-        ups = (upsilon or compute_upsilon(prof, L, d)).value
+        ups = compute_upsilon(prof, L, d)
         x0d = inputs.x0_dist
         g1 = c1 ** (2.0 * (1.0 + e)) / (d * L**2 * ups ** (2.0 * r * (1.0 + e))) * eps**2
         g2 = d / (c2 * ups ** (1.0 - q - 2.0 * r * e))
@@ -193,7 +182,7 @@ def tune_weak(inputs: TuningInputs, variant: str, upsilon: Optional[UpsilonEstim
         cons.update({"d_exponent_gamma": -(1.0 + expo + e), "d_exponent_n": 1.0 + 2.0 * expo + e})
     elif variant == "ii.a":
         _require_c3(inputs, variant)
-        ups = (upsilon or compute_upsilon(prof, L, d)).value
+        ups = compute_upsilon(prof, L, d)
         lt, lap = inputs.L_tilde, inputs.lap_grad_sup
         t1 = 1.0 / (L * math.sqrt(c2) * ups ** ((1.0 - q + 2.0 * r) / 2.0 * (1.0 + e)))
         t2 = c1 ** (1.0 + e) / (L * lt * d * ups ** (2.0 * r * (1.0 + e))) if lt > 0 else math.inf

@@ -95,10 +95,10 @@ class TestBuildPosterior:
         post = build_posterior(model, data, prior)
         pot = post.potential
         theta, v = np.array([0.3, -0.4]), np.array([1.0, 2.0])
-        assert pot.value(theta) == pytest.approx(prior.v0(theta))
-        assert np.allclose(pot.grad(theta), prior.grad_v0(theta))
-        assert np.allclose(pot.hess_vec(theta, v), prior.hess_v0(theta, v))
-        assert pot.profile is None and pot.smoothness.L == prior.lip
+        assert pot.value(theta) == pytest.approx(prior.value(theta))
+        assert np.allclose(pot.grad(theta), prior.grad(theta))
+        assert np.allclose(pot.hess_vec(theta, v), prior.hess_vec(theta, v))
+        assert pot.profile is None and pot.smoothness.L == prior.smoothness.L
         assert np.array_equal(post.mode, np.zeros(2))
         assert pot.value_normalized(post.mode) == pytest.approx(1.0)
 
@@ -126,8 +126,8 @@ class TestBuildPosterior:
         for _ in range(10):
             theta = rng.standard_normal(3)
             val_s, grad_s = streamed_gaussian_sum(data.observations, 1.3, theta)
-            ref_v = val_s + prior.v0(theta)
-            ref_g = grad_s + prior.grad_v0(theta)
+            ref_v = val_s + prior.value(theta)
+            ref_g = grad_s + prior.grad(theta)
             assert post.potential.value(theta) == pytest.approx(ref_v, rel=1e-12)
             assert np.allclose(post.potential.grad(theta), ref_g, rtol=1e-12, atol=1e-9)
 
@@ -221,14 +221,33 @@ class TestEpsilonN:
 
 
 class TestPriorSpec:
+    def test_standard_gaussian_prior_bits(self):
+        # V0 = |x|^2 / 2, grad V0 = x and the Hessian is the identity, bit for bit
+        special = [0.0, -0.0, 5e-324, -2.2e-308, 1e-300, -1e308, 1e308, np.inf, -np.inf, np.nan]
+        for d in (1, 2, 3, 5):
+            prior = standard_gaussian_prior(d)
+            assert prior.name == f"standard_gaussian(d={d})" and prior.smoothness.L == 1.0
+            rng = stream(60 + d)
+            scale = 10.0 ** rng.integers(-300, 300, size=(40, 1))
+            xs = np.concatenate([rng.standard_normal((40, d)) * scale,
+                                 rng.choice(special, size=(40, d))])
+            vs = xs[::-1].copy()
+            for x, v in ((xs, vs), (xs[3], vs[3]), (xs[-1], vs[-1])):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expect = 0.5 * np.sum(x**2, -1)
+                    assert np.asarray(prior.value(x)).tobytes() == np.asarray(expect).tobytes()
+                assert prior.grad(x).tobytes() == x.tobytes()
+                assert prior.hess_vec(x, v).tobytes() == v.tobytes()
+
     def test_standard_gaussian_prior_invariants(self):
         prior = standard_gaussian_prior(3)
+        lip = prior.smoothness.L
         rng = stream(55)
         for _ in range(50):
             a, b = rng.standard_normal((2, 3)) * 5.0
             # gradient Lipschitz with the declared constant
-            assert np.linalg.norm(prior.grad_v0(a) - prior.grad_v0(b)) <= prior.lip * np.linalg.norm(a - b) * (1 + 1e-12)
+            assert np.linalg.norm(prior.grad(a) - prior.grad(b)) <= lip * np.linalg.norm(a - b) * (1 + 1e-12)
             # convexity along segments
             mid = 0.5 * (a + b)
-            assert prior.v0(mid) <= 0.5 * (prior.v0(a) + prior.v0(b)) + 1e-12
-        assert prior.lip <= 1.0
+            assert prior.value(mid) <= 0.5 * (prior.value(a) + prior.value(b)) + 1e-12
+        assert lip <= 1.0

@@ -24,7 +24,8 @@ def write(tmp_path, name, cfg):
 
 
 def exits_2_with_one_line(tmp_path, command, cfg):
-    """Run the CLI in a child process and check for exit 2 with a one-line message."""
+    """Run the CLI in a child process and check for exit 2 with a one-line
+    message, which is returned."""
     argv = [command, "--config", write(tmp_path, "bad.json", cfg)]
     if command == "run":
         argv += ["--output", str(tmp_path / "o")]
@@ -33,6 +34,7 @@ def exits_2_with_one_line(tmp_path, command, cfg):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    return proc.stderr
 
 
 def bayes_cfg(**overrides):
@@ -90,7 +92,7 @@ class TestConfigValidation:
         ]:
             with pytest.raises(ParameterError, match=f"potential.params.{key}"):
                 validate_config(potential(**params))
-        with pytest.raises(ParameterError, match="model.params.design"):
+        with pytest.raises(ParameterError, match="model.params.'?design"):
             validate_config(bayes_cfg(model={**bayes_cfg()["model"], "params": {"design": "x"}}))
 
     def test_model_and_data_values_typed(self):
@@ -302,8 +304,15 @@ class TestShippedConfigs:
         assert elapsed < 60.0
         assert len(list(out.glob("*-summary.json"))) == 1
 
-    def test_verify_config_passes(self):
+    def test_verify_config_passes(self, tmp_path, capsys):
         assert main(["verify", "--config", str(CONFIGS / "p_power_verify.json")]) == 0
+        explicit = capsys.readouterr().out
+        assert explicit.count("PASS") == 2
+        # the shipped options are the defaults, so empty options objects print the same lines
+        cfg = json.loads((CONFIGS / "p_power_verify.json").read_text())
+        cfg["diagnostics"] = {"kl_profile": {}, "grad_bounds": {}}
+        assert main(["verify", "--config", write(tmp_path, "empty.json", cfg)]) == 0
+        assert capsys.readouterr().out == explicit
 
 
 class TestExitCodeMapping:
@@ -402,6 +411,40 @@ class TestExitCodeMapping:
         cfg = json.loads((CONFIGS / config).read_text())
         cfg[section] = value
         exits_2_with_one_line(tmp_path, command, cfg)
+
+    @pytest.mark.parametrize(
+        "section, block, key",
+        [
+            # a param another family takes
+            ("model", {"family": "gaussian_location", "params": {"design": [[1.0]]}}, "design"),
+            ("model", {"family": "gaussian_location", "params": {"ridge": 1.0}}, "ridge"),
+            ("model", {"family": "logistic", "params": {"design": [[1.0]], "precision": 1.0}},
+             "precision"),
+            ("potential", {"family": "gaussian", "params": {"p": 0.75}}, "p"),
+            ("potential", {"family": "gaussian", "params": {"features": [[1.0]]}}, "features"),
+            ("potential", {"family": "p_power", "params": {"precision": 1.0}}, "precision"),
+            ("potential", {"family": "p_power", "params": {"mean": 0.0}}, "mean"),
+            ("potential", {"family": "logistic",
+                           "params": {"features": [[1.0]], "labels": [1], "center": 0.0}}, "center"),
+            # a required param left out, with or without a params object
+            ("model", {"family": "logistic", "params": {"ridge": 1.0}}, "design"),
+            ("model", {"family": "logistic"}, "design"),
+            ("potential", {"family": "logistic", "params": {"labels": [1]}}, "features"),
+            ("potential", {"family": "logistic", "params": {"features": [[1.0]]}}, "labels"),
+            ("potential", {"family": "logistic"}, "features"),
+        ],
+    )
+    def test_params_follow_the_family(self, tmp_path, section, block, key):
+        cfg = {section: block, "tuning": {"regime": "sc-i"}}
+        err = exits_2_with_one_line(tmp_path, "tune", cfg)
+        assert f"{section}.params.{key}" in err.replace("'", "")
+
+    @pytest.mark.parametrize("family", [None, ["gaussian"], "probit"])
+    def test_family_must_be_known(self, tmp_path, family):
+        cfg = {"potential": {"family": family, "d": 1}, "tuning": {"regime": "sc-i"}}
+        if family is None:
+            del cfg["potential"]["family"]
+        assert "potential.family must be" in exits_2_with_one_line(tmp_path, "tune", cfg)
 
     @pytest.mark.parametrize(
         "command, diagnostics",

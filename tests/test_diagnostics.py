@@ -148,15 +148,8 @@ class TestRateFit:
             bayes_rate_experiment(model, standard_gaussian_prior(1), [0.0], [100, 50, 200, 400], 10, 0)
 
     def test_default_oracle_refuses_other_priors(self):
-        from cesaro_lmc.bayes import Prior
-
         model = GaussianLocationModel(2, 1.0)
-        wide = Prior(
-            v0=lambda x: 0.02 * np.sum(np.asarray(x) ** 2, axis=-1),
-            grad_v0=lambda x: 0.04 * np.asarray(x),
-            lip=0.04,
-            name="gaussian(var=25)",
-        )
+        wide = builtin_gaussian_location(2, 0.0, 0.04)  # N(0, 25 I)
         with pytest.raises(ParameterError, match="N\\(0, I\\) prior"):
             bayes_rate_experiment(model, wide, [0.0, 0.0], [100, 400, 1600, 6400], 5, 0)
         # a prior of the wrong dimension is not the model's N(0, I) either

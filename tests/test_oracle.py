@@ -155,7 +155,7 @@ class TestPoisson1D:
         w = pot.value_normalized(sol.grid[:, None])
         from cesaro_lmc.tuning import compute_upsilon
 
-        ups = compute_upsilon(prof, pot.smoothness.L, 1).value
+        ups = compute_upsilon(prof, pot.smoothness.L, 1)
         envelope = prof.c1 ** (-1 - frak_e) * (
             w ** (prof.r * (1 + frak_e)) + ups ** (prof.r * (1 + frak_e))
         )

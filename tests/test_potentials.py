@@ -24,7 +24,6 @@ from cesaro_lmc.potentials import (
     builtin_p_power,
     dense_hessian,
     find_minimizer,
-    hessian_extreme_eigs,
     verify_grad_bounds,
     verify_kl_profile,
 )
@@ -257,44 +256,6 @@ class TestLogisticRowWeights:
         pot = builtin_logistic(self.FEATURES, self.LABELS)
         assert pot.smoothness.L == pytest.approx(np.sum(self.FEATURES**2) / 4.0)
         assert pot.name == "logistic(d=2,n=9,ridge=0.0)"
-
-
-class TestExtremeEigs:
-    def test_scalar_hessian(self):
-        g = builtin_gaussian_location(4, 0.0, 2.0)
-        lo, hi = hessian_extreme_eigs(g, np.ones(4))
-        assert lo == pytest.approx(2.0, rel=1e-8)
-        assert hi == pytest.approx(2.0, rel=1e-8)
-
-    def test_p_power_center(self):
-        pp = builtin_p_power(3, 0.0, 1.0)
-        lo, hi = hessian_extreme_eigs(pp, np.zeros(3))
-        assert lo == pytest.approx(2.0, rel=1e-8)
-        assert hi == pytest.approx(2.0, rel=1e-8)
-
-    def test_against_dense_oracle(self):
-        pp = builtin_p_power(3, 0.0, 0.75)
-        x = np.array([1.0, 0.0, 0.0])
-        lo, hi = hessian_extreme_eigs(pp, x)
-        dense = np.linalg.eigvalsh(dense_hessian(pp, x))
-        assert lo == pytest.approx(dense[0], rel=1e-6)
-        assert hi == pytest.approx(dense[-1], rel=1e-6)
-
-    @pytest.mark.parametrize("d", [5, 20, 50])
-    def test_agreement_up_to_d50(self, d):
-        pp = builtin_p_power(d, 0.0, 0.7)
-        rng = stream(d)
-        x = rng.standard_normal(d)
-        lo, hi = hessian_extreme_eigs(pp, x, seed=3)
-        dense = np.linalg.eigvalsh(dense_hessian(pp, x))
-        assert lo == pytest.approx(dense[0], rel=1e-6)
-        assert hi == pytest.approx(dense[-1], rel=1e-6)
-
-    def test_iteration_cap_raises(self):
-        pp = builtin_p_power(3, 0.0, 0.75)
-        with pytest.raises(NumericError) as exc:
-            hessian_extreme_eigs(pp, np.array([2.0, 1.0, 0.0]), tol=1e-16, max_iter=3)
-        assert exc.value.payload["iterations"] == 3
 
 
 class TestProfileVerification:

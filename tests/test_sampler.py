@@ -96,13 +96,6 @@ class TestRunChain:
         assert exc.value.step is not None
         assert exc.value.payload.diverged_step == exc.value.step
 
-    def test_clamp_flag_enforced(self):
-        g = builtin_gaussian_location(2, 0.0, 1.0)
-        limit = moment_clamp(g)
-        with pytest.raises(ParameterError):
-            run_chain(g, ChainConfig(gamma=2 * limit, n_steps=10, x0=[0.0, 0.0], seed=0, clamp=True))
-        run_chain(g, ChainConfig(gamma=limit, n_steps=10, x0=[0.0, 0.0], seed=0, clamp=True))
-
 
 class TestTangent:
     def test_gaussian_exact_contraction(self):

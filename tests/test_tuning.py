@@ -32,24 +32,21 @@ def sc_inputs(**kw):
 
 class TestUpsilon:
     def test_unit_case(self):
-        u = compute_upsilon(FLAT, L=1.0, d=1)
-        assert u.value == 1.0  # max(1, log 2)
-        assert u.mode == "formula-bound"
+        assert compute_upsilon(FLAT, L=1.0, d=1) == 1.0  # max(1, log 2)
 
     def test_flat_profile_scaling(self):
         # q = r = 0: Upsilon proportional to (L/c1) d log(1 + dL)
         prof = WeaklyConvexKL(c1=0.5, c2=3.0, q=0.0, r=0.0)
         u = compute_upsilon(prof, L=3.0, d=20)
-        assert u.value == pytest.approx((3.0 / 0.5) * 20 * math.log(1 + 20 * 3.0))
+        assert u == pytest.approx((3.0 / 0.5) * 20 * math.log(1 + 20 * 3.0))
 
     def test_monotone_in_d(self):
         for prof in (FLAT, PPOW):
-            vals = [compute_upsilon(prof, L=2.0, d=d).value for d in (1, 2, 5, 20)]
+            vals = [compute_upsilon(prof, L=2.0, d=d) for d in (1, 2, 5, 20)]
             assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_lower_bound_one(self):
-        u = compute_upsilon(WeaklyConvexKL(100.0, 0.1, 0.0, 0.0), L=0.1, d=1)
-        assert u.value == 1.0
+        assert compute_upsilon(WeaklyConvexKL(100.0, 0.1, 0.0, 0.0), L=0.1, d=1) == 1.0
 
 
 class TestWeakTunings:
