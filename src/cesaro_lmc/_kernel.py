@@ -1,17 +1,24 @@
-"""Build and load the compiled Gaussian chain loop (``_kernel.c``).
+"""Build and load the compiled potentials and chain loop (``_kernel.c``).
 
-The loop is compiled on the first chain that needs it, never at import,
-with ``cc -O2 -ffp-contract=off -fPIC -shared`` against numpy's shipped
+The library is compiled on first use, never at import, with
+``cc -O2 -ffp-contract=off -fPIC -shared`` against numpy's shipped
 ``libnpyrandom.a``, so its normals come from the ziggurat and Philox code
 that ``Generator.standard_normal`` runs.  The shared object is cached in a
 private per-user directory (``$XDG_CACHE_HOME/cesaro-lmc``, else
 ``~/.cache/cesaro-lmc``, mode 0700) under a name hashing the source, the
 numpy version and the flags, and is written by atomic rename.
 
-On first load, 64 normals from the loop are compared with numpy's.  If
-compiling, loading or that check fails, :func:`load` returns None, the
-sampler keeps its numpy driver (the same bits), and one line says so on
-stderr.
+On first load, 64 normals from the library are compared with numpy's.  If
+compiling, loading or that check fails, :func:`load` returns None and one
+line says so on stderr: Gaussian chains then run on the numpy driver (the
+same bits), and the logistic family, whose evaluators exist only in C,
+refuses to run.
+
+A :class:`Kernel` binds a potential's ``kernel`` field, a tuple of terms
+``("logistic", rows, cplus, cminus, mu)`` and ``("gaussian", rho, mean)``
+(at most one of each, in that order), to the library: its ``value``,
+``grad`` and ``hess_vec`` evaluate the sum of the terms and ``step``
+advances chains on it.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ def _compile(source: str, target: str) -> None:
 
 
 def _shared_object() -> str:
-    """Path of the compiled loop, building it if the cache lacks it."""
+    """Path of the compiled library, building it if the cache lacks it."""
     with open(_SOURCE, "rb") as fh:
         source = fh.read()
     key = hashlib.sha256(source + np.__version__.encode() + " ".join(_FLAGS).encode())
@@ -73,14 +80,27 @@ def _shared_object() -> str:
     return path
 
 
+class _Pot(ctypes.Structure):
+    """``lmc_pot`` of ``_kernel.c``."""
+
+    _fields_ = [("d", ctypes.c_int64), ("pairs", ctypes.c_int64), ("rows", ctypes.c_void_p),
+                ("cplus", ctypes.c_void_p), ("cminus", ctypes.c_void_p), ("mu", ctypes.c_double),
+                ("mean", ctypes.c_void_p), ("rho", ctypes.c_double)]
+
+
 def _open(path: str):
     lib = ctypes.CDLL(path)
-    p, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.lmc_normals.argtypes = [p, i64, p]
-    lib.lmc_normals.restype = None
-    lib.lmc_gaussian.argtypes = [p, i64, i64, f64, p, f64, f64, i64, i64, i64,
-                                 p, p, p, p, p, i64]
-    lib.lmc_gaussian.restype = None
+    p, i64, f64, pot = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.POINTER(_Pot)
+    signatures = {
+        "lmc_value": (None, [pot, i64, p, p]),
+        "lmc_grad": (None, [pot, i64, p, p]),
+        "lmc_hess_vec": (None, [pot, i64, p, p, p]),
+        "lmc_normals": (None, [p, i64, p]),
+        "lmc_step": (ctypes.c_int, [pot, p, i64, f64, f64, i64, i64, i64, p, p, p, p, p, i64]),
+    }
+    for name, (restype, argtypes) in signatures.items():
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
     return lib
 
 
@@ -98,7 +118,7 @@ def bitgens(gens):
 
 
 def normals(lib, gen: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` standard normals drawn by the compiled loop from ``gen``."""
+    """``n`` standard normals drawn by the compiled library from ``gen``."""
     out = np.empty(n)
     lib.lmc_normals(bitgens([gen])[0], n, out.ctypes.data)
     return out
@@ -112,7 +132,7 @@ def _self_check(lib) -> None:
 
 
 def load():
-    """The compiled loop's library, or None when it cannot be used."""
+    """The compiled library, or None when it cannot be used."""
     global _lib, _tried
     if not _tried:
         _tried = True
@@ -120,32 +140,87 @@ def load():
             lib = _open(_shared_object())
             _self_check(lib)
             _lib = lib
-        except Exception as exc:  # any failure means the numpy driver, same bits
+        except Exception as exc:  # Gaussian chains fall back to numpy, same bits
             print(
-                f"cesaro-lmc: compiled Gaussian chain loop unavailable ({exc}); "
-                "using the numpy driver",
+                f"cesaro-lmc: compiled kernel unavailable ({exc}); Gaussian chains use the "
+                "numpy driver and the logistic family cannot run",
                 file=sys.stderr,
             )
     return _lib
 
 
-def step_gaussian(lib, spec, gens, h, sqrt2h, k_sub, step0, todo,
-                  x, ces, comp, diverged, states=None):
-    """Advance the (m, d) arrays of ``_drive`` by ``todo`` coarse steps in place.
+def _array(a, shape, what):
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if a.shape != shape:
+        raise ParameterError(f"kernel {what} has shape {a.shape}, expected {shape}")
+    return a
 
-    ``spec`` is the potential's ``("gaussian", rho, mean)`` kernel field;
-    ``gens`` is :func:`bitgens` of the replicates' generators and
-    ``diverged`` an int64 array, all C-contiguous.  ``states``, if given,
-    is the observers' contiguous (m, rows, d) buffer.
-    """
-    _, rho, mean = spec
-    m, d = x.shape
-    mean = np.ascontiguousarray(mean, dtype=np.float64)
-    if mean.shape != (d,):
-        raise ParameterError(f"kernel mean has shape {mean.shape}, expected ({d},)")
-    lib.lmc_gaussian(
-        gens, m, d, rho, mean.ctypes.data, h, sqrt2h, k_sub, step0, todo,
-        x.ctypes.data, ces.ctypes.data, comp.ctypes.data, diverged.ctypes.data,
-        None if states is None else states.ctypes.data,
-        0 if states is None else states.shape[1] * d,
-    )
+
+class Kernel:
+    """The terms of a potential's ``kernel`` field on ``d`` coordinates,
+    bound to the compiled library ``lib``."""
+
+    def __init__(self, lib, terms, d: int):
+        names = tuple(t[0] for t in terms)
+        if names not in (("logistic",), ("gaussian",), ("logistic", "gaussian")):
+            raise ParameterError(f"kernel terms {names} are not a logistic and a Gaussian term")
+        self.lib, self.d = lib, d
+        self._keep = []  # the arrays the struct points into
+        pot = _Pot(d=d)
+        for term in terms:
+            if term[0] == "logistic":
+                _, rows, cplus, cminus, mu = term
+                pairs = np.shape(rows)[0]
+                arrays = (_array(rows, (pairs, d), "rows"), _array(cplus, (pairs,), "cplus"),
+                          _array(cminus, (pairs,), "cminus"))
+                pot.pairs, pot.mu = pairs, mu
+                pot.rows, pot.cplus, pot.cminus = (a.ctypes.data for a in arrays)
+            else:
+                _, rho, mean = term
+                arrays = (_array(mean, (d,), "mean"),)
+                pot.rho, pot.mean = rho, arrays[0].ctypes.data
+            self._keep.extend(arrays)
+        self._pot = pot
+
+    def _points(self, x):
+        return np.ascontiguousarray(x, dtype=np.float64).reshape(-1, self.d)
+
+    def value(self, x):
+        """Value at each point of ``x`` (``(d,)`` or ``(..., d)``)."""
+        flat = self._points(x)
+        out = np.empty(flat.shape[0])
+        self.lib.lmc_value(self._pot, flat.shape[0], flat.ctypes.data, out.ctypes.data)
+        return out.reshape(np.shape(x)[:-1])[()]
+
+    def grad(self, x):
+        """Gradient at each point of ``x``, shaped like ``x``."""
+        flat = self._points(x)
+        out = np.empty_like(flat)
+        self.lib.lmc_grad(self._pot, flat.shape[0], flat.ctypes.data, out.ctypes.data)
+        return out.reshape(np.shape(x))
+
+    def hess_vec(self, x, v):
+        """Hessian at each point of ``x`` applied to ``v``, broadcast together."""
+        x, v = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(v, dtype=np.float64))
+        fx, fv = self._points(x), self._points(v)
+        out = np.empty_like(fx)
+        self.lib.lmc_hess_vec(self._pot, fx.shape[0], fx.ctypes.data, fv.ctypes.data,
+                              out.ctypes.data)
+        return out.reshape(x.shape)
+
+    def step(self, gens, h, sqrt2h, k_sub, step0, todo, x, ces, comp, diverged, states=None):
+        """Advance the (m, d) arrays of ``_drive`` by ``todo`` coarse steps in place.
+
+        ``gens`` is :func:`bitgens` of the replicates' generators and
+        ``diverged`` an int64 array, all C-contiguous.  ``states``, if
+        given, is the observers' contiguous (m, rows, d) buffer.
+        """
+        m = x.shape[0]
+        rc = self.lib.lmc_step(
+            self._pot, gens, m, h, sqrt2h, k_sub, step0, todo,
+            x.ctypes.data, ces.ctypes.data, comp.ctypes.data, diverged.ctypes.data,
+            None if states is None else states.ctypes.data,
+            0 if states is None else states.shape[1] * self.d,
+        )
+        if rc != 0:
+            raise MemoryError("the chain loop could not allocate its gradient buffer")

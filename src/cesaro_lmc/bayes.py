@@ -10,10 +10,12 @@ needed; the normalizing constant is never computed.
 
 Each model family gives the sum over its observations through one method,
 ``sum_potential(obs)``, which returns ``(value, grad, hess_vec, profile,
-L_sum)``: the three evaluators of sum_i U(xi_i, .), its aggregated
-curvature profile (None when none is claimed) and the Lipschitz constant
-of its gradient.  ``build_posterior`` adds the prior to these in one path
-for every family.
+L_sum, kernel)``: the three evaluators of sum_i U(xi_i, .), its aggregated
+curvature profile (None when none is claimed), the Lipschitz constant of
+its gradient and its compiled kernel terms (None when it has none).
+``build_posterior`` adds the prior to these in one path for every family;
+when the sum carries a logistic term and the prior a Gaussian one, the
+posterior carries both, in that order, and its chains run compiled.
 
 Aggregation of regularity constants: a rho-strongly-convex per-observation
 model yields an (n*rho)-strongly-convex sum (the prior's curvature is a
@@ -24,9 +26,10 @@ prior's contribution so it is a true bound for the full potential.
 
 The sum over observations is never streamed per observation where it need
 not be: the Gaussian location family collapses it to sufficient statistics,
-and the logistic family to a weighted sum over its distinct (feature,
-label) rows, at most 2m of them for an m-row design (``builtin_logistic``).
-No evaluator goes through BLAS, so a point's value, gradient and
+and the logistic family to a weighted sum over sign pairs of its distinct
+(feature, label) rows, at most m pairs, and so at most m exponentials per
+gradient, for an m-row design (``builtin_logistic``, compiled).  No
+evaluator goes through BLAS, so a point's value, gradient and
 Hessian-vector product do not depend on the batch it is evaluated in.
 """
 
@@ -160,7 +163,7 @@ class GaussianLocationModel:
             shape = np.broadcast_shapes(np.shape(theta), v.shape)
             return n * rho * np.broadcast_to(v, shape).copy()
 
-        return value, grad, hess_vec, StronglyConvex(n * rho), n * rho
+        return value, grad, hess_vec, StronglyConvex(n * rho), n * rho, None
 
 
 class PPowerLocationModel:
@@ -242,7 +245,7 @@ class PPowerLocationModel:
                 )
             return out
 
-        return value, grad, hess_vec, profile, n * self.per_obs_L
+        return value, grad, hess_vec, profile, n * self.per_obs_L, None
 
 
 class LogisticModel:
@@ -284,13 +287,14 @@ class LogisticModel:
         return obs[..., -1]
 
     def sum_potential(self, obs: np.ndarray):
-        """The sum over the distinct (feature, label) rows, weighted by their
-        multiplicities (``builtin_logistic``); the per-observation ridge
-        accumulates n-fold."""
+        """The sum over the sign pairs of the distinct (feature, label) rows,
+        weighted by their multiplicities (``builtin_logistic``, whose kernel
+        term it hands back); the per-observation ridge accumulates n-fold."""
         n = obs.shape[0]
         inner = builtin_logistic(obs[:, :-1], obs[:, -1], ridge=n * self.ridge)
         profile = StronglyConvex(n * self.ridge) if self.ridge > 0 else None
-        return inner.value, inner.grad, inner.hess_vec, profile, n * self.per_obs_L
+        return (inner.value, inner.grad, inner.hess_vec, profile, n * self.per_obs_L,
+                inner.kernel)
 
     def psi_mean(self, theta) -> float:
         theta = np.asarray(theta, dtype=float)
@@ -322,8 +326,13 @@ def build_posterior(model, data: Dataset, prior: Potential) -> PosteriorPotentia
         raise ParameterError(f"observation dimension {obs.shape[1]} does not match model q={model.q}")
     if n == 0:  # the posterior is the prior
         value, grad, hess_vec, profile, base_L = prior.value, prior.grad, prior.hess_vec, None, 0.0
+        kernel = prior.kernel
     else:
-        base_value, base_grad, base_hess_vec, profile, base_L = model.sum_potential(obs)
+        base_value, base_grad, base_hess_vec, profile, base_L, kernel = model.sum_potential(obs)
+        # the compiled loop adds a logistic term, then a Gaussian one: the
+        # order in which grad below adds the sum and the prior
+        terms = kernel + prior.kernel if kernel and prior.kernel else ()
+        kernel = terms if tuple(t[0] for t in terms) == ("logistic", "gaussian") else None
 
         def value(theta):
             return base_value(theta) + prior.value(theta)
@@ -343,6 +352,7 @@ def build_posterior(model, data: Dataset, prior: Potential) -> PosteriorPotentia
         smoothness=Smoothness(L=total_L),
         profile=profile,
         name=f"posterior[{model.model_id}, n={n}]",
+        kernel=kernel,
     )
     mode = find_minimizer(pot, np.zeros(model.d), tol_grad=1e-9 * max(1.0, total_L))
     pot = dataclasses.replace(pot, minimizer_hint=mode, offset=1.0 - float(pot.value(mode)))

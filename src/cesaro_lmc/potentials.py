@@ -89,10 +89,11 @@ class Potential:
     ``value``/``grad``/``hess_vec`` accept points of shape ``(d,)`` or
     batches ``(m, d)``.  ``offset`` is the additive constant placing the
     minimum of the *normalized* potential at 1 (used by every W-power
-    check); ``value`` itself is the raw formula.  ``kernel``, when set,
-    names a compiled chain loop that steps this potential with the same
-    bits as ``grad`` (``("gaussian", rho, mean)``); ``dataclasses.replace``
-    keeps it, so a potential with wrapped evaluators steps the same code.
+    check); ``value`` itself is the raw formula.  ``kernel``, when set, is
+    the tuple of terms (``("logistic", rows, cplus, cminus, mu)``, then
+    ``("gaussian", rho, mean)``) whose sum the compiled chain loop steps
+    with the same bits as ``grad``; ``dataclasses.replace`` keeps it, so a
+    potential with wrapped evaluators steps the same code.
     """
 
     dim: int
@@ -162,7 +163,7 @@ def builtin_gaussian_location(d: int, mean, precision: float) -> Potential:
         minimizer_hint=m,
         offset=1.0,
         name=f"gaussian(d={d},rho={rho})",
-        kernel=("gaussian", rho, m),
+        kernel=(("gaussian", rho, m),),
     )
 
 
@@ -227,14 +228,16 @@ def builtin_logistic(features, labels, ridge: float = 0.0) -> Potential:
     Strongly convex with modulus ``ridge`` when ridge > 0; without ridge no
     curvature profile is claimed (flagged "kl-unverified").
 
-    Repeated rows of y_i a_i are collapsed once, here: each distinct row is
-    kept once, in order of first appearance, with its multiplicity c_u as a
-    float weight, and the evaluators sum c_u f(<b_u, theta>) over those rows.
-    With all rows distinct every weight is 1.0 and the sum is the plain
-    per-observation one.  The inner products add the coordinate products in
-    order and the sums over rows are ``np.sum`` over the row axis; nothing
-    goes through BLAS, so a point's result does not depend on the batch it
-    is evaluated in.
+    The rows b_i = y_i a_i are collapsed once, here, into sign pairs: each
+    distinct row b and its negation -b share one base row, kept in order of
+    first appearance, with two float weights, the multiplicities c+ of b
+    and c- of -b (a zero row is its own negation and counts in c+ only).
+    The evaluators are the compiled ones of ``_kernel.c``, which sum
+    c+ f(z) + c- f(-z) over the pairs with z = <b, theta> and one exp per
+    pair; the potential's ``kernel`` field carries the same term, so chains
+    step the same code.  Every point is evaluated on its own, so its result
+    does not depend on the batch.  Without a C compiler this family cannot
+    run and CapabilityError is raised.
     """
     a = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.atleast_1d(np.asarray(labels, dtype=float))
@@ -246,50 +249,38 @@ def builtin_logistic(features, labels, ridge: float = 0.0) -> Potential:
         raise ParameterError("labels must lie in {-1, +1}")
     if ridge < 0:
         raise ParameterError(f"ridge must be >= 0, got {ridge}")
+    from . import _kernel  # at the first logistic potential, not at package import
+
+    lib = _kernel.load()
+    if lib is None:
+        raise CapabilityError("the logistic family needs its compiled evaluators, which "
+                              "could not be built (is a C compiler installed?)")
     d = a.shape[1]
     mu = float(ridge)
-    ya = y[:, None] * a
-    _, first, counts = np.unique(ya, axis=0, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    c = counts[order].astype(float)  # (u,) multiplicities
-    # (d, u): the distinct rows in order of first appearance, as columns so
-    # the sums over rows reduce a contiguous axis
-    ya_t = np.ascontiguousarray(ya[first[order]].T)
-    # batch rows per sum_rows pass: its (rows, d, u) product stays within
-    # 2^22 doubles (32 MiB) however many points and distinct rows there are
-    per_pass = max(1, (1 << 22) // ya_t.size)
-
-    def dot_rows(x):
-        # <x, b_u> for every row u, the products added in coordinate order
-        z = x[..., :1] * ya_t[0]
-        for j in range(1, d):
-            z += x[..., j : j + 1] * ya_t[j]
-        return z  # (..., u)
-
-    def sum_rows(s):
-        # sum_u s_u b_u, (..., d); a row's sum does not depend on its pass
-        flat = s.reshape(-1, s.shape[-1])
-        out = np.empty((flat.shape[0], d))
-        for k in range(0, flat.shape[0], per_pass):
-            rows = slice(k, k + per_pass)
-            np.sum(flat[rows, None, :] * ya_t, axis=-1, out=out[rows])
-        return out.reshape(s.shape[:-1] + (d,))
+    b = y[:, None] * a
+    # a row's sign is that of its first nonzero coordinate (a zero row is +);
+    # np.unique takes -0.0 and 0.0 as equal
+    lead = b[np.arange(b.shape[0]), np.argmax(b != 0.0, axis=1)]
+    sign = np.where(lead < 0.0, -1.0, 1.0)
+    _, first, pair = np.unique(sign[:, None] * b, axis=0, return_index=True,
+                               return_inverse=True)
+    pair = pair.reshape(-1)
+    plus = sign[first][pair] == sign  # the row is its pair's first row, not its negation
+    order = np.argsort(first)  # pairs in order of first appearance
+    cplus = np.bincount(pair[plus], minlength=first.size)[order].astype(float)
+    cminus = np.bincount(pair[~plus], minlength=first.size)[order].astype(float)
+    rows = np.ascontiguousarray(b[first[order]])
+    kernel = (("logistic", rows, cplus, cminus, mu),)
+    ev = _kernel.Kernel(lib, kernel, d)
 
     def value(x):
-        x = _as_point(x, d)
-        loss = np.sum(c * np.logaddexp(0.0, -dot_rows(x)), axis=-1)
-        return loss + 0.5 * mu * np.sum(x**2, axis=-1)
+        return ev.value(_as_point(x, d))
 
     def grad(x):
-        x = _as_point(x, d)
-        return -sum_rows(c * _sigmoid(-dot_rows(x))) + mu * x
+        return ev.grad(_as_point(x, d))
 
     def hess_vec(x, v):
-        x = _as_point(x, d)
-        v = np.asarray(v, dtype=float)
-        z = dot_rows(x)
-        w = _sigmoid(z) * _sigmoid(-z)  # (..., u)
-        return sum_rows(c * w * dot_rows(v)) + mu * v
+        return ev.hess_vec(_as_point(x, d), v)
 
     # Hessian = sum_i a_i a_i^T sigma(1-sigma) + mu I, so the summed bound
     # applies; the all-zero design has a constant gradient, keep L positive
@@ -306,13 +297,8 @@ def builtin_logistic(features, labels, ridge: float = 0.0) -> Potential:
         offset=0.0,
         name=f"logistic(d={d},n={a.shape[0]},ridge={mu})",
         profile_note="" if mu > 0 else "kl-unverified",
+        kernel=kernel,
     )
-
-
-def _sigmoid(z):
-    # 1/(1 + e^-z) for z >= 0 and e^z/(1 + e^z) below, both from e^-|z|
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def dense_hessian(pot: Potential, x) -> np.ndarray:

@@ -14,23 +14,27 @@ Philox stream per replicate, so results are bit-identical to running each
 chain alone and independent of how replicates are partitioned.
 
 The driver fills one preallocated (replicates, steps, d) noise block in
-place, stream by stream, at most 2^22 doubles; the Philox stream does not
-depend on how draws are chunked, so block size never moves a bit.  The
-Euler and Kahan updates write into fixed buffers, in the same IEEE
-operation order as the plain expressions.  Divergence (a coordinate at
+place, stream by stream, at most 2^22 doubles, and scales it by
+sqrt(2 gamma/K) in one pass; the Philox stream does not depend on how draws
+are chunked, so block size never moves a bit.  The Euler and Kahan updates
+write into fixed buffers, in the same IEEE operation order as the plain
+expressions.  Divergence (a coordinate at
 least 1e12 in magnitude, NaN or inf) is screened by one reduction over the
 whole batch per step; the per-replicate check runs only when it trips.  A
 diverged replicate restarts from its x0 inside the driver, so it does not
 trip the screen on every later step; every output shows it as NaN.
 
-The built-in Gaussian potential carries the kernel field
-``("gaussian", rho, mean)``; its chains are stepped instead by the
-compiled loop of ``_kernel.c`` (built on the first such chain), one
-replicate at a time, through the same IEEE operations in the same order,
-with normals drawn by numpy's own ``random_standard_normal`` on the
-replicate's Philox generator.  It needs no noise block and gives the same
-bits; when it cannot be built the numpy driver runs instead.  The path is
-chosen from the kernel field, never from the identity of ``pot.grad``.
+A potential with a ``kernel`` field (the built-in Gaussian, the logistic
+potentials and the logistic posterior) is stepped instead by the compiled
+loop of ``_kernel.c`` (built on first use), one replicate at a time, with
+the gradient code its compiled evaluators run and the same IEEE operations
+in the same order as this driver, with normals drawn by numpy's own
+``random_standard_normal`` on the replicate's Philox generator.  It needs
+no noise block and gives the same bits as this driver stepping the same
+potential without its kernel field.  When the loop cannot be built,
+Gaussian chains run here instead (the logistic family cannot be built at
+all then).  The path is chosen from the kernel field, never from the
+identity of ``pot.grad``; every other potential uses this driver.
 
 Diagnostics observe the chain rather than step a copy of it.  An observer
 is a callable ``ob(k0, states, diverged)`` that the driver calls once per
@@ -123,8 +127,8 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
     Returns (cesaro, final, diverged_step) with a leading batch axis and
     calls each observer once per noise block (see the module docstring).
     Diverged rows are NaN in every output and the survivors keep running.
-    A potential whose ``kernel`` is ``("gaussian", ...)`` is stepped by the
-    compiled loop when it loads, else by numpy; both give the same bits.
+    A potential with a ``kernel`` field is stepped by the compiled loop when
+    it loads, else by numpy; both give the same bits.
     """
     m, d = x0_batch.shape
     k_sub = cfg.fine_substeps
@@ -141,18 +145,20 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
     # one noise block of at most 2^22 doubles (32 MiB), filled in place per
     # stream; single chains keep 8192-step blocks
     chunk = max(1, min(8192 // k_sub, n, (1 << 22) // max(1, m * d * k_sub)))
-    lib = None
-    if pot.kernel is not None and pot.kernel[0] == "gaussian":
-        from . import _kernel  # at the first Gaussian chain, not at package import
+    kern = None
+    if pot.kernel is not None:
+        from . import _kernel  # at the first compiled chain, not at package import
 
         lib = _kernel.load()
-    if lib is not None:
+        if lib is not None:
+            kern = _kernel.Kernel(lib, pot.kernel, d)
+    if kern is not None:
         bitgens = _kernel.bitgens(gens)
         if not observers:
             chunk = n  # the compiled loop needs no noise block
     else:
         block = np.empty((m, chunk * k_sub, d))
-        t1, t2, hg, sz = (np.empty((m, d)) for _ in range(4))
+        t1, t2, hg = (np.empty((m, d)) for _ in range(3))
         alive = np.ones(m, dtype=bool)
     states = np.empty((m, chunk * k_sub, d)) if observers else None
     step = 0
@@ -160,12 +166,12 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
         while step < n:
             todo = min(chunk, n - step)
             rows = todo * k_sub
-            if lib is not None:
-                _kernel.step_gaussian(lib, pot.kernel, bitgens, h, sqrt2h, k_sub, step, todo,
-                                      x, ces, comp, diverged, states)
+            if kern is not None:
+                kern.step(bitgens, h, sqrt2h, k_sub, step, todo, x, ces, comp, diverged, states)
             else:
                 for i, g in enumerate(gens):
                     g.standard_normal((rows, d), out=block[i, :rows])
+                block[:, :rows] *= sqrt2h
                 for j in range(todo):
                     k = step + j
                     # Cesaro includes the current (pre-step) state: indices 0..N-1
@@ -179,9 +185,8 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
                             states[:, r] = x
                         # grad's output may alias x, so it is read, never written
                         np.multiply(pot.grad(x), h, out=hg)
-                        np.multiply(block[:, r], sqrt2h, out=sz)
                         x -= hg
-                        x += sz
+                        x += block[:, r]
                     # NaN/inf fail the comparison: one whole-array reduction screens
                     # the batch, the per-row check runs only when it trips
                     if not np.abs(x).max() < _DIVERGE_LIMIT:

@@ -1,19 +1,35 @@
-"""The compiled Gaussian chain loop against the numpy driver, bit for bit."""
+"""The compiled chain loop against the numpy driver, bit for bit.
+
+The numpy driver steps the same potential with its ``kernel`` field
+stripped, so for the logistic family it calls the same compiled ``grad``
+that the loop's gradient code is checked against.
+"""
 
 import dataclasses
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from cesaro_lmc import _kernel
+from cesaro_lmc.bayes import LogisticModel, build_posterior, sample_dataset, standard_gaussian_prior
 from cesaro_lmc.diagnostics import moment_check
-from cesaro_lmc.errors import DivergenceError
-from cesaro_lmc.potentials import builtin_gaussian_location
-from cesaro_lmc.rng import mix64
+from cesaro_lmc.errors import CapabilityError, DivergenceError
+from cesaro_lmc.potentials import builtin_gaussian_location, builtin_logistic
+from cesaro_lmc.rng import mix64, stream
 from cesaro_lmc.sampler import ChainConfig, dump_trajectory, replicate_runs, run_chain
 
 GAUSS = builtin_gaussian_location(2, [0.3, -0.7], 1.5)
+LOGISTIC = builtin_logistic(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]]), [1, -1, 1], ridge=1.0)
+MODEL = LogisticModel(stream(4).standard_normal((10, 2)), ridge=0.5)
+POSTERIOR = build_posterior(
+    MODEL, sample_dataset(MODEL, [0.4, -0.3], 200, seed=8), standard_gaussian_prior(2)
+).potential
+KERNEL_POTS = [GAUSS, LOGISTIC, POSTERIOR]
+IDS = ["gaussian", "logistic", "posterior"]
 
 
 @pytest.fixture(scope="module")
@@ -24,11 +40,9 @@ def lib():
     return lib
 
 
-def on_numpy(monkeypatch, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` with the compiled loop made unavailable."""
-    with monkeypatch.context() as mp:
-        mp.setattr(_kernel, "load", lambda: None)
-        return fn(*args, **kwargs)
+def on_numpy(pot):
+    """``pot`` without its kernel field: the numpy driver steps it."""
+    return dataclasses.replace(pot, kernel=None)
 
 
 def outputs(runs):
@@ -54,46 +68,61 @@ class TestNormals:
 
 
 class TestAgainstNumpyDriver:
-    @pytest.mark.parametrize("m", [1, 7, 2000])
+    @pytest.mark.parametrize("pot", KERNEL_POTS, ids=IDS)
+    @pytest.mark.parametrize("m", [1, 7, 200])
     @pytest.mark.parametrize("k_sub", [1, 3])
-    def test_replicates(self, lib, monkeypatch, m, k_sub):
-        n = 50 if m == 2000 else 3001
-        cfg = ChainConfig(gamma=0.05, n_steps=n, x0=[0.5, 0.1], seed=0, fine_substeps=k_sub,
-                          track_tangent=m < 2000, checkpoints=40)
-        mine = outputs(replicate_runs(GAUSS, cfg, m, base_seed=21))
-        ref = outputs(on_numpy(monkeypatch, replicate_runs, GAUSS, cfg, m, base_seed=21))
-        assert mine == ref
+    def test_replicates(self, lib, pot, m, k_sub):
+        n = 300 if m == 200 else 3001
+        cfg = ChainConfig(gamma=0.5 / pot.smoothness.L, n_steps=n, x0=[0.5, 0.1], seed=0,
+                          fine_substeps=k_sub, track_tangent=True, checkpoints=40)
+        mine = outputs(replicate_runs(pot, cfg, m, base_seed=21))
+        assert mine == outputs(replicate_runs(on_numpy(pot), cfg, m, base_seed=21))
 
-    def test_dump_across_block_edge(self, lib, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("k_sub", [1, 3])
+    def test_gaussian_at_wide_m(self, lib, k_sub):
+        cfg = ChainConfig(gamma=0.05, n_steps=50, x0=[0.5, 0.1], seed=0, fine_substeps=k_sub)
+        mine = outputs(replicate_runs(GAUSS, cfg, 2000, base_seed=21))
+        assert mine == outputs(replicate_runs(on_numpy(GAUSS), cfg, 2000, base_seed=21))
+
+    @pytest.mark.parametrize("pot", KERNEL_POTS, ids=IDS)
+    def test_dump_across_block_edge(self, lib, pot, tmp_path):
         # K=3 gives 2730-step noise blocks; 6000 steps cross two block edges
-        cfg = ChainConfig(gamma=0.2, n_steps=6000, x0=[1.0, -1.0], seed=8, fine_substeps=3)
+        cfg = ChainConfig(gamma=0.4 / pot.smoothness.L, n_steps=6000, x0=[1.0, -1.0], seed=8,
+                          fine_substeps=3)
 
-        def dump(tag):
+        def dump(p, tag):
             frames = tmp_path / f"{tag}.bin"
-            dump_trajectory(GAUSS, cfg, frames, tmp_path / f"{tag}.json", stride=7)
+            dump_trajectory(p, cfg, frames, tmp_path / f"{tag}.json", stride=7)
             return frames.read_bytes()
 
-        mine = dump("c")
+        mine = dump(pot, "c")
         assert len(mine) == 8 * 2 * len(range(0, 6000, 7))
-        assert mine == on_numpy(monkeypatch, dump, "n")
+        assert mine == dump(on_numpy(pot), "n")
 
-    def test_moment_check(self, lib, monkeypatch):
-        cfg = ChainConfig(gamma=0.01, n_steps=20000, x0=[0.5, 0.5], seed=4)
-        mine = moment_check(GAUSS, cfg)
-        assert repr(mine) == repr(on_numpy(monkeypatch, moment_check, GAUSS, cfg))
+    @pytest.mark.parametrize("pot", KERNEL_POTS, ids=IDS)
+    def test_moment_check(self, lib, pot):
+        cfg = ChainConfig(gamma=0.02 / pot.smoothness.L, n_steps=20000, x0=[0.5, 0.5], seed=4)
+        mine = moment_check(pot, cfg)
+        assert repr(mine) == repr(moment_check(on_numpy(pot), cfg))
 
-    def test_partly_diverging_batch(self, lib, monkeypatch):
-        # gamma just above 2/rho: |1 - gamma rho| = 1.05, so the noise a
-        # replicate gathered decides whether it passes 1e12 within n steps
-        pot = builtin_gaussian_location(2, [0.1, -0.2], 1.0)
-        cfg = ChainConfig(gamma=2.05, n_steps=540, x0=[0.0, 0.0], seed=0, track_tangent=True,
+    # step sizes just above 2 / (curvature far out), |1 - gamma curvature| = 1.05
+    # there, so the noise a replicate gathered decides whether it passes 1e12
+    # within n steps
+    @pytest.mark.parametrize(
+        "pot, gamma, n",
+        [(builtin_gaussian_location(2, [0.1, -0.2], 1.0), 2.05, 540),
+         (LOGISTIC, 2.05, 494),
+         (POSTERIOR, 2.05 / 101.0, 494)],
+        ids=IDS,
+    )
+    def test_partly_diverging_batch(self, lib, pot, gamma, n):
+        cfg = ChainConfig(gamma=gamma, n_steps=n, x0=[0.0, 0.0], seed=0, track_tangent=True,
                           checkpoints=50)
         runs = replicate_runs(pot, cfg, 64, base_seed=5)
         steps = {r.diverged_step for r in runs} - {None}
         lost = sum(r.diverged_step is not None for r in runs)
         assert 0 < lost < 64 and len(steps) > 1
-        assert outputs(runs) == outputs(
-            on_numpy(monkeypatch, replicate_runs, pot, cfg, 64, base_seed=5))
+        assert outputs(runs) == outputs(replicate_runs(on_numpy(pot), cfg, 64, base_seed=5))
         for i, run in enumerate(runs):
             single = dataclasses.replace(cfg, seed=mix64(5, i))
             try:
@@ -103,20 +132,55 @@ class TestAgainstNumpyDriver:
             assert outputs([alone]) == outputs([run])
 
 
-def test_path_follows_the_kernel_field(lib):
-    """A potential with wrapped evaluators (as a tracer builds them) keeps the
-    compiled loop, so its gradient is never called inside the chain."""
+def _traced(pot, calls):
+    """``pot`` with wrapped evaluators, as a tracer builds them; ``calls``
+    records each evaluator called."""
+
+    def wrap(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    return dataclasses.replace(pot, **{name: wrap(name, getattr(pot, name))
+                                       for name in ("value", "grad", "hess_vec")})
+
+
+@pytest.mark.parametrize("pot", KERNEL_POTS, ids=IDS)
+def test_path_follows_the_kernel_field(lib, pot):
+    """A potential with wrapped evaluators keeps the compiled loop, so its
+    gradient is never called inside the chain."""
     calls = []
-
-    def grad(x):
-        calls.append(1)
-        return GAUSS.grad(x)
-
-    traced = dataclasses.replace(GAUSS, grad=grad)
-    cfg = ChainConfig(gamma=0.1, n_steps=500, x0=[0.0, 0.0], seed=0)
-    assert outputs(replicate_runs(traced, cfg, 3, base_seed=2)) == outputs(
-        replicate_runs(GAUSS, cfg, 3, base_seed=2))
+    cfg = ChainConfig(gamma=0.5 / pot.smoothness.L, n_steps=500, x0=[0.0, 0.0], seed=0)
+    assert outputs(replicate_runs(_traced(pot, calls), cfg, 3, base_seed=2)) == outputs(
+        replicate_runs(pot, cfg, 3, base_seed=2))
     assert calls == []
+
+
+def test_posterior_kernel_is_the_posterior(lib):
+    """The compiled evaluators of the posterior's terms equal its composed
+    ones (logistic sum plus prior), bit for bit."""
+    assert [t[0] for t in POSTERIOR.kernel] == ["logistic", "gaussian"]
+    xs, vs = stream(3).standard_normal((2, 50, 2)) * 3.0
+    kern = _kernel.Kernel(lib, POSTERIOR.kernel, 2)
+    assert kern.grad(xs).tobytes() == POSTERIOR.grad(xs).tobytes()
+    assert kern.value(xs).tobytes() == POSTERIOR.value(xs).tobytes()
+    assert kern.hess_vec(xs, vs).tobytes() == POSTERIOR.hess_vec(xs, vs).tobytes()
+
+
+def _logistic_run_config(tmp_path):
+    cfg = {
+        "model": {"family": "logistic", "d": 2, "theta_star": [0.3, -0.2],
+                  "params": {"design": [[1.0, 0.5], [-0.3, 1.2], [0.8, -0.9]], "ridge": 0.5}},
+        "prior": {"family": "standard_gaussian"},
+        "data": {"n": 60, "seed": 3},
+        "tuning": {"regime": "bayes-sc-i.a"},
+        "run": {"M": 4, "base_seed": 1, "output_dir": "unused"},
+    }
+    path = tmp_path / "logistic.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
 
 def test_fallback_when_the_compiler_fails(lib, monkeypatch, tmp_path, capsys):
@@ -134,8 +198,29 @@ def test_fallback_when_the_compiler_fails(lib, monkeypatch, tmp_path, capsys):
     assert outputs(replicate_runs(GAUSS, cfg, 9, base_seed=3)) == ref
     assert outputs(replicate_runs(GAUSS, cfg, 9, base_seed=3)) == ref
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "using the numpy driver" in err
+    assert err.count("\n") == 1 and "Gaussian chains use the numpy driver" in err
     assert list(tmp_path.iterdir()) == []  # no half-written object is left
+    # the logistic family has no numpy evaluators: it refuses, in one line
+    with pytest.raises(CapabilityError, match="compiled evaluators") as exc:
+        builtin_logistic(np.array([[1.0, 0.0]]), [1])
+    assert "\n" not in str(exc.value)
+    data = sample_dataset(MODEL, [0.4, -0.3], 20, seed=8)
+    with pytest.raises(CapabilityError, match="compiled evaluators"):
+        build_posterior(MODEL, data, standard_gaussian_prior(2))
+
+
+def test_cli_without_a_compiler_exits_2_on_a_logistic_run(tmp_path):
+    """No ``cc`` on PATH and an empty cache: ``run`` on a logistic config
+    exits 2 with one ``error:`` line and no traceback."""
+    (tmp_path / "bin").mkdir()
+    env = dict(os.environ, PATH=str(tmp_path / "bin"), XDG_CACHE_HOME=str(tmp_path / "cache"))
+    argv = ["run", "--config", str(_logistic_run_config(tmp_path)), "--output", str(tmp_path / "o")]
+    proc = subprocess.run([sys.executable, "-m", "cesaro_lmc.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error: ")]
+    assert len(errors) == 1 and "compiled evaluators" in errors[0]
 
 
 def test_cache_is_private(lib):

@@ -212,11 +212,22 @@ class TestLogisticRowWeights:
     )
     LABELS = [1, -1, 1, 1, -1, -1, -1, 1, 1]
 
+    # (features, labels, sign pairs): a zero row, which is its own negation,
+    # seen with both labels; rows seen with one label only; rows whose
+    # coordinates are +0.0 or -0.0
+    EDGES = {
+        "zero-row": ([[0.0, 0.0], [1.0, 0.5], [0.0, 0.0], [-0.0, 0.0]], [1, -1, -1, 1], 2),
+        "one-label": ([[2.0, -1.0], [2.0, -1.0], [-0.3, 1.2]], [1, 1, -1], 2),
+        "signed-zeros": ([[-0.0, 0.7], [0.0, 0.7], [0.0, -0.7], [0.3, -0.0], [-0.3, 0.0]],
+                         [1, -1, 1, -1, -1], 2),
+    }
+
     @staticmethod
-    def _reference(x, v, ridge):
+    def _reference(x, v, ridge, features=FEATURES, labels=LABELS):
         # the plain per-observation sums, one observation at a time
-        val, grad, hv = 0.5 * ridge * float(x @ x), ridge * x, ridge * v
-        for a, y in zip(TestLogisticRowWeights.FEATURES, TestLogisticRowWeights.LABELS):
+        val = 0.5 * ridge * float(x @ x) if ridge else 0.0
+        grad, hv = ridge * x, ridge * v
+        for a, y in zip(np.asarray(features, dtype=float), labels):
             z = y * float(a @ x)
             sig = 1.0 / (1.0 + np.exp(z))  # sigma(-z)
             val += float(np.logaddexp(0.0, -z))
@@ -224,20 +235,48 @@ class TestLogisticRowWeights:
             hv = hv + sig * (1.0 - sig) * float(a @ v) * a
         return val, grad, hv
 
+    def _check(self, pot, x, v, ridge, features=FEATURES, labels=LABELS):
+        val, grad, hv = self._reference(x, v, ridge, features, labels)
+        assert float(pot.value(x)) == pytest.approx(val, rel=1e-12)
+        assert np.allclose(pot.grad(x), grad, rtol=1e-12, atol=0)
+        assert np.allclose(pot.hess_vec(x, v), hv, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("ridge", [0.0, 0.5])
     def test_weighted_rows_match_per_observation_sum(self, ridge):
         pot = builtin_logistic(self.FEATURES, self.LABELS, ridge=ridge)
+        # (1, 0.5), (-0.3, 1.2), (2, -1) and (0, 0.7) with their negations
+        assert pot.kernel[0][1].shape == (4, 2)
         rng = stream(12)
         for _ in range(20):
             x, v = rng.standard_normal((2, 2)) * 2.0
-            val, grad, hv = self._reference(x, v, ridge)
-            assert float(pot.value(x)) == pytest.approx(val, rel=1e-12)
-            assert np.allclose(pot.grad(x), grad, rtol=1e-12, atol=0)
-            assert np.allclose(pot.hess_vec(x, v), hv, rtol=1e-12, atol=0)
+            self._check(pot, x, v, ridge)
 
-    def test_large_row_sets_are_summed_in_passes(self):
-        # 500000 distinct rows in d=3 leave room for two batch rows per pass
-        # of the row sums (2^22 doubles), so a batch of 5 takes passes of 2, 2, 1
+    @pytest.mark.parametrize("case", sorted(EDGES))
+    def test_pairing_edge_cases(self, case):
+        features, labels, pairs = self.EDGES[case]
+        pot = builtin_logistic(features, labels, ridge=0.5)
+        _, rows, cplus, cminus, _ = pot.kernel[0]
+        assert rows.shape == (pairs, 2)
+        assert np.all(cplus > 0) and np.sum(cplus) + np.sum(cminus) == len(labels)
+        rng = stream(14)
+        for _ in range(20):
+            x, v = rng.standard_normal((2, 2)) * 2.0
+            self._check(pot, x, v, 0.5, features, labels)
+
+    def test_zero_weight_adds_nothing_where_the_product_overflows(self):
+        # <a, x> overflows to +inf for the first row: its one label makes the
+        # loss 0 there, and the absent label's zero weight must not turn that
+        # into 0 * inf = NaN
+        features, labels = [[1e150, 1e150], [1.0, 0.5]], [1, -1]
+        pot = builtin_logistic(features, labels)
+        x, v = np.array([1e160, 1e160]), np.array([0.3, -0.2])
+        assert float(pot.value(x)) == 1.5e160
+        with np.errstate(over="ignore"):  # the reference overflows as well
+            self._check(pot, x, v, 0.0, features, labels)
+            self._check(pot, -x, v, 0.0, features, labels)  # loss inf, not NaN
+
+    def test_large_row_sets_match_the_reference_in_any_batch(self):
+        # 500000 distinct rows in d=3
         rng = stream(13)
         feats = rng.standard_normal((500_000, 3))
         labels = np.where(rng.random(500_000) < 0.5, -1.0, 1.0)
