@@ -16,11 +16,11 @@
  * operations, in the same order, as the numpy driver (sampler._drive): the
  * Kahan Cesaro update, K Euler substeps, then the divergence test.  For a
  * Gaussian term alone the gradient is rho * (x - mean); with both terms it
- * is (S + mu x) + rho (x - mean), the order in which bayes.build_posterior
- * adds a logistic sum and its prior.  Noise comes from numpy's own
- * random_standard_normal on the replicate's Philox bitgen_t, the code
- * Generator.standard_normal runs, so the chain draws the same variates
- * without a noise block.
+ * is (S + mu x) + rho (x - mean): a logistic sum, then its prior, as a
+ * logistic posterior (bayes.build_posterior) adds them.  Noise comes from
+ * numpy's own random_standard_normal on the replicate's Philox bitgen_t,
+ * the code Generator.standard_normal runs, so the chain draws the same
+ * variates without a noise block.
  *
  * Build with -ffp-contract=off: a fused multiply-add would round once
  * where numpy rounds twice.
@@ -171,9 +171,7 @@ int lmc_step(const lmc_pot *p, bitgen_t **gens, int64_t m, double h, double sqrt
              int64_t k_sub, int64_t step0, int64_t todo, double *x, double *ces,
              double *comp, int64_t *diverged, double *states, int64_t states_stride)
 {
-    /* locals, so the normal draws (opaque calls) do not force reloads */
-    const int64_t d = p->d, pairs = p->pairs;
-    const double rho = p->rho, *mean = p->mean;
+    const int64_t d = p->d;
     double *g = malloc((size_t)d * sizeof(double));
     if (!g)
         return -1;
@@ -196,20 +194,11 @@ int lmc_step(const lmc_pot *p, bitgen_t **gens, int64_t m, double h, double sqrt
                     memcpy(row, xi, (size_t)d * sizeof(double));
                     row += d;
                 }
-                /* a Gaussian term alone is separable, so its gradient is formed
-                 * next to each draw: the gradient buffer and a branch per
-                 * coordinate measured 3% slower on Gaussian chains */
-                if (pairs) {
-                    grad_point(p, xi, g);
-                    for (int64_t j = 0; j < d; j++) {
-                        double y = xi[j] - g[j] * h;
-                        xi[j] = y + random_standard_normal(gen) * sqrt2h;
-                    }
-                } else
-                    for (int64_t j = 0; j < d; j++) {
-                        double y = xi[j] - (rho * (xi[j] - mean[j])) * h;
-                        xi[j] = y + random_standard_normal(gen) * sqrt2h;
-                    }
+                grad_point(p, xi, g);
+                for (int64_t j = 0; j < d; j++) {
+                    double y = xi[j] - g[j] * h;
+                    xi[j] = y + random_standard_normal(gen) * sqrt2h;
+                }
             }
             /* NaN and inf fail the comparison */
             int bad = 0;

@@ -16,9 +16,9 @@ refuses to run.
 
 A :class:`Kernel` binds a potential's ``kernel`` field, a tuple of terms
 ``("logistic", rows, cplus, cminus, mu)`` and ``("gaussian", rho, mean)``
-(at most one of each, in that order), to the library: its ``value``,
-``grad`` and ``hess_vec`` evaluate the sum of the terms and ``step``
-advances chains on it.
+(at most one of each, in that order, as :func:`combine` joins them), to the
+library: its ``value``, ``grad`` and ``hess_vec`` evaluate the sum of the
+terms and ``step`` advances chains on it.
 """
 
 from __future__ import annotations
@@ -149,6 +149,19 @@ def load():
     return _lib
 
 
+# the term sequences lmc_pot holds: a logistic term, then a Gaussian one
+_ORDERS = (("logistic",), ("gaussian",), ("logistic", "gaussian"))
+
+
+def combine(*kernels):
+    """The terms of a sum of potentials with these ``kernel`` fields, or None
+    when one has no kernel or their terms do not fit one compiled potential."""
+    if any(k is None for k in kernels):
+        return None
+    terms = tuple(t for k in kernels for t in k)
+    return terms if tuple(t[0] for t in terms) in _ORDERS else None
+
+
 def _array(a, shape, what):
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.shape != shape:
@@ -161,8 +174,8 @@ class Kernel:
     bound to the compiled library ``lib``."""
 
     def __init__(self, lib, terms, d: int):
-        names = tuple(t[0] for t in terms)
-        if names not in (("logistic",), ("gaussian",), ("logistic", "gaussian")):
+        if combine(terms) is None:
+            names = tuple(t[0] for t in terms)
             raise ParameterError(f"kernel terms {names} are not a logistic and a Gaussian term")
         self.lib, self.d = lib, d
         self._keep = []  # the arrays the struct points into
@@ -183,7 +196,10 @@ class Kernel:
         self._pot = pot
 
     def _points(self, x):
-        return np.ascontiguousarray(x, dtype=np.float64).reshape(-1, self.d)
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if np.shape(x)[-1:] != (self.d,):
+            raise ParameterError(f"point has shape {np.shape(x)}, expected (..., {self.d})")
+        return x.reshape(-1, self.d)
 
     def value(self, x):
         """Value at each point of ``x`` (``(d,)`` or ``(..., d)``)."""

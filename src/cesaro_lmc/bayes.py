@@ -15,7 +15,8 @@ curvature profile (None when none is claimed), the Lipschitz constant of
 its gradient and its compiled kernel terms (None when it has none).
 ``build_posterior`` adds the prior to these in one path for every family;
 when the sum carries a logistic term and the prior a Gaussian one, the
-posterior carries both, in that order, and its chains run compiled.
+posterior carries both, in that order, and is evaluated and stepped
+compiled, as one potential.
 
 Aggregation of regularity constants: a rho-strongly-convex per-observation
 model yields an (n*rho)-strongly-convex sum (the prior's curvature is a
@@ -329,19 +330,21 @@ def build_posterior(model, data: Dataset, prior: Potential) -> PosteriorPotentia
         kernel = prior.kernel
     else:
         base_value, base_grad, base_hess_vec, profile, base_L, kernel = model.sum_potential(obs)
-        # the compiled loop adds a logistic term, then a Gaussian one: the
-        # order in which grad below adds the sum and the prior
-        terms = kernel + prior.kernel if kernel and prior.kernel else ()
-        kernel = terms if tuple(t[0] for t in terms) == ("logistic", "gaussian") else None
+        from . import _kernel  # not at package import
 
-        def value(theta):
-            return base_value(theta) + prior.value(theta)
+        kernel = _kernel.combine(kernel, prior.kernel)
+        if kernel is not None:  # one compiled potential: its terms added in order
+            ev = _kernel.Kernel(_kernel.load(), kernel, model.d)
+            value, grad, hess_vec = ev.value, ev.grad, ev.hess_vec
+        else:
+            def value(theta):
+                return base_value(theta) + prior.value(theta)
 
-        def grad(theta):
-            return base_grad(theta) + prior.grad(theta)
+            def grad(theta):
+                return base_grad(theta) + prior.grad(theta)
 
-        def hess_vec(theta, v):
-            return base_hess_vec(theta, v) + prior.hess_vec(theta, v)
+            def hess_vec(theta, v):
+                return base_hess_vec(theta, v) + prior.hess_vec(theta, v)
 
     total_L = base_L + prior.smoothness.L
     pot = Potential(

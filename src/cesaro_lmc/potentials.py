@@ -272,25 +272,15 @@ def builtin_logistic(features, labels, ridge: float = 0.0) -> Potential:
     rows = np.ascontiguousarray(b[first[order]])
     kernel = (("logistic", rows, cplus, cminus, mu),)
     ev = _kernel.Kernel(lib, kernel, d)
-
-    def value(x):
-        return ev.value(_as_point(x, d))
-
-    def grad(x):
-        return ev.grad(_as_point(x, d))
-
-    def hess_vec(x, v):
-        return ev.hess_vec(_as_point(x, d), v)
-
     # Hessian = sum_i a_i a_i^T sigma(1-sigma) + mu I, so the summed bound
     # applies; the all-zero design has a constant gradient, keep L positive
     L = float(max(np.sum(np.sum(a**2, axis=1)) / 4.0 + mu, 1e-12))
     profile = StronglyConvex(mu) if mu > 0 else None
     return Potential(
         dim=d,
-        value=value,
-        grad=grad,
-        hess_vec=hess_vec,
+        value=ev.value,
+        grad=ev.grad,
+        hess_vec=ev.hess_vec,
         smoothness=Smoothness(L=L),
         profile=profile,
         minimizer_hint=None,

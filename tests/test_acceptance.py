@@ -287,6 +287,7 @@ def test_10_concentration_bounds():
         assert rep.passed
 
 
+@pytest.mark.compiled  # its logistic potential runs on the compiled kernel
 def test_11_moment_stability():
     with _Stopwatch("11 moment stability", 300):
         n_steps = 10**6

@@ -400,9 +400,11 @@ class TestExitCodeMapping:
             ("tune", "conjugate_posterior.json", "model",
              {"family": "gaussian_location", "d": 2, "params": {"precision": 1.0},
               "theta_star": [0.4, -0.2], "C_P": 0.01}),
-            ("tune", "ou_smoke.json", "potential",
-             {"family": "logistic", "d": 7,
-              "params": {"features": [[1.0, 0.5], [-0.5, 1.0]], "labels": [1, -1], "ridge": 1.0}}),
+            pytest.param(
+                "tune", "ou_smoke.json", "potential",
+                {"family": "logistic", "d": 7,
+                 "params": {"features": [[1.0, 0.5], [-0.5, 1.0]], "labels": [1, -1], "ridge": 1.0}},
+                marks=pytest.mark.compiled),
         ],
     )
     def test_malformed_oracle_and_diagnostics_values_exit_2(
@@ -591,6 +593,7 @@ class TestGridExperiments:
         assert main(["verify", "--config", path]) == 0
         assert "test_phi: PASS" in capsys.readouterr().out
 
+    @pytest.mark.compiled
     def test_logistic_potential_block(self, tmp_path, capsys):
         cfg = {
             "potential": {"family": "logistic", "d": 1,

@@ -23,12 +23,7 @@ from cesaro_lmc.rng import mix64, stream
 from cesaro_lmc.sampler import ChainConfig, dump_trajectory, replicate_runs, run_chain
 
 GAUSS = builtin_gaussian_location(2, [0.3, -0.7], 1.5)
-LOGISTIC = builtin_logistic(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]]), [1, -1, 1], ridge=1.0)
 MODEL = LogisticModel(stream(4).standard_normal((10, 2)), ridge=0.5)
-POSTERIOR = build_posterior(
-    MODEL, sample_dataset(MODEL, [0.4, -0.3], 200, seed=8), standard_gaussian_prior(2)
-).potential
-KERNEL_POTS = [GAUSS, LOGISTIC, POSTERIOR]
 IDS = ["gaussian", "logistic", "posterior"]
 
 
@@ -38,6 +33,17 @@ def lib():
     if lib is None:
         pytest.skip("the compiled chain loop cannot be built here")
     return lib
+
+
+@pytest.fixture(scope="module")
+def pots(lib):
+    """The potentials with a kernel field, by id; the logistic ones are
+    built on the compiled library."""
+    logistic = builtin_logistic(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]]), [1, -1, 1],
+                                ridge=1.0)
+    data = sample_dataset(MODEL, [0.4, -0.3], 200, seed=8)
+    posterior = build_posterior(MODEL, data, standard_gaussian_prior(2)).potential
+    return {"gaussian": GAUSS, "logistic": logistic, "posterior": posterior}
 
 
 def on_numpy(pot):
@@ -68,10 +74,11 @@ class TestNormals:
 
 
 class TestAgainstNumpyDriver:
-    @pytest.mark.parametrize("pot", KERNEL_POTS, ids=IDS)
+    @pytest.mark.parametrize("name", IDS)
     @pytest.mark.parametrize("m", [1, 7, 200])
     @pytest.mark.parametrize("k_sub", [1, 3])
-    def test_replicates(self, lib, pot, m, k_sub):
+    def test_replicates(self, pots, name, m, k_sub):
+        pot = pots[name]
         n = 300 if m == 200 else 3001
         cfg = ChainConfig(gamma=0.5 / pot.smoothness.L, n_steps=n, x0=[0.5, 0.1], seed=0,
                           fine_substeps=k_sub, track_tangent=True, checkpoints=40)
@@ -84,8 +91,9 @@ class TestAgainstNumpyDriver:
         mine = outputs(replicate_runs(GAUSS, cfg, 2000, base_seed=21))
         assert mine == outputs(replicate_runs(on_numpy(GAUSS), cfg, 2000, base_seed=21))
 
-    @pytest.mark.parametrize("pot", KERNEL_POTS, ids=IDS)
-    def test_dump_across_block_edge(self, lib, pot, tmp_path):
+    @pytest.mark.parametrize("name", IDS)
+    def test_dump_across_block_edge(self, pots, name, tmp_path):
+        pot = pots[name]
         # K=3 gives 2730-step noise blocks; 6000 steps cross two block edges
         cfg = ChainConfig(gamma=0.4 / pot.smoothness.L, n_steps=6000, x0=[1.0, -1.0], seed=8,
                           fine_substeps=3)
@@ -99,8 +107,9 @@ class TestAgainstNumpyDriver:
         assert len(mine) == 8 * 2 * len(range(0, 6000, 7))
         assert mine == dump(on_numpy(pot), "n")
 
-    @pytest.mark.parametrize("pot", KERNEL_POTS, ids=IDS)
-    def test_moment_check(self, lib, pot):
+    @pytest.mark.parametrize("name", IDS)
+    def test_moment_check(self, pots, name):
+        pot = pots[name]
         cfg = ChainConfig(gamma=0.02 / pot.smoothness.L, n_steps=20000, x0=[0.5, 0.5], seed=4)
         mine = moment_check(pot, cfg)
         assert repr(mine) == repr(moment_check(on_numpy(pot), cfg))
@@ -109,13 +118,13 @@ class TestAgainstNumpyDriver:
     # there, so the noise a replicate gathered decides whether it passes 1e12
     # within n steps
     @pytest.mark.parametrize(
-        "pot, gamma, n",
-        [(builtin_gaussian_location(2, [0.1, -0.2], 1.0), 2.05, 540),
-         (LOGISTIC, 2.05, 494),
-         (POSTERIOR, 2.05 / 101.0, 494)],
+        "name, gamma, n",
+        [("gaussian", 2.05, 540), ("logistic", 2.05, 494), ("posterior", 2.05 / 101.0, 494)],
         ids=IDS,
     )
-    def test_partly_diverging_batch(self, lib, pot, gamma, n):
+    def test_partly_diverging_batch(self, pots, name, gamma, n):
+        # the Gaussian at unit precision
+        pot = builtin_gaussian_location(2, [0.1, -0.2], 1.0) if name == "gaussian" else pots[name]
         cfg = ChainConfig(gamma=gamma, n_steps=n, x0=[0.0, 0.0], seed=0, track_tangent=True,
                           checkpoints=50)
         runs = replicate_runs(pot, cfg, 64, base_seed=5)
@@ -147,10 +156,11 @@ def _traced(pot, calls):
                                        for name in ("value", "grad", "hess_vec")})
 
 
-@pytest.mark.parametrize("pot", KERNEL_POTS, ids=IDS)
-def test_path_follows_the_kernel_field(lib, pot):
+@pytest.mark.parametrize("name", IDS)
+def test_path_follows_the_kernel_field(pots, name):
     """A potential with wrapped evaluators keeps the compiled loop, so its
     gradient is never called inside the chain."""
+    pot = pots[name]
     calls = []
     cfg = ChainConfig(gamma=0.5 / pot.smoothness.L, n_steps=500, x0=[0.0, 0.0], seed=0)
     assert outputs(replicate_runs(_traced(pot, calls), cfg, 3, base_seed=2)) == outputs(
@@ -158,15 +168,18 @@ def test_path_follows_the_kernel_field(lib, pot):
     assert calls == []
 
 
-def test_posterior_kernel_is_the_posterior(lib):
-    """The compiled evaluators of the posterior's terms equal its composed
-    ones (logistic sum plus prior), bit for bit."""
-    assert [t[0] for t in POSTERIOR.kernel] == ["logistic", "gaussian"]
+def test_posterior_kernel_is_the_posterior(pots):
+    """The posterior, one compiled potential of a logistic and a Gaussian
+    term, equals its logistic sum plus its prior, bit for bit."""
+    post = pots["posterior"]
+    assert [t[0] for t in post.kernel] == ["logistic", "gaussian"]
+    value, grad, hess_vec = MODEL.sum_potential(sample_dataset(MODEL, [0.4, -0.3], 200,
+                                                               seed=8).observations)[:3]
+    prior = standard_gaussian_prior(2)
     xs, vs = stream(3).standard_normal((2, 50, 2)) * 3.0
-    kern = _kernel.Kernel(lib, POSTERIOR.kernel, 2)
-    assert kern.grad(xs).tobytes() == POSTERIOR.grad(xs).tobytes()
-    assert kern.value(xs).tobytes() == POSTERIOR.value(xs).tobytes()
-    assert kern.hess_vec(xs, vs).tobytes() == POSTERIOR.hess_vec(xs, vs).tobytes()
+    assert post.grad(xs).tobytes() == (grad(xs) + prior.grad(xs)).tobytes()
+    assert post.value(xs).tobytes() == (value(xs) + prior.value(xs)).tobytes()
+    assert post.hess_vec(xs, vs).tobytes() == (hess_vec(xs, vs) + prior.hess_vec(xs, vs)).tobytes()
 
 
 def _logistic_run_config(tmp_path):

@@ -39,11 +39,18 @@ def finite_diff_grad(pot, x, h=1e-5):
     return g
 
 
+# the logistic family runs on the compiled kernel
+COMPILED = pytest.mark.compiled
+
+# potential factories, called by the fixtures below, so that a host without
+# a C compiler skips the logistic ones
 BUILTINS = [
-    builtin_gaussian_location(3, [0.5, -1.0, 2.0], 2.0),
-    builtin_p_power(3, 0.0, 0.75),
-    builtin_p_power(2, [1.0, -1.0], 0.6),
-    builtin_logistic(np.array([[1.0, 0.5], [-0.3, 1.2]]), [1, -1], ridge=0.5),
+    pytest.param(lambda: builtin_gaussian_location(3, [0.5, -1.0, 2.0], 2.0),
+                 id="gaussian(d=3,rho=2.0)"),
+    pytest.param(lambda: builtin_p_power(3, 0.0, 0.75), id="p_power(d=3,p=0.75)"),
+    pytest.param(lambda: builtin_p_power(2, [1.0, -1.0], 0.6), id="p_power(d=2,p=0.6)"),
+    pytest.param(lambda: builtin_logistic(np.array([[1.0, 0.5], [-0.3, 1.2]]), [1, -1], ridge=0.5),
+                 id="logistic(d=2,n=2,ridge=0.5)", marks=COMPILED),
 ]
 
 
@@ -87,15 +94,18 @@ class TestBuiltins:
         assert prof.c2 == pytest.approx(1.6)
         assert prof.r == prof.q == pytest.approx((1 - 0.8) / 0.8)
 
+    @COMPILED
     def test_logistic_zero_feature(self):
         lg = builtin_logistic(np.zeros((1, 2)), [1], ridge=0.0)
         for theta in (np.zeros(2), np.array([3.0, -7.0])):
             assert lg.value(theta) == pytest.approx(np.log(2.0))
 
+    @COMPILED
     def test_logistic_grad_at_origin(self):
         lg = builtin_logistic(np.array([[1.0]]), [1])
         assert lg.grad(np.zeros(1))[0] == pytest.approx(-0.5)
 
+    @COMPILED
     def test_logistic_hessian_with_ridge(self):
         lg = builtin_logistic(np.array([[1.0]]), [1], ridge=1.0)
         hess = finite_diff_grad_of_grad(lg, np.zeros(1))
@@ -103,10 +113,19 @@ class TestBuiltins:
         assert isinstance(lg.profile, StronglyConvex)
         assert lg.profile.rho == 1.0
 
+    @COMPILED
     def test_logistic_without_ridge_is_unverified(self):
         lg = builtin_logistic(np.array([[1.0, 0.0]]), [1], ridge=0.0)
         assert lg.profile is None
         assert lg.profile_note == "kl-unverified"
+
+    @COMPILED
+    def test_logistic_rejects_a_point_of_another_dimension(self):
+        lg = builtin_logistic(np.array([[1.0, 0.5]]), [1])
+        for bad in (np.zeros(4), np.zeros((3, 1)), 0.0):
+            for call in (lg.value, lg.grad, lambda x: lg.hess_vec(x, x)):
+                with pytest.raises(ParameterError, match="point has shape"):
+                    call(bad)
 
     def test_logistic_rejects_empty_and_bad_labels(self):
         with pytest.raises(ParameterError):
@@ -126,7 +145,10 @@ def finite_diff_grad_of_grad(pot, x, h=1e-6):
 
 
 class TestEvaluatorConsistency:
-    @pytest.mark.parametrize("pot", BUILTINS, ids=lambda p: p.name)
+    @pytest.fixture(scope="class", params=BUILTINS)
+    def pot(self, request):
+        return request.param()
+
     def test_grad_matches_finite_differences(self, pot):
         rng = stream(11)
         for _ in range(100):
@@ -135,7 +157,6 @@ class TestEvaluatorConsistency:
             fd = finite_diff_grad(pot, x)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
 
-    @pytest.mark.parametrize("pot", BUILTINS, ids=lambda p: p.name)
     def test_hess_vec_matches_fd_of_grad(self, pot):
         rng = stream(13)
         x = rng.standard_normal(pot.dim)
@@ -144,7 +165,6 @@ class TestEvaluatorConsistency:
         fd = finite_diff_grad_of_grad(pot, x) @ v
         assert np.allclose(hv, fd, rtol=1e-4, atol=1e-6)
 
-    @pytest.mark.parametrize("pot", BUILTINS, ids=lambda p: p.name)
     def test_gradient_lipschitz_bound(self, pot):
         rng = stream(17)
         for _ in range(200):
@@ -152,7 +172,6 @@ class TestEvaluatorConsistency:
             lhs = np.linalg.norm(pot.grad(x) - pot.grad(y))
             assert lhs <= pot.smoothness.L * np.linalg.norm(x - y) * (1 + 1e-9)
 
-    @pytest.mark.parametrize("pot", BUILTINS, ids=lambda p: p.name)
     def test_batched_eval_matches_pointwise(self, pot):
         rng = stream(19)
         xs = rng.standard_normal((7, pot.dim))
@@ -164,16 +183,23 @@ class TestEvaluatorConsistency:
 
 
 def _posteriors():
-    prior = standard_gaussian_prior(2)
     gauss = GaussianLocationModel(2, precision=1.5)
     logit = LogisticModel(stream(4).standard_normal((10, 2)), ridge=0.5)
     ppow = PPowerLocationModel(2, p=0.75)
     # 700 observations cross the p-power sum's 512-observation chunk edge
     pp_obs = Dataset(stream(5).standard_normal((700, 2)), ppow.model_id, np.zeros(2), 5)
+    cases = [
+        (gauss, sample_dataset(gauss, [0.3, -0.2], 300, seed=2), ()),
+        (ppow, pp_obs, ()),
+        (logit, sample_dataset(logit, [0.4, -0.3], 200, seed=8), COMPILED),
+    ]
     return [
-        build_posterior(gauss, sample_dataset(gauss, [0.3, -0.2], 300, seed=2), prior).potential,
-        build_posterior(ppow, pp_obs, prior).potential,
-        build_posterior(logit, sample_dataset(logit, [0.4, -0.3], 200, seed=8), prior).potential,
+        pytest.param(
+            lambda model=model, data=data: build_posterior(
+                model, data, standard_gaussian_prior(2)).potential,
+            id=f"posterior[{model.model_id}, n={data.n}]", marks=marks,
+        )
+        for model, data, marks in cases
     ]
 
 
@@ -185,7 +211,10 @@ class TestBatchInvariance:
     """Row i of an evaluator on a batch equals the evaluation of that row
     alone, bit for bit: a chain's output may not depend on its batch."""
 
-    @pytest.mark.parametrize("pot", BUILTINS + _posteriors(), ids=lambda p: p.name)
+    @pytest.fixture(scope="class", params=BUILTINS + _posteriors())
+    def pot(self, request):
+        return request.param()
+
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_rows_do_not_depend_on_the_batch(self, pot, data):
@@ -203,6 +232,7 @@ class TestBatchInvariance:
             assert _bits(hv_shared[i]) == _bits(pot.hess_vec(xs[row], vs[0])[0])
 
 
+@COMPILED
 class TestLogisticRowWeights:
     # repeated rows, a label flip of a repeated row, and (-a, -1) which
     # equals (a, +1) once multiplied out
@@ -359,6 +389,7 @@ class TestFindMinimizer:
         x = find_minimizer(pp, np.zeros(2), tol_grad=1e-10)
         assert np.allclose(x, [3.0, -4.0], atol=1e-8)
 
+    @COMPILED
     def test_logistic_against_bisection(self):
         lg = builtin_logistic(np.array([[1.0]]), [1], ridge=1.0)
         x = find_minimizer(lg, np.zeros(1), tol_grad=1e-12)
@@ -387,14 +418,15 @@ class TestFindMinimizer:
 
 class TestStrongConvexityProbes:
     @pytest.mark.parametrize(
-        "pot,rho",
+        "make,rho",
         [
-            (builtin_gaussian_location(3, 0.0, 2.0), 2.0),
-            (builtin_logistic(np.array([[1.0, -0.5]]), [1], ridge=0.7), 0.7),
+            pytest.param(lambda: builtin_gaussian_location(3, 0.0, 2.0), 2.0, id="gaussian"),
+            pytest.param(lambda: builtin_logistic(np.array([[1.0, -0.5]]), [1], ridge=0.7), 0.7,
+                         id="logistic-ridge", marks=COMPILED),
         ],
-        ids=["gaussian", "logistic-ridge"],
     )
-    def test_quadratic_form_lower_bound(self, pot, rho):
+    def test_quadratic_form_lower_bound(self, make, rho):
+        pot = make()
         rng = stream(23)
         for _ in range(100):
             x = rng.standard_normal(pot.dim) * 3.0

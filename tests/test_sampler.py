@@ -201,6 +201,7 @@ class TestReplicates:
         _, var = ou_cesaro_moments(1.0, 0.0, gamma, n, 0.0)
         assert emp == pytest.approx(var, rel=0.30)
 
+    @pytest.mark.compiled
     def test_logistic_posterior_batch_matches_singletons(self):
         # n = 200 observations over a 10-row design: replicate i equals its
         # singleton chain bit for bit only if a row's posterior gradient does
