@@ -32,10 +32,10 @@ from .tuning import TuningInputs, TuningPlan, compute_upsilon, tune_bayes, tune_
 from .oracle import (
     PoissonGrid,
     PoissonSolution1D,
+    importance_posterior_mean,
     ou_cesaro_moments,
     poisson_solve_1d,
     quadrature_posterior_mean,
-    reference_chain,
 )
 from .diagnostics import (
     ExperimentReport,

@@ -166,6 +166,11 @@ class GaussianLocationModel:
 
         return value, grad, hess_vec, StronglyConvex(n * rho), n * rho, None
 
+    def posterior_mean(self, obs: np.ndarray) -> np.ndarray:
+        """The conjugate posterior mean rho s / (n rho + 1), s = sum of obs, under N(0, I)."""
+        rho = self.precision
+        return rho * obs.sum(axis=0) / (obs.shape[0] * rho + 1.0)
+
 
 class PPowerLocationModel:
     """Location model with the weakly convex per-observation potential
@@ -270,7 +275,10 @@ class LogisticModel:
         self.alpha_c = float(alpha_c)
         self.b1 = float(b1)
         self.C_P = C_P
-        self.per_obs_L = float(np.max(np.sum(design**2, axis=1)) / 4.0 + self.ridge)
+        with np.errstate(over="ignore"):  # an overflow is reported next, naming the design
+            self.per_obs_L = float(np.max(np.sum(design**2, axis=1)) / 4.0 + self.ridge)
+        if not math.isfinite(self.per_obs_L):
+            raise ParameterError("design: the squared row norms must be finite")
         self.per_obs_profile = StronglyConvex(self.ridge) if self.ridge > 0 else None
 
     @property

@@ -45,9 +45,9 @@ from .errors import (
 )
 from .oracle import (
     PoissonGrid,
+    importance_posterior_mean,
     poisson_solve_1d,
     quadrature_posterior_mean,
-    reference_chain,
 )
 from .potentials import (
     _vector,
@@ -57,6 +57,7 @@ from .potentials import (
     verify_grad_bounds,
     verify_kl_profile,
 )
+from .rng import mix64
 from .tuning import TuningInputs, tune_bayes, tune_sc, tune_weak
 
 EXIT_OK = 0
@@ -169,21 +170,25 @@ _MODELS = {
                                    b.get("C_P")),
     ),
 }
+# family -> (its keys; its constructor; is e^{-W} symmetric about ``minimizer_hint``, its mean)
 _POTENTIALS = {
     "gaussian": (
         {"family": _STRING, "d": _COUNT, "params": {"mean": _NUMBERS, "precision": _NUMBER}},
         lambda b, p: builtin_gaussian_location(b.get("d", 1), p.get("mean", 0.0),
                                                float(p.get("precision", 1.0))),
+        True,  # W(x) = (rho/2)|x - mean|^2
     ),
     "p_power": (
         {"family": _STRING, "d": _COUNT, "params": {"center": _NUMBERS, "p": _NUMBER}},
         lambda b, p: builtin_p_power(b.get("d", 1), p.get("center", 0.0), float(p.get("p", 0.75))),
+        True,  # W(x) = (1 + |x - center|^2)^p
     ),
     "logistic": (
         {"family": _STRING, "d": _COUNT, "params": {
             "features": _required(_NUMBERS), "labels": _required(_LABELS), "ridge": _NUMBER}},
         lambda b, p: builtin_logistic(np.asarray(p["features"], dtype=float), p["labels"],
                                       ridge=float(p.get("ridge", 0.0))),
+        False,
     ),
 }
 
@@ -221,7 +226,7 @@ _SCHEMA = {
     },
     "oracle": {
         "task": _STRING, "nodes_per_axis": _COUNT, "k_sigma": _NUMBER, "n_nodes": _COUNT,
-        "f": _one_of("identity"), "eps_ref": _NUMBER,
+        "f": _one_of("identity"),
     },
 }
 
@@ -277,6 +282,21 @@ def _build_potential(block: dict):
     pot = _POTENTIALS[block["family"]][1](block, block.get("params", {}))
     _check_d("potential", block, pot.dim)
     return pot
+
+
+def _reference(cfg: dict, pot, base_seed: int, model=None, data=None):
+    """The mean of e^{-W} that ``run`` scores chains against, and its provenance, from the
+    first oracle that applies: a symmetric built-in's centre ("closed-form"), "quadrature"
+    at d <= 3, a Gaussian location posterior's conjugate mean ("closed-form"), else
+    "importance-sampling"."""
+    if "potential" in cfg and _POTENTIALS[cfg["potential"]["family"]][2]:
+        return pot.minimizer_hint, "closed-form"
+    if pot.dim <= 3:
+        return quadrature_posterior_mean(pot)[0], "quadrature"
+    if isinstance(model, GaussianLocationModel):
+        return model.posterior_mean(data.observations), "closed-form"
+    seed = mix64(base_seed, 0x15)  # its own stream, as the bootstrap's
+    return importance_posterior_mean(pot, pot.minimizer_hint, seed)[0], "importance-sampling"
 
 
 def _theta_star(cfg: dict, model) -> np.ndarray:
@@ -392,27 +412,16 @@ def cmd_run(cfg: dict, output_dir=None, out=None) -> int:
             raise ConfigError("data.n is required for posterior experiments")
         n_obs = data_block["n"]
         data = sample_dataset(model, _theta_star(cfg, model), n_obs, data_block["seed"])
-        prior = standard_gaussian_prior(model.d)
-        post = build_posterior(model, data, prior)
-        pot = post.potential
+        pot = build_posterior(model, data, standard_gaussian_prior(model.d)).potential
         plan = _plan_from_config(cfg, pot, n_obs=n_obs, model=model)
-        if pot.dim <= 3:
-            reference, _ = quadrature_posterior_mean(pot)
-            provenance = "quadrature"
-        else:
-            reference, _ = reference_chain(pot, eps_ref=plan.constants.get("eps_n", 0.1))
-            provenance = "reference-chain"
-        x0 = post.mode
+        reference, provenance = _reference(cfg, pot, base_seed, model, data)
     else:
         pot = _build_potential(cfg["potential"])
         plan = _plan_from_config(cfg, pot)
-        reference = pot.minimizer_hint  # built-ins are symmetric around the center
-        provenance = "closed-form"
-        x0 = pot.minimizer_hint
+        reference, provenance = _reference(cfg, pot, base_seed)
 
-    report = mse_experiment(
-        pot, plan, m_reps, reference, base_seed, x0=x0, reference_provenance=provenance
-    )
+    report = mse_experiment(pot, plan, m_reps, reference, base_seed,
+                            reference_provenance=provenance)
     rows = (
         [i] + [_fmt(v) for v in row] + [_fmt(float(np.sum((row - report.reference) ** 2)))]
         for i, row in enumerate(report.estimates)
@@ -459,15 +468,12 @@ def _run_eps_scaling(cfg, outdir, h, m_reps, base_seed, out) -> int:
     """MSE/eps^2 stability across a target-accuracy grid for one potential."""
     pot = _build_potential(cfg["potential"])
     eps_grid = [float(v) for v in cfg["tuning"]["eps_grid"]]
+    reference, provenance = _reference(cfg, pot, base_seed)
     rows = []
     for eps in eps_grid:
-        sub = dict(cfg)
-        sub["tuning"] = {**cfg["tuning"], "eps": eps}
-        sub["tuning"].pop("eps_grid")
-        plan = _plan_from_config(sub, pot)
-        report = mse_experiment(
-            pot, plan, m_reps, pot.minimizer_hint, base_seed, reference_provenance="closed-form"
-        )
+        plan = _plan_from_config({**cfg, "tuning": {**cfg["tuning"], "eps": eps}}, pot)
+        report = mse_experiment(pot, plan, m_reps, reference, base_seed,
+                                reference_provenance=provenance)
         rows.append((eps, plan, report))
     table = (
         [_fmt(eps), _fmt(plan.gamma), plan.n_steps, _fmt(report.mse), _fmt(report.mse / eps**2)]
@@ -571,11 +577,6 @@ def cmd_oracle(cfg: dict, out=None) -> int:
         sol = poisson_solve_1d(pot, lambda x: x, PoissonGrid(n_nodes=n_nodes))
         record = ("poisson_solution", {"pi_f": sol.pi_f, "residual_sup": sol.residual_sup},
                   sol.residual_sup, "integrating-factor", {"n_nodes": n_nodes})
-    elif task == "reference_chain":
-        eps_ref = float(ob.get("eps_ref", 0.05))
-        mean, se = reference_chain(pot, eps_ref=eps_ref)
-        record = ("pi_identity", [float(v) for v in mean], se, "replicated-cesaro",
-                  {"eps_ref": eps_ref})
     else:
         raise ConfigError(f"unknown oracle task {task!r}")
     record = dict(zip(("target", "value", "error_estimate", "method", "settings"), record))

@@ -16,18 +16,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CapabilityError, ExperimentError, ParameterError
-from .potentials import Potential, find_minimizer
+from .potentials import Potential, StronglyConvex, WeaklyConvexKL, find_minimizer
 from .rng import mix64, stream
 from .sampler import ChainConfig, _observe_chain, moment_clamp, replicate_runs
 from .tuning import TuningPlan, compute_upsilon
-from .potentials import StronglyConvex, WeaklyConvexKL
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
     estimates: np.ndarray  # (M, d) replicate Cesaro estimates
     reference: np.ndarray
-    reference_provenance: str  # quadrature | closed-form | reference-chain
+    reference_provenance: str  # closed-form | quadrature | importance-sampling (cli._reference)
     mse: float
     ci: tuple  # bootstrap 95% interval on the MSE
     manifest: dict = field(default_factory=dict)
@@ -172,17 +171,13 @@ def bayes_rate_experiment(
     theta_star = np.asarray(theta_star, dtype=float)
 
     if posterior_mean is None:
-        if not isinstance(model, GaussianLocationModel):
-            raise ParameterError("no default posterior-mean oracle for this model")
-        if prior.name != standard_gaussian_prior(theta_star.shape[-1]).name:
-            raise ParameterError(
-                f"the default posterior-mean oracle assumes the N(0, I) prior, got {prior.name!r}"
-            )
+        if not (isinstance(model, GaussianLocationModel)
+                and prior.name == standard_gaussian_prior(model.d).name):
+            raise ParameterError("the default posterior-mean oracle is a Gaussian location model's "
+                                 f"conjugate mean under the N(0, I) prior, got {prior.name!r}")
 
         def posterior_mean(data):
-            # conjugate: N(0, I) prior, N(theta, I/rho) likelihood
-            rho = model.precision
-            return rho * data.observations.sum(axis=0) / (data.n * rho + 1.0)
+            return model.posterior_mean(data.observations)
 
     mses = []
     for j, n in enumerate(n_grid):

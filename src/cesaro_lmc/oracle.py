@@ -1,39 +1,40 @@
 """Independent ground-truth computations.
 
 Everything here answers "what should the sampler have produced?" by a
-route that shares no code with the sampler's hot path: tensor-product
-quadrature for posterior means at d <= 3, exact AR(1) moments for the
-quadratic-potential chain, a one-dimensional integrating-factor solver for
-the generator equation L g = f - pi(f), and a brute-force high-accuracy
-reference chain for d > 3.
+route that shares no code with the sampler's hot path (this module imports
+neither ``sampler`` nor ``_kernel``; a test checks it): tensor-product
+quadrature for posterior means at d <= 3, self-normalised importance
+sampling from a Student-t around the mode for posterior means at any d <= 50,
+exact AR(1) moments for the quadratic-potential chain, and a one-dimensional
+integrating-factor solver for the generator equation L g = f - pi(f).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import CapabilityError, NumericError, ParameterError
 from .potentials import Potential, dense_hessian, find_minimizer
-from .sampler import ChainConfig, moment_clamp, replicate_runs
+from .rng import stream
 
 
 # ---------------------------------------------------------------------------
 # tensor-product quadrature posterior means
 
 
-def _laplace_frame(pot: Potential):
-    """Mode and per-axis standard deviations from the Hessian at the mode."""
-    mode = pot.minimizer_hint
+def _laplace_frame(pot: Potential, mode=None):
+    """The mode (by default the potential's hint, else found) and the inverse
+    Hessian there, the covariance of the Laplace approximation."""
+    if mode is None:
+        mode = pot.minimizer_hint
     if mode is None:
         mode = find_minimizer(pot, np.zeros(pot.dim))
     hess = dense_hessian(pot, mode)
-    cov = np.linalg.inv(0.5 * (hess + hess.T))
-    sigma = np.sqrt(np.diag(cov))
-    return np.asarray(mode, dtype=float), sigma
+    return np.asarray(mode, dtype=float), np.linalg.inv(0.5 * (hess + hess.T))
 
 
 def quadrature_posterior_mean(
@@ -50,7 +51,8 @@ def quadrature_posterior_mean(
         raise ParameterError("nodes_per_axis too small")
     if nodes_per_axis % 2 == 0:
         nodes_per_axis += 1  # odd counts so the half grid reuses alternate nodes
-    mode, sigma = _laplace_frame(pot)
+    mode, cov = _laplace_frame(pot)
+    sigma = np.sqrt(np.diag(cov))
 
     def _mean_on(npa: int):
         axes = [
@@ -89,6 +91,42 @@ def quadrature_posterior_mean(
     coarse = _mean_on((nodes_per_axis + 1) // 2)
     err = float(np.linalg.norm(fine - coarse))
     return fine, err
+
+
+# ---------------------------------------------------------------------------
+# importance-sampling posterior means at any d
+
+_IS_DRAWS, _IS_DF, _IS_MIN_ESS = 1 << 17, 8.0, 0.1  # draws, t's df, floor on ESS/draws
+
+
+def importance_posterior_mean(pot: Potential, mode, seed: int):
+    """Mean of pi proportional to e^{-W} by self-normalised importance sampling
+    (Geweke, Econometrica 57, 1989): 2^17 draws of a Student-t with 8 degrees of
+    freedom, centred at ``mode`` (None: found as for quadrature) and scaled by the
+    inverse Hessian there, from the Philox stream ``seed``, formed without BLAS.
+    Returns (mean, se, ess), se the norm of the coordinates' standard errors and
+    ess = (sum w)^2 / sum w^2; NumericError when ess < draws/10.  d <= 50."""
+    mode, cov = _laplace_frame(pot, mode)
+    try:
+        chol = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise NumericError("the Hessian at the mode is not positive definite") from None
+    rng = stream(seed)
+    z = rng.standard_normal((_IS_DRAWS, pot.dim))
+    z *= np.sqrt(_IS_DF / rng.chisquare(_IS_DF, _IS_DRAWS))[:, None]
+    x = mode + sum(z[:, j, None] * chol[:, j] for j in range(pot.dim))  # mode + chol z
+    # log target - log proposal, up to constants: (x - mode)' H (x - mode) = |z|^2
+    logw = 0.5 * (_IS_DF + pot.dim) * np.log1p(np.sum(z**2, axis=1) / _IS_DF) - np.concatenate(
+        [pot.value(x[i : i + 4096]) for i in range(0, _IS_DRAWS, 4096)])  # bounded batches
+    w = np.exp(logw - np.max(logw))
+    w /= np.sum(w)
+    mean = np.sum(w[:, None] * x, axis=0)
+    se = math.sqrt(float(np.sum(w[:, None] ** 2 * (x - mean) ** 2)))
+    ess = 1.0 / float(np.sum(w**2))
+    if not ess >= _IS_MIN_ESS * _IS_DRAWS:  # NaN weights fail too
+        raise NumericError(f"importance sampling kept an effective {ess:.4g} of {_IS_DRAWS} "
+                           f"draws, under the floor of {_IS_MIN_ESS:g}", payload={"ess": ess})
+    return mean, se, ess
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +224,8 @@ def poisson_solve_1d(
         raise CapabilityError("the Poisson solver is one-dimensional")
     if grid.n_nodes < 101:
         raise ParameterError("grid too coarse")
-    mode, sigma = _laplace_frame(pot)
-    mode_x, sig = float(mode[0]), float(sigma[0])
+    mode, cov = _laplace_frame(pot)
+    mode_x, sig = float(mode[0]), math.sqrt(cov[0, 0])
 
     u = np.linspace(-1.0, 1.0, grid.n_nodes)
     x = mode_x + grid.k_sigma * sig * np.sinh(grid.grading * u) / math.sinh(grid.grading)
@@ -284,51 +322,3 @@ def pi_of(pot: Potential, values: np.ndarray, grid: np.ndarray) -> float:
     return float(np.sum(qw * dens * values) / np.sum(qw * dens))
 
 
-# ---------------------------------------------------------------------------
-# empirical reference for d > 3
-
-
-def reference_chain(
-    pot: Potential,
-    eps_ref: float,
-    base_seed: int = 0,
-    replicates: int = 16,
-    rho_eff: Optional[float] = None,
-):
-    """Replicate-averaged Cesaro estimate with empirical standard error.
-
-    Uses gamma = clamp/10 and picks N so the AR(1)-calibrated standard
-    error heuristic sqrt(2 d / (rho_eff^2 N gamma M)) sits below eps_ref/3.
-    """
-    if not eps_ref > 0:
-        raise ParameterError("eps_ref must be positive")
-    if rho_eff is None:
-        rho_eff = _effective_curvature(pot)
-    gamma = moment_clamp(pot) / 10.0
-    n_steps = int(
-        math.ceil(18.0 * pot.dim / (rho_eff**2 * gamma * replicates * eps_ref**2))
-    )
-    n_steps = max(n_steps, int(math.ceil(10.0 / (rho_eff * gamma))))
-    x0 = pot.minimizer_hint
-    if x0 is None:
-        x0 = find_minimizer(pot, np.zeros(pot.dim))
-    cfg = ChainConfig(gamma=gamma, n_steps=n_steps, x0=x0, seed=0)
-    runs = replicate_runs(pot, cfg, replicates, base_seed)
-    est = np.stack([r.cesaro for r in runs])
-    mean = est.mean(axis=0)
-    se = float(np.linalg.norm(est.std(axis=0, ddof=1)) / math.sqrt(replicates))
-    return mean, se
-
-
-def _effective_curvature(pot: Potential) -> float:
-    from .potentials import StronglyConvex, WeaklyConvexKL
-
-    prof = pot.profile
-    if isinstance(prof, StronglyConvex):
-        return prof.rho
-    if isinstance(prof, WeaklyConvexKL):
-        from .tuning import compute_upsilon
-
-        ups = compute_upsilon(prof, pot.smoothness.L, pot.dim)
-        return prof.c1 * (2.0 * ups) ** (-prof.r)
-    raise CapabilityError("reference_chain needs a convexity profile for its heuristic")

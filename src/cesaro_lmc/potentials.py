@@ -133,6 +133,7 @@ def builtin_gaussian_location(d: int, mean, precision: float) -> Potential:
     """Quadratic potential W(x) = (rho/2) |x - mean|^2.
 
     The canonical strongly convex instance with rho = L = precision.
+    e^{-W} is symmetric about ``mean``, its mean.
     """
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
@@ -171,7 +172,7 @@ def builtin_p_power(d: int, center, p: float) -> Potential:
     """W(x) = (1 + |x - center|^2)^p with p in (1/2, 1].
 
     Satisfies the curvature-vs-height sandwich with r = q = (1-p)/p,
-    c1 = 2p(2p-1), c2 = 2p; hence L = 2p.
+    c1 = 2p(2p-1), c2 = 2p; hence L = 2p.  e^{-W} is symmetric about ``center``, its mean.
     """
     if d < 1:
         raise ParameterError(f"dimension must be >= 1, got {d}")
@@ -249,6 +250,10 @@ def builtin_logistic(features, labels, ridge: float = 0.0) -> Potential:
         raise ParameterError("labels must lie in {-1, +1}")
     if ridge < 0:
         raise ParameterError(f"ridge must be >= 0, got {ridge}")
+    with np.errstate(over="ignore"):  # an overflow is reported next, naming the features
+        sq_norms = np.sum(a**2, axis=1)
+    if not np.isfinite(np.sum(sq_norms)):
+        raise ParameterError("features: the squared row norms must be finite and have a finite sum")
     from . import _kernel  # at the first logistic potential, not at package import
 
     lib = _kernel.load()
@@ -274,7 +279,7 @@ def builtin_logistic(features, labels, ridge: float = 0.0) -> Potential:
     ev = _kernel.Kernel(lib, kernel, d)
     # Hessian = sum_i a_i a_i^T sigma(1-sigma) + mu I, so the summed bound
     # applies; the all-zero design has a constant gradient, keep L positive
-    L = float(max(np.sum(np.sum(a**2, axis=1)) / 4.0 + mu, 1e-12))
+    L = float(max(np.sum(sq_norms) / 4.0 + mu, 1e-12))
     profile = StronglyConvex(mu) if mu > 0 else None
     return Potential(
         dim=d,

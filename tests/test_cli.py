@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import subprocess
 import sys
 from functools import reduce
@@ -13,6 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from cesaro_lmc import cli
+from cesaro_lmc.bayes import GaussianLocationModel, sample_dataset
 from cesaro_lmc.cli import config_hash, main, validate_config
 from cesaro_lmc.errors import ParameterError
 
@@ -35,6 +40,39 @@ def exits_2_with_one_line(tmp_path, command, cfg):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     return proc.stderr
+
+
+def strict_json(text):
+    """Parse JSON, refusing NaN and +/-Infinity, which strict JSON has not."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def run_summary(tmp_path, cfg):
+    """Run ``cfg`` (which must exit 0) and return its summary, parsed strictly."""
+    out = tmp_path / "out"
+    assert main(["run", "--config", write(tmp_path, "run.json", cfg), "--output", str(out)]) == 0
+    return strict_json(next(out.glob("*-summary.json")).read_text())
+
+
+def spy_reports(monkeypatch):
+    """Keep every report the CLI's ``mse_experiment`` returns."""
+    reports = []
+
+    def keep(*args, **kwargs):
+        reports.append(mse_experiment(*args, **kwargs))
+        return reports[-1]
+
+    mse_experiment = cli.mse_experiment
+    monkeypatch.setattr(cli, "mse_experiment", keep)
+    return reports
+
+
+LOGISTIC_POTENTIAL = {"family": "logistic", "d": 2, "params": {
+    "features": [[1.0, 0.5], [-0.5, 1.0], [0.3, -0.8]], "labels": [1, -1, 1], "ridge": 1.0}}
 
 
 def bayes_cfg(**overrides):
@@ -192,6 +230,55 @@ class TestRunCommand:
         summary = json.loads(sorted(out.glob("*-summary.json"))[0].read_text())
         assert summary["reference_provenance"] == "closed-form"
         assert summary["mse"] < 0.3**2 * 10
+
+    @pytest.mark.compiled
+    def test_logistic_potential_is_scored_by_quadrature(self, tmp_path, monkeypatch):
+        # the logistic built-in has no centre of symmetry: its mean is not its mode
+        reports = spy_reports(monkeypatch)
+        summary = run_summary(tmp_path, {
+            "potential": LOGISTIC_POTENTIAL, "tuning": {"regime": "sc-i", "eps": 0.3},
+            "run": {"M": 20, "base_seed": 3}})
+        assert summary["reference_provenance"] == "quadrature"
+        assert math.isfinite(summary["mse"]) and all(map(math.isfinite, summary["ci95"]))
+        quad, _ = cli.quadrature_posterior_mean(cli._build_potential(LOGISTIC_POTENTIAL))
+        assert summary["reference"] == quad.tolist() == reports[0].reference.tolist()
+
+    @pytest.mark.compiled
+    def test_logistic_potential_eps_grid_is_scored_by_quadrature(self, tmp_path, monkeypatch):
+        reports = spy_reports(monkeypatch)
+        quad = cli.quadrature_posterior_mean
+        calls = []
+        monkeypatch.setattr(cli, "quadrature_posterior_mean",
+                            lambda pot: calls.append(pot) or quad(pot))
+        summary = run_summary(tmp_path, {
+            "potential": LOGISTIC_POTENTIAL, "tuning": {"regime": "sc-i", "eps_grid": [0.4, 0.3]},
+            "run": {"M": 20, "base_seed": 3}})
+        assert len(calls) == 1  # one reference for the whole grid
+        assert [r.reference_provenance for r in reports] == ["quadrature", "quadrature"]
+        assert all(map(math.isfinite, [summary["spread"], *summary["mse_over_eps_sq"]]))
+
+    def test_gaussian_location_d5_is_scored_by_its_conjugate_mean(self, tmp_path):
+        cfg = bayes_cfg(model={"family": "gaussian_location", "d": 5, "params": {"precision": 1.0},
+                               "theta_star": [0.5, -0.5, 0.0, 1.0, 0.2]})
+        cfg["run"] = {"M": 10, "base_seed": 4}
+        summary = run_summary(tmp_path, cfg)
+        model = GaussianLocationModel(5, 1.0)
+        data = sample_dataset(model, cfg["model"]["theta_star"], 100, 7)
+        assert summary["reference_provenance"] == "closed-form"
+        assert summary["reference"] == model.posterior_mean(data.observations).tolist()
+
+    @pytest.mark.compiled
+    def test_logistic_model_d5_is_scored_by_importance_sampling(self, tmp_path):
+        design = np.round(np.random.default_rng(5).normal(size=(50, 5)), 6).tolist()
+        cfg = bayes_cfg(model={"family": "logistic", "d": 5,
+                               "params": {"design": design, "ridge": 0.5},
+                               "theta_star": [0.3, -0.2, 0.1, 0.0, 0.4]},
+                        data={"n": 1000, "seed": 8})
+        cfg["run"] = {"M": 10, "base_seed": 4}
+        summary = run_summary(tmp_path, cfg)
+        assert summary["reference_provenance"] == "importance-sampling"
+        assert math.isfinite(summary["mse"])
+        assert summary["mse"] < summary["plan"]["constants"]["eps_n"] ** 2
 
 
 class TestVerifyCommand:
@@ -360,7 +447,7 @@ class TestExitCodeMapping:
             ("oracle", "ou_smoke.json", "oracle", {"task": "quadrature", "nodes_per_axis": "x"}),
             ("oracle", "ou_smoke.json", "oracle", {"task": "quadrature", "k_sigma": "x"}),
             ("oracle", "ou_smoke.json", "oracle", {"task": "poisson", "n_nodes": 2.5}),
-            ("oracle", "ou_smoke.json", "oracle", {"task": "reference_chain", "eps_ref": "x"}),
+            ("oracle", "ou_smoke.json", "oracle", {"task": "reference_chain"}),  # a deleted task
             ("oracle", "ou_smoke.json", "oracle", {"task": 3}),
             ("verify", "p_power_verify.json", "diagnostics", {"kl_profile": {"n_probes": "x"}}),
             ("verify", "p_power_verify.json", "diagnostics", {"kl_profile": {"radius": "x"}}),
@@ -405,6 +492,8 @@ class TestExitCodeMapping:
                 {"family": "logistic", "d": 7,
                  "params": {"features": [[1.0, 0.5], [-0.5, 1.0]], "labels": [1, -1], "ridge": 1.0}},
                 marks=pytest.mark.compiled),
+            # a key of a deleted task
+            ("oracle", "ou_smoke.json", "oracle", {"task": "quadrature", "eps_ref": 0.05}),
         ],
     )
     def test_malformed_oracle_and_diagnostics_values_exit_2(
@@ -441,6 +530,17 @@ class TestExitCodeMapping:
         err = exits_2_with_one_line(tmp_path, "tune", cfg)
         assert f"{section}.params.{key}" in err.replace("'", "")
 
+    # |a|^2 overflows; checked before the compiled kernel is loaded, so no compiler is needed
+    @pytest.mark.parametrize("section, block, name", [
+        ("potential", {"family": "logistic", "d": 2, "params": {
+            "features": [[1e300, 1e300], [1.0, 0.5]], "labels": [1, -1]}}, "features"),
+        ("model", {"family": "logistic", "d": 2,
+                   "params": {"design": [[1e300, 1e300], [1.0, 0.5]]}}, "design"),
+    ])
+    def test_overflowing_rows_are_named(self, tmp_path, section, block, name):
+        cfg = {section: block, "tuning": {"regime": "sc-i"}}
+        assert exits_2_with_one_line(tmp_path, "tune", cfg).startswith(f"error: {name}: ")
+
     @pytest.mark.parametrize("family", [None, ["gaussian"], "probit"])
     def test_family_must_be_known(self, tmp_path, family):
         cfg = {"potential": {"family": family, "d": 1}, "tuning": {"regime": "sc-i"}}
@@ -464,7 +564,7 @@ class TestExitCodeMapping:
         exits_2_with_one_line(tmp_path, command, cfg)
 
 
-# small valid tune/verify configs; the fuzz test breaks one value or adds one key
+# small valid configs; the fuzz test breaks one value or adds one key
 FUZZ_BASES = [
     ("tune", {
         "model": {"family": "gaussian_location", "d": 2, "params": {"precision": 1.0},
@@ -489,6 +589,24 @@ FUZZ_BASES = [
                          "b1": 1.0, "b2": 1.0, "alpha_c": 1.0},
         },
     }),
+    ("run", {
+        "model": {"family": "gaussian_location", "d": 1, "params": {"precision": 1.0},
+                  "theta_star": [0.5]},
+        "prior": {"family": "standard_gaussian"},
+        "data": {"n": 50, "seed": 7},
+        "tuning": {"regime": "bayes-sc-i.a"},
+        "run": {"M": 10, "base_seed": 3, "output_dir": "out"},
+    }),
+    ("run", {
+        "potential": {"family": "gaussian", "d": 2,
+                      "params": {"mean": [0.5, -0.5], "precision": 1.0}},
+        "tuning": {"regime": "sc-i", "eps_grid": [0.4, 0.3]},
+        "run": {"M": 10, "base_seed": 3},
+    }),
+    pytest.param("run", {
+        "potential": LOGISTIC_POTENTIAL, "tuning": {"regime": "sc-i", "eps": 0.4},
+        "run": {"M": 10, "base_seed": 3},
+    }, marks=pytest.mark.compiled),
 ]
 _NUM = {"int", "float"}
 # the JSON types each key of FUZZ_BASES takes; any other key takes only objects
@@ -500,6 +618,8 @@ FUZZ_TAKES = {
     "C_P": _NUM | {"null"}, "theta_star": _NUM | {"list"}, "center": _NUM | {"list"},
     "theta_alt": _NUM | {"list"}, "delta_grid": {"list"},
     "kl_profile": {"bool", "dict"}, "grad_bounds": {"bool", "dict"},
+    "base_seed": {"int"}, "output_dir": {"str"}, "mean": _NUM | {"list"}, "eps_grid": {"list"},
+    "features": _NUM | {"list"}, "labels": {"list"}, "ridge": _NUM,
 }
 _SCALARS = {"null": st.none(), "bool": st.booleans(), "int": st.integers(),
             "float": st.floats(allow_nan=False, allow_infinity=False), "str": st.text(max_size=4)}
@@ -520,7 +640,7 @@ def _paths(node, prefix=()):
 
 @st.composite
 def malformed_configs(draw):
-    command, base = draw(st.sampled_from(FUZZ_BASES))
+    command, base = draw(st.sampled_from([getattr(b, "values", b) for b in FUZZ_BASES]))
     cfg = copy.deepcopy(base)
     *parents, key = draw(st.sampled_from(list(_paths(cfg))))
     block = reduce(dict.__getitem__, parents, cfg)
@@ -535,7 +655,11 @@ def malformed_configs(draw):
 
 @pytest.mark.parametrize("command, cfg", FUZZ_BASES)
 def test_fuzz_bases_are_valid(tmp_path, capsys, command, cfg):
-    assert main([command, "--config", write(tmp_path, "base.json", cfg)]) == 0
+    if command != "run":
+        assert main([command, "--config", write(tmp_path, "base.json", cfg)]) == 0
+        return
+    summary = run_summary(tmp_path, cfg)  # strict JSON: an exit-0 run writes no NaN
+    assert summary.get("n_diverged", 0) > 0 or math.isfinite(summary.get("mse", 0.0))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

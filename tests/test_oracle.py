@@ -1,17 +1,26 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cesaro_lmc import oracle
 from cesaro_lmc.errors import CapabilityError, NumericError, ParameterError
-from cesaro_lmc.bayes import GaussianLocationModel, build_posterior, sample_dataset, standard_gaussian_prior
+from cesaro_lmc.bayes import (
+    GaussianLocationModel,
+    LogisticModel,
+    build_posterior,
+    sample_dataset,
+    standard_gaussian_prior,
+)
 from cesaro_lmc.oracle import (
     PoissonGrid,
+    importance_posterior_mean,
     ou_cesaro_moments,
     pi_of,
     poisson_solve_1d,
     quadrature_posterior_mean,
-    reference_chain,
 )
 from cesaro_lmc.potentials import (
     Potential,
@@ -19,6 +28,7 @@ from cesaro_lmc.potentials import (
     StronglyConvex,
     builtin_gaussian_location,
     builtin_p_power,
+    find_minimizer,
 )
 from cesaro_lmc.sampler import ChainConfig, replicate_runs
 
@@ -196,23 +206,82 @@ class TestPoisson1D:
             poisson_solve_1d(pot, lambda x: x)
 
 
-class TestReferenceChain:
-    def test_gaussian_d5_within_4_se(self):
-        pot = builtin_gaussian_location(5, [0.5] * 5, 1.0)
-        mean, se = reference_chain(pot, eps_ref=0.05, base_seed=5)
-        assert np.linalg.norm(mean - 0.5) <= 4 * max(se, 1e-6) + 0.05
+def flat_tailed_potential(a=0.01):
+    """W(x) = a log cosh(x / a): curvature 1/a at the mode but Laplace tails
+    e^{-|x|}, so a proposal scaled by the mode's Hessian misses most of the mass."""
 
+    def value(x):
+        u = x[..., 0] / a
+        return a * (np.logaddexp(u, -u) - math.log(2.0))
+
+    return Potential(
+        dim=1, value=value, grad=lambda x: np.tanh(x / a),
+        hess_vec=lambda x, v: v / (a * np.cosh(x / a) ** 2),
+        smoothness=Smoothness(L=1.0 / a), profile=None,
+    )
+
+
+def logistic_posterior(d, n, rows, seed):
+    design = np.random.default_rng(seed).standard_normal((rows, d))
+    model = LogisticModel(design, ridge=0.0)
+    data = sample_dataset(model, np.linspace(-0.5, 0.5, d), n, seed=seed)
+    return build_posterior(model, data, standard_gaussian_prior(d))
+
+
+class TestImportanceSampling:
     def test_agrees_with_quadrature(self):
         pot = asymmetric_potential()
         qmean, qerr = quadrature_posterior_mean(pot)
-        cmean, cse = reference_chain(pot, eps_ref=0.02, base_seed=6)
-        assert abs(cmean[0] - qmean[0]) <= 4 * cse + qerr + 0.02
+        mean, se, ess = importance_posterior_mean(pot, find_minimizer(pot, np.zeros(1)), 6)
+        assert abs(mean[0] - qmean[0]) <= 4 * se + qerr
+        assert se < 1e-2 and ess > 0.5 * 2**17
+
+    @pytest.mark.compiled
+    def test_logistic_posterior_agrees_with_quadrature(self):
+        post = logistic_posterior(2, 400, 10, seed=12)
+        qmean, qerr = quadrature_posterior_mean(post.potential)
+        mean, se, _ = importance_posterior_mean(post.potential, post.mode, 13)
+        assert np.linalg.norm(mean - qmean) <= 4 * se + qerr
+
+    def test_gaussian_d5_posterior_within_4_se(self):
+        model = GaussianLocationModel(5, 1.0)
+        data = sample_dataset(model, [0.5, -0.5, 0.0, 1.0, 0.2], 400, seed=5)
+        post = build_posterior(model, data, standard_gaussian_prior(5))
+        mean, se, _ = importance_posterior_mean(post.potential, post.mode, 5)
+        assert np.linalg.norm(mean - model.posterior_mean(data.observations)) <= 4 * se
 
     def test_deterministic(self):
+        pot = asymmetric_potential()
+        a = importance_posterior_mean(pot, [0.5], 7)
+        b = importance_posterior_mean(pot, [0.5], 7)
+        assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
+        assert importance_posterior_mean(pot, [0.5], 8)[0].tobytes() != a[0].tobytes()
+
+    def test_low_ess_is_refused(self):
+        with pytest.raises(NumericError) as exc:
+            importance_posterior_mean(flat_tailed_potential(), np.zeros(1), 1)
+        assert exc.value.payload["ess"] < 0.1 * 2**17
+
+    def test_indefinite_hessian_is_refused(self):
         pot = builtin_gaussian_location(2, 0.0, 1.0)
-        a = reference_chain(pot, eps_ref=0.1, base_seed=7)
-        b = reference_chain(pot, eps_ref=0.1, base_seed=7)
-        assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+        flipped = Potential(dim=2, value=pot.value, grad=pot.grad,
+                            hess_vec=lambda x, v: -pot.hess_vec(x, v),
+                            smoothness=pot.smoothness, profile=None)
+        with pytest.raises(NumericError):
+            importance_posterior_mean(flipped, np.zeros(2), 1)
+
+
+def test_oracle_imports_nothing_of_the_hot_path():
+    """The oracles check the sampler, so they must not run its code."""
+    tree = ast.parse((Path(oracle.__file__)).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[-1] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(a.name for a in node.names)
+    assert not imported & {"sampler", "_kernel"}
 
 
 class TestQuadratureD3:
