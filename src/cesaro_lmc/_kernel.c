@@ -166,7 +166,10 @@ void lmc_normals(bitgen_t *gen, int64_t n, double *out)
  * step is recorded and its ces and x become NaN.  When states is not NULL,
  * replicate i writes the state before each substep to the rows starting at
  * states + i * states_stride; rows after its divergence are left as they
- * were.  Returns 0, or -1 when the gradient buffer cannot be allocated. */
+ * were.  A replicate touches only its own rows and generator, so the caller
+ * (_kernel.Kernel.step) steps disjoint replicate ranges in concurrent calls
+ * without moving a bit.  Returns 0, or -1 when the gradient buffer cannot
+ * be allocated. */
 int lmc_step(const lmc_pot *p, bitgen_t **gens, int64_t m, double h, double sqrt2h,
              int64_t k_sub, int64_t step0, int64_t todo, double *x, double *ces,
              double *comp, int64_t *diverged, double *states, int64_t states_stride)

@@ -19,6 +19,14 @@ A :class:`Kernel` binds a potential's ``kernel`` field, a tuple of terms
 (at most one of each, in that order, as :func:`combine` joins them), to the
 library: its ``value``, ``grad`` and ``hess_vec`` evaluate the sum of the
 terms and ``step`` advances chains on it.
+
+``step`` splits the replicate axis into contiguous ranges of at least
+``_MIN_RANGE_WORK`` replicate-substeps, one ``lmc_step`` call each, and
+steps them on at most one thread per CPU of the process's affinity mask
+(there is no setting): the caller's thread and plain threads, joined before
+it returns.  Each thread takes the next range when it is free, so a CPU the
+host slows steps fewer.  No bit depends on the split: a replicate reads and
+writes only its own rows and draws only from its own generator.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 
 import numpy as np
 
@@ -37,6 +46,10 @@ from .errors import ParameterError
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _CHECK_KEY = 0x5EED  # Philox key of the load-time self-check
+_MIN_RANGE_WORK = 1 << 16  # the least work a range may hold, in replicate-substeps
+_RANGES_PER_WORKER = 8  # so a worker on a CPU the host slows takes fewer ranges
+# the most threads one step call runs: the CPUs this process may run on
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 _lib = None
 _tried = False
@@ -231,12 +244,40 @@ class Kernel:
         ``diverged`` an int64 array, all C-contiguous.  ``states``, if
         given, is the observers' contiguous (m, rows, d) buffer.
         """
-        m = x.shape[0]
-        rc = self.lib.lmc_step(
-            self._pot, gens, m, h, sqrt2h, k_sub, step0, todo,
-            x.ctypes.data, ces.ctypes.data, comp.ctypes.data, diverged.ctypes.data,
-            None if states is None else states.ctypes.data,
-            0 if states is None else states.shape[1] * self.d,
-        )
-        if rc != 0:
-            raise MemoryError("the chain loop could not allocate its gradient buffer")
+        m, d = x.shape
+        stride = 0 if states is None else states.shape[1] * d
+        most = m * todo * k_sub // _MIN_RANGE_WORK  # ranges the work fills
+        workers = max(1, min(_WORKERS, m, most))
+        # as many ranges for each thread, so threads on equal CPUs end together
+        ranges = workers * max(1, min(_RANGES_PER_WORKER, most // workers, m // workers))
+        bounds = [m * r // ranges for r in range(ranges + 1)]
+        queue = iter(range(ranges))  # shared; next() runs under the interpreter lock
+        errors = []
+
+        def work():
+            try:
+                for r in queue:
+                    lo, hi = bounds[r], bounds[r + 1]
+                    rc = self.lib.lmc_step(
+                        self._pot, ctypes.addressof(gens) + lo * ctypes.sizeof(ctypes.c_void_p),
+                        hi - lo, h, sqrt2h, k_sub, step0, todo, x[lo:].ctypes.data,
+                        ces[lo:].ctypes.data, comp[lo:].ctypes.data, diverged[lo:].ctypes.data,
+                        None if states is None else states[lo:].ctypes.data, stride,
+                    )
+                    if rc != 0:
+                        raise MemoryError("the chain loop could not allocate its gradient buffer")
+            except BaseException as exc:  # re-raised in the caller
+                errors.append(exc)
+
+        threads = []
+        try:
+            for _ in range(workers - 1):
+                thread = threading.Thread(target=work)
+                thread.start()
+                threads.append(thread)
+            work()
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]

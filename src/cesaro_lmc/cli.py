@@ -76,7 +76,7 @@ def config_hash(cfg: dict) -> str:
 
 
 def _is_number(v) -> bool:
-    return type(v) in (int, float)  # bool is refused
+    return type(v) is int or (type(v) is float and math.isfinite(v))  # bool is refused
 
 
 def _is_numbers(v) -> bool:
@@ -261,9 +261,13 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
+def _refuse_constant(name):
+    raise ConfigError(f"{name} is not a JSON number")
+
+
 def load_config(path) -> dict:
     with open(path) as fh:
-        return validate_config(json.load(fh))
+        return validate_config(json.load(fh, parse_constant=_refuse_constant))
 
 
 def _check_d(section: str, block: dict, d: int) -> None:

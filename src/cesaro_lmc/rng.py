@@ -13,6 +13,8 @@ across workers yields the same numbers.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -26,7 +28,24 @@ def mix64(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def stream(seed: int) -> np.random.Generator:
-    """A Philox generator keyed by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+@functools.cache
+def _zero_seed():
+    """A seed source of zero words, so a stream skips the OS entropy that
+    ``Philox(key=k)`` draws and discards (built at the first stream, so
+    importing the package does not import numpy.random)."""
 
+    class ZeroSeed(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype=dtype)
+
+    return ZeroSeed()
+
+
+def stream(seed: int) -> np.random.Generator:
+    """A Philox generator keyed by a 64-bit seed, in the state of ``Philox(key=seed)``."""
+    bits = np.random.Philox(_zero_seed())
+    bits.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                  "has_uint32": 0, "uinteger": 0,
+                  "state": {"counter": np.zeros(4, np.uint64),
+                            "key": np.array([int(seed) & _MASK64, 0], np.uint64)}}
+    return np.random.Generator(bits)

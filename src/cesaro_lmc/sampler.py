@@ -26,15 +26,19 @@ trip the screen on every later step; every output shows it as NaN.
 
 A potential with a ``kernel`` field (the built-in Gaussian, the logistic
 potentials and the logistic posterior) is stepped instead by the compiled
-loop of ``_kernel.c`` (built on first use), one replicate at a time, with
-the gradient code its compiled evaluators run and the same IEEE operations
-in the same order as this driver, with normals drawn by numpy's own
-``random_standard_normal`` on the replicate's Philox generator.  It needs
-no noise block and gives the same bits as this driver stepping the same
-potential without its kernel field.  When the loop cannot be built,
-Gaussian chains run here instead (the logistic family cannot be built at
-all then).  The path is chosen from the kernel field, never from the
-identity of ``pot.grad``; every other potential uses this driver.
+loop of ``_kernel.c`` (built on first use), with the gradient code its
+compiled evaluators run and the same IEEE operations in the same order as
+this driver, with normals drawn by numpy's own ``random_standard_normal``
+on the replicate's Philox generator.  It needs no noise block and gives
+the same bits as this driver stepping the same potential without its
+kernel field.  ``_kernel.Kernel.step`` splits a large batch into
+contiguous replicate ranges and steps them on threads, at most one per CPU
+of the process's affinity mask (there is no setting); each replicate owns
+its stream and its rows, so the split moves no bit.  When the loop
+cannot be built, Gaussian chains run here instead (the logistic family
+cannot be built at all then).  The path is chosen from the kernel field,
+never from the identity of ``pot.grad``; every other potential uses this
+driver.
 
 Diagnostics observe the chain rather than step a copy of it.  An observer
 is a callable ``ob(k0, states, diverged)`` that the driver calls once per

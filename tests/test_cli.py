@@ -434,12 +434,27 @@ class TestExitCodeMapping:
             ("tuning", "calib", None),
             ("tuning", "certified_x0", "no"),
             ("run", "output_dir", 5),
+            # json.dumps writes these as the non-JSON tokens Infinity, -Infinity and NaN
+            ("tuning", "eps", math.inf),
+            ("tuning", "eps", -math.inf),
+            ("potential", "params", {"mean": math.nan, "precision": 1.0}),
+            ("potential", "params", {"mean": 0.0, "precision": math.inf}),
         ],
     )
     def test_malformed_run_values_exit_2(self, tmp_path, section, key, value):
         cfg = json.loads((CONFIGS / "ou_smoke.json").read_text())
         cfg[section][key] = value
         exits_2_with_one_line(tmp_path, "run", cfg)
+
+    def test_overflowing_number_literal_exits_2(self, tmp_path):
+        """``1e400`` is valid JSON that parses to an infinite float."""
+        path = tmp_path / "big.json"
+        text = (CONFIGS / "ou_smoke.json").read_text()
+        path.write_text(text.replace('"eps": 0.1', '"eps": 1e400'))
+        proc = subprocess.run([sys.executable, "-m", "cesaro_lmc.cli", "run", "--config", str(path),
+                               "--output", str(tmp_path / "o")], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: tuning.eps") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
         "command, config, section, value",

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -139,6 +140,134 @@ class TestAgainstNumpyDriver:
             except DivergenceError as exc:
                 alone = exc.payload
             assert outputs([alone]) == outputs([run])
+
+
+class _SpyLib:
+    """The compiled library, recording each ``lmc_step`` call's generator
+    address and replicate count; ``broken``, when it returns True for a
+    count, runs in place of that call and its result is returned."""
+
+    def __init__(self, lib, broken=None):
+        self._lib, self._broken, self.calls = lib, broken, []
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def lmc_step(self, *args):
+        self.calls.append((args[1], args[2]))
+        if self._broken is not None and self._broken(args[2]):
+            return -1
+        return self._lib.lmc_step(*args)
+
+    def ranges(self):
+        """The (lo, hi) replicate ranges of the calls, which must tile 0..m."""
+        base = min(addr for addr, _ in self.calls)
+        spans = sorted(((addr - base) // 8, (addr - base) // 8 + m) for addr, m in self.calls)
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        return spans
+
+
+@pytest.fixture
+def threads3(lib, monkeypatch):
+    """Three threads per step call, whatever the CPUs of the host, switching
+    often, so that a range taken twice or never would show."""
+    monkeypatch.setattr(_kernel, "_WORKERS", 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _spy(monkeypatch, lib, broken=None):
+    spy = _SpyLib(lib, broken)
+    monkeypatch.setattr(_kernel, "load", lambda: spy)
+    return spy
+
+
+def _singletons(pot, cfg, m, base_seed):
+    runs = []
+    for i in range(m):
+        try:
+            runs.append(run_chain(pot, dataclasses.replace(cfg, seed=mix64(base_seed, i))))
+        except DivergenceError as exc:
+            runs.append(exc.payload)
+    return outputs(runs)
+
+
+@pytest.mark.compiled
+class TestSplitRanges:
+    """Batches large enough that ``Kernel.step`` splits them into ranges
+    stepped on several threads: every replicate keeps its bits."""
+
+    @pytest.mark.parametrize("name", ["gaussian", "posterior"])
+    def test_batch_matches_singletons_and_numpy(self, lib, pots, threads3, monkeypatch, name):
+        pot = pots[name]
+        spy = _spy(monkeypatch, lib)
+        cfg = ChainConfig(gamma=0.5 / pot.smoothness.L, n_steps=400, x0=[0.5, 0.1], seed=0)
+        mine = outputs(replicate_runs(pot, cfg, 2002, base_seed=21))
+        # 2002 x 400 replicate-substeps fill 12 ranges of at least 2^16, 4 per thread
+        ranges = spy.ranges()
+        assert len(ranges) == 12 and {hi - lo for lo, hi in ranges} == {166, 167}
+        assert mine == outputs(replicate_runs(on_numpy(pot), cfg, 2002, base_seed=21))
+        assert mine == _singletons(pot, cfg, 2002, base_seed=21)
+
+    def test_divergences_in_several_ranges(self, lib, threads3, monkeypatch):
+        pot = builtin_gaussian_location(2, [0.1, -0.2], 1.0)
+        spy = _spy(monkeypatch, lib)
+        cfg = ChainConfig(gamma=2.05, n_steps=540, x0=[0.0, 0.0], seed=0)
+        runs = replicate_runs(pot, cfg, 600, base_seed=5)
+        ranges = spy.ranges()
+        lost = [i for i, r in enumerate(runs) if r.diverged_step is not None]
+        assert 0 < len(lost) < 600 and len({runs[i].diverged_step for i in lost}) > 1
+        assert len({next(k for k, (lo, hi) in enumerate(ranges) if lo <= i < hi)
+                    for i in lost}) > 1
+        mine = outputs(runs)
+        assert mine == outputs(replicate_runs(on_numpy(pot), cfg, 600, base_seed=5))
+        assert mine == _singletons(pot, cfg, 600, base_seed=5)
+
+    @pytest.mark.parametrize("name", ["gaussian", "posterior"])
+    def test_tangent_trace_through_the_states_buffer(self, lib, pots, threads3, monkeypatch,
+                                                     name):
+        pot = pots[name]
+        spy = _spy(monkeypatch, lib)
+        cfg = ChainConfig(gamma=0.5 / pot.smoothness.L, n_steps=100, x0=[0.5, 0.1], seed=0,
+                          fine_substeps=3, track_tangent=True, checkpoints=20)
+        mine = outputs(replicate_runs(pot, cfg, 700, base_seed=21))
+        assert len(spy.ranges()) == 3  # one noise block of 700 x 300 substeps
+        assert mine == outputs(replicate_runs(on_numpy(pot), cfg, 700, base_seed=21))
+
+    # 2002 x 150 replicate-substeps: one range of 667, 667 and 668 per thread
+    @pytest.mark.parametrize("broken", [lambda m: m == 668, lambda m: True], ids=["one", "all"])
+    def test_failing_range_raises_in_the_caller(self, lib, threads3, monkeypatch, broken):
+        spy = _spy(monkeypatch, lib, broken)
+        cfg = ChainConfig(gamma=0.05, n_steps=150, x0=[0.5, 0.1], seed=0)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="gradient buffer"):
+            replicate_runs(GAUSS, cfg, 2002, base_seed=21)
+        assert sorted(m for _, m in spy.calls) == [667, 667, 668]
+        assert threading.active_count() == before
+
+    def test_exception_in_a_thread_reaches_the_caller(self, lib, threads3, monkeypatch):
+        spy = _spy(monkeypatch, lib)
+
+        def fail(*args):
+            raise RuntimeError("this range failed")
+
+        monkeypatch.setattr(spy, "lmc_step", fail)
+        cfg = ChainConfig(gamma=0.05, n_steps=150, x0=[0.5, 0.1], seed=0)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="this range failed"):
+            replicate_runs(GAUSS, cfg, 2002, base_seed=21)
+        assert threading.active_count() == before
+
+
+def test_package_import_starts_no_thread():
+    code = ("import sys, threading, cesaro_lmc.cli; "
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["1", "False"]
 
 
 def _traced(pot, calls):

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cesaro_lmc
 from cesaro_lmc.bayes import (
     GaussianLocationModel,
     LogisticModel,
@@ -176,6 +178,23 @@ class TestFineDiffusion:
             _, var = ou_cesaro_moments(1.0, 0.0, gamma, n, 0.0)
             se = math.sqrt(var / 400)
             assert abs(emp - expect) <= 4.5 * se
+
+
+class TestStream:
+    @pytest.mark.parametrize("key", [0, 1, 2**63, 2**64 - 1, mix64(20240800, 7)])
+    def test_equals_philox_keyed_by_seed(self, key):
+        mine, ref = stream(key), np.random.Generator(np.random.Philox(key=key))
+        assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
+        assert mine.standard_normal(10**4).tobytes() == ref.standard_normal(10**4).tobytes()
+        assert mine.integers(0, 2**62, 10**4).tobytes() == ref.integers(0, 2**62, 10**4).tobytes()
+        assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
+
+    def test_no_package_code_reads_the_seed_sequence(self):
+        # a stream's seed sequence is all zeros: only its key makes it
+        src = Path(cesaro_lmc.__file__).parent
+        for path in src.glob("*.py"):
+            text = path.read_text()
+            assert "seed_seq" not in text and "spawn" not in text, path.name
 
 
 class TestReplicates:
