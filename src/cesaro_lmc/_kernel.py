@@ -26,7 +26,8 @@ steps them on at most one thread per CPU of the process's affinity mask
 (there is no setting): the caller's thread and plain threads, joined before
 it returns.  Each thread takes the next range when it is free, so a CPU the
 host slows steps fewer.  No bit depends on the split: a replicate reads and
-writes only its own rows and draws only from its own generator.
+writes only its own rows and draws only from its own generator.  The terms'
+arrays sit on cache lines of their own, which no other allocation shares.
 """
 
 from __future__ import annotations
@@ -176,10 +177,16 @@ def combine(*kernels):
 
 
 def _array(a, shape, what):
+    """``a`` as float64, copied onto 64-byte cache lines that hold nothing else:
+    chain threads read it on every gradient, and a line shared with memory
+    another thread writes (a small malloc) would move between CPUs per write."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.shape != shape:
         raise ParameterError(f"kernel {what} has shape {a.shape}, expected {shape}")
-    return a
+    buf = np.empty(a.size + 16)
+    out = buf[(-buf.ctypes.data % 64) // 8:][:a.size].reshape(shape)
+    out[...] = a
+    return out
 
 
 class Kernel:

@@ -8,12 +8,12 @@ assembled from a model family (per-observation potential U plus exact
 simulation) and a log-concave prior.  Only the gradient of W_n is ever
 needed; the normalizing constant is never computed.
 
-Each model family gives the sum over its observations through one method,
-``sum_potential(obs)``, which returns ``(value, grad, hess_vec, profile,
-L_sum, kernel)``: the three evaluators of sum_i U(xi_i, .), its aggregated
-curvature profile (None when none is claimed), the Lipschitz constant of
-its gradient and its compiled kernel terms (None when it has none).
-``build_posterior`` adds the prior to these in one path for every family;
+Each model family gives the sum over its observations as a
+:class:`Potential`, ``sum_potential(obs)``, whose ``profile`` is the
+aggregated curvature profile (None when none is claimed), ``smoothness.L``
+the Lipschitz constant of its gradient and ``kernel`` its compiled terms
+(None when it has none).  ``build_posterior`` adds the prior to it in one
+path for every family;
 when the sum carries a logistic term and the prior a Gaussian one, the
 posterior carries both, in that order, and is evaluated and stepped
 compiled, as one potential.
@@ -26,8 +26,9 @@ n*L for the upper one.  The stored gradient-Lipschitz constant includes the
 prior's contribution so it is a true bound for the full potential.
 
 The sum over observations is never streamed per observation where it need
-not be: the Gaussian location family collapses it to sufficient statistics,
-and the logistic family to a weighted sum over sign pairs of its distinct
+not be: the Gaussian location family's is the built-in Gaussian of mean
+s/n and precision n rho plus a constant (s the sum of the observations),
+and the logistic family's a weighted sum over sign pairs of its distinct
 (feature, label) rows, at most m pairs, and so at most m exponentials per
 gradient, for an m-row design (``builtin_logistic``, compiled).  No
 evaluator goes through BLAS, so a point's value, gradient and
@@ -135,36 +136,17 @@ class GaussianLocationModel:
         theta = np.asarray(theta, dtype=float)
         return self.precision * (theta - obs)
 
-    def sum_potential(self, obs: np.ndarray):
-        """Closed-form aggregate of sum_i U(xi_i, .) via sufficient statistics.
-
-        Algebraically equal to the streamed per-observation sum:
-        (rho/2) sum |theta - xi_i|^2 = (n rho/2)|theta|^2 - rho <s, theta> + (rho/2) ssq,
-        which is (n rho)-strongly convex with an (n rho)-Lipschitz gradient.
-        """
-        rho = self.precision
-        n = obs.shape[0]
-        s = obs.sum(axis=0)
-        ssq = float(np.sum(obs**2))
-
-        def value(theta):
-            theta = np.asarray(theta, dtype=float)
-            return (
-                0.5 * n * rho * np.sum(theta**2, axis=-1)
-                - rho * np.sum(theta * s, axis=-1)
-                + 0.5 * rho * ssq
-            )
-
-        def grad(theta):
-            theta = np.asarray(theta, dtype=float)
-            return n * rho * theta - rho * s
-
-        def hess_vec(theta, v):
-            v = np.asarray(v, dtype=float)
-            shape = np.broadcast_shapes(np.shape(theta), v.shape)
-            return n * rho * np.broadcast_to(v, shape).copy()
-
-        return value, grad, hess_vec, StronglyConvex(n * rho), n * rho, None
+    def sum_potential(self, obs: np.ndarray) -> Potential:
+        """sum_i (rho/2)|theta - xi_i|^2 is the built-in Gaussian
+        (n rho/2)|theta - s/n|^2, s = sum_i xi_i, plus the constant
+        (rho/2) sum_i |xi_i - s/n|^2, which its ``value`` adds (so it carries
+        no kernel term)."""
+        rho, n = self.precision, obs.shape[0]
+        mean = obs.sum(axis=0) / n
+        const = 0.5 * rho * float(np.sum((obs - mean) ** 2))
+        pot = builtin_gaussian_location(self.d, mean, n * rho)
+        return dataclasses.replace(pot, value=lambda theta: pot.value(theta) + const,
+                                   offset=1.0 - const, kernel=None)
 
     def posterior_mean(self, obs: np.ndarray) -> np.ndarray:
         """The conjugate posterior mean rho s / (n rho + 1), s = sum of obs, under N(0, I)."""
@@ -199,15 +181,14 @@ class PPowerLocationModel:
     def model_id(self) -> str:
         return f"p_power_location(d={self.d},p={self.p})"
 
-    def sum_potential(self, obs: np.ndarray, chunk: int = 512):
-        """The per-observation sum, streamed in fixed chunks.
+    def sum_potential(self, obs: np.ndarray) -> Potential:
+        """The per-observation sum, streamed in blocks of 512 observations.
 
         Its profile is the weakly convex aggregate: with r = q, Jensen's
         inequality turns the per-observation (c1, c2, r) into the lower
         branch c1 n^{1-r} and the flat upper bound n L.
         """
-        p = self.p
-        n = obs.shape[0]
+        p, n, chunk = self.p, obs.shape[0], 512
         pr = self.per_obs_profile
         profile = WeaklyConvexKL(c1=pr.c1 * n ** (1.0 - pr.r), c2=n * self.per_obs_L, q=0.0, r=pr.r)
 
@@ -251,7 +232,9 @@ class PPowerLocationModel:
                 )
             return out
 
-        return value, grad, hess_vec, profile, n * self.per_obs_L, None
+        return Potential(dim=self.d, value=value, grad=grad, hess_vec=hess_vec,
+                         smoothness=Smoothness(L=n * self.per_obs_L), profile=profile,
+                         name=f"p_power_sum(d={self.d},p={p},n={n})")
 
 
 class LogisticModel:
@@ -295,15 +278,13 @@ class LogisticModel:
     def psi(self, obs: np.ndarray) -> np.ndarray:
         return obs[..., -1]
 
-    def sum_potential(self, obs: np.ndarray):
+    def sum_potential(self, obs: np.ndarray) -> Potential:
         """The sum over the sign pairs of the distinct (feature, label) rows,
-        weighted by their multiplicities (``builtin_logistic``, whose kernel
-        term it hands back); the per-observation ridge accumulates n-fold."""
+        weighted by their multiplicities (``builtin_logistic``, with its kernel
+        term); the per-observation ridge and L accumulate n-fold."""
         n = obs.shape[0]
         inner = builtin_logistic(obs[:, :-1], obs[:, -1], ridge=n * self.ridge)
-        profile = StronglyConvex(n * self.ridge) if self.ridge > 0 else None
-        return (inner.value, inner.grad, inner.hess_vec, profile, n * self.per_obs_L,
-                inner.kernel)
+        return dataclasses.replace(inner, smoothness=Smoothness(L=n * self.per_obs_L))
 
     def psi_mean(self, theta) -> float:
         theta = np.asarray(theta, dtype=float)
@@ -322,10 +303,11 @@ class PosteriorPotential:
 def build_posterior(model, data: Dataset, prior: Potential) -> PosteriorPotential:
     """Assemble W_n = sum_i U(xi_i, .) + V0 with aggregated constants.
 
-    The family's ``sum_potential(obs)`` gives the per-observation sum and
-    its constants, to which the prior potential V0 adds its own; with no
-    observations the posterior is the prior.  The potential's minimum is
-    normalised to 1 at the mode, found by gradient descent from the origin.
+    The family's ``sum_potential(obs)`` gives the per-observation sum as a
+    potential with its constants, to which the prior potential V0 adds its
+    own; with no observations the posterior is the prior.  The potential's
+    minimum is normalised to 1 at the mode, found by gradient descent from
+    the origin.
     """
     if not hasattr(model, "sum_potential"):
         raise CapabilityError(f"unsupported model family: {model!r}")
@@ -337,22 +319,23 @@ def build_posterior(model, data: Dataset, prior: Potential) -> PosteriorPotentia
         value, grad, hess_vec, profile, base_L = prior.value, prior.grad, prior.hess_vec, None, 0.0
         kernel = prior.kernel
     else:
-        base_value, base_grad, base_hess_vec, profile, base_L, kernel = model.sum_potential(obs)
+        base = model.sum_potential(obs)
+        profile, base_L = base.profile, base.smoothness.L
         from . import _kernel  # not at package import
 
-        kernel = _kernel.combine(kernel, prior.kernel)
+        kernel = _kernel.combine(base.kernel, prior.kernel)
         if kernel is not None:  # one compiled potential: its terms added in order
             ev = _kernel.Kernel(_kernel.load(), kernel, model.d)
             value, grad, hess_vec = ev.value, ev.grad, ev.hess_vec
         else:
             def value(theta):
-                return base_value(theta) + prior.value(theta)
+                return base.value(theta) + prior.value(theta)
 
             def grad(theta):
-                return base_grad(theta) + prior.grad(theta)
+                return base.grad(theta) + prior.grad(theta)
 
             def hess_vec(theta, v):
-                return base_hess_vec(theta, v) + prior.hess_vec(theta, v)
+                return base.hess_vec(theta, v) + prior.hess_vec(theta, v)
 
     total_L = base_L + prior.smoothness.L
     pot = Potential(

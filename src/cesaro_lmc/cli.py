@@ -125,6 +125,7 @@ def _flag_or(table):
         if isinstance(value, dict):
             _check(where, value, table)
 
+    check.table = table
     return check
 
 
@@ -498,14 +499,9 @@ def _run_eps_scaling(cfg, outdir, h, m_reps, base_seed, out) -> int:
     return EXIT_OK
 
 
-def _kl_profile(pot, _theta, opts):
-    rep = verify_kl_profile(pot, n_probes=opts.get("n_probes", 10000),
-                            radius=float(opts.get("radius", 10.0)), seed=opts.get("seed", 0))
-    return rep.passed, rep.worst
-
-
-def _grad_bounds(pot, _theta, opts):
-    rep = verify_grad_bounds(pot, n_probes=opts.get("n_probes", 1000), seed=opts.get("seed", 0))
+def _verified(verify, pot, _theta, opts):
+    """A potential check whose config options are its keyword arguments."""
+    rep = verify(pot, **opts)
     return rep.passed, rep.worst
 
 
@@ -527,8 +523,8 @@ def _test_phi(model, theta, opts):
 
 # (diagnostics key, the block the check runs on, the check)
 _CHECKS = (
-    ("kl_profile", "potential", _kl_profile),
-    ("grad_bounds", "potential", _grad_bounds),
+    ("kl_profile", "potential", functools.partial(_verified, verify_kl_profile)),
+    ("grad_bounds", "potential", functools.partial(_verified, verify_grad_bounds)),
     ("concentration", "model", _concentration),
     ("test_phi", "model", _test_phi),
 )

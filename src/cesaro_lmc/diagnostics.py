@@ -16,10 +16,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import CapabilityError, ExperimentError, ParameterError
-from .potentials import Potential, StronglyConvex, WeaklyConvexKL, find_minimizer
+from .potentials import Potential, minimizer
 from .rng import mix64, stream
 from .sampler import ChainConfig, _observe_chain, moment_clamp, replicate_runs
-from .tuning import TuningPlan, compute_upsilon
+from .tuning import TuningPlan
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,7 @@ def mse_experiment(
         raise ParameterError("need at least one replicate")
     reference = np.atleast_1d(np.asarray(reference, dtype=float))
     if x0 is None:
-        x0 = pot.minimizer_hint
-        if x0 is None:
-            x0 = find_minimizer(pot, np.zeros(pot.dim))
+        x0 = minimizer(pot)
     cfg = ChainConfig(gamma=plan.gamma, n_steps=plan.n_steps, x0=x0, seed=0)
     runs = replicate_runs(pot, cfg, m_replicates, base_seed)
     diverged = [i for i, r in enumerate(runs) if r.diverged_step is not None]
@@ -348,7 +346,6 @@ class MomentReport:
     p_grid: tuple
     sup_running_mean: dict  # p -> sup over checkpoints of the running mean
     first_decile_max: dict
-    implied_c_p: dict
     exp_sup: float
     exp_first_decile_max: float
     passed: bool
@@ -366,10 +363,8 @@ def moment_check(
     Observes the coarse states of the chain ``cfg`` describes.  Requires
     the moment clamp gamma <= 1/(4dL+1).  Passes when no checkpointed
     running mean exceeds ten times its maximum over the first decile of
-    checkpoints.  Also reports the implied moment constants
-    sup-mean / (W^p(x0) + Upsilon^p).  Raises :class:`ExperimentError`
-    naming the first step at which exp(a W) is not finite or the chain
-    diverges.
+    checkpoints.  Raises :class:`ExperimentError` naming the first step at
+    which exp(a W) is not finite or the chain diverges.
     """
     if any(p <= 0 or p > 9 for p in p_grid):
         raise ParameterError("moment exponents must lie in (0, 9]")
@@ -400,21 +395,11 @@ def moment_check(
     _observe_chain(pot, cfg, observe)
     logs = np.concatenate(logs, axis=1)
     decile = max(1, logs.shape[1] // 10)
-    sup_mean, first_max, implied = {}, {}, {}
-    prof = pot.profile
-    if isinstance(prof, WeaklyConvexKL):
-        ups = compute_upsilon(prof, pot.smoothness.L, pot.dim)
-    elif isinstance(prof, StronglyConvex):
-        flat = WeaklyConvexKL(c1=prof.rho, c2=pot.smoothness.L, q=0.0, r=0.0)
-        ups = compute_upsilon(flat, pot.smoothness.L, pot.dim)
-    else:
-        ups = 1.0
-    w0 = float(pot.value(np.asarray(cfg.x0, dtype=float)) + pot.offset)
+    sup_mean, first_max = {}, {}
     passed = True
     for p, vals in zip(p_grid, logs):
         sup_mean[p] = float(vals.max())
         first_max[p] = float(vals[:decile].max())
-        implied[p] = sup_mean[p] / (w0**p + ups**p)
         if sup_mean[p] > 10.0 * first_max[p]:
             passed = False
     evals = logs[-1]
@@ -426,7 +411,6 @@ def moment_check(
         p_grid=tuple(p_grid),
         sup_running_mean=sup_mean,
         first_decile_max=first_max,
-        implied_c_p=implied,
         exp_sup=exp_sup,
         exp_first_decile_max=exp_first,
         passed=passed,

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapabilityError, NumericError, ParameterError
-from .potentials import Potential, dense_hessian, find_minimizer
+from .potentials import Potential, dense_hessian, minimizer
 from .rng import stream
 
 
@@ -30,9 +30,7 @@ def _laplace_frame(pot: Potential, mode=None):
     """The mode (by default the potential's hint, else found) and the inverse
     Hessian there, the covariance of the Laplace approximation."""
     if mode is None:
-        mode = pot.minimizer_hint
-    if mode is None:
-        mode = find_minimizer(pot, np.zeros(pot.dim))
+        mode = minimizer(pot)
     hess = dense_hessian(pot, mode)
     return np.asarray(mode, dtype=float), np.linalg.inv(0.5 * (hess + hess.T))
 
@@ -186,8 +184,6 @@ class PoissonSolution1D:
     g_prime: np.ndarray
     pi_f: float
     residual_sup: float
-    interior: np.ndarray  # mask of nodes where the residual was enforced
-    junction_gap: float = 0.0  # disagreement of the two tail representations
 
 
 def _trapz_weights(x: np.ndarray) -> np.ndarray:
@@ -279,7 +275,6 @@ def poisson_solve_1d(
         panel = dx / 6.0 * (h[k] + 4.0 * e_mid + e_right)
         gp[k] = damp * gp[k + 1] - panel
     # the two representations agree up to the pi(f) quadrature error
-    junction_gap = abs(g_left_mid - gp[mid])
     gp[mid] = 0.5 * (g_left_mid + gp[mid])
 
     # integrate g' (Simpson via midpoint values of g' are unavailable; use
@@ -303,15 +298,7 @@ def poisson_solve_1d(
             f"Poisson residual {res_sup:.3g} above tolerance {residual_tol}",
             payload={"residual": residual, "grid": x},
         )
-    return PoissonSolution1D(
-        grid=x,
-        g=g,
-        g_prime=gp,
-        pi_f=pi_f,
-        residual_sup=res_sup,
-        interior=interior,
-        junction_gap=junction_gap,
-    )
+    return PoissonSolution1D(grid=x, g=g, g_prime=gp, pi_f=pi_f, residual_sup=res_sup)
 
 
 def pi_of(pot: Potential, values: np.ndarray, grid: np.ndarray) -> float:

@@ -331,6 +331,13 @@ def find_minimizer(pot: Potential, x0, tol_grad: float = 1e-10, max_iter: int = 
     )
 
 
+def minimizer(pot: Potential) -> np.ndarray:
+    """The potential's ``minimizer_hint``, else gradient descent from the origin."""
+    if pot.minimizer_hint is not None:
+        return pot.minimizer_hint
+    return find_minimizer(pot, np.zeros(pot.dim))
+
+
 @dataclass(frozen=True)
 class ProfileReport:
     """Outcome of a probe-based regularity check."""
@@ -372,9 +379,7 @@ def verify_kl_profile(
     prof = pot.profile
     if not isinstance(prof, WeaklyConvexKL):
         raise CapabilityError("potential does not carry a weakly convex profile")
-    x_star = pot.minimizer_hint
-    if x_star is None:
-        x_star = find_minimizer(pot, np.zeros(pot.dim))
+    x_star = minimizer(pot)
     pts = probe_points(x_star, radius, n_probes, seed)
     w = pot.value_normalized(pts)
     hess = dense_hessian(pot, pts)  # (n_probes, d, d)
@@ -422,9 +427,7 @@ def verify_grad_bounds(
         prof = WeaklyConvexKL(c1=prof.rho, c2=pot.smoothness.L, q=0.0, r=0.0)
     if not isinstance(prof, WeaklyConvexKL):
         raise CapabilityError("potential carries no convexity profile")
-    x_star = pot.minimizer_hint
-    if x_star is None:
-        x_star = find_minimizer(pot, np.zeros(pot.dim))
+    x_star = minimizer(pot)
     pts = probe_points(x_star, radius, n_probes, seed)
     w = pot.value_normalized(pts)
     w_star = float(pot.value_normalized(x_star))

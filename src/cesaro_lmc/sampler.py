@@ -65,13 +65,14 @@ import numpy as np
 from .errors import DivergenceError, ParameterError
 from .potentials import Potential
 from .rng import mix64, stream
+from .tuning import sc_gamma_clamp
 
 _DIVERGE_LIMIT = 1e12
 
 
 def moment_clamp(pot: Potential) -> float:
     """Step-size ceiling 1/(4 d L + 1) under which moment bounds hold."""
-    return 1.0 / (4.0 * pot.dim * pot.smoothness.L + 1.0)
+    return sc_gamma_clamp(pot.dim, pot.smoothness.L)
 
 
 @dataclass(frozen=True)

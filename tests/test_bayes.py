@@ -14,7 +14,7 @@ from cesaro_lmc.bayes import (
     standard_gaussian_prior,
 )
 from cesaro_lmc.errors import CapabilityError, ParameterError
-from cesaro_lmc.potentials import StronglyConvex, WeaklyConvexKL, dense_hessian
+from cesaro_lmc.potentials import Potential, StronglyConvex, WeaklyConvexKL, dense_hessian
 from cesaro_lmc.rng import stream
 
 # one model of each family, all with d = 2
@@ -34,6 +34,65 @@ def streamed_gaussian_sum(obs, rho, theta, chunk=64):
         value += 0.5 * rho * np.sum(diff**2)
         grad += rho * np.sum(diff, axis=0)
     return value, grad
+
+
+def per_observation(family, model, xi, theta, v):
+    """U(xi, theta), its gradient and its Hessian times v, for one observation."""
+    if family == "gaussian":
+        rho = model.precision
+        return 0.5 * rho * np.sum((theta - xi) ** 2), rho * (theta - xi), rho * v
+    if family == "p_power":
+        p, y = model.p, theta - xi
+        u = 1.0 + np.sum(y**2)
+        hv = 2 * p * u ** (p - 1) * v + 4 * p * (p - 1) * u ** (p - 2) * np.sum(y * v) * y
+        return u**p, 2 * p * u ** (p - 1) * y, hv
+    a, label, mu = xi[:-1], xi[-1], model.ridge
+    z = label * np.sum(a * theta)
+    sig = 1.0 / (1.0 + math.exp(z))  # sigma(-z)
+    value = math.log1p(math.exp(-z)) + 0.5 * mu * np.sum(theta**2)
+    return value, -label * sig * a + mu * theta, sig * (1 - sig) * np.sum(a * v) * a + mu * v
+
+
+class TestSumPotential:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_per_observation_loop(self, family):
+        """A family's observation sum is a Potential whose evaluators equal the
+        sum over observations, one at a time, and whose constants aggregate n-fold."""
+        model, n = FAMILIES[family], 300
+        if family == "p_power":  # no exact sampler: any observations do
+            obs = 0.5 + stream(21).standard_normal((n, 2))
+        else:
+            obs = sample_dataset(model, [0.4, -0.3], n, seed=21).observations
+        pot = model.sum_potential(obs)
+        assert isinstance(pot, Potential)
+        thetas, vs = stream(22).standard_normal((2, 4, 2)) * 2.0
+        values, grads, hvs = pot.value(thetas), pot.grad(thetas), pot.hess_vec(thetas, vs)
+        for j, (theta, v) in enumerate(zip(thetas, vs)):
+            terms = [per_observation(family, model, xi, theta, v) for xi in obs]
+            for got, k in ((values[j], 0), (grads[j], 1), (hvs[j], 2)):
+                ref = sum(t[k] for t in terms)
+                scale = sum(np.abs(t[k]) for t in terms)  # the size of the summed terms
+                assert np.all(np.abs(got - ref) <= 1e-12 * scale), (family, k)
+        assert pot.smoothness.L == n * model.per_obs_L
+        if family == "p_power":
+            pr = model.per_obs_profile
+            assert pot.profile.c1 == pytest.approx(pr.c1 * n ** (1.0 - pr.r), rel=1e-15)
+            assert (pot.profile.c2, pot.profile.q, pot.profile.r) == (n * model.per_obs_L, 0.0, pr.r)
+        else:
+            rho = model.precision if family == "gaussian" else model.ridge
+            assert pot.profile == StronglyConvex(n * rho)
+        assert (pot.kernel is not None) == (family == "logistic")
+
+    def test_gaussian_sum_far_from_the_origin(self):
+        """Its constant is summed about the data mean, so data far from the
+        origin keep the value's relative error at rounding level (sum |xi|^2
+        - |s|^2/n would cancel to a relative error near 1e-10 here)."""
+        model = GaussianLocationModel(2, 1.0)
+        obs = sample_dataset(model, [1e3, -1e3], 400, seed=23).observations
+        pot = model.sum_potential(obs)
+        for theta in obs[:5] + 0.3:
+            ref = math.fsum(0.5 * np.sum((theta - xi) ** 2) for xi in obs)
+            assert pot.value(theta) == pytest.approx(ref, rel=1e-12)
 
 
 class TestSampleDataset:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import inspect
 import io
 import json
 import math
@@ -294,6 +295,19 @@ class TestVerifyCommand:
         assert main(["verify", "--config", path]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
+
+    def test_pass_through_options_are_keywords(self):
+        """A pass-through check hands its config options to its function as
+        keyword arguments, so every option its schema admits must be one."""
+        passed_through = []
+        for name, _, check in cli._CHECKS:
+            if getattr(check, "func", None) is cli._verified:
+                params = list(inspect.signature(check.args[0]).parameters.values())[1:]
+                keywords = {p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD,
+                                                                 p.KEYWORD_ONLY)}
+                assert set(cli._SCHEMA["diagnostics"][name].table) <= keywords, name
+                passed_through.append(name)
+        assert passed_through == ["kl_profile", "grad_bounds"]
 
     def test_wrong_poincare_flagged(self, tmp_path, capsys, monkeypatch):
         cfg = {

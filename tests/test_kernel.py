@@ -302,13 +302,24 @@ def test_posterior_kernel_is_the_posterior(pots):
     term, equals its logistic sum plus its prior, bit for bit."""
     post = pots["posterior"]
     assert [t[0] for t in post.kernel] == ["logistic", "gaussian"]
-    value, grad, hess_vec = MODEL.sum_potential(sample_dataset(MODEL, [0.4, -0.3], 200,
-                                                               seed=8).observations)[:3]
+    base = MODEL.sum_potential(sample_dataset(MODEL, [0.4, -0.3], 200, seed=8).observations)
     prior = standard_gaussian_prior(2)
     xs, vs = stream(3).standard_normal((2, 50, 2)) * 3.0
-    assert post.grad(xs).tobytes() == (grad(xs) + prior.grad(xs)).tobytes()
-    assert post.value(xs).tobytes() == (value(xs) + prior.value(xs)).tobytes()
-    assert post.hess_vec(xs, vs).tobytes() == (hess_vec(xs, vs) + prior.hess_vec(xs, vs)).tobytes()
+    assert post.grad(xs).tobytes() == (base.grad(xs) + prior.grad(xs)).tobytes()
+    assert post.value(xs).tobytes() == (base.value(xs) + prior.value(xs)).tobytes()
+    assert post.hess_vec(xs, vs).tobytes() == (base.hess_vec(xs, vs)
+                                               + prior.hess_vec(xs, vs)).tobytes()
+
+
+@pytest.mark.parametrize("name", IDS)
+def test_term_arrays_own_their_cache_lines(lib, pots, name):
+    """Every array a compiled potential reads starts a 64-byte line, and its
+    last line lies in its own buffer: no other allocation, such as memory a
+    concurrent chain thread writes, shares a line with it."""
+    kern = _kernel.Kernel(lib, pots[name].kernel, 2)
+    for a in kern._keep:
+        end = -(-(a.ctypes.data + a.nbytes) // 64) * 64
+        assert a.ctypes.data % 64 == 0 and end <= a.base.ctypes.data + a.base.nbytes
 
 
 def _logistic_run_config(tmp_path):
