@@ -30,7 +30,6 @@ from .bayes import (
 from .sampler import ChainConfig, ChainRun, replicate_runs, run_chain
 from .tuning import TuningInputs, TuningPlan, compute_upsilon, tune_bayes, tune_sc, tune_weak
 from .oracle import (
-    PoissonGrid,
     PoissonSolution1D,
     importance_posterior_mean,
     ou_cesaro_moments,

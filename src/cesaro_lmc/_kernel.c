@@ -28,7 +28,6 @@
 
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 #include "numpy/random/bitgen.h"
@@ -168,16 +167,14 @@ void lmc_normals(bitgen_t *gen, int64_t n, double *out)
  * states + i * states_stride; rows after its divergence are left as they
  * were.  A replicate touches only its own rows and generator, so the caller
  * (_kernel.Kernel.step) steps disjoint replicate ranges in concurrent calls
- * without moving a bit.  Returns 0, or -1 when the gradient buffer cannot
- * be allocated. */
-int lmc_step(const lmc_pot *p, bitgen_t **gens, int64_t m, double h, double sqrt2h,
-             int64_t k_sub, int64_t step0, int64_t todo, double *x, double *ces,
-             double *comp, int64_t *diverged, double *states, int64_t states_stride)
+ * without moving a bit.  g is the caller's gradient buffer of d doubles, one
+ * per concurrent call. */
+void lmc_step(const lmc_pot *p, bitgen_t **gens, int64_t m, double h, double sqrt2h,
+              int64_t k_sub, int64_t step0, int64_t todo, double *x, double *ces,
+              double *comp, int64_t *diverged, double *states, int64_t states_stride,
+              double *g)
 {
     const int64_t d = p->d;
-    double *g = malloc((size_t)d * sizeof(double));
-    if (!g)
-        return -1;
     for (int64_t i = 0; i < m; i++) {
         if (diverged[i] >= 0)
             continue;
@@ -215,6 +212,4 @@ int lmc_step(const lmc_pot *p, bitgen_t **gens, int64_t m, double h, double sqrt
             }
         }
     }
-    free(g);
-    return 0;
 }

@@ -27,7 +27,7 @@ steps them on at most one thread per CPU of the process's affinity mask
 it returns.  Each thread takes the next range when it is free, so a CPU the
 host slows steps fewer.  No bit depends on the split: a replicate reads and
 writes only its own rows and draws only from its own generator.  The terms'
-arrays sit on cache lines of their own, which no other allocation shares.
+arrays and each thread's gradient buffer sit on cache lines of their own.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def _open(path: str):
         "lmc_grad": (None, [pot, i64, p, p]),
         "lmc_hess_vec": (None, [pot, i64, p, p, p]),
         "lmc_normals": (None, [p, i64, p]),
-        "lmc_step": (ctypes.c_int, [pot, p, i64, f64, f64, i64, i64, i64, p, p, p, p, p, i64]),
+        "lmc_step": (None, [pot, p, i64, f64, f64, i64, i64, i64, p, p, p, p, p, i64, p]),
     }
     for name, (restype, argtypes) in signatures.items():
         fn = getattr(lib, name)
@@ -263,16 +263,16 @@ class Kernel:
 
         def work():
             try:
+                g = _array(np.zeros(d), (d,), "gradient buffer")  # this thread's own lines
                 for r in queue:
                     lo, hi = bounds[r], bounds[r + 1]
-                    rc = self.lib.lmc_step(
+                    self.lib.lmc_step(
                         self._pot, ctypes.addressof(gens) + lo * ctypes.sizeof(ctypes.c_void_p),
                         hi - lo, h, sqrt2h, k_sub, step0, todo, x[lo:].ctypes.data,
                         ces[lo:].ctypes.data, comp[lo:].ctypes.data, diverged[lo:].ctypes.data,
                         None if states is None else states[lo:].ctypes.data, stride,
+                        g.ctypes.data,
                     )
-                    if rc != 0:
-                        raise MemoryError("the chain loop could not allocate its gradient buffer")
             except BaseException as exc:  # re-raised in the caller
                 errors.append(exc)
 

@@ -66,7 +66,8 @@ def standard_gaussian_prior(d: int) -> Potential:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observations plus the manifest fields that regenerate them bit-identically."""
+    """Observations plus the fields that regenerate them bit-identically:
+    ``sample_dataset`` of the model with ``theta_star``, ``n`` and ``seed``."""
 
     observations: np.ndarray  # (n, q)
     model_id: str
@@ -83,14 +84,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.observations.shape[0]
-
-    def manifest(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "theta_star": [float(t) for t in self.theta_star],
-            "n": int(self.n),
-            "seed": int(self.seed),
-        }
 
 
 class GaussianLocationModel:
@@ -192,17 +185,11 @@ class PPowerLocationModel:
         pr = self.per_obs_profile
         profile = WeaklyConvexKL(c1=pr.c1 * n ** (1.0 - pr.r), c2=n * self.per_obs_L, q=0.0, r=pr.r)
 
-        def _u(theta):
-            # (..., n_chunk) bump values for one observation block
-            return lambda block: (
-                1.0 + np.sum((np.asarray(theta)[..., None, :] - block) ** 2, axis=-1)
-            )
-
         def value(theta):
             theta = np.asarray(theta, dtype=float)
             total = np.zeros(theta.shape[:-1])
             for k in range(0, obs.shape[0], chunk):
-                u = _u(theta)(obs[k : k + chunk])
+                u = 1.0 + np.sum((theta[..., None, :] - obs[k : k + chunk]) ** 2, axis=-1)
                 total = total + np.sum(u**p, axis=-1)
             return total
 

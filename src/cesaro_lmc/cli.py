@@ -44,7 +44,6 @@ from .errors import (
     ParameterError,
 )
 from .oracle import (
-    PoissonGrid,
     importance_posterior_mean,
     poisson_solve_1d,
     quadrature_posterior_mean,
@@ -574,7 +573,7 @@ def cmd_oracle(cfg: dict, out=None) -> int:
                   {"nodes_per_axis": nodes})
     elif task == "poisson":
         n_nodes = ob.get("n_nodes", 20001)
-        sol = poisson_solve_1d(pot, lambda x: x, PoissonGrid(n_nodes=n_nodes))
+        sol = poisson_solve_1d(pot, lambda x: x, n_nodes=n_nodes)
         record = ("poisson_solution", {"pi_f": sol.pi_f, "residual_sup": sol.residual_sup},
                   sol.residual_sup, "integrating-factor", {"n_nodes": n_nodes})
     else:

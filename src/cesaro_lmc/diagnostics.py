@@ -204,6 +204,20 @@ def _binom_slack(bound_freq: float, m: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / m) if 0 < p < 1 else 3.0 * math.sqrt(0.25 / m)
 
 
+def _poincare_tail(n: int, delta: float, var: float, sd: float, factor: float) -> float:
+    """The Poincare concentration bound factor * exp(-n (delta^2/(4 var) ^ delta/(2 sd)))
+    on the deviation of an n-sample mean whose summands have Poincare
+    variance scale ``var`` and ``sd`` = sqrt(var), passed in so that every
+    caller's bound keeps its rounding."""
+    return factor * math.exp(-n * min(delta**2 / (4.0 * var), delta / (2.0 * sd)))
+
+
+def _bound_row(delta: float, stats: np.ndarray, bound: float) -> BoundCheckRow:
+    freq = float(np.mean(stats >= delta))
+    slack = _binom_slack(min(bound, 1.0), stats.shape[0])
+    return BoundCheckRow(delta, freq, bound, slack, freq <= bound + slack)
+
+
 def concentration_check(
     model,
     theta,
@@ -216,46 +230,29 @@ def concentration_check(
     """Simulated deviation frequencies against the Poincare concentration bound.
 
     ``statistic`` selects the checked event: "psi" is the deviation of the
-    empirical mean of the 1-Lipschitz statistic (bound
-    2 exp(-n (delta^2/(4 C_P) ^ delta/(2 sqrt(C_P))))), "score" the norm of
-    the averaged parameter gradient at ``theta`` (bound with the extra
-    dimension factor 2d and L-scaling from the union bound).
+    empirical mean of the 1-Lipschitz statistic, with bound
+    2 exp(-n (delta^2/(4 C_P) ^ delta/(2 sqrt(C_P)))); "score" is the norm
+    of the averaged parameter gradient at ``theta``, with the same tail at
+    variance scale L^2 C_P d and factor 2d (a union bound over the
+    coordinates).  Both come from :func:`_poincare_tail`.
     """
     if model.C_P is None:
         raise CapabilityError("model carries no exact Poincare constant")
     cp = model.C_P
     theta = np.asarray(theta, dtype=float)
     rng = stream(seed)
-    rows = []
     obs = model.sample(theta, n * m_sims, rng).reshape(m_sims, n, -1)
     if statistic == "psi":
         stats = np.abs(model.psi(obs).mean(axis=1) - model.psi_mean(theta))
-        for delta in delta_grid:
-            bound = 2.0 * math.exp(
-                -n * min(delta**2 / (4.0 * cp), delta / (2.0 * math.sqrt(cp)))
-            )
-            freq = float(np.mean(stats >= delta))
-            slack = _binom_slack(min(bound, 1.0), m_sims)
-            rows.append(BoundCheckRow(delta, freq, bound, slack, freq <= bound + slack))
+        var, sd, factor = cp, math.sqrt(cp), 2.0
     elif statistic == "score":
-        L = model.per_obs_L
-        d = model.d
-        grads = model.score(obs, theta)  # (m_sims, n, d)
-        stats = np.linalg.norm(grads.mean(axis=1), axis=-1)
-        for delta in delta_grid:
-            bound = 2.0 * d * math.exp(
-                -n
-                * min(
-                    delta**2 / (4.0 * L**2 * cp * d),
-                    delta / (2.0 * L * math.sqrt(cp * d)),
-                )
-            )
-            freq = float(np.mean(stats >= delta))
-            slack = _binom_slack(min(bound, 1.0), m_sims)
-            rows.append(BoundCheckRow(delta, freq, bound, slack, freq <= bound + slack))
+        L, d = model.per_obs_L, model.d
+        stats = np.linalg.norm(model.score(obs, theta).mean(axis=1), axis=-1)
+        var, sd, factor = L**2 * cp * d, L * math.sqrt(cp * d), 2.0 * d
     else:
         raise ParameterError(f"unknown statistic {statistic!r}")
-    return rows
+    return [_bound_row(delta, stats, _poincare_tail(n, delta, var, sd, factor))
+            for delta in delta_grid]
 
 
 @dataclass(frozen=True)
@@ -322,7 +319,6 @@ def run_test_phi(
     c_r = c_map(r_n)
     threshold = c_r / 2.0
     rng = stream(seed)
-    d = model.d
 
     def statistic(obs, center_theta):
         if per_coordinate:
@@ -334,8 +330,7 @@ def run_test_phi(
     type1 = float(np.mean(statistic(obs0, theta_star) >= threshold))
     obs1 = model.sample(theta_alt, n * m_sims, rng).reshape(m_sims, n, -1)
     type2 = float(np.mean(statistic(obs1, theta_star) < threshold))
-    factor = 2.0 * d if per_coordinate else 2.0
-    bound = factor * math.exp(-n * min(c_r**2 / (16.0 * cp), c_r / (4.0 * math.sqrt(cp))))
+    bound = _poincare_tail(n, threshold, cp, math.sqrt(cp), 2.0 * model.d if per_coordinate else 2.0)
     slack = _binom_slack(min(bound, 1.0), m_sims)
     passed = (type1 <= bound + slack) and (type2 <= bound + slack)
     return TestPhiReport(type1, type2, bound, slack, passed, c_r)

@@ -6,7 +6,8 @@ neither ``sampler`` nor ``_kernel``; a test checks it): tensor-product
 quadrature for posterior means at d <= 3, self-normalised importance
 sampling from a Student-t around the mode for posterior means at any d <= 50,
 exact AR(1) moments for the quadratic-potential chain, and a one-dimensional
-integrating-factor solver for the generator equation L g = f - pi(f).
+integrating-factor solver for the generator equation L g = f - pi(f) on a
+graded grid, whose pi-averages are one trapezoid rule (``pi_of``).
 """
 
 from __future__ import annotations
@@ -72,14 +73,13 @@ def quadrature_posterior_mean(
                         "posterior mass has not decayed at the quadrature boundary",
                         payload={"axis": ax, "face_logweight": face_max - logw_max},
                     )
-        w = np.exp(logw - logw_max)
-        for ax in range(pot.dim):  # trapezoid endpoint halving per axis
-            sl = [slice(None)] * pot.dim
-            wv = w.reshape(shape).copy()
-            for face in (0, -1):
-                sl[ax] = face
-                wv[tuple(sl)] *= 0.5
-            w = wv.ravel()
+        # trapezoid weights: the per-axis [1/2, 1, ..., 1, 1/2], one axis at a time
+        edge = np.ones(npa)
+        edge[[0, -1]] = 0.5
+        w = np.exp(lw - logw_max)
+        for ax in range(pot.dim):
+            w = w * edge.reshape((npa,) + (1,) * (pot.dim - 1 - ax))
+        w = w.ravel()
         mass = float(np.sum(w))
         if not (np.isfinite(mass) and mass > 0):
             raise NumericError("quadrature mass is not positive and finite")
@@ -168,13 +168,8 @@ def ou_cesaro_moments(rho: float, m: float, gamma: float, n_steps: int, x0: floa
 # 1-D Poisson equation solver
 
 
-@dataclass(frozen=True)
-class PoissonGrid:
-    """Graded 1-D grid spec: nodes cluster near the mode via a sinh map."""
-
-    n_nodes: int = 20001
-    k_sigma: float = 10.0
-    grading: float = 2.0
+_POISSON_GRADING = 2.0  # sinh map strength: nodes cluster near the mode
+_POISSON_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -186,19 +181,24 @@ class PoissonSolution1D:
     residual_sup: float
 
 
-def _trapz_weights(x: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(x)
-    dx = np.diff(x)
-    w[:-1] += 0.5 * dx
-    w[1:] += 0.5 * dx
-    return w
+def pi_of(pot: Potential, values: np.ndarray, grid: np.ndarray) -> float:
+    """Trapezoid-quadrature mean of a grid function against pi proportional to
+    e^{-W}; the Poisson solver's pi(f) and its centring of g."""
+    w_raw = pot.value(grid[:, None])
+    dens = np.exp(-(w_raw - np.min(w_raw)))
+    qw = np.zeros_like(grid)
+    dx = np.diff(grid)
+    qw[:-1] += 0.5 * dx
+    qw[1:] += 0.5 * dx
+    return float(np.sum(qw * dens * values) / np.sum(qw * dens))
 
 
 def poisson_solve_1d(
     pot: Potential,
     f: Callable[[np.ndarray], np.ndarray],
-    grid: PoissonGrid = PoissonGrid(),
-    residual_tol: float = 1e-6,
+    *,
+    n_nodes: int = 20001,
+    k_sigma: float = 10.0,
 ) -> PoissonSolution1D:
     """Solve g'' - W' g' = f - pi(f) on a truncated interval, pi(g) = 0.
 
@@ -214,17 +214,20 @@ def poisson_solve_1d(
     values are the Watson-lemma tail estimates +/- (f - pi f)/(-W') at the
     grid ends.  The reported residual applies the generator to the computed
     solution by finite differences; it is enforced on the interior mask
-    (potential at least 2 units below its boundary level).
+    (potential at least 2 units below its boundary level); above 1e-6 it
+    raises NumericError.  ``f`` must be 1-Lipschitz.  The grid has ``n_nodes``
+    (>= 101) nodes on the mode +/- ``k_sigma`` Laplace standard deviations,
+    clustered near the mode by a sinh map; pi(f) and pi(g) are :func:`pi_of`.
     """
     if pot.dim != 1:
         raise CapabilityError("the Poisson solver is one-dimensional")
-    if grid.n_nodes < 101:
+    if n_nodes < 101:
         raise ParameterError("grid too coarse")
     mode, cov = _laplace_frame(pot)
     mode_x, sig = float(mode[0]), math.sqrt(cov[0, 0])
 
-    u = np.linspace(-1.0, 1.0, grid.n_nodes)
-    x = mode_x + grid.k_sigma * sig * np.sinh(grid.grading * u) / math.sinh(grid.grading)
+    u = np.linspace(-1.0, 1.0, n_nodes)
+    x = mode_x + k_sigma * sig * np.sinh(_POISSON_GRADING * u) / math.sinh(_POISSON_GRADING)
     xs = x[:, None]
     w_raw = pot.value(xs)
     w_shift = w_raw - float(np.min(w_raw))
@@ -235,10 +238,7 @@ def poisson_solve_1d(
     if lip > 1.0 + 1e-6:
         raise ParameterError(f"f must be 1-Lipschitz, measured constant {lip:.6g}")
 
-    qw = _trapz_weights(x)
-    dens = np.exp(-w_shift)
-    mass = float(np.sum(qw * dens))
-    pi_f = float(np.sum(qw * dens * fx) / mass)
+    pi_f = pi_of(pot, fx, x)
     h = fx - pi_f
 
     # Rescaled integrating-factor march with Simpson panels.  Each half is
@@ -267,7 +267,7 @@ def poisson_solve_1d(
     g_left_mid = gp[mid]
     # right piece: H(x) = -e^{W} int_x^{inf} e^{-W} h, Watson tail at x[-1]
     gp[-1] = -h[-1] / wprime_r
-    for k in range(grid.n_nodes - 2, mid - 1, -1):
+    for k in range(n_nodes - 2, mid - 1, -1):
         dx = x[k + 1] - x[k]
         damp = math.exp(w_shift[k] - w_shift[k + 1])  # <= 1 on the right half
         e_mid = math.exp(w_shift[k] - wm_shift[k]) * fm[k]
@@ -280,7 +280,7 @@ def poisson_solve_1d(
     # integrate g' (Simpson via midpoint values of g' are unavailable; use
     # trapezoid, whose h^2 error is dominated by the residual tolerance)
     g = np.concatenate([[0.0], np.cumsum(0.5 * (gp[:-1] + gp[1:]) * np.diff(x))])
-    g = g - float(np.sum(qw * dens * g) / mass)  # pi(g) = 0
+    g = g - pi_of(pot, g, x)  # pi(g) = 0
 
     # residual by finite differences of the computed g'
     wp = pot.grad(xs)[:, 0]
@@ -293,19 +293,9 @@ def poisson_solve_1d(
     interior = w_shift <= w_edge - 2.0
     interior[[0, -1]] = False
     res_sup = float(np.max(np.abs(residual[interior])))
-    if res_sup > residual_tol:
+    if res_sup > _POISSON_RESIDUAL_TOL:
         raise NumericError(
-            f"Poisson residual {res_sup:.3g} above tolerance {residual_tol}",
+            f"Poisson residual {res_sup:.3g} above tolerance {_POISSON_RESIDUAL_TOL}",
             payload={"residual": residual, "grid": x},
         )
     return PoissonSolution1D(grid=x, g=g, g_prime=gp, pi_f=pi_f, residual_sup=res_sup)
-
-
-def pi_of(pot: Potential, values: np.ndarray, grid: np.ndarray) -> float:
-    """Quadrature mean of a grid function against pi proportional to e^{-W}."""
-    w_raw = pot.value(grid[:, None])
-    dens = np.exp(-(w_raw - np.min(w_raw)))
-    qw = _trapz_weights(grid)
-    return float(np.sum(qw * dens * values) / np.sum(qw * dens))
-
-

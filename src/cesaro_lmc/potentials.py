@@ -105,7 +105,6 @@ class Potential:
     minimizer_hint: Optional[np.ndarray] = None
     offset: float = 0.0
     name: str = ""
-    profile_note: str = ""
     kernel: Optional[tuple] = None
 
     def value_normalized(self, x: np.ndarray) -> np.ndarray:
@@ -227,7 +226,7 @@ def builtin_logistic(features, labels, ridge: float = 0.0) -> Potential:
 
     W(theta) = sum_i log(1 + exp(-y_i <a_i, theta>)) + (ridge/2)|theta|^2.
     Strongly convex with modulus ``ridge`` when ridge > 0; without ridge no
-    curvature profile is claimed (flagged "kl-unverified").
+    curvature profile is claimed (``profile`` is None).
 
     The rows b_i = y_i a_i are collapsed once, here, into sign pairs: each
     distinct row b and its negation -b share one base row, kept in order of
@@ -291,19 +290,21 @@ def builtin_logistic(features, labels, ridge: float = 0.0) -> Potential:
         minimizer_hint=None,
         offset=0.0,
         name=f"logistic(d={d},n={a.shape[0]},ridge={mu})",
-        profile_note="" if mu > 0 else "kl-unverified",
         kernel=kernel,
     )
+
+
+def hess_columns(pot: Potential, x, y) -> np.ndarray:
+    """The Hessian at ``x`` applied to each column of ``y``: the stack of
+    ``hess_vec(x, y[..., j])`` along the last axis."""
+    return np.stack([pot.hess_vec(x, y[..., j]) for j in range(y.shape[-1])], axis=-1)
 
 
 def dense_hessian(pot: Potential, x) -> np.ndarray:
     """Assemble the full Hessian from matrix-vector products (d <= 50 only)."""
     if pot.dim > 50:
         raise CapabilityError("dense Hessians are reconstructed only for d <= 50")
-    x = np.asarray(x, dtype=float)
-    eye = np.eye(pot.dim)
-    cols = [pot.hess_vec(x, eye[j]) for j in range(pot.dim)]
-    return np.stack(cols, axis=-1)
+    return hess_columns(pot, np.asarray(x, dtype=float), np.eye(pot.dim))
 
 
 def find_minimizer(pot: Potential, x0, tol_grad: float = 1e-10, max_iter: int = 200000):
@@ -343,10 +344,8 @@ class ProfileReport:
     """Outcome of a probe-based regularity check."""
 
     passed: bool
-    n_probes: int
     worst: dict = field(default_factory=dict)
     violating_probe: Optional[np.ndarray] = None
-    detail: str = ""
 
 
 def probe_points(center: np.ndarray, radius: float, n_probes: int, seed: int) -> np.ndarray:
@@ -397,10 +396,8 @@ def verify_kl_profile(
         bad = pts[int(np.argmax(hi))]
     return ProfileReport(
         passed=bool(passed),
-        n_probes=n_probes,
         worst={"lambda_min_ratio": float(worst_lo), "lambda_max_ratio": float(worst_hi)},
         violating_probe=None if passed else bad,
-        detail="lambda_min*W^r/c1 must stay >= 1 and lambda_max*W^q/c2 <= 1",
     )
 
 
@@ -454,6 +451,4 @@ def verify_grad_bounds(
         "quad_upper_margin": float(np.min(upper_quad - (w ** (1.0 + q) - w_star ** (1.0 + q)))),
     }
     bad = None if passed else pts[int(np.argmin(ok))]
-    return ProfileReport(
-        passed=passed, n_probes=n_probes, worst=worst, violating_probe=bad
-    )
+    return ProfileReport(passed=passed, worst=worst, violating_probe=bad)

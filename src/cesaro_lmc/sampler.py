@@ -63,7 +63,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .potentials import Potential
+from .potentials import Potential, hess_columns
 from .rng import mix64, stream
 from .tuning import sc_gamma_clamp
 
@@ -120,12 +120,6 @@ def _spectral_norms(y: np.ndarray) -> np.ndarray:
     return np.linalg.svd(y, compute_uv=False)[..., 0]
 
 
-def _hess_apply(pot: Potential, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Hessian at x applied to each column of y; x is (M, d), y is (M, d, d)."""
-    cols = [pot.hess_vec(x, y[..., j]) for j in range(y.shape[-1])]
-    return np.stack(cols, axis=-1)
-
-
 def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observers=()):
     """Batched chain driver; one Philox stream per row of ``x0_batch``.
 
@@ -164,7 +158,6 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
     else:
         block = np.empty((m, chunk * k_sub, d))
         t1, t2, hg = (np.empty((m, d)) for _ in range(3))
-        alive = np.ones(m, dtype=bool)
     states = np.empty((m, chunk * k_sub, d)) if observers else None
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected, not warned
@@ -195,13 +188,12 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
                     # NaN/inf fail the comparison: one whole-array reduction screens
                     # the batch, the per-row check runs only when it trips
                     if not np.abs(x).max() < _DIVERGE_LIMIT:
-                        bad = alive & ~(np.max(np.abs(x), axis=1) < _DIVERGE_LIMIT)
+                        bad = (diverged < 0) & ~(np.max(np.abs(x), axis=1) < _DIVERGE_LIMIT)
                         diverged[bad] = k
-                        alive &= ~bad
                         ces[bad] = np.nan
                         # dead rows restart from x0 so they do not trip the screen
                         # on every later step; outputs show them as NaN
-                        x[~alive] = x0_batch[~alive]
+                        x[diverged >= 0] = x0_batch[diverged >= 0]
             if observers:
                 _mask_dead(states[:, :rows], diverged, step, k_sub)
                 for ob in observers:
@@ -236,7 +228,7 @@ class _TangentTrace:
     def __call__(self, k0, states, diverged):
         k_sub, n = self.cfg.fine_substeps, self.cfg.n_steps
         for r in range(states.shape[1]):
-            self.y = self.y - self.h * _hess_apply(self.pot, states[:, r], self.y)
+            self.y = self.y - self.h * hess_columns(self.pot, states[:, r], self.y)
             k, s = divmod(r, k_sub)
             k += k0
             if s == k_sub - 1 and (k % self.every == 0 or k == n - 1):

@@ -75,8 +75,6 @@ def compute_upsilon(profile: WeaklyConvexKL, L: float, d: int) -> float:
     """Moment-scale bound max(1, (c2 v L)^{1/(1+q-r)} c1^{-1/(1-r)} log(1+dL) d^{1/(1+q-r)})."""
     if not isinstance(profile, WeaklyConvexKL):
         raise ParameterError("Upsilon is defined for weakly convex profiles")
-    if profile.r >= 1.0:
-        raise ParameterError("r must be < 1")
     e1 = 1.0 / (1.0 + profile.q - profile.r)
     val = (
         max(profile.c2, L) ** e1

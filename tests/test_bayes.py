@@ -133,8 +133,7 @@ class TestDatasetRoundTrip:
     def test_manifest_regenerates_bit_identically(self):
         model = GaussianLocationModel(3, 1.0)
         data = sample_dataset(model, [0.0, 1.0, 2.0], 40, seed=123)
-        man = data.manifest()
-        again = sample_dataset(model, man["theta_star"], man["n"], man["seed"])
+        again = sample_dataset(model, data.theta_star, data.n, data.seed)
         assert np.array_equal(again.observations, data.observations)
 
 

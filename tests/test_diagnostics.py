@@ -198,6 +198,31 @@ class TestConcentration:
         assert not all(r.passed for r in rows)
 
 
+@pytest.mark.parametrize("check", ["psi", "score", "test_phi"])
+def test_bounds_equal_the_printed_formulas_bit_for_bit(check):
+    # == on purpose: the three bounds share one tail, and its rounding must
+    # stay that of each printed formula (L != 1 and d = 3 make the score's
+    # operation order count)
+    model = GaussianLocationModel(3, precision=1.3)
+    cp, L, d, n, theta = model.C_P, model.per_obs_L, 3, 25, [0.1, 0.2, 0.3]
+    c_map = SeparationMap(b1=1.3, b2=1.0, alpha_c=1.2)
+    for delta in (0.05, 0.3, 0.9, 2.0, 7.0, 12.0):
+        if check == "test_phi":  # delta is the separation radius r_n
+            c = c_map(delta)
+            got = run_test_phi(model, theta, [0.1 + 1.01 * delta, 0.2, 0.3], n, delta, c_map, 20,
+                               seed=1, per_coordinate=True).bound
+            want = 2.0 * d * math.exp(-n * min(c**2 / (16.0 * cp), c / (4.0 * math.sqrt(cp))))
+        else:
+            (row,) = concentration_check(model, theta, n, [delta], 20, seed=1, statistic=check)
+            got = row.bound
+            if check == "psi":
+                want = 2.0 * math.exp(-n * min(delta**2 / (4.0 * cp), delta / (2.0 * math.sqrt(cp))))
+            else:
+                want = 2.0 * d * math.exp(-n * min(delta**2 / (4.0 * L**2 * cp * d),
+                                                   delta / (2.0 * L * math.sqrt(cp * d))))
+        assert 0.0 < got == want, (delta, got, want)
+
+
 class TestSeparationTest:
     def test_printed_example(self):
         model = GaussianLocationModel(1, 1.0)

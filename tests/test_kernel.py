@@ -8,6 +8,7 @@ that the loop's gradient code is checked against.
 import dataclasses
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -144,8 +145,8 @@ class TestAgainstNumpyDriver:
 
 class _SpyLib:
     """The compiled library, recording each ``lmc_step`` call's generator
-    address and replicate count; ``broken``, when it returns True for a
-    count, runs in place of that call and its result is returned."""
+    address and replicate count; a call whose count ``broken`` returns True
+    for raises instead of stepping."""
 
     def __init__(self, lib, broken=None):
         self._lib, self._broken, self.calls = lib, broken, []
@@ -156,8 +157,8 @@ class _SpyLib:
     def lmc_step(self, *args):
         self.calls.append((args[1], args[2]))
         if self._broken is not None and self._broken(args[2]):
-            return -1
-        return self._lib.lmc_step(*args)
+            raise RuntimeError(f"the range of {args[2]} replicates failed")
+        self._lib.lmc_step(*args)
 
     def ranges(self):
         """The (lo, hi) replicate ranges of the calls, which must tile 0..m."""
@@ -244,7 +245,7 @@ class TestSplitRanges:
         spy = _spy(monkeypatch, lib, broken)
         cfg = ChainConfig(gamma=0.05, n_steps=150, x0=[0.5, 0.1], seed=0)
         before = threading.active_count()
-        with pytest.raises(MemoryError, match="gradient buffer"):
+        with pytest.raises(RuntimeError, match="replicates failed"):
             replicate_runs(GAUSS, cfg, 2002, base_seed=21)
         assert sorted(m for _, m in spy.calls) == [667, 667, 668]
         assert threading.active_count() == before
@@ -374,6 +375,16 @@ def test_cli_without_a_compiler_exits_2_on_a_logistic_run(tmp_path):
     assert "Traceback" not in proc.stderr
     errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error: ")]
     assert len(errors) == 1 and "compiled evaluators" in errors[0]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_source_compiles_without_warnings(tmp_path):
+    # an include dropped by mistake shows as an implicit declaration
+    flags = [f for f in _kernel._FLAGS if f != "-shared"]
+    cmd = ["cc", "-Wall", "-Wextra", "-Werror", "-std=c11", *flags, "-I", np.get_include(), "-c",
+           _kernel._SOURCE, "-o", str(tmp_path / "kernel.o")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cache_is_private(lib):

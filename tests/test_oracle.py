@@ -15,7 +15,6 @@ from cesaro_lmc.bayes import (
     standard_gaussian_prior,
 )
 from cesaro_lmc.oracle import (
-    PoissonGrid,
     importance_posterior_mean,
     ou_cesaro_moments,
     pi_of,
@@ -188,8 +187,8 @@ class TestPoisson1D:
         # truncation bias is invisible where the weight lives; only the thin
         # p-power tail near the small grid's edge feels the boundary estimate
         pot = builtin_p_power(1, 0.0, 0.8)
-        sol1 = poisson_solve_1d(pot, lambda x: x, PoissonGrid(n_nodes=20001, k_sigma=10.0))
-        sol2 = poisson_solve_1d(pot, lambda x: x, PoissonGrid(n_nodes=40001, k_sigma=20.0))
+        sol1 = poisson_solve_1d(pot, lambda x: x, n_nodes=20001, k_sigma=10.0)
+        sol2 = poisson_solve_1d(pot, lambda x: x, n_nodes=40001, k_sigma=20.0)
         assert abs(sol1.pi_f - sol2.pi_f) < 1e-10
         central = np.abs(sol1.grid) <= 5.0
         mid = np.interp(sol1.grid[central], sol2.grid, sol2.g)

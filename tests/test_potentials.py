@@ -117,7 +117,6 @@ class TestBuiltins:
     def test_logistic_without_ridge_is_unverified(self):
         lg = builtin_logistic(np.array([[1.0, 0.0]]), [1], ridge=0.0)
         assert lg.profile is None
-        assert lg.profile_note == "kl-unverified"
 
     @COMPILED
     def test_logistic_rejects_a_point_of_another_dimension(self):
