@@ -292,9 +292,9 @@ def build_posterior(model, data: Dataset, prior: Potential) -> PosteriorPotentia
 
     The family's ``sum_potential(obs)`` gives the per-observation sum as a
     potential with its constants, to which the prior potential V0 adds its
-    own; with no observations the posterior is the prior.  The potential's
-    minimum is normalised to 1 at the mode, found by gradient descent from
-    the origin.
+    own.  An empty dataset is refused (``sample_dataset`` draws n >= 1).
+    The potential's minimum is normalised to 1 at the mode, found by
+    gradient descent from the origin.
     """
     if not hasattr(model, "sum_potential"):
         raise CapabilityError(f"unsupported model family: {model!r}")
@@ -302,36 +302,33 @@ def build_posterior(model, data: Dataset, prior: Potential) -> PosteriorPotentia
     n = obs.shape[0]
     if obs.shape[1] != model.q:
         raise ParameterError(f"observation dimension {obs.shape[1]} does not match model q={model.q}")
-    if n == 0:  # the posterior is the prior
-        value, grad, hess_vec, profile, base_L = prior.value, prior.grad, prior.hess_vec, None, 0.0
-        kernel = prior.kernel
+    if n == 0:
+        raise ParameterError("the dataset is empty: a posterior needs n >= 1 observations")
+    base = model.sum_potential(obs)
+    from . import _kernel  # not at package import
+
+    kernel = _kernel.combine(base.kernel, prior.kernel)
+    if kernel is not None:  # one compiled potential: its terms added in order
+        ev = _kernel.Kernel(_kernel.load(), kernel, model.d)
+        value, grad, hess_vec = ev.value, ev.grad, ev.hess_vec
     else:
-        base = model.sum_potential(obs)
-        profile, base_L = base.profile, base.smoothness.L
-        from . import _kernel  # not at package import
+        def value(theta):
+            return base.value(theta) + prior.value(theta)
 
-        kernel = _kernel.combine(base.kernel, prior.kernel)
-        if kernel is not None:  # one compiled potential: its terms added in order
-            ev = _kernel.Kernel(_kernel.load(), kernel, model.d)
-            value, grad, hess_vec = ev.value, ev.grad, ev.hess_vec
-        else:
-            def value(theta):
-                return base.value(theta) + prior.value(theta)
+        def grad(theta):
+            return base.grad(theta) + prior.grad(theta)
 
-            def grad(theta):
-                return base.grad(theta) + prior.grad(theta)
+        def hess_vec(theta, v):
+            return base.hess_vec(theta, v) + prior.hess_vec(theta, v)
 
-            def hess_vec(theta, v):
-                return base.hess_vec(theta, v) + prior.hess_vec(theta, v)
-
-    total_L = base_L + prior.smoothness.L
+    total_L = base.smoothness.L + prior.smoothness.L
     pot = Potential(
         dim=model.d,
         value=value,
         grad=grad,
         hess_vec=hess_vec,
         smoothness=Smoothness(L=total_L),
-        profile=profile,
+        profile=base.profile,
         name=f"posterior[{model.model_id}, n={n}]",
         kernel=kernel,
     )

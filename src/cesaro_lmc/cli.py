@@ -151,46 +151,50 @@ def _family(families):
     return check
 
 
+def _given(block: dict, *keys) -> dict:
+    """The ``keys`` that ``block`` gives, as keyword arguments: a key it leaves out takes
+    the default of the function they are passed to."""
+    return {k: block[k] for k in keys if k in block}
+
+
 _MODEL = {"family": _STRING, "d": _COUNT, "theta_star": _NUMBERS, "alpha_c": _NUMBER, "b1": _NUMBER}
 _LABELS = _is(lambda v: isinstance(v, list) and len(v) > 0
               and all(_is_number(u) and u in (1, -1) for u in v), "an array of +1/-1 labels")
-# family -> (the keys its block may hold, params included; its builder(block, params))
+# family -> (the keys its block may hold, params included; its builder(block), which passes
+# the params and the model keys its constructor takes as keyword arguments)
 _MODELS = {
     "gaussian_location": (
         {**_MODEL, "C_P": _is(lambda v: v is None, "null (its C_P is 1/precision)"),
          "params": {"precision": _NUMBER}},
-        lambda b, p: GaussianLocationModel(b.get("d", 1), float(p.get("precision", 1.0)),
-                                           float(b.get("alpha_c", 1.0)), float(b.get("b1", 1.0))),
+        lambda b: GaussianLocationModel(b.get("d", 1), **b.get("params", {}),
+                                        **_given(b, "alpha_c", "b1")),
     ),
     "logistic": (
         {**_MODEL, "C_P": _is(lambda v: v is None or _is_number(v), "a number or null"),
          "params": {"design": _required(_NUMBERS), "ridge": _NUMBER}},
-        lambda b, p: LogisticModel(np.asarray(p["design"], dtype=float), float(p.get("ridge", 0.0)),
-                                   float(b.get("alpha_c", 1.0)), float(b.get("b1", 1.0)),
-                                   b.get("C_P")),
+        lambda b: LogisticModel(**b["params"], **_given(b, "alpha_c", "b1", "C_P")),
     ),
 }
-# family -> (its keys; its constructor; is e^{-W} symmetric about ``minimizer_hint``, its mean)
+# family -> (its keys; its builder(block); is e^{-W} symmetric about ``minimizer_hint``, its mean)
 _POTENTIALS = {
     "gaussian": (
         {"family": _STRING, "d": _COUNT, "params": {"mean": _NUMBERS, "precision": _NUMBER}},
-        lambda b, p: builtin_gaussian_location(b.get("d", 1), p.get("mean", 0.0),
-                                               float(p.get("precision", 1.0))),
+        lambda b: builtin_gaussian_location(b.get("d", 1), **b.get("params", {})),
         True,  # W(x) = (rho/2)|x - mean|^2
     ),
     "p_power": (
         {"family": _STRING, "d": _COUNT, "params": {"center": _NUMBERS, "p": _NUMBER}},
-        lambda b, p: builtin_p_power(b.get("d", 1), p.get("center", 0.0), float(p.get("p", 0.75))),
+        lambda b: builtin_p_power(b.get("d", 1), **b.get("params", {})),
         True,  # W(x) = (1 + |x - center|^2)^p
     ),
     "logistic": (
         {"family": _STRING, "d": _COUNT, "params": {
             "features": _required(_NUMBERS), "labels": _required(_LABELS), "ridge": _NUMBER}},
-        lambda b, p: builtin_logistic(np.asarray(p["features"], dtype=float), p["labels"],
-                                      ridge=float(p.get("ridge", 0.0))),
+        lambda b: builtin_logistic(**b["params"]),
         False,
     ),
 }
+_FAMILIES = {"model": _MODELS, "potential": _POTENTIALS}
 
 # section -> key -> check; a nested dict checks an object's keys in turn, and
 # its keys are the only ones the object may hold
@@ -270,22 +274,17 @@ def load_config(path) -> dict:
         return validate_config(json.load(fh, parse_constant=_refuse_constant))
 
 
-def _check_d(section: str, block: dict, d: int) -> None:
-    """A block's ``d``, if given, must be the width its params fix (a logistic design's)."""
+def _build(cfg: dict, section: str):
+    """The config's ``section`` block ("model" or "potential"), built by its family.  Its
+    ``d``, if given, must be the width its params fix (a logistic design's)."""
+    if section not in cfg:
+        raise ConfigError(f"no {section} block in the config")
+    block = cfg[section]
+    built = _FAMILIES[section][block["family"]][1](block)
+    d = built.d if section == "model" else built.dim
     if block.get("d", d) != d:
         raise ConfigError(f"{section}.d is {block['d']}, but its params have {d} columns")
-
-
-def _build_model(block: dict):
-    model = _MODELS[block["family"]][1](block, block.get("params", {}))
-    _check_d("model", block, model.d)
-    return model
-
-
-def _build_potential(block: dict):
-    pot = _POTENTIALS[block["family"]][1](block, block.get("params", {}))
-    _check_d("potential", block, pot.dim)
-    return pot
+    return built
 
 
 def _reference(cfg: dict, pot, base_seed: int, model=None, data=None):
@@ -308,39 +307,47 @@ def _theta_star(cfg: dict, model) -> np.ndarray:
     return _vector(cfg["model"].get("theta_star", 0.0), model.d, "model.theta_star")
 
 
-def _plan_from_config(cfg: dict, pot, n_obs=None, model=None):
-    tb = cfg.get("tuning", {})
-    regime = tb.get("regime")
+# regime family -> the block it tunes
+_TUNES = {"bayes": "model", "sc": "potential", "weak": "potential"}
+
+
+def _tuned(cfg: dict):
+    """The block the tuning regime tunes, built: a ``bayes-*`` regime tunes a model, an
+    ``sc-*`` or ``weak-*`` regime a potential, and any other pairing is refused.  The
+    config's own block is built first, so that its errors come first."""
+    have = "model" if "model" in cfg else "potential"
+    subject = _build(cfg, have) if have in cfg else None
+    regime = cfg.get("tuning", {}).get("regime")
     if regime is None:
         raise ConfigError("tuning.regime is required")
-    inputs = TuningInputs(
-        profile=pot.profile if model is None else model.per_obs_profile,
-        L=pot.smoothness.L if model is None else model.per_obs_L,
-        d=pot.dim if model is None else model.d,
-        eps=float(tb.get("eps", 1.0)),
-        frak_e=float(tb.get("frak_e", 0.05)),
-        L_tilde=pot.smoothness.L_tilde if pot is not None else None,
-        lap_grad_sup=pot.smoothness.lap_grad_sup if pot is not None else None,
-        rho_lap=pot.smoothness.rho_lap if pot is not None else None,
-        x0_dist=float(tb.get("x0_dist", 0.0)),
-        calib=float(tb.get("calib", 1.0)),
-    )
-    if regime.startswith("bayes-"):
-        if model is None or n_obs is None:
-            raise ConfigError("bayes tunings need a model block and data.n")
-        return tune_bayes(
-            inputs,
-            n=n_obs,
-            alpha_c=model.alpha_c,
-            regime=regime.removeprefix("bayes-"),
-            C_P=model.C_P if model.C_P is not None else 1.0,
-            certified_x0=tb.get("certified_x0", False),
-        )
-    if regime.startswith("weak-"):
-        return tune_weak(inputs, regime.removeprefix("weak-"))
-    if regime.startswith("sc-"):
-        return tune_sc(inputs, regime.removeprefix("sc-"))
-    raise ConfigError(f"unknown tuning regime {regime!r}")
+    section = _TUNES.get(regime.partition("-")[0])
+    if section is None:
+        raise ConfigError(f"unknown tuning regime {regime!r}")
+    if section != have or subject is None:
+        raise ConfigError(f"tuning.regime {regime!r} tunes a {section} block, "
+                          "which the config does not have")
+    return subject
+
+
+def _plan(cfg: dict, subject):
+    """The (gamma, N) plan for the block ``_tuned`` returns: a model's per-observation
+    constants at data.n under a ``bayes-*`` regime, a potential's under ``sc-*`` and
+    ``weak-*``.  A tuning option the config leaves out takes the library's default."""
+    tb = cfg["tuning"]
+    family, _, variant = tb["regime"].partition("-")
+    eps = float(tb.get("eps", 1.0))
+    opts = {k: float(v) for k, v in _given(tb, "frak_e", "x0_dist", "calib").items()}
+    if family == "bayes":
+        n = cfg.get("data", {}).get("n")
+        if n is None:
+            raise ConfigError("a bayes-* tuning needs data.n")
+        inputs = TuningInputs(subject.per_obs_profile, subject.per_obs_L, subject.d, eps, **opts)
+        return tune_bayes(inputs, n, subject.alpha_c, variant, subject.C_P,
+                          **_given(tb, "certified_x0"))
+    s = subject.smoothness
+    inputs = TuningInputs(subject.profile, s.L, subject.dim, eps, L_tilde=s.L_tilde,
+                          lap_grad_sup=s.lap_grad_sup, rho_lap=s.rho_lap, **opts)
+    return (tune_sc if family == "sc" else tune_weak)(inputs, variant)
 
 
 def _plan_to_json(plan) -> dict:
@@ -363,12 +370,7 @@ def _plan_to_json(plan) -> dict:
 
 def cmd_tune(cfg: dict, out=None) -> int:
     out = out or sys.stdout
-    if "model" in cfg:
-        model = _build_model(cfg["model"])
-        plan = _plan_from_config(cfg, None, n_obs=cfg.get("data", {}).get("n"), model=model)
-    else:
-        pot = _build_potential(cfg["potential"])
-        plan = _plan_from_config(cfg, pot)
+    plan = _plan(cfg, _tuned(cfg))
     json.dump(_plan_to_json(plan), out, indent=2, sort_keys=True)
     out.write("\n")
     return EXIT_OK
@@ -409,19 +411,15 @@ def cmd_run(cfg: dict, output_dir=None, out=None) -> int:
     if "potential" in cfg and "eps_grid" in cfg.get("tuning", {}):
         return _run_eps_scaling(cfg, outdir, h, m_reps, base_seed, out)
 
+    subject = _tuned(cfg)
+    plan = _plan(cfg, subject)  # from the block alone, before any dataset is sampled
     if "model" in cfg:
-        model = _build_model(cfg["model"])
-        data_block = cfg.get("data", {})
-        if "n" not in data_block:
-            raise ConfigError("data.n is required for posterior experiments")
-        n_obs = data_block["n"]
-        data = sample_dataset(model, _theta_star(cfg, model), n_obs, data_block["seed"])
-        pot = build_posterior(model, data, standard_gaussian_prior(model.d)).potential
-        plan = _plan_from_config(cfg, pot, n_obs=n_obs, model=model)
-        reference, provenance = _reference(cfg, pot, base_seed, model, data)
+        data = sample_dataset(subject, _theta_star(cfg, subject), cfg["data"]["n"],
+                              cfg["data"]["seed"])
+        pot = build_posterior(subject, data, standard_gaussian_prior(subject.d)).potential
+        reference, provenance = _reference(cfg, pot, base_seed, subject, data)
     else:
-        pot = _build_potential(cfg["potential"])
-        plan = _plan_from_config(cfg, pot)
+        pot = subject
         reference, provenance = _reference(cfg, pot, base_seed)
 
     report = mse_experiment(pot, plan, m_reps, reference, base_seed,
@@ -448,10 +446,9 @@ def cmd_run(cfg: dict, output_dir=None, out=None) -> int:
 
 def _run_rate_experiment(cfg, outdir, h, m_reps, base_seed, out) -> int:
     """Oracle posterior-mean MSE over a sample-size grid, with the rate fit."""
-    model = _build_model(cfg["model"])
-    prior = standard_gaussian_prior(model.d)
+    model = _build(cfg, "model")
     n_grid = [int(v) for v in cfg["data"]["n_grid"]]
-    fit = bayes_rate_experiment(model, prior, _theta_star(cfg, model), n_grid, m_reps, base_seed)
+    fit = bayes_rate_experiment(model, _theta_star(cfg, model), n_grid, m_reps, base_seed)
     rows = ([n, _fmt(x), _fmt(y)] for n, x, y in zip(n_grid, fit.x, fit.y))
     summary = {
         "config_hash": h,
@@ -470,12 +467,12 @@ def _run_rate_experiment(cfg, outdir, h, m_reps, base_seed, out) -> int:
 
 def _run_eps_scaling(cfg, outdir, h, m_reps, base_seed, out) -> int:
     """MSE/eps^2 stability across a target-accuracy grid for one potential."""
-    pot = _build_potential(cfg["potential"])
+    pot = _tuned(cfg)
     eps_grid = [float(v) for v in cfg["tuning"]["eps_grid"]]
     reference, provenance = _reference(cfg, pot, base_seed)
     rows = []
     for eps in eps_grid:
-        plan = _plan_from_config({**cfg, "tuning": {**cfg["tuning"], "eps": eps}}, pot)
+        plan = _plan({**cfg, "tuning": {**cfg["tuning"], "eps": eps}}, pot)
         report = mse_experiment(pot, plan, m_reps, reference, base_seed,
                                 reference_provenance=provenance)
         rows.append((eps, plan, report))
@@ -506,13 +503,13 @@ def _verified(verify, pot, _theta, opts):
 
 def _concentration(model, theta, opts):
     rows = concentration_check(model, theta, opts["n"], [float(x) for x in opts["delta_grid"]],
-                               opts["M"], opts["seed"], statistic=opts.get("statistic", "psi"))
+                               opts["M"], opts["seed"], **_given(opts, "statistic"))
     return all(r.passed for r in rows), [(r.delta, r.frequency, r.bound) for r in rows]
 
 
 def _test_phi(model, theta, opts):
-    c_map = SeparationMap(b1=float(opts.get("b1", model.b1)), b2=float(opts.get("b2", 1.0)),
-                          alpha_c=float(opts.get("alpha_c", model.alpha_c)))
+    c_map = SeparationMap(**{"b1": model.b1, "alpha_c": model.alpha_c,
+                             **_given(opts, "b1", "b2", "alpha_c")})
     alt = _vector(opts["theta_alt"], model.d, "diagnostics.test_phi.theta_alt")
     rep = run_test_phi(model, theta, alt, opts["n"], float(opts["r_n"]), c_map, opts["M"],
                        opts["seed"])
@@ -533,12 +530,8 @@ def cmd_verify(cfg: dict, strict: bool = False, out=None) -> int:
     """Run the requested checks.  A check is SKIPPED when its block is missing
     or it raises CapabilityError (it does not apply); other errors propagate."""
     out = out or sys.stdout
-    subjects = {}  # block -> (potential or model, theta_star)
-    if "potential" in cfg:
-        subjects["potential"] = (_build_potential(cfg["potential"]), None)
-    if "model" in cfg:
-        model = _build_model(cfg["model"])
-        subjects["model"] = (model, _theta_star(cfg, model))
+    subjects = {section: _build(cfg, section) for section in _FAMILIES if section in cfg}
+    theta = _theta_star(cfg, subjects["model"]) if "model" in subjects else None
     lines, failed = [], False
     for name, block, check in _CHECKS:
         opts = cfg.get("diagnostics", {}).get(name)
@@ -547,7 +540,7 @@ def cmd_verify(cfg: dict, strict: bool = False, out=None) -> int:
         try:
             if block not in subjects:
                 raise CapabilityError(f"no {block} block in the config")
-            passed, detail = check(*subjects[block], opts if isinstance(opts, dict) else {})
+            passed, detail = check(subjects[block], theta, opts if isinstance(opts, dict) else {})
             lines.append(f"{name}: {'PASS' if passed else 'FAIL'} {detail}\n")
             failed = failed or not passed
         except CapabilityError as exc:
@@ -561,14 +554,10 @@ def cmd_oracle(cfg: dict, out=None) -> int:
     out = out or sys.stdout
     ob = cfg.get("oracle", {})
     task = ob.get("task")
-    if "potential" not in cfg:
-        raise ConfigError("oracle tasks need a potential block")
-    pot = _build_potential(cfg["potential"])
+    pot = _build(cfg, "potential")
     if task == "quadrature":
         nodes = ob.get("nodes_per_axis", 161)
-        mean, err = quadrature_posterior_mean(
-            pot, nodes_per_axis=nodes, k_sigma=float(ob.get("k_sigma", 8.0))
-        )
+        mean, err = quadrature_posterior_mean(pot, nodes_per_axis=nodes, **_given(ob, "k_sigma"))
         record = ("posterior_mean", [float(v) for v in mean], err, "laplace-trapezoid",
                   {"nodes_per_axis": nodes})
     elif task == "poisson":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -140,20 +140,17 @@ def mse_experiment(
 
 def bayes_rate_experiment(
     model,
-    prior,
     theta_star,
     n_grid: Sequence[int],
     m_datasets: int,
     base_seed: int,
-    posterior_mean: Optional[Callable] = None,
 ) -> RateFit:
     """MSE of the oracle posterior mean versus n, fitted on log(n / log n).
 
     For each n, ``m_datasets`` fresh datasets are drawn and the posterior
-    mean is computed by the supplied oracle (default: the conjugate closed
-    form for the Gaussian location model under the N(0, I) prior; any other
-    prior must bring its own oracle).  Returns the OLS fit of
-    log MSE against log(n / log n).  The consistency theory gives
+    mean is the model's ``posterior_mean``, its conjugate closed form under
+    the N(0, I) prior; a model without one raises CapabilityError.  Returns
+    the OLS fit of log MSE against log(n / log n).  The consistency theory gives
     eps_n^2 = (C_P L^2 d log n / n)^{1/alpha_c} as an upper bound on the
     MSE, so this slope is -1/alpha_c only when the bound is tight, log
     factor included.  A model whose MSE carries no log factor, such as the
@@ -161,28 +158,21 @@ def bayes_rate_experiment(
     slope: -1.18 on {100, 400, 1600, 6400}.  Read the n-exponent by
     fitting ``fit.y`` against log n instead.
     """
-    from .bayes import GaussianLocationModel, sample_dataset, standard_gaussian_prior
+    from .bayes import sample_dataset
 
     n_grid = list(n_grid)
     if len(n_grid) < 4 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ParameterError("n_grid must be ascending with at least 4 points")
+    if not hasattr(model, "posterior_mean"):
+        raise CapabilityError(f"model {model.model_id} has no closed-form posterior mean")
     theta_star = np.asarray(theta_star, dtype=float)
-
-    if posterior_mean is None:
-        if not (isinstance(model, GaussianLocationModel)
-                and prior.name == standard_gaussian_prior(model.d).name):
-            raise ParameterError("the default posterior-mean oracle is a Gaussian location model's "
-                                 f"conjugate mean under the N(0, I) prior, got {prior.name!r}")
-
-        def posterior_mean(data):
-            return model.posterior_mean(data.observations)
 
     mses = []
     for j, n in enumerate(n_grid):
         errs = np.empty(m_datasets)
         for i in range(m_datasets):
             data = sample_dataset(model, theta_star, n, mix64(base_seed, j * m_datasets + i))
-            tm = posterior_mean(data)
+            tm = model.posterior_mean(data.observations)
             errs[i] = float(np.sum((tm - theta_star) ** 2))
         mses.append(errs.mean())
     x = np.log(np.asarray(n_grid, dtype=float) / np.log(n_grid))
@@ -238,6 +228,8 @@ def concentration_check(
     """
     if model.C_P is None:
         raise CapabilityError("model carries no exact Poincare constant")
+    if statistic == "score" and not hasattr(model, "score"):
+        raise CapabilityError(f"model {model.model_id} has no score")
     cp = model.C_P
     theta = np.asarray(theta, dtype=float)
     rng = stream(seed)

@@ -128,7 +128,7 @@ def _vector(v, d, name) -> np.ndarray:
         raise ParameterError(f"{name} must be a number or {d} numbers, got shape {shape}") from None
 
 
-def builtin_gaussian_location(d: int, mean, precision: float) -> Potential:
+def builtin_gaussian_location(d: int, mean=0.0, precision: float = 1.0) -> Potential:
     """Quadratic potential W(x) = (rho/2) |x - mean|^2.
 
     The canonical strongly convex instance with rho = L = precision.
@@ -167,7 +167,7 @@ def builtin_gaussian_location(d: int, mean, precision: float) -> Potential:
     )
 
 
-def builtin_p_power(d: int, center, p: float) -> Potential:
+def builtin_p_power(d: int, center=0.0, p: float = 0.75) -> Potential:
     """W(x) = (1 + |x - center|^2)^p with p in (1/2, 1].
 
     Satisfies the curvature-vs-height sandwich with r = q = (1-p)/p,

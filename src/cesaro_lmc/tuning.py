@@ -256,13 +256,16 @@ def tune_bayes(
     n: int,
     alpha_c: float,
     regime: str,
-    C_P: float = 1.0,
+    C_P: Optional[float] = None,
     certified_x0: bool = False,
 ) -> TuningPlan:
     """Sample-size-indexed tunings targeting the statistical accuracy eps_n.
 
     ``inputs`` describes the PER-OBSERVATION model (profile, L, d); the
-    clamp is applied against the aggregated posterior smoothness.  The
+    clamp is applied against the aggregated posterior smoothness.  ``C_P``
+    is the model's Poincare constant; None means the model declares none,
+    and eps_n is then computed with C_P = 1.  The plan's constants record
+    the value used ("C_P") and whether it was assumed ("C_P_assumed").  The
     sc-i.b regime additionally requires the caller to certify
     |theta_hat_0 - theta*|^2 <= d / n^2 via ``certified_x0``; its
     (gamma, N) = (1/n, n v d) tuning is meaningful even when d exceeds n,
@@ -281,13 +284,15 @@ def tune_bayes(
     ai = 1.0 / alpha_c
     from .bayes import epsilon_n  # local import to avoid a module cycle
 
-    eps_n, eps_valid = epsilon_n(C_P, inputs.L, alpha_c, d, n)
+    cp = 1.0 if C_P is None else float(C_P)
+    eps_n, eps_valid = epsilon_n(cp, inputs.L, alpha_c, d, n)
     agg_L = n * inputs.L  # aggregated likelihood smoothness (prior excluded here)
     # weak regimes inherit the weakly convex ceiling with aggregated constants;
     # the strongly convex prescriptions carry their caps inside the formula
     clamp = weak_gamma_clamp(d, agg_L, agg_L) if regime.startswith("weak") else math.inf
-    cons = {"regime": regime, "n": n, "alpha_c": alpha_c, "d": d, "eps_n": eps_n,
-            "eps_n_valid": eps_valid, "aggregated_L": agg_L}
+    cons = {"regime": regime, "n": n, "alpha_c": alpha_c, "d": d, "C_P": cp,
+            "C_P_assumed": C_P is None, "eps_n": eps_n, "eps_n_valid": eps_valid,
+            "aggregated_L": agg_L}
 
     if regime.startswith("weak"):
         prof = inputs.profile

@@ -120,7 +120,6 @@ def test_03_bayesian_rate_slope():
         n_grid = [100, 400, 1600, 6400]
         fit = bayes_rate_experiment(
             model,
-            standard_gaussian_prior(2),
             theta_star,
             n_grid,
             200,

@@ -146,19 +146,11 @@ class TestBuildPosterior:
         assert post.mode[0] == pytest.approx(2.0 / 3.0, abs=1e-8)
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_empty_dataset_reduces_to_prior(self, family):
+    def test_empty_dataset_refused(self, family):
         model = FAMILIES[family]
         data = Dataset(np.empty((0, model.q)), model.model_id, np.zeros(2), 0)
-        prior = standard_gaussian_prior(2)
-        post = build_posterior(model, data, prior)
-        pot = post.potential
-        theta, v = np.array([0.3, -0.4]), np.array([1.0, 2.0])
-        assert pot.value(theta) == pytest.approx(prior.value(theta))
-        assert np.allclose(pot.grad(theta), prior.grad(theta))
-        assert np.allclose(pot.hess_vec(theta, v), prior.hess_vec(theta, v))
-        assert pot.profile is None and pot.smoothness.L == prior.smoothness.L
-        assert np.array_equal(post.mode, np.zeros(2))
-        assert pot.value_normalized(post.mode) == pytest.approx(1.0)
+        with pytest.raises(ParameterError, match="dataset is empty"):
+            build_posterior(model, data, standard_gaussian_prior(2))
 
     def test_gradient_matches_finite_differences(self):
         model = GaussianLocationModel(2, 2.0)

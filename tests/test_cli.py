@@ -241,7 +241,8 @@ class TestRunCommand:
             "run": {"M": 20, "base_seed": 3}})
         assert summary["reference_provenance"] == "quadrature"
         assert math.isfinite(summary["mse"]) and all(map(math.isfinite, summary["ci95"]))
-        quad, _ = cli.quadrature_posterior_mean(cli._build_potential(LOGISTIC_POTENTIAL))
+        quad, _ = cli.quadrature_posterior_mean(cli._build({"potential": LOGISTIC_POTENTIAL},
+                                                           "potential"))
         assert summary["reference"] == quad.tolist() == reports[0].reference.tolist()
 
     @pytest.mark.compiled
@@ -280,6 +281,80 @@ class TestRunCommand:
         assert summary["reference_provenance"] == "importance-sampling"
         assert math.isfinite(summary["mse"])
         assert summary["mse"] < summary["plan"]["constants"]["eps_n"] ** 2
+
+
+class TestPlanRule:
+    """A bayes-* regime tunes a model block, an sc-* or weak-* regime a potential block."""
+
+    @pytest.mark.parametrize("command", ["tune", "run"])
+    @pytest.mark.parametrize("regime, tunes", [
+        ("bayes-sc-i.a", "model"), ("sc-i", "potential"), ("weak-i.b", "potential")])
+    @pytest.mark.parametrize("block", ["model", "potential"])
+    def test_each_regime_family_tunes_one_block(self, tmp_path, capsys, monkeypatch, command,
+                                                regime, tunes, block):
+        sampled = []
+        sample = cli.sample_dataset
+        monkeypatch.setattr(cli, "sample_dataset", lambda *a: sampled.append(a) or sample(*a))
+        cfg = {"tuning": {"regime": regime, "eps": 0.5}, "run": {"M": 5, "base_seed": 1}}
+        if block == "model":
+            cfg["model"] = {"family": "gaussian_location", "d": 2, "theta_star": [0.4, -0.2]}
+            cfg["data"] = {"n": 400, "seed": 1}
+        else:  # a potential each regime applies to
+            cfg["potential"] = {"family": "p_power" if regime == "weak-i.b" else "gaussian", "d": 2}
+        code = main([command, "--config", write(tmp_path, "c.json", cfg),
+                     "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if block == tunes:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, sampled) == (2, [])
+            assert err == (f"error: tuning.regime {regime!r} tunes a {tunes} block, "
+                           "which the config does not have\n")
+
+    @pytest.mark.parametrize("command, cfg, block", [
+        ("tune", {"tuning": {"regime": "sc-i"}}, "potential"),
+        ("tune", {"data": {"n": 100, "seed": 1}, "tuning": {"regime": "bayes-sc-i.a"}}, "model"),
+        ("run", {"tuning": {"regime": "weak-i.b"}, "run": {"M": 5, "base_seed": 1}}, "potential"),
+        ("oracle", {"oracle": {"task": "quadrature"}}, "potential"),
+    ])
+    def test_a_missing_block_is_named(self, tmp_path, command, cfg, block):
+        assert f" {block} block" in exits_2_with_one_line(tmp_path, command, cfg)
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("run", bayes_cfg(model={"family": "gaussian_location", "d": 1, "theta_star": [0.5],
+                                 "params": {"precision": 2.0}, "alpha_c": 1.0, "b1": 1.0},
+                          tuning={"regime": "bayes-sc-i.a", "eps": 1.0, "calib": 2.0})),
+        ("run", {"potential": {"family": "gaussian", "d": 1,
+                               "params": {"mean": 1.0, "precision": 2.0}},
+                 "tuning": {"regime": "sc-i", "eps": 1.0, "calib": 2.0, "x0_dist": 1.0},
+                 "run": {"M": 10, "base_seed": 3}}),
+        ("tune", {"model": {"family": "logistic", "C_P": 2.0,
+                            "params": {"design": [[1.0, 0.5], [-0.3, 1.2]], "ridge": 1.0}},
+                  "data": {"n": 100, "seed": 1},
+                  "tuning": {"regime": "bayes-sc-i.a", "eps": 1.0, "calib": 2.0}}),
+    ])
+    def test_json_integers_give_the_bytes_of_floats(self, tmp_path, capsys, command, cfg):
+        def integral(v):  # the config with each integer-valued float written as an integer
+            if isinstance(v, dict):
+                return {k: integral(u) for k, u in v.items()}
+            if isinstance(v, list):
+                return [integral(u) for u in v]
+            return int(v) if type(v) is float and v.is_integer() else v
+
+        outputs = []
+        for i, c in enumerate((cfg, integral(cfg))):
+            out = tmp_path / f"o{i}"
+            assert main([command, "--config", write(tmp_path, f"{i}.json", c),
+                         "--output", str(out)]) == 0
+            printed = capsys.readouterr().out
+            if command == "tune":
+                outputs.append(printed)
+                continue
+            # the files' names and the summary carry the hash of the config, whose bytes differ
+            h = next(out.glob("*-summary.json")).name.split("-")[0]
+            summary = (out / f"{h}-summary.json").read_text().replace(h, "")
+            outputs.append((summary, (out / f"{h}-report.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestVerifyCommand:
@@ -323,16 +398,28 @@ class TestVerifyCommand:
         # a gaussian_location model's C_P is 1/precision; rebuild it with a bad constant
         import cesaro_lmc.cli as cli_mod
 
-        real_build = cli_mod._build_model
+        real_build = cli_mod._build
 
-        def patched(block):
-            model = real_build(block)
+        def patched(cfg, section):
+            model = real_build(cfg, section)
             model.C_P = 0.01
             return model
 
-        monkeypatch.setattr(cli_mod, "_build_model", patched)
+        monkeypatch.setattr(cli_mod, "_build", patched)
         assert main(["verify", "--config", path]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_score_check_of_a_model_without_score_skips(self, tmp_path, capsys):
+        cfg = {
+            "model": {"family": "logistic", "d": 2, "C_P": 1.0, "theta_star": [0.1, 0.2],
+                      "params": {"design": [[1.0, 0.5], [-0.3, 1.2]], "ridge": 0.5}},
+            "diagnostics": {"concentration": {"n": 50, "delta_grid": [0.5], "M": 100, "seed": 1,
+                                              "statistic": "score"}},
+        }
+        path = write(tmp_path, "score.json", cfg)
+        assert main(["verify", "--config", path]) == 0
+        assert capsys.readouterr().out.startswith("concentration: SKIPPED (")
+        assert main(["verify", "--config", path, "--strict"]) == 3
 
     def test_strict_mode_fails_on_skip(self, tmp_path):
         cfg = {

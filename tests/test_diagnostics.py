@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cesaro_lmc.bayes import GaussianLocationModel, sample_dataset, standard_gaussian_prior
+from cesaro_lmc.bayes import GaussianLocationModel, LogisticModel, sample_dataset
 from cesaro_lmc.diagnostics import (
     SeparationMap,
     _bootstrap_ci,
@@ -14,7 +14,7 @@ from cesaro_lmc.diagnostics import (
     mse_experiment,
     run_test_phi,
 )
-from cesaro_lmc.errors import ExperimentError, ParameterError
+from cesaro_lmc.errors import CapabilityError, ExperimentError, ParameterError
 from cesaro_lmc.oracle import ou_cesaro_moments
 from cesaro_lmc.potentials import builtin_gaussian_location
 from cesaro_lmc.rng import mix64, stream
@@ -134,10 +134,7 @@ class TestRateFit:
 
     def test_bayes_rate_experiment_runs(self):
         model = GaussianLocationModel(2, 1.0)
-        fit = bayes_rate_experiment(
-            model, standard_gaussian_prior(2), [1.0, -1.0],
-            [100, 400, 1600, 6400], 100, base_seed=0,
-        )
+        fit = bayes_rate_experiment(model, [1.0, -1.0], [100, 400, 1600, 6400], 100, base_seed=0)
         assert fit.r2 > 0.95
         # exact conjugate MSE ~ d/n with no log factor: slope -1.18 on log(n / log n)
         assert -1.4 < fit.slope < -0.9
@@ -145,24 +142,13 @@ class TestRateFit:
     def test_grid_validation(self):
         model = GaussianLocationModel(1, 1.0)
         with pytest.raises(ParameterError):
-            bayes_rate_experiment(model, standard_gaussian_prior(1), [0.0], [100, 50, 200, 400], 10, 0)
+            bayes_rate_experiment(model, [0.0], [100, 50, 200, 400], 10, 0)
 
-    def test_default_oracle_refuses_other_priors(self):
-        model = GaussianLocationModel(2, 1.0)
-        wide = builtin_gaussian_location(2, 0.0, 0.04)  # N(0, 25 I)
-        with pytest.raises(ParameterError, match="N\\(0, I\\) prior"):
-            bayes_rate_experiment(model, wide, [0.0, 0.0], [100, 400, 1600, 6400], 5, 0)
-        # a prior of the wrong dimension is not the model's N(0, I) either
-        with pytest.raises(ParameterError, match="prior"):
-            bayes_rate_experiment(
-                model, standard_gaussian_prior(3), [0.0, 0.0], [100, 400, 1600, 6400], 5, 0
-            )
-        # with its own oracle, any prior is accepted
-        fit = bayes_rate_experiment(
-            model, wide, [0.0, 0.0], [100, 400, 1600, 6400], 5, 0,
-            posterior_mean=lambda data: data.observations.sum(axis=0) / (data.n + 0.04),
-        )
-        assert fit.slope < 0
+    def test_oracle_is_the_models_posterior_mean(self):
+        # a logistic model has no closed-form posterior mean
+        model = LogisticModel(np.array([[1.0, 0.5], [-0.3, 1.2]]))
+        with pytest.raises(CapabilityError, match="posterior mean"):
+            bayes_rate_experiment(model, [0.1, 0.2], [100, 400, 1600, 6400], 5, 0)
 
 
 class TestConcentration:

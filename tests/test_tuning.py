@@ -211,6 +211,14 @@ class TestBayesTunings:
         )
         assert plan.gamma == pytest.approx(1e-4)
         assert plan.n_steps == 100
+        # a model that declares no Poincare constant is tuned with C_P = 1, and the plan says so
+        assert (plan.constants["C_P"], plan.constants["C_P_assumed"]) == (1.0, True)
+        declared = tune_bayes(
+            TuningInputs(profile=StronglyConvex(1.0), L=1.0, d=4, eps=1.0),
+            n=100, alpha_c=1.0, regime="sc-i.a", C_P=2,
+        )
+        assert (declared.constants["C_P"], declared.constants["C_P_assumed"]) == (2.0, False)
+        assert declared.constants["eps_n"] == pytest.approx(math.sqrt(2) * plan.constants["eps_n"])
 
     def test_weak_ii_matches_sc_ia(self):
         pa = tune_bayes(
