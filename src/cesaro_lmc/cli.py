@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -31,8 +32,8 @@ from .bayes import (
 )
 from .diagnostics import (
     SeparationMap,
-    bayes_rate_experiment,
     concentration_check,
+    fit_line,
     mse_experiment,
     run_test_phi,
 )
@@ -204,8 +205,9 @@ _SCHEMA = {
     "prior": {"family": _one_of("standard_gaussian")},
     "data": {
         "n": _COUNT, "seed": _SEED,
-        "n_grid": _is(lambda v: isinstance(v, list) and all(map(_is_count, v)),
-                      "an array of integers >= 1"),
+        "n_grid": _is(lambda v: isinstance(v, list) and len(v) > 1 and all(map(_is_count, v))
+                      and all(a < b for a, b in zip(v, v[1:])),
+                      "an ascending array of two or more integers >= 1"),
     },
     "tuning": {
         "regime": _STRING, "eps": _NUMBER, "frak_e": _NUMBER,
@@ -309,6 +311,8 @@ def _theta_star(cfg: dict, model) -> np.ndarray:
 
 # regime family -> the block it tunes
 _TUNES = {"bayes": "model", "sc": "potential", "weak": "potential"}
+# block -> the section and key of its grid's one point; the grid is that key + "_grid"
+_GRID = {"model": ("data", "n"), "potential": ("tuning", "eps")}
 
 
 def _tuned(cfg: dict):
@@ -329,28 +333,47 @@ def _tuned(cfg: dict):
     return subject
 
 
-def _plan(cfg: dict, subject):
-    """The (gamma, N) plan for the block ``_tuned`` returns: a model's per-observation
-    constants at data.n under a ``bayes-*`` regime, a potential's under ``sc-*`` and
-    ``weak-*``.  A tuning option the config leaves out takes the library's default."""
+def _plans(cfg: dict):
+    """The tuned block, its grid's key, and each grid point with its (gamma, N) plan, all
+    from the config alone, before any dataset is sampled.  A model's grid is
+    ``data.n_grid`` (default ``[data.n]``): a ``bayes-*`` regime tunes its per-observation
+    constants at each n.  A potential's is ``tuning.eps_grid`` (default ``[tuning.eps]``,
+    else ``[1.0]``): ``sc-*`` and ``weak-*`` tune it at each eps.  The other block's grid
+    key, or a point key beside its grid key, is refused.  A tuning option the config
+    leaves out takes the library's default."""
+    subject = _tuned(cfg)
     tb = cfg["tuning"]
     family, _, variant = tb["regime"].partition("-")
-    eps = float(tb.get("eps", 1.0))
+    block = _TUNES[family]
+    for other, (section, key) in _GRID.items():
+        if other != block and f"{key}_grid" in cfg.get(section, {}):
+            raise ConfigError(f"{section}.{key}_grid is a grid of a {other} block, "
+                              f"and the config has a {block} block")
+    section, key = _GRID[block]
+    given = cfg.get(section, {})
+    if key in given and f"{key}_grid" in given:
+        raise ConfigError(f"give {section}.{key} or {section}.{key}_grid, not both")
+    if block == "model" and not {key, f"{key}_grid"} & given.keys():
+        raise ConfigError("a bayes-* tuning needs data.n")
+    grid = given.get(f"{key}_grid", [given.get(key, 1.0)])
     opts = {k: float(v) for k, v in _given(tb, "frak_e", "x0_dist", "calib").items()}
     if family == "bayes":
-        n = cfg.get("data", {}).get("n")
-        if n is None:
-            raise ConfigError("a bayes-* tuning needs data.n")
-        inputs = TuningInputs(subject.per_obs_profile, subject.per_obs_L, subject.d, eps, **opts)
-        return tune_bayes(inputs, n, subject.alpha_c, variant, subject.C_P,
-                          **_given(tb, "certified_x0"))
-    s = subject.smoothness
-    inputs = TuningInputs(subject.profile, s.L, subject.dim, eps, L_tilde=s.L_tilde,
-                          lap_grad_sup=s.lap_grad_sup, rho_lap=s.rho_lap, **opts)
-    return (tune_sc if family == "sc" else tune_weak)(inputs, variant)
+        inputs = TuningInputs(subject.per_obs_profile, subject.per_obs_L, subject.d,
+                              float(tb.get("eps", 1.0)), **opts)
+        plans = [tune_bayes(inputs, n, subject.alpha_c, variant, subject.C_P,
+                            **_given(tb, "certified_x0")) for n in grid]
+    else:
+        grid, s = [float(v) for v in grid], subject.smoothness
+        tune = tune_sc if family == "sc" else tune_weak
+        plans = [tune(TuningInputs(subject.profile, s.L, subject.dim, eps, L_tilde=s.L_tilde,
+                                   lap_grad_sup=s.lap_grad_sup, rho_lap=s.rho_lap, **opts), variant)
+                 for eps in grid]
+    return subject, key, list(zip(grid, plans))
 
 
 def _plan_to_json(plan) -> dict:
+    """The plan's fields and horizon, an infinite constant written "inf"."""
+
     def clean(v):
         if isinstance(v, float) and math.isinf(v):
             return "inf"
@@ -358,20 +381,15 @@ def _plan_to_json(plan) -> dict:
             return [clean(u) for u in v]
         return v
 
-    return {
-        "gamma": plan.gamma,
-        "n_steps": plan.n_steps,
-        "regime": plan.regime,
-        "clamped": plan.clamped,
-        "t_horizon": plan.t_horizon,
-        "constants": {k: clean(v) for k, v in plan.constants.items()},
-    }
+    return {**dataclasses.asdict(plan), "t_horizon": plan.t_horizon,
+            "constants": {k: clean(v) for k, v in plan.constants.items()}}
 
 
 def cmd_tune(cfg: dict, out=None) -> int:
+    """Print the plan of a one-point config, or the list of a grid's plans."""
     out = out or sys.stdout
-    plan = _plan(cfg, _tuned(cfg))
-    json.dump(_plan_to_json(plan), out, indent=2, sort_keys=True)
+    plans = [_plan_to_json(plan) for _, plan in _plans(cfg)[2]]
+    json.dump(plans if len(plans) > 1 else plans[0], out, indent=2, sort_keys=True)
     out.write("\n")
     return EXIT_OK
 
@@ -381,13 +399,14 @@ def _fmt(v: float) -> str:
 
 
 def _write_artifacts(outdir: Path, h: str, cfg: dict, header, rows, summary: dict) -> Path:
-    """Write the run's ``-report.csv``, ``-summary.json`` and ``-manifest.json``;
-    returns the report's path."""
+    """Write the run's ``-report.csv``, ``-summary.json`` (``summary`` with the config hash
+    and the package version) and ``-manifest.json``; returns the report's path."""
     csv_path = outdir / f"{h}-report.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    summary = {**summary, "config_hash": h, "version": __version__}
     for name, record in (("summary", summary), ("manifest", {"config": cfg, "config_hash": h})):
         with open(outdir / f"{h}-{name}.json", "w") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
@@ -396,102 +415,62 @@ def _write_artifacts(outdir: Path, h: str, cfg: dict, header, rows, summary: dic
 
 
 def cmd_run(cfg: dict, output_dir=None, out=None) -> int:
+    """Plan every grid point, then at each: a model's dataset of that n, drawn with
+    ``data.seed``; the reference; M chains.  A one-point grid writes one row per
+    replicate, a longer grid one row per point."""
     out = out or sys.stdout
     run_block = cfg.get("run")
     if run_block is None:
         raise ConfigError("run block is required for the run command")
-    m_reps = run_block["M"]
+    subject, key, points = _plans(cfg)
     base_seed = run_block["base_seed"]
+    theta = _theta_star(cfg, subject) if "model" in cfg else None
     outdir = Path(output_dir or run_block.get("output_dir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     h = config_hash(cfg)
 
-    if "model" in cfg and "n_grid" in cfg.get("data", {}):
-        return _run_rate_experiment(cfg, outdir, h, m_reps, base_seed, out)
-    if "potential" in cfg and "eps_grid" in cfg.get("tuning", {}):
-        return _run_eps_scaling(cfg, outdir, h, m_reps, base_seed, out)
-
-    subject = _tuned(cfg)
-    plan = _plan(cfg, subject)  # from the block alone, before any dataset is sampled
-    if "model" in cfg:
-        data = sample_dataset(subject, _theta_star(cfg, subject), cfg["data"]["n"],
-                              cfg["data"]["seed"])
-        pot = build_posterior(subject, data, standard_gaussian_prior(subject.d)).potential
-        reference, provenance = _reference(cfg, pot, base_seed, subject, data)
-    else:
+    reports, reference = [], None
+    for value, plan in points:
         pot = subject
-        reference, provenance = _reference(cfg, pot, base_seed)
+        if theta is not None:
+            data = sample_dataset(subject, theta, value, cfg["data"]["seed"])
+            pot = build_posterior(subject, data, standard_gaussian_prior(subject.d)).potential
+            reference = _reference(cfg, pot, base_seed, subject, data)
+        elif reference is None:  # one reference serves a potential's whole grid
+            reference = _reference(cfg, pot, base_seed)
+        reports.append(mse_experiment(pot, plan, run_block["M"], reference[0], base_seed,
+                                      reference_provenance=reference[1]))
 
-    report = mse_experiment(pot, plan, m_reps, reference, base_seed,
-                            reference_provenance=provenance)
-    rows = (
-        [i] + [_fmt(v) for v in row] + [_fmt(float(np.sum((row - report.reference) ** 2)))]
-        for i, row in enumerate(report.estimates)
-    )
-    summary = {
-        "config_hash": h,
-        "mse": report.mse,
-        "ci95": list(report.ci),
-        "reference": [float(v) for v in np.atleast_1d(report.reference)],
-        "reference_provenance": report.reference_provenance,
-        "plan": _plan_to_json(plan),
-        "n_diverged": report.n_diverged,
-        "version": __version__,
-    }
-    header = ["replicate"] + [f"estimate_{j}" for j in range(pot.dim)] + ["squared_error"]
+    if len(points) == 1:
+        (_, plan), (report,) = points[0], reports
+        rows = (
+            [i] + [_fmt(v) for v in row] + [_fmt(float(np.sum((row - report.reference) ** 2)))]
+            for i, row in enumerate(report.estimates)
+        )
+        summary = {"mse": report.mse, "ci95": list(report.ci),
+                   "reference": [float(v) for v in np.atleast_1d(report.reference)],
+                   "reference_provenance": report.reference_provenance,
+                   "plan": _plan_to_json(plan), "n_diverged": report.n_diverged}
+        header = ["replicate"] + [f"estimate_{j}" for j in range(pot.dim)] + ["squared_error"]
+        line = f"mse={report.mse:.6g}"
+    else:
+        # a bayes plan's target accuracy is its eps_n
+        ratios = [r.mse / p.constants.get("eps_n", v) ** 2 for (v, p), r in zip(points, reports)]
+        rows = [[_fmt(v), _fmt(p.gamma), p.n_steps, _fmt(r.mse), _fmt(q)]
+                for (v, p), r, q in zip(points, reports, ratios)]
+        summary = {"experiment": f"{key}_scaling", f"{key}_grid": [v for v, _ in points],
+                   "mse_over_eps_sq": ratios, "spread": max(ratios) / min(ratios)}
+        header = [key, "gamma", "n_steps", "mse", "mse_over_eps_sq"]
+        line = f"spread={summary['spread']:.3f}"
+        if theta is not None:  # the chains' error against theta_star, and its rate in n
+            errs = [float(np.mean(np.sum((r.estimates - theta) ** 2, axis=1))) for r in reports]
+            rows = [row + [_fmt(e)] for row, e in zip(rows, errs)]
+            fit = fit_line(np.log([v for v, _ in points]), np.log(errs))
+            summary.update(slope=fit.slope, r2=fit.r2)
+            header.append("mse_theta_star")
+            line += f" slope={fit.slope:.4f} r2={fit.r2:.4f}"
     csv_path = _write_artifacts(outdir, h, cfg, header, rows, summary)
-    out.write(f"{h}: mse={report.mse:.6g} -> {csv_path}\n")
-    return EXIT_OK
-
-
-def _run_rate_experiment(cfg, outdir, h, m_reps, base_seed, out) -> int:
-    """Oracle posterior-mean MSE over a sample-size grid, with the rate fit."""
-    model = _build(cfg, "model")
-    n_grid = [int(v) for v in cfg["data"]["n_grid"]]
-    fit = bayes_rate_experiment(model, _theta_star(cfg, model), n_grid, m_reps, base_seed)
-    rows = ([n, _fmt(x), _fmt(y)] for n, x, y in zip(n_grid, fit.x, fit.y))
-    summary = {
-        "config_hash": h,
-        "experiment": "bayes_rate",
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r2": fit.r2,
-        "slope_trustworthy": fit.slope_trustworthy(),
-        "n_grid": n_grid,
-        "version": __version__,
-    }
-    csv_path = _write_artifacts(outdir, h, cfg, ["n", "log_n_over_log_n", "log_mse"], rows, summary)
-    out.write(f"{h}: slope={fit.slope:.4f} r2={fit.r2:.4f} -> {csv_path}\n")
-    return EXIT_OK
-
-
-def _run_eps_scaling(cfg, outdir, h, m_reps, base_seed, out) -> int:
-    """MSE/eps^2 stability across a target-accuracy grid for one potential."""
-    pot = _tuned(cfg)
-    eps_grid = [float(v) for v in cfg["tuning"]["eps_grid"]]
-    reference, provenance = _reference(cfg, pot, base_seed)
-    rows = []
-    for eps in eps_grid:
-        plan = _plan({**cfg, "tuning": {**cfg["tuning"], "eps": eps}}, pot)
-        report = mse_experiment(pot, plan, m_reps, reference, base_seed,
-                                reference_provenance=provenance)
-        rows.append((eps, plan, report))
-    table = (
-        [_fmt(eps), _fmt(plan.gamma), plan.n_steps, _fmt(report.mse), _fmt(report.mse / eps**2)]
-        for eps, plan, report in rows
-    )
-    ratios = [report.mse / eps**2 for eps, _, report in rows]
-    summary = {
-        "config_hash": h,
-        "experiment": "eps_scaling",
-        "eps_grid": eps_grid,
-        "mse_over_eps_sq": ratios,
-        "spread": max(ratios) / min(ratios),
-        "version": __version__,
-    }
-    header = ["eps", "gamma", "n_steps", "mse", "mse_over_eps_sq"]
-    csv_path = _write_artifacts(outdir, h, cfg, header, table, summary)
-    out.write(f"{h}: spread={summary['spread']:.3f} -> {csv_path}\n")
+    out.write(f"{h}: {line} -> {csv_path}\n")
     return EXIT_OK
 
 

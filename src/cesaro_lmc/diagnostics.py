@@ -145,7 +145,8 @@ def bayes_rate_experiment(
     m_datasets: int,
     base_seed: int,
 ) -> RateFit:
-    """MSE of the oracle posterior mean versus n, fitted on log(n / log n).
+    """MSE of the oracle posterior mean versus n, fitted on log(n / log n): the library's
+    statistical rate, with no chain; the CLI's ``run`` over ``data.n_grid`` scores chains.
 
     For each n, ``m_datasets`` fresh datasets are drawn and the posterior
     mean is the model's ``posterior_mean``, its conjugate closed form under

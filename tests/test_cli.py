@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import inspect
 import io
 import json
@@ -144,6 +145,10 @@ class TestConfigValidation:
             ("data", "n", 100.0),
             ("data", "seed", "7"),
             ("data", "n_grid", [100, 400.5]),
+            ("data", "n_grid", []),
+            ("data", "n_grid", [100]),
+            ("data", "n_grid", [400, 100]),
+            ("data", "n_grid", [100, 100]),
         ]:
             base = model if block == "model" else bayes_cfg()["data"]
             with pytest.raises(ParameterError, match=f"{block}.{key} must be"):
@@ -284,32 +289,73 @@ class TestRunCommand:
 
 
 class TestPlanRule:
-    """A bayes-* regime tunes a model block, an sc-* or weak-* regime a potential block."""
+    """A bayes-* regime tunes a model block over data.n_grid, an sc-* or weak-* regime a
+    potential block over tuning.eps_grid."""
 
     @pytest.mark.parametrize("command", ["tune", "run"])
     @pytest.mark.parametrize("regime, tunes", [
         ("bayes-sc-i.a", "model"), ("sc-i", "potential"), ("weak-i.b", "potential")])
     @pytest.mark.parametrize("block", ["model", "potential"])
+    @pytest.mark.parametrize("grid", [None, "eps_grid", "n_grid"])
     def test_each_regime_family_tunes_one_block(self, tmp_path, capsys, monkeypatch, command,
-                                                regime, tunes, block):
-        sampled = []
-        sample = cli.sample_dataset
-        monkeypatch.setattr(cli, "sample_dataset", lambda *a: sampled.append(a) or sample(*a))
+                                                regime, tunes, block, grid):
+        events = []  # every plan is tuned before the first dataset is sampled
+        for name, event in [("sample_dataset", "sample"), ("tune_bayes", "plan"),
+                            ("tune_sc", "plan"), ("tune_weak", "plan")]:
+            monkeypatch.setattr(cli, name, lambda *a, f=getattr(cli, name), e=event, **k:
+                                events.append(e) or f(*a, **k))
         cfg = {"tuning": {"regime": regime, "eps": 0.5}, "run": {"M": 5, "base_seed": 1}}
         if block == "model":
             cfg["model"] = {"family": "gaussian_location", "d": 2, "theta_star": [0.4, -0.2]}
             cfg["data"] = {"n": 400, "seed": 1}
         else:  # a potential each regime applies to
             cfg["potential"] = {"family": "p_power" if regime == "weak-i.b" else "gaussian", "d": 2}
+        if grid == "eps_grid":
+            cfg["tuning"] = {"regime": regime, "eps_grid": [0.5, 0.4]}
+        if grid == "n_grid":
+            cfg["data"] = {"n_grid": [100, 400], "seed": 1}
         code = main([command, "--config", write(tmp_path, "c.json", cfg),
                      "--output", str(tmp_path / "o")])
-        err = capsys.readouterr().err
-        if block == tunes:
-            assert (code, err) == (0, "")
-        else:
-            assert (code, sampled) == (2, [])
+        out, err = capsys.readouterr()
+        points = 1 if grid is None else 2
+        grid_of = {"eps_grid": ("tuning", "potential"), "n_grid": ("data", "model")}
+        if block != tunes:
+            assert (code, events) == (2, [])
             assert err == (f"error: tuning.regime {regime!r} tunes a {tunes} block, "
                            "which the config does not have\n")
+        elif grid is not None and grid_of[grid][1] != block:
+            assert (code, events) == (2, [])
+            assert err == (f"error: {grid_of[grid][0]}.{grid} is a grid of a {grid_of[grid][1]} "
+                           f"block, and the config has a {block} block\n")
+        else:
+            assert (code, err) == (0, "")
+            sampled = points if command == "run" and block == "model" else 0
+            assert events == ["plan"] * points + ["sample"] * sampled
+            if command == "tune":  # a grid prints the list of its plans
+                printed = json.loads(out)
+                assert (type(printed), len(printed)) == ((list, 2) if grid else (dict, 6))
+
+    @pytest.mark.parametrize("command", ["tune", "run"])
+    @pytest.mark.parametrize("config, changes, message", [
+        # the regime is paired with its block before the grid is read
+        ("conjugate_posterior.json", {"data": {"n_grid": [10, 20, 40, 80]},
+                                      "tuning": {"regime": "sc-i"}},
+         "tuning.regime 'sc-i' tunes a potential block, which the config does not have"),
+        ("conjugate_posterior.json", {"tuning": {"eps_grid": [0.3, 0.2]}},
+         "tuning.eps_grid is a grid of a potential block, and the config has a model block"),
+        ("ou_smoke.json", {"data": {"n_grid": [100, 400], "seed": 1}},
+         "data.n_grid is a grid of a model block, and the config has a potential block"),
+        ("ou_smoke.json", {"tuning": {"eps_grid": [0.3, 0.2]}},
+         "give tuning.eps or tuning.eps_grid, not both"),
+        ("conjugate_posterior.json", {"data": {"n_grid": [100, 400]}},
+         "give data.n or data.n_grid, not both"),
+    ])
+    def test_a_grid_key_the_block_cannot_use_is_refused(self, tmp_path, command, config,
+                                                        changes, message):
+        cfg = json.loads((CONFIGS / config).read_text())
+        for section, values in changes.items():
+            cfg[section] = {**cfg.get(section, {}), **values}
+        assert exits_2_with_one_line(tmp_path, command, cfg) == f"error: {message}\n"
 
     @pytest.mark.parametrize("command, cfg, block", [
         ("tune", {"tuning": {"regime": "sc-i"}}, "potential"),
@@ -491,6 +537,15 @@ class TestShippedConfigs:
         elapsed = time.time() - t0
         assert elapsed < 60.0
         assert len(list(out.glob("*-summary.json"))) == 1
+
+    def test_conjugate_n_grid_meets_eps_n_at_every_n(self, tmp_path):
+        out = tmp_path / "n_grid"
+        assert main(["run", "--config", str(CONFIGS / "conjugate_n_grid.json"),
+                     "--output", str(out)]) == 0
+        with open(next(out.glob("*-report.csv")), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert all(float(row["mse_over_eps_sq"]) <= 1.0 for row in rows)
 
     def test_verify_config_passes(self, tmp_path, capsys):
         assert main(["verify", "--config", str(CONFIGS / "p_power_verify.json")]) == 0
@@ -791,22 +846,44 @@ def test_malformed_config_exits_2_in_one_line(tmp_path_factory, case):
 
 
 class TestGridExperiments:
-    def test_rate_experiment_emits_slope_row(self, tmp_path):
-        cfg = {
-            "model": {"family": "gaussian_location", "d": 2, "params": {"precision": 1.0},
-                      "theta_star": [1.0, -1.0]},
-            "prior": {"family": "standard_gaussian"},
-            "data": {"n_grid": [100, 400, 1600, 6400], "seed": 5},
-            "run": {"M": 50, "base_seed": 11, "output_dir": "unused"},
-        }
-        path = write(tmp_path, "rate.json", cfg)
-        out = tmp_path / "rate_out"
+    @pytest.mark.parametrize("cfg, section, key", [
+        ({"potential": {"family": "gaussian", "d": 2, "params": {"mean": [0.5, -0.5]}},
+          "tuning": {"regime": "sc-i", "eps_grid": [0.3, 0.2]}, "run": {"M": 20, "base_seed": 13}},
+         "tuning", "eps"),
+        (bayes_cfg(data={"n_grid": [100, 400, 1600], "seed": 7}), "data", "n"),
+    ])
+    def test_each_grid_row_is_the_one_point_run(self, tmp_path, capsys, cfg, section, key):
+        grid = cfg[section][f"{key}_grid"]
+        out = tmp_path / "grid"
+        path = write(tmp_path, "grid.json", cfg)
         assert main(["run", "--config", path, "--output", str(out)]) == 0
-        summary = json.loads(sorted(out.glob("*-summary.json"))[0].read_text())
-        assert summary["experiment"] == "bayes_rate"
-        assert "slope" in summary and "r2" in summary
-        csv_lines = sorted(out.glob("*-report.csv"))[0].read_text().splitlines()
-        assert len(csv_lines) == 5  # header + one row per grid point
+        capsys.readouterr()
+        assert main(["tune", "--config", path]) == 0
+        plans = json.loads(capsys.readouterr().out)
+        with open(next(out.glob("*-report.csv")), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(row[key]) for row in rows] == grid
+        for value, row, plan in zip(grid, rows, plans):
+            one = copy.deepcopy(cfg)
+            del one[section][f"{key}_grid"]
+            one[section][key] = value
+            (tmp_path / str(value)).mkdir()
+            summary = run_summary(tmp_path / str(value), one)
+            assert (float(row["mse"]), float(row["gamma"]), int(row["n_steps"])) == (
+                summary["mse"], summary["plan"]["gamma"], summary["plan"]["n_steps"])
+            assert plan == summary["plan"]  # tune prints the plans run uses
+            eps = value if key == "eps" else plan["constants"]["eps_n"]  # a bayes plan's target
+            assert float(row["mse_over_eps_sq"]) == summary["mse"] / eps**2
+            if key == "n":  # the mean over the chains of |estimate - theta*|^2
+                report = np.loadtxt(next((tmp_path / str(value) / "out").glob("*-report.csv")),
+                                    delimiter=",", skiprows=1)
+                errs = np.sum((report[:, 1:-1] - cfg["model"]["theta_star"]) ** 2, axis=1)
+                assert float(row["mse_theta_star"]) == pytest.approx(errs.mean(), rel=1e-12)
+        summary = strict_json(next(out.glob("*-summary.json")).read_text())
+        assert summary["experiment"] == f"{key}_scaling" and summary[f"{key}_grid"] == grid
+        assert summary["mse_over_eps_sq"] == [float(row["mse_over_eps_sq"]) for row in rows]
+        if key == "n":  # the chains' error against theta_star, fitted on log n
+            assert math.isfinite(summary["slope"]) and math.isfinite(summary["r2"])
 
     def test_eps_scaling_summary(self, tmp_path):
         cfg = {
