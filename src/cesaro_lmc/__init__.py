@@ -25,7 +25,6 @@ from .bayes import (
     build_posterior,
     epsilon_n,
     sample_dataset,
-    standard_gaussian_prior,
 )
 from .sampler import ChainConfig, ChainRun, replicate_runs, run_chain
 from .tuning import TuningInputs, TuningPlan, compute_upsilon, tune_bayes, tune_sc, tune_weak

@@ -1,26 +1,24 @@
 /* Compiled potentials and the one chain loop.
  *
- * A potential here (lmc_pot) is a sum of at most one logistic term and one
- * Gaussian term, in that order.  The logistic term is
+ * A potential here (lmc_pot) is one term: a logistic term or a Gaussian
+ * term.  The logistic term is
  *
  *     sum_v c+_v log(1 + e^-z_v) + c-_v log(1 + e^z_v) + (mu/2) |x|^2,
  *
  * z_v = <a_v, x>, over sign pairs: the distinct row a_v with weight c+_v
  * and its negation -a_v with weight c-_v share z_v and e = e^-|z_v|, so a
  * pair costs one exp (and one log1p for the value), whichever of its rows
- * occur.  The Gaussian term is (rho/2) |x - mean|^2.
+ * occur.  A logistic posterior is one such term, its prior in mu.  The
+ * Gaussian term is (rho/2) |x - mean|^2, with gradient rho * (x - mean).
  *
  * lmc_value, lmc_grad and lmc_hess_vec evaluate a batch of points one point
  * at a time, so a point's result does not depend on its batch.  lmc_step
  * steps chains with the same gradient code, through the same IEEE
  * operations, in the same order, as the numpy driver (sampler._drive): the
- * Kahan Cesaro update, K Euler substeps, then the divergence test.  For a
- * Gaussian term alone the gradient is rho * (x - mean); with both terms it
- * is (S + mu x) + rho (x - mean): a logistic sum, then its prior, as a
- * logistic posterior (bayes.build_posterior) adds them.  Noise comes from
- * numpy's own random_standard_normal on the replicate's Philox bitgen_t,
- * the code Generator.standard_normal runs, so the chain draws the same
- * variates without a noise block.
+ * Kahan Cesaro update, K Euler substeps, then the divergence test.  Noise
+ * comes from numpy's own random_standard_normal on the replicate's Philox
+ * bitgen_t, the code Generator.standard_normal runs, so the chain draws the
+ * same variates without a noise block.
  *
  * Build with -ffp-contract=off: a fused multiply-add would round once
  * where numpy rounds twice.
@@ -39,10 +37,10 @@ extern double random_standard_normal(bitgen_t *bitgen_state);
 
 typedef struct {
     int64_t d;
-    int64_t pairs;                        /* logistic term; 0 when absent */
+    int64_t pairs;                        /* logistic term */
     const double *rows, *cplus, *cminus;  /* (pairs, d), (pairs,), (pairs,) */
     double mu;
-    const double *mean;                   /* Gaussian term; NULL when absent */
+    const double *mean;                   /* Gaussian term; NULL for a logistic one */
     double rho;
 } lmc_pot;
 
@@ -58,53 +56,47 @@ static double dot(const double *a, const double *x, int64_t d)
 static void grad_point(const lmc_pot *p, const double *x, double *g)
 {
     const int64_t d = p->d;
-    if (p->pairs) {
+    if (p->mean) {
         for (int64_t j = 0; j < d; j++)
-            g[j] = 0.0;
-        for (int64_t v = 0; v < p->pairs; v++) {
-            const double *a = p->rows + v * d;
-            double z = dot(a, x, d), e = exp(-fabs(z));
-            /* c- sigma(z) - c+ sigma(-z), sigma(z) = (z >= 0 ? 1 : e) / (1 + e) */
-            double s = (p->cminus[v] * (z >= 0.0 ? 1.0 : e)
-                        - p->cplus[v] * (z <= 0.0 ? 1.0 : e)) / (1.0 + e);
-            for (int64_t j = 0; j < d; j++)
-                g[j] += s * a[j];
-        }
-        for (int64_t j = 0; j < d; j++)
-            g[j] += p->mu * x[j];
+            g[j] = p->rho * (x[j] - p->mean[j]);
+        return;
     }
-    if (p->mean)
-        for (int64_t j = 0; j < d; j++) {
-            double q = p->rho * (x[j] - p->mean[j]);
-            g[j] = p->pairs ? g[j] + q : q;
-        }
+    for (int64_t j = 0; j < d; j++)
+        g[j] = 0.0;
+    for (int64_t v = 0; v < p->pairs; v++) {
+        const double *a = p->rows + v * d;
+        double z = dot(a, x, d), e = exp(-fabs(z));
+        /* c- sigma(z) - c+ sigma(-z), sigma(z) = (z >= 0 ? 1 : e) / (1 + e) */
+        double s = (p->cminus[v] * (z >= 0.0 ? 1.0 : e)
+                    - p->cplus[v] * (z <= 0.0 ? 1.0 : e)) / (1.0 + e);
+        for (int64_t j = 0; j < d; j++)
+            g[j] += s * a[j];
+    }
+    for (int64_t j = 0; j < d; j++)
+        g[j] += p->mu * x[j];
 }
 
 static double value_point(const lmc_pot *p, const double *x)
 {
     const int64_t d = p->d;
-    double w = 0.0;
-    if (p->pairs) {
-        double sq = 0.0;
-        for (int64_t v = 0; v < p->pairs; v++) {
-            double z = dot(p->rows + v * d, x, d), l = log1p(exp(-fabs(z)));
-            /* a zero weight adds nothing, also where z or |x|^2 is infinite */
-            if (p->cplus[v] != 0.0)
-                w += p->cplus[v] * (fmax(-z, 0.0) + l);
-            if (p->cminus[v] != 0.0)
-                w += p->cminus[v] * (fmax(z, 0.0) + l);
-        }
-        if (p->mu != 0.0) {
-            for (int64_t j = 0; j < d; j++)
-                sq += x[j] * x[j];
-            w += 0.5 * p->mu * sq;
-        }
-    }
+    double w = 0.0, sq = 0.0;
     if (p->mean) {
-        double sq = 0.0;
         for (int64_t j = 0; j < d; j++)
             sq += (x[j] - p->mean[j]) * (x[j] - p->mean[j]);
-        w += 0.5 * p->rho * sq;
+        return 0.5 * p->rho * sq;
+    }
+    for (int64_t v = 0; v < p->pairs; v++) {
+        double z = dot(p->rows + v * d, x, d), l = log1p(exp(-fabs(z)));
+        /* a zero weight adds nothing, also where z or |x|^2 is infinite */
+        if (p->cplus[v] != 0.0)
+            w += p->cplus[v] * (fmax(-z, 0.0) + l);
+        if (p->cminus[v] != 0.0)
+            w += p->cminus[v] * (fmax(z, 0.0) + l);
+    }
+    if (p->mu != 0.0) {
+        for (int64_t j = 0; j < d; j++)
+            sq += x[j] * x[j];
+        w += 0.5 * p->mu * sq;
     }
     return w;
 }
@@ -112,23 +104,23 @@ static double value_point(const lmc_pot *p, const double *x)
 static void hess_vec_point(const lmc_pot *p, const double *x, const double *u, double *out)
 {
     const int64_t d = p->d;
+    if (p->mean) {
+        for (int64_t j = 0; j < d; j++)
+            out[j] = p->rho * u[j];
+        return;
+    }
     for (int64_t j = 0; j < d; j++)
         out[j] = 0.0;
-    if (p->pairs) {
-        for (int64_t v = 0; v < p->pairs; v++) {
-            const double *a = p->rows + v * d;
-            double e = exp(-fabs(dot(a, x, d)));
-            /* both rows of a pair have curvature sigma(z) sigma(-z) = e / (1 + e)^2 */
-            double s = (p->cplus[v] + p->cminus[v]) * (e / ((1.0 + e) * (1.0 + e))) * dot(a, u, d);
-            for (int64_t j = 0; j < d; j++)
-                out[j] += s * a[j];
-        }
+    for (int64_t v = 0; v < p->pairs; v++) {
+        const double *a = p->rows + v * d;
+        double e = exp(-fabs(dot(a, x, d)));
+        /* both rows of a pair have curvature sigma(z) sigma(-z) = e / (1 + e)^2 */
+        double s = (p->cplus[v] + p->cminus[v]) * (e / ((1.0 + e) * (1.0 + e))) * dot(a, u, d);
         for (int64_t j = 0; j < d; j++)
-            out[j] += p->mu * u[j];
+            out[j] += s * a[j];
     }
-    if (p->mean)
-        for (int64_t j = 0; j < d; j++)
-            out[j] += p->rho * u[j];
+    for (int64_t j = 0; j < d; j++)
+        out[j] += p->mu * u[j];
 }
 
 /* n points x (n, d) -> out (n,) */

@@ -14,11 +14,10 @@ line says so on stderr: Gaussian chains then run on the numpy driver (the
 same bits), and the logistic family, whose evaluators exist only in C,
 refuses to run.
 
-A :class:`Kernel` binds a potential's ``kernel`` field, a tuple of terms
-``("logistic", rows, cplus, cminus, mu)`` and ``("gaussian", rho, mean)``
-(at most one of each, in that order, as :func:`combine` joins them), to the
-library: its ``value``, ``grad`` and ``hess_vec`` evaluate the sum of the
-terms and ``step`` advances chains on it.
+A :class:`Kernel` binds a potential's ``kernel`` field, one term
+``("logistic", rows, cplus, cminus, mu)`` or ``("gaussian", rho, mean)``,
+to the library: its ``value``, ``grad`` and ``hess_vec`` evaluate the term
+and ``step`` advances chains on it.
 
 ``step`` splits the replicate axis into contiguous ranges of at least
 ``_MIN_RANGE_WORK`` replicate-substeps, one ``lmc_step`` call each, and
@@ -163,19 +162,6 @@ def load():
     return _lib
 
 
-# the term sequences lmc_pot holds: a logistic term, then a Gaussian one
-_ORDERS = (("logistic",), ("gaussian",), ("logistic", "gaussian"))
-
-
-def combine(*kernels):
-    """The terms of a sum of potentials with these ``kernel`` fields, or None
-    when one has no kernel or their terms do not fit one compiled potential."""
-    if any(k is None for k in kernels):
-        return None
-    terms = tuple(t for k in kernels for t in k)
-    return terms if tuple(t[0] for t in terms) in _ORDERS else None
-
-
 def _array(a, shape, what):
     """``a`` as float64, copied onto 64-byte cache lines that hold nothing else:
     chain threads read it on every gradient, and a line shared with memory
@@ -190,30 +176,28 @@ def _array(a, shape, what):
 
 
 class Kernel:
-    """The terms of a potential's ``kernel`` field on ``d`` coordinates,
-    bound to the compiled library ``lib``."""
+    """The term of a potential's ``kernel`` field on ``d`` coordinates, bound
+    to the compiled library ``lib``."""
 
-    def __init__(self, lib, terms, d: int):
-        if combine(terms) is None:
-            names = tuple(t[0] for t in terms)
-            raise ParameterError(f"kernel terms {names} are not a logistic and a Gaussian term")
+    def __init__(self, lib, term, d: int):
+        if not (isinstance(term, tuple) and term and isinstance(term[0], str)
+                and {"logistic": 5, "gaussian": 3}.get(term[0]) == len(term)):
+            raise ParameterError("a kernel is one term, ('logistic', rows, cplus, cminus, mu) "
+                                 "or ('gaussian', rho, mean)")
         self.lib, self.d = lib, d
-        self._keep = []  # the arrays the struct points into
-        pot = _Pot(d=d)
-        for term in terms:
-            if term[0] == "logistic":
-                _, rows, cplus, cminus, mu = term
-                pairs = np.shape(rows)[0]
-                arrays = (_array(rows, (pairs, d), "rows"), _array(cplus, (pairs,), "cplus"),
-                          _array(cminus, (pairs,), "cminus"))
-                pot.pairs, pot.mu = pairs, mu
-                pot.rows, pot.cplus, pot.cminus = (a.ctypes.data for a in arrays)
-            else:
-                _, rho, mean = term
-                arrays = (_array(mean, (d,), "mean"),)
-                pot.rho, pot.mean = rho, arrays[0].ctypes.data
-            self._keep.extend(arrays)
-        self._pot = pot
+        if term[0] == "logistic":
+            _, rows, cplus, cminus, mu = term
+            pairs = np.shape(rows)[0]
+            rows, cplus, cminus = (_array(rows, (pairs, d), "rows"),
+                                   _array(cplus, (pairs,), "cplus"),
+                                   _array(cminus, (pairs,), "cminus"))
+            self._pot = _Pot(d=d, pairs=pairs, rows=rows.ctypes.data, cplus=cplus.ctypes.data,
+                             cminus=cminus.ctypes.data, mu=mu)
+            self._keep = [rows, cplus, cminus]  # the arrays the struct points into
+        else:
+            _, rho, mean = term
+            self._keep = [_array(mean, (d,), "mean")]
+            self._pot = _Pot(d=d, mean=self._keep[0].ctypes.data, rho=rho)
 
     def _points(self, x):
         x = np.ascontiguousarray(x, dtype=np.float64)

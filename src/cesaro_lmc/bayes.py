@@ -1,38 +1,36 @@
-"""Datasets, priors, model families and the aggregated posterior potential.
+"""Datasets, model families and the posterior potential.
 
 The posterior potential over theta is
 
     W_n(theta) = sum_i U(xi_i, theta) + V0(theta),
 
-assembled from a model family (per-observation potential U plus exact
-simulation) and a log-concave prior.  Only the gradient of W_n is ever
+the sum over the observations of a model family's per-observation
+potential U plus the standard Gaussian prior V0(theta) = |theta|^2 / 2, the
+one log-concave prior the package uses.  Only the gradient of W_n is ever
 needed; the normalizing constant is never computed.
 
-Each model family gives the sum over its observations as a
-:class:`Potential`, ``sum_potential(obs)``, whose ``profile`` is the
-aggregated curvature profile (None when none is claimed), ``smoothness.L``
-the Lipschitz constant of its gradient and ``kernel`` its compiled terms
-(None when it has none).  ``build_posterior`` adds the prior to it in one
-path for every family;
-when the sum carries a logistic term and the prior a Gaussian one, the
-posterior carries both, in that order, and is evaluated and stepped
-compiled, as one potential.
+Each model family gives W_n as one :class:`Potential`,
+``posterior(obs)``, whose ``profile`` is the aggregated curvature profile,
+``smoothness.L`` the Lipschitz constant of its gradient, n L + 1 for a
+per-observation L, and ``kernel`` its compiled term (None when it has
+none).  ``build_posterior`` adds its mode.
 
 Aggregation of regularity constants: a rho-strongly-convex per-observation
-model yields an (n*rho)-strongly-convex sum (the prior's curvature is a
-free extra and is not counted); a curvature-sandwich model with r = q
-yields the pair (c1 * n^{1-r}, r) for the lower branch and flat smoothness
-n*L for the upper one.  The stored gradient-Lipschitz constant includes the
-prior's contribution so it is a true bound for the full potential.
+model yields an (n rho + 1)-strongly-convex posterior, the prior's unit
+curvature counted (a logistic model without ridge gives 1); a
+curvature-sandwich model with r = q yields the pair (c1 n^{1-r}, r) for
+the lower branch and flat smoothness n L for the upper one, the prior not
+counted.
 
 The sum over observations is never streamed per observation where it need
-not be: the Gaussian location family's is the built-in Gaussian of mean
-s/n and precision n rho plus a constant (s the sum of the observations),
-and the logistic family's a weighted sum over sign pairs of its distinct
-(feature, label) rows, at most m pairs, and so at most m exponentials per
-gradient, for an m-row design (``builtin_logistic``, compiled).  No
-evaluator goes through BLAS, so a point's value, gradient and
-Hessian-vector product do not depend on the batch it is evaluated in.
+not be: the Gaussian location family's posterior is the built-in Gaussian
+of precision n rho + 1 about the conjugate mean plus a constant, and the
+logistic family's a weighted sum over sign pairs of its distinct (feature,
+label) rows, the prior in its ridge, at most m pairs, and so at most m
+exponentials per gradient, for an m-row design (``builtin_logistic``).
+Both are stepped compiled.  No evaluator goes through BLAS, so a point's
+value, gradient and Hessian-vector product do not depend on the batch it
+is evaluated in.
 """
 
 from __future__ import annotations
@@ -55,13 +53,6 @@ from .potentials import (
     find_minimizer,
 )
 from .rng import stream
-
-
-def standard_gaussian_prior(d: int) -> Potential:
-    """V0(theta) = |theta|^2 / 2, the built-in Gaussian potential with mean 0
-    and precision 1 (so its gradient is 1-Lipschitz)."""
-    prior = builtin_gaussian_location(d, 0.0, 1.0)
-    return dataclasses.replace(prior, name=f"standard_gaussian(d={d})")
 
 
 @dataclass(frozen=True)
@@ -129,17 +120,19 @@ class GaussianLocationModel:
         theta = np.asarray(theta, dtype=float)
         return self.precision * (theta - obs)
 
-    def sum_potential(self, obs: np.ndarray) -> Potential:
-        """sum_i (rho/2)|theta - xi_i|^2 is the built-in Gaussian
-        (n rho/2)|theta - s/n|^2, s = sum_i xi_i, plus the constant
-        (rho/2) sum_i |xi_i - s/n|^2, which its ``value`` adds (so it carries
-        no kernel term)."""
+    def posterior(self, obs: np.ndarray) -> Potential:
+        """W_n is the built-in Gaussian of precision n rho + 1 about the
+        conjugate mean ``posterior_mean``, plus the constant
+        (rho/2) sum_i |xi_i - s/n|^2 + n rho |s/n|^2 / (2 (n rho + 1)),
+        s = sum_i xi_i, which its ``value`` adds.  Both terms are
+        non-negative and summed about the data mean, so they do not cancel.
+        It keeps its Gaussian kernel: chains read only the gradient."""
         rho, n = self.precision, obs.shape[0]
         mean = obs.sum(axis=0) / n
-        const = 0.5 * rho * float(np.sum((obs - mean) ** 2))
-        pot = builtin_gaussian_location(self.d, mean, n * rho)
-        return dataclasses.replace(pot, value=lambda theta: pot.value(theta) + const,
-                                   offset=1.0 - const, kernel=None)
+        const = (0.5 * rho * float(np.sum((obs - mean) ** 2))
+                 + n * rho * float(np.sum(mean**2)) / (2.0 * (n * rho + 1.0)))
+        pot = builtin_gaussian_location(self.d, self.posterior_mean(obs), n * rho + 1.0)
+        return dataclasses.replace(pot, value=lambda theta: pot.value(theta) + const)
 
     def posterior_mean(self, obs: np.ndarray) -> np.ndarray:
         """The conjugate posterior mean rho s / (n rho + 1), s = sum of obs, under N(0, I)."""
@@ -174,12 +167,13 @@ class PPowerLocationModel:
     def model_id(self) -> str:
         return f"p_power_location(d={self.d},p={self.p})"
 
-    def sum_potential(self, obs: np.ndarray) -> Potential:
-        """The per-observation sum, streamed in blocks of 512 observations.
+    def posterior(self, obs: np.ndarray) -> Potential:
+        """The per-observation sum, streamed in blocks of 512 observations,
+        plus the prior |theta|^2 / 2.
 
-        Its profile is the weakly convex aggregate: with r = q, Jensen's
-        inequality turns the per-observation (c1, c2, r) into the lower
-        branch c1 n^{1-r} and the flat upper bound n L.
+        Its profile is the weakly convex aggregate of the sum: with r = q,
+        Jensen's inequality turns the per-observation (c1, c2, r) into the
+        lower branch c1 n^{1-r} and the flat upper bound n L.
         """
         p, n, chunk = self.p, obs.shape[0], 512
         pr = self.per_obs_profile
@@ -191,7 +185,7 @@ class PPowerLocationModel:
             for k in range(0, obs.shape[0], chunk):
                 u = 1.0 + np.sum((theta[..., None, :] - obs[k : k + chunk]) ** 2, axis=-1)
                 total = total + np.sum(u**p, axis=-1)
-            return total
+            return total + 0.5 * np.sum(theta**2, axis=-1)
 
         def grad(theta):
             theta = np.asarray(theta, dtype=float)
@@ -201,7 +195,7 @@ class PPowerLocationModel:
                 diff = theta[..., None, :] - block
                 u = 1.0 + np.sum(diff**2, axis=-1)
                 total = total + 2.0 * p * np.sum(u[..., None] ** (p - 1.0) * diff, axis=-2)
-            return total
+            return total + theta
 
         def hess_vec(theta, v):
             theta = np.asarray(theta, dtype=float)
@@ -217,11 +211,10 @@ class PPowerLocationModel:
                     + 4.0 * p * (p - 1.0) * (u ** (p - 2.0) * dv)[..., None] * diff,
                     axis=-2,
                 )
-            return out
+            return out + v
 
         return Potential(dim=self.d, value=value, grad=grad, hess_vec=hess_vec,
-                         smoothness=Smoothness(L=n * self.per_obs_L), profile=profile,
-                         name=f"p_power_sum(d={self.d},p={p},n={n})")
+                         smoothness=Smoothness(L=n * self.per_obs_L + 1.0), profile=profile)
 
 
 class LogisticModel:
@@ -265,13 +258,14 @@ class LogisticModel:
     def psi(self, obs: np.ndarray) -> np.ndarray:
         return obs[..., -1]
 
-    def sum_potential(self, obs: np.ndarray) -> Potential:
+    def posterior(self, obs: np.ndarray) -> Potential:
         """The sum over the sign pairs of the distinct (feature, label) rows,
         weighted by their multiplicities (``builtin_logistic``, with its kernel
-        term); the per-observation ridge and L accumulate n-fold."""
+        term), its ridge n lambda + 1: the per-observation ridge n-fold plus
+        the prior's unit curvature."""
         n = obs.shape[0]
-        inner = builtin_logistic(obs[:, :-1], obs[:, -1], ridge=n * self.ridge)
-        return dataclasses.replace(inner, smoothness=Smoothness(L=n * self.per_obs_L))
+        pot = builtin_logistic(obs[:, :-1], obs[:, -1], ridge=n * self.ridge + 1.0)
+        return dataclasses.replace(pot, smoothness=Smoothness(L=n * self.per_obs_L + 1.0))
 
     def psi_mean(self, theta) -> float:
         theta = np.asarray(theta, dtype=float)
@@ -287,16 +281,16 @@ class PosteriorPotential:
     mode: np.ndarray
 
 
-def build_posterior(model, data: Dataset, prior: Potential) -> PosteriorPotential:
-    """Assemble W_n = sum_i U(xi_i, .) + V0 with aggregated constants.
+def build_posterior(model, data: Dataset) -> PosteriorPotential:
+    """W_n = sum_i U(xi_i, .) + |theta|^2 / 2, the family's ``posterior(obs)``,
+    and its mode.
 
-    The family's ``sum_potential(obs)`` gives the per-observation sum as a
-    potential with its constants, to which the prior potential V0 adds its
-    own.  An empty dataset is refused (``sample_dataset`` draws n >= 1).
-    The potential's minimum is normalised to 1 at the mode, found by
-    gradient descent from the origin.
+    An empty dataset is refused (``sample_dataset`` draws n >= 1).  The mode
+    is the potential's ``minimizer_hint`` when it has one (the exact
+    conjugate mean), else found by gradient descent from the origin; the
+    potential's minimum is normalised to 1 there.
     """
-    if not hasattr(model, "sum_potential"):
+    if not hasattr(model, "posterior"):
         raise CapabilityError(f"unsupported model family: {model!r}")
     obs = data.observations
     n = obs.shape[0]
@@ -304,36 +298,12 @@ def build_posterior(model, data: Dataset, prior: Potential) -> PosteriorPotentia
         raise ParameterError(f"observation dimension {obs.shape[1]} does not match model q={model.q}")
     if n == 0:
         raise ParameterError("the dataset is empty: a posterior needs n >= 1 observations")
-    base = model.sum_potential(obs)
-    from . import _kernel  # not at package import
-
-    kernel = _kernel.combine(base.kernel, prior.kernel)
-    if kernel is not None:  # one compiled potential: its terms added in order
-        ev = _kernel.Kernel(_kernel.load(), kernel, model.d)
-        value, grad, hess_vec = ev.value, ev.grad, ev.hess_vec
-    else:
-        def value(theta):
-            return base.value(theta) + prior.value(theta)
-
-        def grad(theta):
-            return base.grad(theta) + prior.grad(theta)
-
-        def hess_vec(theta, v):
-            return base.hess_vec(theta, v) + prior.hess_vec(theta, v)
-
-    total_L = base.smoothness.L + prior.smoothness.L
-    pot = Potential(
-        dim=model.d,
-        value=value,
-        grad=grad,
-        hess_vec=hess_vec,
-        smoothness=Smoothness(L=total_L),
-        profile=base.profile,
-        name=f"posterior[{model.model_id}, n={n}]",
-        kernel=kernel,
-    )
-    mode = find_minimizer(pot, np.zeros(model.d), tol_grad=1e-9 * max(1.0, total_L))
-    pot = dataclasses.replace(pot, minimizer_hint=mode, offset=1.0 - float(pot.value(mode)))
+    pot = model.posterior(obs)
+    mode = pot.minimizer_hint
+    if mode is None:
+        mode = find_minimizer(pot, np.zeros(model.d), tol_grad=1e-9 * max(1.0, pot.smoothness.L))
+    pot = dataclasses.replace(pot, minimizer_hint=mode, offset=1.0 - float(pot.value(mode)),
+                              name=f"posterior[{model.model_id}, n={n}]")
     return PosteriorPotential(potential=pot, mode=mode)
 
 

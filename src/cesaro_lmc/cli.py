@@ -23,13 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bayes import (
-    GaussianLocationModel,
-    LogisticModel,
-    build_posterior,
-    sample_dataset,
-    standard_gaussian_prior,
-)
+from .bayes import GaussianLocationModel, LogisticModel, build_posterior, sample_dataset
 from .diagnostics import (
     SeparationMap,
     concentration_check,
@@ -289,17 +283,17 @@ def _build(cfg: dict, section: str):
     return built
 
 
-def _reference(cfg: dict, pot, base_seed: int, model=None, data=None):
+def _reference(cfg: dict, pot, base_seed: int, model=None):
     """The mean of e^{-W} that ``run`` scores chains against, and its provenance, from the
     first oracle that applies: a symmetric built-in's centre ("closed-form"), "quadrature"
-    at d <= 3, a Gaussian location posterior's conjugate mean ("closed-form"), else
-    "importance-sampling"."""
+    at d <= 3, a Gaussian location posterior's conjugate mean, its ``minimizer_hint``
+    ("closed-form"), else "importance-sampling"."""
     if "potential" in cfg and _POTENTIALS[cfg["potential"]["family"]][2]:
         return pot.minimizer_hint, "closed-form"
     if pot.dim <= 3:
         return quadrature_posterior_mean(pot)[0], "quadrature"
     if isinstance(model, GaussianLocationModel):
-        return model.posterior_mean(data.observations), "closed-form"
+        return pot.minimizer_hint, "closed-form"
     seed = mix64(base_seed, 0x15)  # its own stream, as the bootstrap's
     return importance_posterior_mean(pot, pot.minimizer_hint, seed)[0], "importance-sampling"
 
@@ -339,16 +333,17 @@ def _plans(cfg: dict):
     ``data.n_grid`` (default ``[data.n]``): a ``bayes-*`` regime tunes its per-observation
     constants at each n.  A potential's is ``tuning.eps_grid`` (default ``[tuning.eps]``,
     else ``[1.0]``): ``sc-*`` and ``weak-*`` tune it at each eps.  The other block's grid
-    key, or a point key beside its grid key, is refused.  A tuning option the config
-    leaves out takes the library's default."""
+    or point key, or a point key beside its grid key, is refused.  A tuning option the
+    config leaves out takes the library's default."""
     subject = _tuned(cfg)
     tb = cfg["tuning"]
     family, _, variant = tb["regime"].partition("-")
     block = _TUNES[family]
     for other, (section, key) in _GRID.items():
-        if other != block and f"{key}_grid" in cfg.get(section, {}):
-            raise ConfigError(f"{section}.{key}_grid is a grid of a {other} block, "
-                              f"and the config has a {block} block")
+        for name, what in ((f"{key}_grid", "grid"), (key, "point")):
+            if other != block and name in cfg.get(section, {}):
+                raise ConfigError(f"{section}.{name} is a {what} of a {other} block, "
+                                  f"and the config has a {block} block")
     section, key = _GRID[block]
     given = cfg.get(section, {})
     if key in given and f"{key}_grid" in given:
@@ -358,8 +353,8 @@ def _plans(cfg: dict):
     grid = given.get(f"{key}_grid", [given.get(key, 1.0)])
     opts = {k: float(v) for k, v in _given(tb, "frak_e", "x0_dist", "calib").items()}
     if family == "bayes":
-        inputs = TuningInputs(subject.per_obs_profile, subject.per_obs_L, subject.d,
-                              float(tb.get("eps", 1.0)), **opts)
+        # tune_bayes takes its target, eps_n, from n: the eps field is not read
+        inputs = TuningInputs(subject.per_obs_profile, subject.per_obs_L, subject.d, 1.0, **opts)
         plans = [tune_bayes(inputs, n, subject.alpha_c, variant, subject.C_P,
                             **_given(tb, "certified_x0")) for n in grid]
     else:
@@ -434,8 +429,8 @@ def cmd_run(cfg: dict, output_dir=None, out=None) -> int:
         pot = subject
         if theta is not None:
             data = sample_dataset(subject, theta, value, cfg["data"]["seed"])
-            pot = build_posterior(subject, data, standard_gaussian_prior(subject.d)).potential
-            reference = _reference(cfg, pot, base_seed, subject, data)
+            pot = build_posterior(subject, data).potential
+            reference = _reference(cfg, pot, base_seed, subject)
         elif reference is None:  # one reference serves a potential's whole grid
             reference = _reference(cfg, pot, base_seed)
         reports.append(mse_experiment(pot, plan, run_block["M"], reference[0], base_seed,

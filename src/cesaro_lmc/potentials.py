@@ -90,10 +90,10 @@ class Potential:
     batches ``(m, d)``.  ``offset`` is the additive constant placing the
     minimum of the *normalized* potential at 1 (used by every W-power
     check); ``value`` itself is the raw formula.  ``kernel``, when set, is
-    the tuple of terms (``("logistic", rows, cplus, cminus, mu)``, then
-    ``("gaussian", rho, mean)``) whose sum the compiled chain loop steps
-    with the same bits as ``grad``; ``dataclasses.replace`` keeps it, so a
-    potential with wrapped evaluators steps the same code.
+    the one term, ``("logistic", rows, cplus, cminus, mu)`` or
+    ``("gaussian", rho, mean)``, that the compiled chain loop steps with the
+    same bits as ``grad``; ``dataclasses.replace`` keeps it, so a potential
+    with wrapped evaluators steps the same code.
     """
 
     dim: int
@@ -163,7 +163,7 @@ def builtin_gaussian_location(d: int, mean=0.0, precision: float = 1.0) -> Poten
         minimizer_hint=m,
         offset=1.0,
         name=f"gaussian(d={d},rho={rho})",
-        kernel=(("gaussian", rho, m),),
+        kernel=("gaussian", rho, m),
     )
 
 
@@ -274,7 +274,7 @@ def builtin_logistic(features, labels, ridge: float = 0.0) -> Potential:
     cplus = np.bincount(pair[plus], minlength=first.size)[order].astype(float)
     cminus = np.bincount(pair[~plus], minlength=first.size)[order].astype(float)
     rows = np.ascontiguousarray(b[first[order]])
-    kernel = (("logistic", rows, cplus, cminus, mu),)
+    kernel = ("logistic", rows, cplus, cminus, mu)
     ev = _kernel.Kernel(lib, kernel, d)
     # Hessian = sum_i a_i a_i^T sigma(1-sigma) + mu I, so the summed bound
     # applies; the all-zero design has a constant gradient, keep L positive

@@ -25,11 +25,12 @@ diverged replicate restarts from its x0 inside the driver, so it does not
 trip the screen on every later step; every output shows it as NaN.
 
 A potential with a ``kernel`` field (the built-in Gaussian, the logistic
-potentials and the logistic posterior) is stepped instead by the compiled
-loop of ``_kernel.c`` (built on first use), with the gradient code its
-compiled evaluators run and the same IEEE operations in the same order as
-this driver, with normals drawn by numpy's own ``random_standard_normal``
-on the replicate's Philox generator.  It needs no noise block and gives
+potentials, and the Gaussian-location and logistic posteriors) is stepped
+instead by the compiled loop of ``_kernel.c`` (built on first use), with
+the gradient code its compiled evaluators run and the same IEEE
+operations in the same order as this driver, with normals drawn by
+numpy's own ``random_standard_normal`` on the replicate's Philox
+generator.  It needs no noise block and gives
 the same bits as this driver stepping the same potential without its
 kernel field.  ``_kernel.Kernel.step`` splits a large batch into
 contiguous replicate ranges and steps them on threads, at most one per CPU

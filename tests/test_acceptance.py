@@ -21,7 +21,6 @@ from cesaro_lmc.bayes import (
     build_posterior,
     epsilon_n,
     sample_dataset,
-    standard_gaussian_prior,
 )
 from cesaro_lmc.diagnostics import (
     SeparationMap,
@@ -83,12 +82,11 @@ def test_02_conjugate_posterior_equivalence():
     with _Stopwatch("2 conjugate equivalence", 600):
         d, m = 2, 200
         model = GaussianLocationModel(d, 1.0)
-        prior = standard_gaussian_prior(d)
         theta_star = np.array([0.4, -0.2])
         cs = {}
         for n in (100, 400, 1600):
             data = sample_dataset(model, theta_star, n, seed=20240802 + n)
-            post = build_posterior(model, data, prior)
+            post = build_posterior(model, data)
             plan = tune_bayes(
                 TuningInputs(profile=StronglyConvex(1.0), L=1.0, d=d, eps=1.0),
                 n=n, alpha_c=1.0, regime="sc-i.a", C_P=model.C_P,

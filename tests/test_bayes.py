@@ -11,7 +11,6 @@ from cesaro_lmc.bayes import (
     build_posterior,
     epsilon_n,
     sample_dataset,
-    standard_gaussian_prior,
 )
 from cesaro_lmc.errors import CapabilityError, ParameterError
 from cesaro_lmc.potentials import Potential, StronglyConvex, WeaklyConvexKL, dense_hessian
@@ -53,46 +52,58 @@ def per_observation(family, model, xi, theta, v):
     return value, -label * sig * a + mu * theta, sig * (1 - sig) * np.sum(a * v) * a + mu * v
 
 
-class TestSumPotential:
+class TestPosterior:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_per_observation_loop(self, family):
-        """A family's observation sum is a Potential whose evaluators equal the
-        sum over observations, one at a time, and whose constants aggregate n-fold."""
+        """A family's posterior is a Potential whose evaluators equal the sum
+        over observations, one at a time, plus the prior |theta|^2 / 2, and whose
+        constants aggregate n-fold, the prior's unit curvature counted."""
         model, n = FAMILIES[family], 300
         if family == "p_power":  # no exact sampler: any observations do
             obs = 0.5 + stream(21).standard_normal((n, 2))
         else:
             obs = sample_dataset(model, [0.4, -0.3], n, seed=21).observations
-        pot = model.sum_potential(obs)
+        pot = model.posterior(obs)
         assert isinstance(pot, Potential)
         thetas, vs = stream(22).standard_normal((2, 4, 2)) * 2.0
         values, grads, hvs = pot.value(thetas), pot.grad(thetas), pot.hess_vec(thetas, vs)
         for j, (theta, v) in enumerate(zip(thetas, vs)):
-            terms = [per_observation(family, model, xi, theta, v) for xi in obs]
+            prior = (0.5 * np.sum(theta**2), theta, v)
+            terms = [per_observation(family, model, xi, theta, v) for xi in obs] + [prior]
             for got, k in ((values[j], 0), (grads[j], 1), (hvs[j], 2)):
                 ref = sum(t[k] for t in terms)
                 scale = sum(np.abs(t[k]) for t in terms)  # the size of the summed terms
                 assert np.all(np.abs(got - ref) <= 1e-12 * scale), (family, k)
-        assert pot.smoothness.L == n * model.per_obs_L
+        assert pot.smoothness.L == n * model.per_obs_L + 1.0
         if family == "p_power":
             pr = model.per_obs_profile
             assert pot.profile.c1 == pytest.approx(pr.c1 * n ** (1.0 - pr.r), rel=1e-15)
             assert (pot.profile.c2, pot.profile.q, pot.profile.r) == (n * model.per_obs_L, 0.0, pr.r)
         else:
             rho = model.precision if family == "gaussian" else model.ridge
-            assert pot.profile == StronglyConvex(n * rho)
-        assert (pot.kernel is not None) == (family == "logistic")
+            assert pot.profile == StronglyConvex(n * rho + 1.0)
+        assert (pot.kernel is not None) == (family != "p_power")
+        if pot.kernel is not None:
+            assert pot.kernel[0] == family
 
-    def test_gaussian_sum_far_from_the_origin(self):
+    def test_logistic_without_ridge_is_strongly_convex_by_its_prior(self):
+        model = LogisticModel(np.array([[1.0, 0.5], [-0.3, 1.2]]))
+        pot = model.posterior(sample_dataset(model, [0.4, -0.3], 50, seed=2).observations)
+        assert pot.profile == StronglyConvex(1.0) and pot.kernel[4] == 1.0
+
+    @pytest.mark.parametrize("centre", [1e3, 1e6])
+    def test_gaussian_posterior_far_from_the_origin(self, centre):
         """Its constant is summed about the data mean, so data far from the
-        origin keep the value's relative error at rounding level (sum |xi|^2
-        - |s|^2/n would cancel to a relative error near 1e-10 here)."""
+        origin keep the value's relative error at rounding level, at most
+        3.5e-16 here.  The cancelling form (rho/2)(sum |xi|^2 - |s|^2/n) is
+        1.5e-13 off at 1e3, though the prior's |theta|^2 / 2 dominates the value."""
         model = GaussianLocationModel(2, 1.0)
-        obs = sample_dataset(model, [1e3, -1e3], 400, seed=23).observations
-        pot = model.sum_potential(obs)
+        obs = sample_dataset(model, [centre, -centre], 400, seed=23).observations
+        pot = model.posterior(obs)
         for theta in obs[:5] + 0.3:
-            ref = math.fsum(0.5 * np.sum((theta - xi) ** 2) for xi in obs)
-            assert pot.value(theta) == pytest.approx(ref, rel=1e-12)
+            ref = math.fsum([*(0.5 * np.sum((theta - xi) ** 2) for xi in obs),
+                             0.5 * np.sum(theta**2)])
+            assert pot.value(theta) == pytest.approx(ref, rel=1e-14)
 
 
 class TestSampleDataset:
@@ -142,7 +153,7 @@ class TestBuildPosterior:
         # n=2 observations {0, 2}, unit prior: mode solves (n+1) theta = sum
         model = GaussianLocationModel(1, 1.0)
         data = Dataset(np.array([[0.0], [2.0]]), model.model_id, np.array([0.0]), 0)
-        post = build_posterior(model, data, standard_gaussian_prior(1))
+        post = build_posterior(model, data)
         assert post.mode[0] == pytest.approx(2.0 / 3.0, abs=1e-8)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -150,12 +161,12 @@ class TestBuildPosterior:
         model = FAMILIES[family]
         data = Dataset(np.empty((0, model.q)), model.model_id, np.zeros(2), 0)
         with pytest.raises(ParameterError, match="dataset is empty"):
-            build_posterior(model, data, standard_gaussian_prior(2))
+            build_posterior(model, data)
 
     def test_gradient_matches_finite_differences(self):
         model = GaussianLocationModel(2, 2.0)
         data = sample_dataset(model, [1.0, 0.0], 30, seed=5)
-        post = build_posterior(model, data, standard_gaussian_prior(2))
+        post = build_posterior(model, data)
         rng = stream(8)
         for _ in range(20):
             theta = rng.standard_normal(2)
@@ -170,31 +181,30 @@ class TestBuildPosterior:
     def test_closed_form_matches_streamed_sum(self):
         model = GaussianLocationModel(3, 1.3)
         data = sample_dataset(model, [0.0, 0.5, -0.5], 200, seed=6)
-        post = build_posterior(model, data, standard_gaussian_prior(3))
-        prior = standard_gaussian_prior(3)
+        post = build_posterior(model, data)
         rng = stream(10)
         for _ in range(10):
             theta = rng.standard_normal(3)
             val_s, grad_s = streamed_gaussian_sum(data.observations, 1.3, theta)
-            ref_v = val_s + prior.value(theta)
-            ref_g = grad_s + prior.grad(theta)
+            ref_v = val_s + 0.5 * np.sum(theta**2)
+            ref_g = grad_s + theta
             assert post.potential.value(theta) == pytest.approx(ref_v, rel=1e-12)
             assert np.allclose(post.potential.grad(theta), ref_g, rtol=1e-12, atol=1e-9)
 
     def test_aggregated_strong_convexity_exact(self):
         model = GaussianLocationModel(2, 1.0)
         data = sample_dataset(model, [0.0, 0.0], 50, seed=11)
-        post = build_posterior(model, data, standard_gaussian_prior(2))
+        post = build_posterior(model, data)
         v = np.array([0.6, -0.8])
         hv = post.potential.hess_vec(np.array([0.2, 0.1]), v)
         assert np.allclose(hv, (50 * 1.0 + 1.0) * v)
         assert isinstance(post.potential.profile, StronglyConvex)
-        assert post.potential.profile.rho == pytest.approx(50.0)
+        assert post.potential.profile.rho == 51.0
 
     def test_normalized_minimum_is_one(self):
         model = GaussianLocationModel(1, 1.0)
         data = sample_dataset(model, [0.7], 20, seed=12)
-        post = build_posterior(model, data, standard_gaussian_prior(1))
+        post = build_posterior(model, data)
         assert post.potential.value_normalized(post.mode) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -204,12 +214,12 @@ class TestBuildPosterior:
             for n in (0, 3):
                 data = Dataset(np.zeros((n, q)), model.model_id, np.zeros(2), 0)
                 with pytest.raises(ParameterError, match=f"does not match model q={model.q}"):
-                    build_posterior(model, data, standard_gaussian_prior(2))
+                    build_posterior(model, data)
 
     def test_unsupported_family_refused(self):
         data = Dataset(np.zeros((3, 2)), "other", np.zeros(2), 0)
         with pytest.raises(CapabilityError, match="unsupported model family"):
-            build_posterior(object(), data, standard_gaussian_prior(2))
+            build_posterior(object(), data)
 
     @pytest.mark.parametrize("n", [2, 5, 10, 20, 40])
     def test_aggregated_kl_lower_bound(self, n):
@@ -220,7 +230,7 @@ class TestBuildPosterior:
         rng = stream(100 + n)
         obs = rng.standard_normal((n, 2))
         data = Dataset(obs, model.model_id, np.zeros(2), 0)
-        post = build_posterior(model, data, standard_gaussian_prior(2))
+        post = build_posterior(model, data)
         prof = post.potential.profile
         assert isinstance(prof, WeaklyConvexKL)
         probes = post.mode + 4.0 * rng.standard_normal((100, 2))
@@ -232,7 +242,7 @@ class TestBuildPosterior:
     def test_aggregated_kl_constants_stored(self):
         model = PPowerLocationModel(2, 0.75)
         data = Dataset(stream(13).standard_normal((10, 2)), model.model_id, np.zeros(2), 0)
-        post = build_posterior(model, data, standard_gaussian_prior(2))
+        post = build_posterior(model, data)
         prof = post.potential.profile
         assert isinstance(prof, WeaklyConvexKL)
         r = (1 - 0.75) / 0.75
@@ -268,36 +278,3 @@ class TestEpsilonN:
     def test_validity_flag(self):
         _, valid = epsilon_n(100.0, 10.0, 1.0, 5, 10, b1=1.0)
         assert not valid
-
-
-class TestPriorSpec:
-    def test_standard_gaussian_prior_bits(self):
-        # V0 = |x|^2 / 2, grad V0 = x and the Hessian is the identity, bit for bit
-        special = [0.0, -0.0, 5e-324, -2.2e-308, 1e-300, -1e308, 1e308, np.inf, -np.inf, np.nan]
-        for d in (1, 2, 3, 5):
-            prior = standard_gaussian_prior(d)
-            assert prior.name == f"standard_gaussian(d={d})" and prior.smoothness.L == 1.0
-            rng = stream(60 + d)
-            scale = 10.0 ** rng.integers(-300, 300, size=(40, 1))
-            xs = np.concatenate([rng.standard_normal((40, d)) * scale,
-                                 rng.choice(special, size=(40, d))])
-            vs = xs[::-1].copy()
-            for x, v in ((xs, vs), (xs[3], vs[3]), (xs[-1], vs[-1])):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    expect = 0.5 * np.sum(x**2, -1)
-                    assert np.asarray(prior.value(x)).tobytes() == np.asarray(expect).tobytes()
-                assert prior.grad(x).tobytes() == x.tobytes()
-                assert prior.hess_vec(x, v).tobytes() == v.tobytes()
-
-    def test_standard_gaussian_prior_invariants(self):
-        prior = standard_gaussian_prior(3)
-        lip = prior.smoothness.L
-        rng = stream(55)
-        for _ in range(50):
-            a, b = rng.standard_normal((2, 3)) * 5.0
-            # gradient Lipschitz with the declared constant
-            assert np.linalg.norm(prior.grad(a) - prior.grad(b)) <= lip * np.linalg.norm(a - b) * (1 + 1e-12)
-            # convexity along segments
-            mid = 0.5 * (a + b)
-            assert prior.value(mid) <= 0.5 * (prior.value(a) + prior.value(b)) + 1e-12
-        assert lip <= 1.0

@@ -304,7 +304,9 @@ class TestPlanRule:
                             ("tune_sc", "plan"), ("tune_weak", "plan")]:
             monkeypatch.setattr(cli, name, lambda *a, f=getattr(cli, name), e=event, **k:
                                 events.append(e) or f(*a, **k))
-        cfg = {"tuning": {"regime": regime, "eps": 0.5}, "run": {"M": 5, "base_seed": 1}}
+        # a bayes plan takes its target from n, so only a potential's tuning gives eps
+        tuning = {"regime": regime, **({"eps": 0.5} if tunes == "potential" else {})}
+        cfg = {"tuning": tuning, "run": {"M": 5, "base_seed": 1}}
         if block == "model":
             cfg["model"] = {"family": "gaussian_location", "d": 2, "theta_star": [0.4, -0.2]}
             cfg["data"] = {"n": 400, "seed": 1}
@@ -343,6 +345,10 @@ class TestPlanRule:
          "tuning.regime 'sc-i' tunes a potential block, which the config does not have"),
         ("conjugate_posterior.json", {"tuning": {"eps_grid": [0.3, 0.2]}},
          "tuning.eps_grid is a grid of a potential block, and the config has a model block"),
+        ("conjugate_posterior.json", {"tuning": {"eps": 0.01}},
+         "tuning.eps is a point of a potential block, and the config has a model block"),
+        ("ou_smoke.json", {"data": {"n": 100, "seed": 1}},
+         "data.n is a point of a model block, and the config has a potential block"),
         ("ou_smoke.json", {"data": {"n_grid": [100, 400], "seed": 1}},
          "data.n_grid is a grid of a model block, and the config has a potential block"),
         ("ou_smoke.json", {"tuning": {"eps_grid": [0.3, 0.2]}},
@@ -369,7 +375,7 @@ class TestPlanRule:
     @pytest.mark.parametrize("command, cfg", [
         ("run", bayes_cfg(model={"family": "gaussian_location", "d": 1, "theta_star": [0.5],
                                  "params": {"precision": 2.0}, "alpha_c": 1.0, "b1": 1.0},
-                          tuning={"regime": "bayes-sc-i.a", "eps": 1.0, "calib": 2.0})),
+                          tuning={"regime": "bayes-sc-i.a", "calib": 2.0})),
         ("run", {"potential": {"family": "gaussian", "d": 1,
                                "params": {"mean": 1.0, "precision": 2.0}},
                  "tuning": {"regime": "sc-i", "eps": 1.0, "calib": 2.0, "x0_dist": 1.0},
@@ -377,7 +383,7 @@ class TestPlanRule:
         ("tune", {"model": {"family": "logistic", "C_P": 2.0,
                             "params": {"design": [[1.0, 0.5], [-0.3, 1.2]], "ridge": 1.0}},
                   "data": {"n": 100, "seed": 1},
-                  "tuning": {"regime": "bayes-sc-i.a", "eps": 1.0, "calib": 2.0}}),
+                  "tuning": {"regime": "bayes-sc-i.a", "calib": 2.0}}),
     ])
     def test_json_integers_give_the_bytes_of_floats(self, tmp_path, capsys, command, cfg):
         def integral(v):  # the config with each integer-valued float written as an integer
@@ -742,7 +748,7 @@ FUZZ_BASES = [
                   "theta_star": [0.4, -0.2], "alpha_c": 1.0, "b1": 1.0, "C_P": None},
         "prior": {"family": "standard_gaussian"},
         "data": {"n": 100, "seed": 7},
-        "tuning": {"regime": "bayes-sc-i.a", "eps": 0.1, "frak_e": 0.05, "calib": 1.0,
+        "tuning": {"regime": "bayes-sc-i.a", "frak_e": 0.05, "calib": 1.0,
                    "x0_dist": 0.0, "certified_x0": False},
     }),
     ("verify", {

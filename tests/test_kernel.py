@@ -17,16 +17,17 @@ import numpy as np
 import pytest
 
 from cesaro_lmc import _kernel
-from cesaro_lmc.bayes import LogisticModel, build_posterior, sample_dataset, standard_gaussian_prior
+from cesaro_lmc.bayes import GaussianLocationModel, LogisticModel, build_posterior, sample_dataset
 from cesaro_lmc.diagnostics import moment_check
-from cesaro_lmc.errors import CapabilityError, DivergenceError
+from cesaro_lmc.errors import CapabilityError, DivergenceError, ParameterError
 from cesaro_lmc.potentials import builtin_gaussian_location, builtin_logistic
 from cesaro_lmc.rng import mix64, stream
 from cesaro_lmc.sampler import ChainConfig, dump_trajectory, replicate_runs, run_chain
 
 GAUSS = builtin_gaussian_location(2, [0.3, -0.7], 1.5)
 MODEL = LogisticModel(stream(4).standard_normal((10, 2)), ridge=0.5)
-IDS = ["gaussian", "logistic", "posterior"]
+CONJUGATE = GaussianLocationModel(2, 0.5)
+IDS = ["gaussian", "logistic", "posterior", "conjugate"]
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +41,14 @@ def lib():
 @pytest.fixture(scope="module")
 def pots(lib):
     """The potentials with a kernel field, by id; the logistic ones are
-    built on the compiled library."""
+    built on the compiled library.  "posterior" is a logistic posterior and
+    "conjugate" a Gaussian-location one, of precision 0.5 * 200 + 1 = 101."""
     logistic = builtin_logistic(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]]), [1, -1, 1],
                                 ridge=1.0)
-    data = sample_dataset(MODEL, [0.4, -0.3], 200, seed=8)
-    posterior = build_posterior(MODEL, data, standard_gaussian_prior(2)).potential
-    return {"gaussian": GAUSS, "logistic": logistic, "posterior": posterior}
+    posterior, conjugate = (build_posterior(m, sample_dataset(m, [0.4, -0.3], 200, seed=8))
+                            .potential for m in (MODEL, CONJUGATE))
+    return {"gaussian": GAUSS, "logistic": logistic, "posterior": posterior,
+            "conjugate": conjugate}
 
 
 def on_numpy(pot):
@@ -121,7 +124,8 @@ class TestAgainstNumpyDriver:
     # within n steps
     @pytest.mark.parametrize(
         "name, gamma, n",
-        [("gaussian", 2.05, 540), ("logistic", 2.05, 494), ("posterior", 2.05 / 101.0, 494)],
+        [("gaussian", 2.05, 540), ("logistic", 2.05, 494), ("posterior", 2.05 / 101.0, 494),
+         ("conjugate", 2.05 / 101.0, 576)],
         ids=IDS,
     )
     def test_partly_diverging_batch(self, pots, name, gamma, n):
@@ -202,7 +206,7 @@ class TestSplitRanges:
     """Batches large enough that ``Kernel.step`` splits them into ranges
     stepped on several threads: every replicate keeps its bits."""
 
-    @pytest.mark.parametrize("name", ["gaussian", "posterior"])
+    @pytest.mark.parametrize("name", ["gaussian", "posterior", "conjugate"])
     def test_batch_matches_singletons_and_numpy(self, lib, pots, threads3, monkeypatch, name):
         pot = pots[name]
         spy = _spy(monkeypatch, lib)
@@ -228,7 +232,7 @@ class TestSplitRanges:
         assert mine == outputs(replicate_runs(on_numpy(pot), cfg, 600, base_seed=5))
         assert mine == _singletons(pot, cfg, 600, base_seed=5)
 
-    @pytest.mark.parametrize("name", ["gaussian", "posterior"])
+    @pytest.mark.parametrize("name", ["gaussian", "posterior", "conjugate"])
     def test_tangent_trace_through_the_states_buffer(self, lib, pots, threads3, monkeypatch,
                                                      name):
         pot = pots[name]
@@ -299,17 +303,28 @@ def test_path_follows_the_kernel_field(pots, name):
 
 
 def test_posterior_kernel_is_the_posterior(pots):
-    """The posterior, one compiled potential of a logistic and a Gaussian
-    term, equals its logistic sum plus its prior, bit for bit."""
+    """The logistic posterior is the logistic potential of its observations
+    with ridge n lambda + 1, its prior's unit curvature included, bit for bit."""
     post = pots["posterior"]
-    assert [t[0] for t in post.kernel] == ["logistic", "gaussian"]
-    base = MODEL.sum_potential(sample_dataset(MODEL, [0.4, -0.3], 200, seed=8).observations)
-    prior = standard_gaussian_prior(2)
+    obs = sample_dataset(MODEL, [0.4, -0.3], 200, seed=8).observations
+    ref = builtin_logistic(obs[:, :-1], obs[:, -1], ridge=200 * MODEL.ridge + 1.0)
+    assert post.kernel[0] == "logistic" and post.kernel[4] == 101.0
     xs, vs = stream(3).standard_normal((2, 50, 2)) * 3.0
-    assert post.grad(xs).tobytes() == (base.grad(xs) + prior.grad(xs)).tobytes()
-    assert post.value(xs).tobytes() == (base.value(xs) + prior.value(xs)).tobytes()
-    assert post.hess_vec(xs, vs).tobytes() == (base.hess_vec(xs, vs)
-                                               + prior.hess_vec(xs, vs)).tobytes()
+    assert post.grad(xs).tobytes() == ref.grad(xs).tobytes()
+    assert post.value(xs).tobytes() == ref.value(xs).tobytes()
+    assert post.hess_vec(xs, vs).tobytes() == ref.hess_vec(xs, vs).tobytes()
+
+
+@pytest.mark.parametrize("term", [
+    (("logistic", np.ones((1, 2)), [1.0], [0.0], 1.0), ("gaussian", 1.0, [0.0, 0.0])),
+    ("p_power", 0.75, [0.0, 0.0]),
+    ("gaussian", 1.0),
+    None,
+], ids=["two-terms", "unknown", "arity", "none"])
+def test_kernel_refuses_anything_but_one_term(lib, term):
+    with pytest.raises(ParameterError, match="a kernel is one term") as exc:
+        _kernel.Kernel(lib, term, 2)
+    assert "\n" not in str(exc.value)
 
 
 @pytest.mark.parametrize("name", IDS)
@@ -360,7 +375,7 @@ def test_fallback_when_the_compiler_fails(lib, monkeypatch, tmp_path, capsys):
     assert "\n" not in str(exc.value)
     data = sample_dataset(MODEL, [0.4, -0.3], 20, seed=8)
     with pytest.raises(CapabilityError, match="compiled evaluators"):
-        build_posterior(MODEL, data, standard_gaussian_prior(2))
+        build_posterior(MODEL, data)
 
 
 def test_cli_without_a_compiler_exits_2_on_a_logistic_run(tmp_path):

@@ -12,7 +12,6 @@ from cesaro_lmc.bayes import (
     LogisticModel,
     build_posterior,
     sample_dataset,
-    standard_gaussian_prior,
 )
 from cesaro_lmc.oracle import (
     importance_posterior_mean,
@@ -59,7 +58,7 @@ class TestQuadrature:
     def test_conjugate_posterior(self):
         model = GaussianLocationModel(2, 1.0)
         data = sample_dataset(model, [1.0, -0.5], 100, seed=3)
-        post = build_posterior(model, data, standard_gaussian_prior(2))
+        post = build_posterior(model, data)
         mean, err = quadrature_posterior_mean(post.potential)
         closed = data.observations.sum(axis=0) / 101.0
         assert np.linalg.norm(mean - closed) < 1e-8
@@ -224,7 +223,7 @@ def logistic_posterior(d, n, rows, seed):
     design = np.random.default_rng(seed).standard_normal((rows, d))
     model = LogisticModel(design, ridge=0.0)
     data = sample_dataset(model, np.linspace(-0.5, 0.5, d), n, seed=seed)
-    return build_posterior(model, data, standard_gaussian_prior(d))
+    return build_posterior(model, data)
 
 
 class TestImportanceSampling:
@@ -245,7 +244,7 @@ class TestImportanceSampling:
     def test_gaussian_d5_posterior_within_4_se(self):
         model = GaussianLocationModel(5, 1.0)
         data = sample_dataset(model, [0.5, -0.5, 0.0, 1.0, 0.2], 400, seed=5)
-        post = build_posterior(model, data, standard_gaussian_prior(5))
+        post = build_posterior(model, data)
         mean, se, _ = importance_posterior_mean(post.potential, post.mode, 5)
         assert np.linalg.norm(mean - model.posterior_mean(data.observations)) <= 4 * se
 
@@ -292,7 +291,7 @@ class TestQuadratureD3:
     def test_d3_posterior_matches_conjugate(self):
         model = GaussianLocationModel(3, 1.0)
         data = sample_dataset(model, [0.5, 0.0, -0.5], 50, seed=31)
-        post = build_posterior(model, data, standard_gaussian_prior(3))
+        post = build_posterior(model, data)
         mean, _ = quadrature_posterior_mean(post.potential, nodes_per_axis=121)
         closed = data.observations.sum(axis=0) / 51.0
         assert np.linalg.norm(mean - closed) < 1e-8

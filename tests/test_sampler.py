@@ -10,7 +10,6 @@ from cesaro_lmc.bayes import (
     LogisticModel,
     build_posterior,
     sample_dataset,
-    standard_gaussian_prior,
 )
 from cesaro_lmc.errors import DivergenceError, ParameterError
 from cesaro_lmc.oracle import ou_cesaro_moments
@@ -70,7 +69,7 @@ class TestRunChain:
     def test_conjugate_posterior_mean_within_4_sigma(self):
         model = GaussianLocationModel(1, 1.0)
         data = sample_dataset(model, [0.3], 100, seed=21)
-        post = build_posterior(model, data, standard_gaussian_prior(1))
+        post = build_posterior(model, data)
         target = data.observations.sum() / 101.0
         gamma, n = 1e-3, 2 * 10**4
         cfg = ChainConfig(gamma=gamma, n_steps=n, x0=post.mode, seed=23)
@@ -227,7 +226,7 @@ class TestReplicates:
         # not depend on the batch it is evaluated in
         model = LogisticModel(stream(4).standard_normal((10, 2)), ridge=0.5)
         data = sample_dataset(model, [0.4, -0.3], 200, seed=8)
-        post = build_posterior(model, data, standard_gaussian_prior(2))
+        post = build_posterior(model, data)
         pot = post.potential
         gamma = moment_clamp(pot)
         batch = replicate_runs(pot, ChainConfig(gamma, 300, post.mode, seed=0), 16, base_seed=21)
