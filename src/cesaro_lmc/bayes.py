@@ -12,15 +12,16 @@ needed; the normalizing constant is never computed.
 Each model family gives W_n as one :class:`Potential`,
 ``posterior(obs)``, whose ``profile`` is the aggregated curvature profile,
 ``smoothness.L`` the Lipschitz constant of its gradient, n L + 1 for a
-per-observation L, and ``kernel`` its compiled term (None when it has
-none).  ``build_posterior`` adds its mode.
+per-observation L, ``kernel`` its compiled term and ``mean`` its exact mean
+(each None when it has none).  ``build_posterior`` adds its mode, as
+``minimizer_hint``.
 
 Aggregation of regularity constants: a rho-strongly-convex per-observation
 model yields an (n rho + 1)-strongly-convex posterior, the prior's unit
 curvature counted (a logistic model without ridge gives 1); a
 curvature-sandwich model with r = q yields the pair (c1 n^{1-r}, r) for
-the lower branch and flat smoothness n L for the upper one, the prior not
-counted.
+the lower branch and the flat bound n L + 1 for the upper one, the prior's
+unit curvature counted there.
 
 The sum over observations is never streamed per observation where it need
 not be: the Gaussian location family's posterior is the built-in Gaussian
@@ -122,22 +123,17 @@ class GaussianLocationModel:
 
     def posterior(self, obs: np.ndarray) -> Potential:
         """W_n is the built-in Gaussian of precision n rho + 1 about the
-        conjugate mean ``posterior_mean``, plus the constant
+        conjugate mean rho s / (n rho + 1), s = sum_i xi_i, plus the constant
         (rho/2) sum_i |xi_i - s/n|^2 + n rho |s/n|^2 / (2 (n rho + 1)),
-        s = sum_i xi_i, which its ``value`` adds.  Both terms are
-        non-negative and summed about the data mean, so they do not cancel.
-        It keeps its Gaussian kernel: chains read only the gradient."""
-        rho, n = self.precision, obs.shape[0]
-        mean = obs.sum(axis=0) / n
+        which its ``value`` adds.  Both terms are non-negative and summed
+        about the data mean, so they do not cancel.  It keeps the Gaussian's
+        kernel and ``mean``: chains read only the gradient."""
+        rho, n, s = self.precision, obs.shape[0], obs.sum(axis=0)
+        mean = s / n
         const = (0.5 * rho * float(np.sum((obs - mean) ** 2))
                  + n * rho * float(np.sum(mean**2)) / (2.0 * (n * rho + 1.0)))
-        pot = builtin_gaussian_location(self.d, self.posterior_mean(obs), n * rho + 1.0)
+        pot = builtin_gaussian_location(self.d, rho * s / (n * rho + 1.0), n * rho + 1.0)
         return dataclasses.replace(pot, value=lambda theta: pot.value(theta) + const)
-
-    def posterior_mean(self, obs: np.ndarray) -> np.ndarray:
-        """The conjugate posterior mean rho s / (n rho + 1), s = sum of obs, under N(0, I)."""
-        rho = self.precision
-        return rho * obs.sum(axis=0) / (obs.shape[0] * rho + 1.0)
 
 
 class PPowerLocationModel:
@@ -173,11 +169,12 @@ class PPowerLocationModel:
 
         Its profile is the weakly convex aggregate of the sum: with r = q,
         Jensen's inequality turns the per-observation (c1, c2, r) into the
-        lower branch c1 n^{1-r} and the flat upper bound n L.
+        lower branch c1 n^{1-r}; the upper bound is flat, n L + 1, the
+        posterior's own L.
         """
         p, n, chunk = self.p, obs.shape[0], 512
-        pr = self.per_obs_profile
-        profile = WeaklyConvexKL(c1=pr.c1 * n ** (1.0 - pr.r), c2=n * self.per_obs_L, q=0.0, r=pr.r)
+        pr, L = self.per_obs_profile, n * self.per_obs_L + 1.0
+        profile = WeaklyConvexKL(c1=pr.c1 * n ** (1.0 - pr.r), c2=L, q=0.0, r=pr.r)
 
         def value(theta):
             theta = np.asarray(theta, dtype=float)
@@ -214,7 +211,7 @@ class PPowerLocationModel:
             return out + v
 
         return Potential(dim=self.d, value=value, grad=grad, hess_vec=hess_vec,
-                         smoothness=Smoothness(L=n * self.per_obs_L + 1.0), profile=profile)
+                         smoothness=Smoothness(L=L), profile=profile)
 
 
 class LogisticModel:
@@ -275,20 +272,21 @@ class LogisticModel:
 
 @dataclass(frozen=True)
 class PosteriorPotential:
-    """The aggregated potential over theta and its mode."""
+    """The aggregated potential over theta.  It is a record of one field, so
+    that ``dataclasses.replace(post, potential=...)`` swaps the potential a
+    caller gets back (``perfbench/spans.py`` times its evaluators so)."""
 
     potential: Potential
-    mode: np.ndarray
 
 
 def build_posterior(model, data: Dataset) -> PosteriorPotential:
     """W_n = sum_i U(xi_i, .) + |theta|^2 / 2, the family's ``posterior(obs)``,
-    and its mode.
+    with its mode as ``minimizer_hint``.
 
     An empty dataset is refused (``sample_dataset`` draws n >= 1).  The mode
-    is the potential's ``minimizer_hint`` when it has one (the exact
-    conjugate mean), else found by gradient descent from the origin; the
-    potential's minimum is normalised to 1 there.
+    is the family's ``minimizer_hint`` when it has one (the conjugate
+    posterior's exact mean), else found by gradient descent from the origin;
+    the potential's minimum is normalised to 1 there.
     """
     if not hasattr(model, "posterior"):
         raise CapabilityError(f"unsupported model family: {model!r}")
@@ -304,7 +302,7 @@ def build_posterior(model, data: Dataset) -> PosteriorPotential:
         mode = find_minimizer(pot, np.zeros(model.d), tol_grad=1e-9 * max(1.0, pot.smoothness.L))
     pot = dataclasses.replace(pot, minimizer_hint=mode, offset=1.0 - float(pot.value(mode)),
                               name=f"posterior[{model.model_id}, n={n}]")
-    return PosteriorPotential(potential=pot, mode=mode)
+    return PosteriorPotential(potential=pot)
 
 
 def sample_dataset(model, theta_star, n: int, seed: int) -> Dataset:

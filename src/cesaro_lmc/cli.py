@@ -170,23 +170,20 @@ _MODELS = {
         lambda b: LogisticModel(**b["params"], **_given(b, "alpha_c", "b1", "C_P")),
     ),
 }
-# family -> (its keys; its builder(block); is e^{-W} symmetric about ``minimizer_hint``, its mean)
+# family -> (its keys; its builder(block))
 _POTENTIALS = {
     "gaussian": (
         {"family": _STRING, "d": _COUNT, "params": {"mean": _NUMBERS, "precision": _NUMBER}},
         lambda b: builtin_gaussian_location(b.get("d", 1), **b.get("params", {})),
-        True,  # W(x) = (rho/2)|x - mean|^2
     ),
     "p_power": (
         {"family": _STRING, "d": _COUNT, "params": {"center": _NUMBERS, "p": _NUMBER}},
         lambda b: builtin_p_power(b.get("d", 1), **b.get("params", {})),
-        True,  # W(x) = (1 + |x - center|^2)^p
     ),
     "logistic": (
         {"family": _STRING, "d": _COUNT, "params": {
             "features": _required(_NUMBERS), "labels": _required(_LABELS), "ridge": _NUMBER}},
         lambda b: builtin_logistic(**b["params"]),
-        False,
     ),
 }
 _FAMILIES = {"model": _MODELS, "potential": _POTENTIALS}
@@ -283,19 +280,16 @@ def _build(cfg: dict, section: str):
     return built
 
 
-def _reference(cfg: dict, pot, base_seed: int, model=None):
+def _reference(pot, base_seed: int):
     """The mean of e^{-W} that ``run`` scores chains against, and its provenance, from the
-    first oracle that applies: a symmetric built-in's centre ("closed-form"), "quadrature"
-    at d <= 3, a Gaussian location posterior's conjugate mean, its ``minimizer_hint``
-    ("closed-form"), else "importance-sampling"."""
-    if "potential" in cfg and _POTENTIALS[cfg["potential"]["family"]][2]:
-        return pot.minimizer_hint, "closed-form"
+    first rule that applies: the potential's own ``mean`` ("closed-form"), "quadrature" at
+    d <= 3, else "importance-sampling"."""
+    if pot.mean is not None:
+        return pot.mean, "closed-form"
     if pot.dim <= 3:
         return quadrature_posterior_mean(pot)[0], "quadrature"
-    if isinstance(model, GaussianLocationModel):
-        return pot.minimizer_hint, "closed-form"
     seed = mix64(base_seed, 0x15)  # its own stream, as the bootstrap's
-    return importance_posterior_mean(pot, pot.minimizer_hint, seed)[0], "importance-sampling"
+    return importance_posterior_mean(pot, seed)[0], "importance-sampling"
 
 
 def _theta_star(cfg: dict, model) -> np.ndarray:
@@ -430,9 +424,8 @@ def cmd_run(cfg: dict, output_dir=None, out=None) -> int:
         if theta is not None:
             data = sample_dataset(subject, theta, value, cfg["data"]["seed"])
             pot = build_posterior(subject, data).potential
-            reference = _reference(cfg, pot, base_seed, subject)
-        elif reference is None:  # one reference serves a potential's whole grid
-            reference = _reference(cfg, pot, base_seed)
+        if theta is not None or reference is None:  # one reference serves a potential's grid
+            reference = _reference(pot, base_seed)
         reports.append(mse_experiment(pot, plan, run_block["M"], reference[0], base_seed,
                                       reference_provenance=reference[1]))
 

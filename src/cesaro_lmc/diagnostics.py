@@ -149,11 +149,11 @@ def bayes_rate_experiment(
     statistical rate, with no chain; the CLI's ``run`` over ``data.n_grid`` scores chains.
 
     For each n, ``m_datasets`` fresh datasets are drawn and the posterior
-    mean is the model's ``posterior_mean``, its conjugate closed form under
-    the N(0, I) prior; a model without one raises CapabilityError.  Returns
-    the OLS fit of log MSE against log(n / log n).  The consistency theory gives
-    eps_n^2 = (C_P L^2 d log n / n)^{1/alpha_c} as an upper bound on the
-    MSE, so this slope is -1/alpha_c only when the bound is tight, log
+    mean is the ``mean`` of the model's ``posterior``, its closed form (the
+    conjugate mean under the N(0, I) prior); a model without one raises
+    CapabilityError.  Returns the OLS fit of log MSE against log(n / log n).
+    The consistency theory gives eps_n^2 = (C_P L^2 d log n / n)^{1/alpha_c}
+    as an upper bound on the MSE, so this slope is -1/alpha_c only when the bound is tight, log
     factor included.  A model whose MSE carries no log factor, such as the
     unit-precision conjugate Gaussian (MSE (nd + |theta*|^2)/(n+1)^2), gives a steeper
     slope: -1.18 on {100, 400, 1600, 6400}.  Read the n-exponent by
@@ -164,8 +164,6 @@ def bayes_rate_experiment(
     n_grid = list(n_grid)
     if len(n_grid) < 4 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ParameterError("n_grid must be ascending with at least 4 points")
-    if not hasattr(model, "posterior_mean"):
-        raise CapabilityError(f"model {model.model_id} has no closed-form posterior mean")
     theta_star = np.asarray(theta_star, dtype=float)
 
     mses = []
@@ -173,7 +171,9 @@ def bayes_rate_experiment(
         errs = np.empty(m_datasets)
         for i in range(m_datasets):
             data = sample_dataset(model, theta_star, n, mix64(base_seed, j * m_datasets + i))
-            tm = model.posterior_mean(data.observations)
+            tm = model.posterior(data.observations).mean
+            if tm is None:
+                raise CapabilityError(f"model {model.model_id} has no closed-form posterior mean")
             errs[i] = float(np.sum((tm - theta_star) ** 2))
         mses.append(errs.mean())
     x = np.log(np.asarray(n_grid, dtype=float) / np.log(n_grid))

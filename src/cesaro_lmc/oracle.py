@@ -3,8 +3,9 @@
 Everything here answers "what should the sampler have produced?" by a
 route that shares no code with the sampler's hot path (this module imports
 neither ``sampler`` nor ``_kernel``; a test checks it): tensor-product
-quadrature for posterior means at d <= 3, self-normalised importance
-sampling from a Student-t around the mode for posterior means at any d <= 50,
+quadrature for posterior means at d <= 3 (a test holds each closed-form
+``Potential.mean`` to it), self-normalised importance sampling from a
+Student-t around the mode for posterior means at any d <= 50,
 exact AR(1) moments for the quadratic-potential chain, and a one-dimensional
 integrating-factor solver for the generator equation L g = f - pi(f) on a
 graded grid, whose pi-averages are one trapezoid rule (``pi_of``).
@@ -27,11 +28,10 @@ from .rng import stream
 # tensor-product quadrature posterior means
 
 
-def _laplace_frame(pot: Potential, mode=None):
-    """The mode (by default the potential's hint, else found) and the inverse
+def _laplace_frame(pot: Potential):
+    """The mode (the potential's ``minimizer_hint``, else found) and the inverse
     Hessian there, the covariance of the Laplace approximation."""
-    if mode is None:
-        mode = minimizer(pot)
+    mode = minimizer(pot)
     hess = dense_hessian(pot, mode)
     return np.asarray(mode, dtype=float), np.linalg.inv(0.5 * (hess + hess.T))
 
@@ -97,14 +97,14 @@ def quadrature_posterior_mean(
 _IS_DRAWS, _IS_DF, _IS_MIN_ESS = 1 << 17, 8.0, 0.1  # draws, t's df, floor on ESS/draws
 
 
-def importance_posterior_mean(pot: Potential, mode, seed: int):
+def importance_posterior_mean(pot: Potential, seed: int):
     """Mean of pi proportional to e^{-W} by self-normalised importance sampling
     (Geweke, Econometrica 57, 1989): 2^17 draws of a Student-t with 8 degrees of
-    freedom, centred at ``mode`` (None: found as for quadrature) and scaled by the
+    freedom, centred at the mode (found as for quadrature) and scaled by the
     inverse Hessian there, from the Philox stream ``seed``, formed without BLAS.
     Returns (mean, se, ess), se the norm of the coordinates' standard errors and
     ess = (sum w)^2 / sum w^2; NumericError when ess < draws/10.  d <= 50."""
-    mode, cov = _laplace_frame(pot, mode)
+    mode, cov = _laplace_frame(pot)
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:

@@ -93,7 +93,10 @@ class Potential:
     the one term, ``("logistic", rows, cplus, cminus, mu)`` or
     ``("gaussian", rho, mean)``, that the compiled chain loop steps with the
     same bits as ``grad``; ``dataclasses.replace`` keeps it, so a potential
-    with wrapped evaluators steps the same code.
+    with wrapped evaluators steps the same code.  ``mean``, when set, is the
+    exact mean of the density proportional to e^{-W}, known in closed form;
+    ``dataclasses.replace`` keeps it too, so a W changed by more than a
+    constant must reset it.
     """
 
     dim: int
@@ -106,6 +109,7 @@ class Potential:
     offset: float = 0.0
     name: str = ""
     kernel: Optional[tuple] = None
+    mean: Optional[np.ndarray] = None
 
     def value_normalized(self, x: np.ndarray) -> np.ndarray:
         """W shifted so its minimum sits at 1."""
@@ -164,6 +168,7 @@ def builtin_gaussian_location(d: int, mean=0.0, precision: float = 1.0) -> Poten
         offset=1.0,
         name=f"gaussian(d={d},rho={rho})",
         kernel=("gaussian", rho, m),
+        mean=m,
     )
 
 
@@ -218,6 +223,7 @@ def builtin_p_power(d: int, center=0.0, p: float = 0.75) -> Potential:
         minimizer_hint=c,
         offset=0.0,
         name=f"p_power(d={d},p={p})",
+        mean=c,
     )
 
 

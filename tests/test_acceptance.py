@@ -93,7 +93,7 @@ def test_02_conjugate_posterior_equivalence():
             )
             reference, _ = quadrature_posterior_mean(post.potential)
             report = mse_experiment(
-                post.potential, plan, m, reference, base_seed=777 + n, x0=post.mode,
+                post.potential, plan, m, reference, base_seed=777 + n,
                 reference_provenance="quadrature",
             )
             eps_n_sq = plan.constants["eps_n"] ** 2
@@ -156,9 +156,9 @@ def test_04_weak_convex_mse_scaling():
                              frak_e=0.05, x0_dist=0.0),
                 "i.b",
             )
-            # the p-power law is symmetric around its center: pi(I_d) = center
+            # the p-power law is symmetric around its center, its mean
             report = mse_experiment(
-                pot, plan, m, reference=pot.minimizer_hint, base_seed=20240804,
+                pot, plan, m, reference=pot.mean, base_seed=20240804,
                 reference_provenance="closed-form",
             )
             ratios[eps] = report.mse / eps**2

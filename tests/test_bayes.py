@@ -13,7 +13,13 @@ from cesaro_lmc.bayes import (
     sample_dataset,
 )
 from cesaro_lmc.errors import CapabilityError, ParameterError
-from cesaro_lmc.potentials import Potential, StronglyConvex, WeaklyConvexKL, dense_hessian
+from cesaro_lmc.potentials import (
+    Potential,
+    StronglyConvex,
+    WeaklyConvexKL,
+    dense_hessian,
+    verify_kl_profile,
+)
 from cesaro_lmc.rng import stream
 
 # one model of each family, all with d = 2
@@ -78,7 +84,7 @@ class TestPosterior:
         if family == "p_power":
             pr = model.per_obs_profile
             assert pot.profile.c1 == pytest.approx(pr.c1 * n ** (1.0 - pr.r), rel=1e-15)
-            assert (pot.profile.c2, pot.profile.q, pot.profile.r) == (n * model.per_obs_L, 0.0, pr.r)
+            assert (pot.profile.c2, pot.profile.q, pot.profile.r) == (pot.smoothness.L, 0.0, pr.r)
         else:
             rho = model.precision if family == "gaussian" else model.ridge
             assert pot.profile == StronglyConvex(n * rho + 1.0)
@@ -154,7 +160,15 @@ class TestBuildPosterior:
         model = GaussianLocationModel(1, 1.0)
         data = Dataset(np.array([[0.0], [2.0]]), model.model_id, np.array([0.0]), 0)
         post = build_posterior(model, data)
-        assert post.mode[0] == pytest.approx(2.0 / 3.0, abs=1e-8)
+        assert post.potential.minimizer_hint[0] == pytest.approx(2.0 / 3.0, abs=1e-8)
+
+    def test_conjugate_mode_is_the_exact_mean(self):
+        """The mode is the closed form rho s / (n rho + 1), bit for bit, not a search."""
+        model = GaussianLocationModel(5, 1.3)
+        data = sample_dataset(model, np.linspace(-1.0, 1.0, 5), 100, seed=7)
+        pot = build_posterior(model, data).potential
+        exact = 1.3 * data.observations.sum(axis=0) / (100 * 1.3 + 1.0)
+        assert pot.minimizer_hint.tobytes() == pot.mean.tobytes() == exact.tobytes()
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_empty_dataset_refused(self, family):
@@ -205,7 +219,7 @@ class TestBuildPosterior:
         model = GaussianLocationModel(1, 1.0)
         data = sample_dataset(model, [0.7], 20, seed=12)
         post = build_posterior(model, data)
-        assert post.potential.value_normalized(post.mode) == pytest.approx(1.0)
+        assert post.potential.value_normalized(post.potential.minimizer_hint) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_dimension_mismatch_rejected(self, family):
@@ -233,7 +247,7 @@ class TestBuildPosterior:
         post = build_posterior(model, data)
         prof = post.potential.profile
         assert isinstance(prof, WeaklyConvexKL)
-        probes = post.mode + 4.0 * rng.standard_normal((100, 2))
+        probes = post.potential.minimizer_hint + 4.0 * rng.standard_normal((100, 2))
         for x in probes:
             lam_min = np.linalg.eigvalsh(dense_hessian(post.potential, x))[0]
             w_raw = float(post.potential.value(x))
@@ -249,7 +263,17 @@ class TestBuildPosterior:
         assert prof.c1 == pytest.approx(2 * 0.75 * 0.5 * 10 ** (1 - r))
         assert prof.r == pytest.approx(r)
         assert prof.q == 0.0
-        assert prof.c2 == pytest.approx(10 * 2 * 0.75)
+        assert prof.c2 == pytest.approx(10 * 2 * 0.75 + 1.0)
+
+    def test_profile_holds_near_a_concentrated_sample(self):
+        """Observations within 0.03 of the origin put the summed Hessian's top eigenvalue
+        near n L at the mode; the prior's unit curvature adds to it, so the flat upper
+        bound is n L + 1 (n L alone is exceeded by 6.6% here)."""
+        model = PPowerLocationModel(2, 0.75)
+        obs = 0.029 * np.cos(np.arange(10)[:, None] + np.array([0.0, 1.5]))
+        post = build_posterior(model, Dataset(obs, model.model_id, np.zeros(2), 0))
+        rep = verify_kl_profile(post.potential, n_probes=200, radius=5.0)
+        assert rep.passed, rep.worst
 
     def test_p_power_model_refuses_exact_sampling(self):
         with pytest.raises(CapabilityError):

@@ -211,7 +211,7 @@ class TestRunCommand:
         h = csv1.name.split("-")[0]
         summary = json.loads((out1 / f"{h}-summary.json").read_text())
         assert summary["config_hash"] == h
-        assert summary["reference_provenance"] == "quadrature"
+        assert summary["reference_provenance"] == "closed-form"
         manifest = json.loads((out1 / f"{h}-manifest.json").read_text())
         assert manifest["config"]["data"]["seed"] == 7
 
@@ -264,15 +264,17 @@ class TestRunCommand:
         assert [r.reference_provenance for r in reports] == ["quadrature", "quadrature"]
         assert all(map(math.isfinite, [summary["spread"], *summary["mse_over_eps_sq"]]))
 
-    def test_gaussian_location_d5_is_scored_by_its_conjugate_mean(self, tmp_path):
-        cfg = bayes_cfg(model={"family": "gaussian_location", "d": 5, "params": {"precision": 1.0},
-                               "theta_star": [0.5, -0.5, 0.0, 1.0, 0.2]})
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_gaussian_location_is_scored_by_its_conjugate_mean(self, tmp_path, d):
+        # at d <= 3 too: the exact mean comes before quadrature
+        theta_star = [0.5, -0.5, 0.0, 1.0, 0.2][:d]
+        cfg = bayes_cfg(model={"family": "gaussian_location", "d": d,
+                               "params": {"precision": 1.3}, "theta_star": theta_star})
         cfg["run"] = {"M": 10, "base_seed": 4}
         summary = run_summary(tmp_path, cfg)
-        model = GaussianLocationModel(5, 1.0)
-        data = sample_dataset(model, cfg["model"]["theta_star"], 100, 7)
+        s = sample_dataset(GaussianLocationModel(d, 1.3), theta_star, 100, 7).observations.sum(axis=0)
         assert summary["reference_provenance"] == "closed-form"
-        assert summary["reference"] == model.posterior_mean(data.observations).tolist()
+        assert summary["reference"] == (1.3 * s / (100 * 1.3 + 1.0)).tolist()
 
     @pytest.mark.compiled
     def test_logistic_model_d5_is_scored_by_importance_sampling(self, tmp_path):

@@ -144,8 +144,9 @@ class TestRateFit:
         with pytest.raises(ParameterError):
             bayes_rate_experiment(model, [0.0], [100, 50, 200, 400], 10, 0)
 
+    @pytest.mark.compiled
     def test_oracle_is_the_models_posterior_mean(self):
-        # a logistic model has no closed-form posterior mean
+        # a logistic model's posterior (compiled) has no closed-form mean
         model = LogisticModel(np.array([[1.0, 0.5], [-0.3, 1.2]]))
         with pytest.raises(CapabilityError, match="posterior mean"):
             bayes_rate_experiment(model, [0.1, 0.2], [100, 400, 1600, 6400], 5, 0)

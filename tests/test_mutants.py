@@ -40,8 +40,14 @@ MUTANTS = [
            ("tests/test_bayes.py::TestPosterior::test_matches_per_observation_loop[logistic]",),
            compiled=True),
     Mutant("conjugate-precision-drops-prior", "cesaro_lmc/bayes.py",
-           "self.posterior_mean(obs), n * rho + 1.0)", "self.posterior_mean(obs), n * rho)",
+           "(n * rho + 1.0), n * rho + 1.0)", "(n * rho + 1.0), n * rho)",
            ("tests/test_bayes.py::TestBuildPosterior::test_aggregated_strong_convexity_exact",)),
+    Mutant("conjugate-mean-drops-prior", "cesaro_lmc/bayes.py",
+           "rho * s / (n * rho + 1.0)", "rho * s / (n * rho)",
+           ("tests/test_bayes.py::TestPosterior::test_matches_per_observation_loop[gaussian]",)),
+    Mutant("p-power-profile-drops-prior-curvature", "cesaro_lmc/bayes.py",
+           "c2=L, q=0.0", "c2=L - 1.0, q=0.0",
+           ("tests/test_bayes.py::TestBuildPosterior::test_profile_holds_near_a_concentrated_sample",)),
     Mutant("p-power-posterior-drops-prior-gradient", "cesaro_lmc/bayes.py",
            "return total + theta", "return total",
            ("tests/test_bayes.py::TestPosterior::test_matches_per_observation_loop[p_power]",)),
@@ -55,8 +61,11 @@ MUTANTS = [
             "[1000.0]",)),
     Mutant("conjugate-mode-by-descent", "cesaro_lmc/bayes.py",
            "mode = pot.minimizer_hint\n", "mode = None\n",
+           ("tests/test_bayes.py::TestBuildPosterior::test_conjugate_mode_is_the_exact_mean",)),
+    Mutant("reference-skips-the-closed-form-mean", "cesaro_lmc/cli.py",
+           '    if pot.mean is not None:\n        return pot.mean, "closed-form"\n', "",
            ("tests/test_cli.py::TestRunCommand::"
-            "test_gaussian_location_d5_is_scored_by_its_conjugate_mean",)),
+            "test_gaussian_location_is_scored_by_its_conjugate_mean[2]",)),
     Mutant("compiled-gaussian-drops-mean", "cesaro_lmc/_kernel.c",
            "g[j] = p->rho * (x[j] - p->mean[j]);", "g[j] = p->rho * x[j];",
            ("tests/test_kernel.py::TestAgainstNumpyDriver::test_replicates[1-1-gaussian]",),

@@ -26,7 +26,6 @@ from cesaro_lmc.potentials import (
     StronglyConvex,
     builtin_gaussian_location,
     builtin_p_power,
-    find_minimizer,
 )
 from cesaro_lmc.sampler import ChainConfig, replicate_runs
 
@@ -87,6 +86,23 @@ class TestQuadrature:
         pot = builtin_gaussian_location(1, 0.0, 1.0)
         with pytest.raises(NumericError):
             quadrature_posterior_mean(pot, k_sigma=2.0)
+
+
+class TestClosedFormMeans:
+    """Every family that sets ``Potential.mean`` against quadrature, which does not read it.
+    The posterior's evaluators are held to the per-observation sum in ``test_bayes``, so
+    the two checks together hold its conjugate mean to the model."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: builtin_gaussian_location(2, [0.7, -1.3], 2.5),
+        lambda: builtin_p_power(2, [0.7, -1.3], 0.75),
+        lambda: build_posterior(GaussianLocationModel(2, 1.0), sample_dataset(
+            GaussianLocationModel(2, 1.0), [1.0, -0.5], 50, seed=3)).potential,
+    ], ids=["gaussian", "p_power", "gaussian_location_posterior"])
+    def test_quadrature_agrees_with_the_mean(self, make):
+        pot = make()
+        mean, err = quadrature_posterior_mean(pot, k_sigma=12.0)  # p_power's tails need > 9.3
+        assert np.linalg.norm(mean - pot.mean) <= max(err, 1e-12)  # err is at rounding level
 
 
 class TestOuCesaroMoments:
@@ -230,7 +246,7 @@ class TestImportanceSampling:
     def test_agrees_with_quadrature(self):
         pot = asymmetric_potential()
         qmean, qerr = quadrature_posterior_mean(pot)
-        mean, se, ess = importance_posterior_mean(pot, find_minimizer(pot, np.zeros(1)), 6)
+        mean, se, ess = importance_posterior_mean(pot, 6)
         assert abs(mean[0] - qmean[0]) <= 4 * se + qerr
         assert se < 1e-2 and ess > 0.5 * 2**17
 
@@ -238,26 +254,26 @@ class TestImportanceSampling:
     def test_logistic_posterior_agrees_with_quadrature(self):
         post = logistic_posterior(2, 400, 10, seed=12)
         qmean, qerr = quadrature_posterior_mean(post.potential)
-        mean, se, _ = importance_posterior_mean(post.potential, post.mode, 13)
+        mean, se, _ = importance_posterior_mean(post.potential, 13)
         assert np.linalg.norm(mean - qmean) <= 4 * se + qerr
 
     def test_gaussian_d5_posterior_within_4_se(self):
         model = GaussianLocationModel(5, 1.0)
         data = sample_dataset(model, [0.5, -0.5, 0.0, 1.0, 0.2], 400, seed=5)
         post = build_posterior(model, data)
-        mean, se, _ = importance_posterior_mean(post.potential, post.mode, 5)
-        assert np.linalg.norm(mean - model.posterior_mean(data.observations)) <= 4 * se
+        mean, se, _ = importance_posterior_mean(post.potential, 5)
+        assert np.linalg.norm(mean - post.potential.mean) <= 4 * se
 
     def test_deterministic(self):
         pot = asymmetric_potential()
-        a = importance_posterior_mean(pot, [0.5], 7)
-        b = importance_posterior_mean(pot, [0.5], 7)
+        a = importance_posterior_mean(pot, 7)
+        b = importance_posterior_mean(pot, 7)
         assert a[0].tobytes() == b[0].tobytes() and a[1:] == b[1:]
-        assert importance_posterior_mean(pot, [0.5], 8)[0].tobytes() != a[0].tobytes()
+        assert importance_posterior_mean(pot, 8)[0].tobytes() != a[0].tobytes()
 
     def test_low_ess_is_refused(self):
         with pytest.raises(NumericError) as exc:
-            importance_posterior_mean(flat_tailed_potential(), np.zeros(1), 1)
+            importance_posterior_mean(flat_tailed_potential(), 1)
         assert exc.value.payload["ess"] < 0.1 * 2**17
 
     def test_indefinite_hessian_is_refused(self):
@@ -266,7 +282,7 @@ class TestImportanceSampling:
                             hess_vec=lambda x, v: -pot.hess_vec(x, v),
                             smoothness=pot.smoothness, profile=None)
         with pytest.raises(NumericError):
-            importance_posterior_mean(flipped, np.zeros(2), 1)
+            importance_posterior_mean(flipped, 1)
 
 
 def test_oracle_imports_nothing_of_the_hot_path():

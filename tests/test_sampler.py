@@ -72,7 +72,7 @@ class TestRunChain:
         post = build_posterior(model, data)
         target = data.observations.sum() / 101.0
         gamma, n = 1e-3, 2 * 10**4
-        cfg = ChainConfig(gamma=gamma, n_steps=n, x0=post.mode, seed=23)
+        cfg = ChainConfig(gamma=gamma, n_steps=n, x0=post.potential.minimizer_hint, seed=23)
         run = run_chain(post.potential, cfg)
         # the posterior chain is an exact AR(1) with curvature n rho + 1
         _, var = ou_cesaro_moments(101.0, 0.0, gamma, n, 0.0)
@@ -228,10 +228,10 @@ class TestReplicates:
         data = sample_dataset(model, [0.4, -0.3], 200, seed=8)
         post = build_posterior(model, data)
         pot = post.potential
-        gamma = moment_clamp(pot)
-        batch = replicate_runs(pot, ChainConfig(gamma, 300, post.mode, seed=0), 16, base_seed=21)
+        gamma, mode = moment_clamp(pot), pot.minimizer_hint
+        batch = replicate_runs(pot, ChainConfig(gamma, 300, mode, seed=0), 16, base_seed=21)
         for i, got in enumerate(batch):
-            single = run_chain(pot, ChainConfig(gamma, 300, post.mode, seed=mix64(21, i)))
+            single = run_chain(pot, ChainConfig(gamma, 300, mode, seed=mix64(21, i)))
             assert got.cesaro.tobytes() == single.cesaro.tobytes()
             assert got.final_state.tobytes() == single.final_state.tobytes()
 
