@@ -16,10 +16,12 @@
  * steps chains with the same gradient code, through the same IEEE
  * operations, in the same order, as the numpy driver (sampler._drive): the
  * Kahan Cesaro update, K Euler substeps, then the divergence test.  Noise
- * comes from numpy's own random_standard_normal, the code
- * Generator.standard_normal runs, on a bitgen_t bound to the replicate's
- * lmc_stream: this file's copy of numpy's Philox4x64-10 generator, whose
- * state is a row of a plain array.  So the chain draws numpy's variates
+ * comes from the replicate's lmc_stream: this file's copy of numpy's
+ * Philox4x64-10 generator, whose state is a row of a plain array.  A normal
+ * (normal()) runs the first test of numpy's ziggurat inline, on tables that
+ * lmc_init reads from numpy's own random_standard_normal, and hands every
+ * draw that test does not accept back to that function, the code
+ * Generator.standard_normal runs.  So the chain draws numpy's variates
  * without a numpy Generator or a noise block.  lmc_bootstrap draws the
  * bootstrap's indices by numpy's bounded rule on the same stream type and
  * sums them in numpy's pairwise order.  _kernel.py checks both against
@@ -109,6 +111,98 @@ static bitgen_t bind(lmc_stream *s)
 {
     bitgen_t gen = {s, bitgen_next64, bitgen_next32, bitgen_next_double, bitgen_next64};
     return gen;
+}
+
+/* The first test of numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw.
+ * 5(8), 2000), which accepts about 98.5% of draws: for a word r, row
+ * idx = r & 0xff and rabs = bits 9-60 of r, numpy returns rabs * wi[idx],
+ * negated when bit 8 is set, whenever rabs < ki[idx].  lmc_init fills the
+ * tables; while ki is zero, every draw goes to numpy. */
+static uint64_t ki[256];
+static double wi[256];
+
+/* A bitgen_t whose first word is `first` and every later word 0, with
+ * next_double 0.5, counting its calls.  Word 0 is row 0 at rabs 0, which
+ * numpy returns at once or takes to the tail, and the tail accepts at once
+ * on next_double 0.5, so every probe ends. */
+typedef struct {
+    uint64_t first, calls;
+} probe_state;
+
+static uint64_t probe_next64(void *st)
+{
+    probe_state *p = st;
+    return p->calls++ ? 0 : p->first;
+}
+
+static uint32_t probe_next32(void *st) { return (uint32_t)probe_next64(st); }
+
+static double probe_next_double(void *st)
+{
+    ((probe_state *)st)->calls++;
+    return 0.5;
+}
+
+/* numpy's normal for the word idx | rabs << 9; *at_once says whether it
+ * returned on that word alone */
+static double probe(uint64_t idx, uint64_t rabs, int *at_once)
+{
+    probe_state p = {idx | rabs << 9, 0};
+    bitgen_t gen = {&p, probe_next64, probe_next32, probe_next_double, probe_next64};
+    double x = random_standard_normal(&gen);
+    *at_once = p.calls == 1;
+    return x;
+}
+
+/* Fill ki and wi from numpy's random_standard_normal, not from copied
+ * constants: ki[idx] is the least rabs numpy does not return at once (a
+ * binary search over [0, 2^52]), wi[idx] numpy's value at rabs 1, needed
+ * only where ki[idx] > 1.  Returns the rows with a positive bound (255
+ * with numpy's tables, whose ki[1] is 0).  _kernel._open calls it once per
+ * handle, before any other function runs. */
+int64_t lmc_init(void)
+{
+    int64_t rows = 0;
+    for (uint64_t idx = 0; idx < 256; idx++) {
+        uint64_t lo = 0, hi = 1ULL << 52;
+        int at_once;
+        while (lo < hi) {
+            uint64_t mid = lo + (hi - lo) / 2;
+            probe(idx, mid, &at_once);
+            if (at_once)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        ki[idx] = lo;
+        wi[idx] = lo > 1 ? probe(idx, 1, &at_once) : 0.0;
+        rows += lo > 0;
+    }
+    return rows;
+}
+
+/* One standard normal from s, with the bits of numpy's
+ * random_standard_normal on a bitgen_t bound to s. */
+static inline double normal(lmc_stream *s)
+{
+    uint64_t r = next64(s), idx = r & 0xff, rabs = (r >> 9) & 0xFFFFFFFFFFFFFULL;
+    if (rabs < ki[idx]) {
+        /* rabs < 2^52 converts exactly as a signed integer */
+        double x = (double)(int64_t)rabs * wi[idx];
+        uint64_t bits;
+        memcpy(&bits, &x, sizeof bits);
+        /* bit 8 into the sign bit, without a branch: the bits of numpy's -x,
+         * -0.0 included; a branch on a random bit mispredicts half the time */
+        bits ^= (r & 0x100) << 55;
+        memcpy(&x, &bits, sizeof x);
+        return x;
+    }
+    /* hand the word back (exact at any position: after a fresh block pos
+     * returns to 0 with buf[0] kept), so numpy draws it again and runs its
+     * wedge and tail */
+    s->pos--;
+    bitgen_t gen = bind(s);
+    return random_standard_normal(&gen);
 }
 
 typedef struct {
@@ -223,9 +317,8 @@ void lmc_hess_vec(const lmc_pot *p, int64_t n, const double *x, const double *u,
 /* n standard normals from one stream, as Generator.standard_normal(n) */
 void lmc_normals(lmc_stream *s, int64_t n, double *out)
 {
-    bitgen_t gen = bind(s);
     for (int64_t i = 0; i < n; i++)
-        out[i] = random_standard_normal(&gen);
+        out[i] = normal(s);
 }
 
 /* n raw draws from one stream: next64 where wide[i], else next32 */
@@ -307,7 +400,6 @@ void lmc_step(const lmc_pot *p, lmc_stream *streams, int64_t m, double h, double
     for (int64_t i = 0; i < m; i++) {
         if (diverged[i] >= 0)
             continue;
-        bitgen_t gen = bind(streams + i);
         double *xi = x + i * d, *si = ces + i * d, *ci = comp + i * d;
         double *row = states ? states + i * states_stride : NULL;
         for (int64_t step = step0; step < step0 + todo; step++) {
@@ -326,7 +418,7 @@ void lmc_step(const lmc_pot *p, lmc_stream *streams, int64_t m, double h, double
                 grad_point(p, xi, g);
                 for (int64_t j = 0; j < d; j++) {
                     double y = xi[j] - g[j] * h;
-                    xi[j] = y + random_standard_normal(&gen) * sqrt2h;
+                    xi[j] = y + normal(streams + i) * sqrt2h;
                 }
             }
             /* NaN and inf fail the comparison */

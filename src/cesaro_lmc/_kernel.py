@@ -3,7 +3,10 @@
 The library is compiled on first use, never at import, with
 ``cc -O2 -ffp-contract=off -fPIC -shared`` against numpy's shipped
 ``libnpyrandom.a``, so its normals come from the ziggurat code that
-``Generator.standard_normal`` runs.  The shared object is cached in a
+``Generator.standard_normal`` runs: the loop runs that ziggurat's first
+test inline, on tables that ``lmc_init`` reads from numpy's
+``random_standard_normal`` when :func:`_open` opens the library, and hands
+every other draw back to numpy.  The shared object is cached in a
 private per-user directory (``$XDG_CACHE_HOME/cesaro-lmc``, else
 ``~/.cache/cesaro-lmc``, mode 0700) under a name hashing the source, the
 numpy version and the flags, and is written by atomic rename.
@@ -11,8 +14,10 @@ numpy version and the flags, and is written by atomic rename.
 The library draws from its own copy of numpy's Philox4x64-10 generator.
 A stream is one 16-word row of a plain uint64 array (:func:`streams`),
 keyed by a seed in the state of ``Philox(key=seed)``, and advanced in
-place.  On first load, 64 normals drawn from such a row are compared with
-numpy's ``standard_normal``, and compiled bootstraps on 5, 100 and 300
+place.  On first load, 4096 normals drawn from such a row (the tail and
+draws numpy's slow path takes among them) are compared with numpy's
+``standard_normal``, and the row's counter, buffer and position with the
+Philox state after the same draws; then compiled bootstraps on 5, 100 and 300
 values, which take each branch of the pairwise sum, with numpy's
 ``sq[gen.integers(0, m, size=(r, m))].mean(axis=1)``.  If compiling,
 loading or that check fails, :func:`load` returns None and one line says
@@ -54,7 +59,8 @@ from .rng import _MASK64
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_CHECK_KEY = 0x5EED  # Philox key of the load-time self-check
+_CHECK_KEY = 0x5EF4  # Philox key of the load-time self-check: its first 4096 normals hold 3 tails
+_CHECK_NORMALS = 4096  # normals of the self-check
 _CHECK_SIZES = (5, 100, 300)  # bootstrap sizes of the self-check: n < 8, n <= 128, n > 128
 _ROW = 16  # uint64 words of a stream (lmc_stream)
 _MIN_RANGE_WORK = 1 << 16  # the least work a range may hold, in replicate-substeps
@@ -113,9 +119,12 @@ class _Pot(ctypes.Structure):
 
 
 def _open(path: str):
+    """The library at ``path``, its functions declared and its ziggurat
+    tables read from numpy (``lmc_init``)."""
     lib = ctypes.CDLL(path)
     p, i64, f64, pot = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.POINTER(_Pot)
     signatures = {
+        "lmc_init": (i64, []),
         "lmc_value": (None, [pot, i64, p, p]),
         "lmc_grad": (None, [pot, i64, p, p]),
         "lmc_hess_vec": (None, [pot, i64, p, p, p]),
@@ -127,19 +136,25 @@ def _open(path: str):
     for name, (restype, argtypes) in signatures.items():
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
+    lib.lmc_init()
     return lib
 
 
 def streams(seeds) -> np.ndarray:
     """One stream row per seed, each in the state of ``Philox(key=seed)``.
 
-    A row is ``lmc_stream``: words 0-3 the counter (0), 4-5 the key (the
-    seed, 0), 6-9 the block buffer, 10 its position (4, empty), 11-12 the
-    spare 32-bit half and its flag.  The rows start on a 64-byte line, so
-    concurrent ranges never share one.
+    ``seeds`` is a uint64 array (the keys of ``rng.mix64``), taken as it
+    is, or a sequence of ints, taken modulo 2^64.  A row is ``lmc_stream``:
+    words 0-3 the counter (0), 4-5 the key (the seed, 0), 6-9 the block
+    buffer, 10 its position (4, empty), 11-12 the spare 32-bit half and its
+    flag.  The rows start on a 64-byte line, so concurrent ranges never
+    share one.
     """
     rows = _lines((len(seeds), _ROW), np.uint64)
-    rows[:, 4] = [int(s) & _MASK64 for s in seeds]
+    if getattr(seeds, "dtype", None) == np.uint64:
+        rows[:, 4] = seeds
+    else:
+        rows[:, 4] = [int(s) & _MASK64 for s in seeds]
     rows[:, 10] = 4
     return rows
 
@@ -169,9 +184,14 @@ def _numpy_stream(key):
 
 
 def _self_check(lib) -> None:
-    mine = normals(lib, streams([_CHECK_KEY])[0], 64)
-    if mine.tobytes() != _numpy_stream(_CHECK_KEY).standard_normal(64).tobytes():
+    row, gen = streams([_CHECK_KEY])[0], _numpy_stream(_CHECK_KEY)
+    mine = normals(lib, row, _CHECK_NORMALS)
+    if mine.tobytes() != gen.standard_normal(_CHECK_NORMALS).tobytes():
         raise RuntimeError("its normals differ from numpy's standard_normal")
+    state = gen.bit_generator.state
+    if (row[:4].tolist() != state["state"]["counter"].tolist()
+            or row[6:10].tolist() != state["buffer"].tolist() or row[10] != state["buffer_pos"]):
+        raise RuntimeError("its stream after the normals differs from numpy's Philox")
     for m in _CHECK_SIZES:
         sq = _numpy_stream(m).exponential(size=m)
         ref = sq[_numpy_stream(_CHECK_KEY).integers(0, m, size=(4, m))].mean(axis=1)

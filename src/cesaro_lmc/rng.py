@@ -8,12 +8,15 @@ is bit-identical to running each chain on its own.
 
 Replicate ``i`` of an experiment with base seed ``s`` uses the stream keyed
 by ``mix64(s, i)`` (a splitmix64 finalizer), so any partition of replicates
-across workers yields the same numbers.
+across workers yields the same numbers; ``mix64`` derives a batch's keys in
+one array pass.
 
 The compiled chain loop and bootstrap (``_kernel``) draw from their own
 copy of numpy's Philox4x64-10 stream, keyed the same way and checked
 against numpy when the library loads, so they give the bits of
-:func:`stream` without building its Generator.
+:func:`stream` without building its Generator.  Their normals run the
+first test of numpy's ziggurat inline and hand every other draw to
+numpy's own ``random_standard_normal``.
 """
 
 from __future__ import annotations
@@ -25,12 +28,20 @@ import numpy as np
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def mix64(seed: int, index: int) -> int:
-    """Derive a 64-bit stream key from (seed, index) via splitmix64."""
-    z = (int(seed) + 0x9E3779B97F4A7C15 * (int(index) + 1)) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+def mix64(seed: int, index):
+    """Derive a 64-bit stream key from (seed, index) via splitmix64.
+
+    ``index`` is an int, and the key an int, or an array of indices, and
+    the keys a uint64 array: one pass in numpy's wrapping uint64
+    arithmetic, the same keys as one call per index.
+    """
+    scalar = np.ndim(index) == 0
+    z = np.array([int(index) & _MASK64] if scalar else index).astype(np.uint64)
+    z = (z + 1) * 0x9E3779B97F4A7C15 + (int(seed) & _MASK64)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    z ^= z >> 31
+    return int(z[0]) if scalar else z
 
 
 @functools.cache

@@ -28,10 +28,12 @@ A potential with a ``kernel`` field (the built-in Gaussian, the logistic
 potentials, and the Gaussian-location and logistic posteriors) is stepped
 instead by the compiled loop of ``_kernel.c`` (built on first use), with
 the gradient code its compiled evaluators run and the same IEEE
-operations in the same order as this driver, with normals drawn by
-numpy's own ``random_standard_normal`` from the library's copy of the
-replicate's Philox stream (a row of ``_kernel.streams``, keyed like
-``rng.stream``).  It builds no numpy Generator, needs no noise block and
+operations in the same order as this driver, with normals drawn from the
+library's copy of the replicate's Philox stream (a row of
+``_kernel.streams``, keyed like ``rng.stream``): the first test of numpy's
+ziggurat runs inline, on tables read from numpy's
+``random_standard_normal`` at load, and every other draw is that function's.
+It builds no numpy Generator, needs no noise block and
 gives the same bits as this driver stepping the same potential without its
 kernel field.  ``_kernel.Kernel.step`` splits a large batch into
 contiguous replicate ranges and steps them on threads, at most one per CPU
@@ -337,6 +339,6 @@ def replicate_runs(
     if m < 1:
         raise ParameterError("replicate count must be >= 1")
     _check_x0(pot, cfg)
-    seeds = [mix64(base_seed, index_offset + i) for i in range(m)]
+    seeds = mix64(base_seed, np.arange(index_offset, index_offset + m, dtype=np.uint64))
     x0 = np.broadcast_to(cfg.x0, (m, pot.dim)).copy()
     return _runs(pot, cfg, x0, seeds)

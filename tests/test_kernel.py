@@ -88,6 +88,43 @@ class TestNormals:
         assert _kernel.normals(built_lib, row, 7).tobytes() == gen.standard_normal(7).tobytes()
 
     @pytest.mark.parametrize("key", KEYS)
+    def test_slow_path_rewinds_at_every_buffer_position(self, built_lib, key):
+        """Normals in calls of 1, 2 and 3: a draw the inline test does not
+        accept hands its word back to numpy, at every buffer position,
+        the first word of a fresh block included, and the row stays
+        numpy's Philox state after every call."""
+        row = _kernel.streams([key])[0]
+        gen = numpy_stream(key)
+        words = 0  # 64-bit words drawn so far
+        slow_at = set()  # buffer positions where a single draw took numpy's slow path
+        for call in range(12000):
+            n = call % 3 + 1
+            pos = int(row[10]) % 4
+            assert _kernel.normals(built_lib, row, n).tobytes() == gen.standard_normal(n).tobytes()
+            state = gen.bit_generator.state
+            assert row[:4].tolist() == state["state"]["counter"].tolist()
+            assert row[6:10].tolist() == state["buffer"].tolist()
+            assert row[10] == state["buffer_pos"]
+            drawn = 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"]
+            if n == 1 and drawn - words > 1:
+                slow_at.add(pos)
+            words = drawn
+        assert slow_at == {0, 1, 2, 3}
+
+    def test_tables_are_read_from_numpy(self, built_lib):
+        """Every ziggurat row but numpy's ki[1] = 0 has a positive bound;
+        a probe that found none would still give numpy's bits, slower."""
+        assert built_lib.lmc_init() == 255
+
+    def test_self_check_reaches_the_tail_and_the_slow_path(self):
+        gen = numpy_stream(_kernel._CHECK_KEY)
+        x = gen.standard_normal(_kernel._CHECK_NORMALS)
+        assert np.sum(np.abs(x) > 3.6541528853610088) > 0
+        # a draw numpy does not accept on its first word takes at least two
+        state = gen.bit_generator.state
+        assert 4 * int(state["state"]["counter"][0]) - 4 + state["buffer_pos"] > x.size
+
+    @pytest.mark.parametrize("key", KEYS)
     def test_counter_carries(self, built_lib, key):
         counter = np.array([2**64 - 1, 2**64 - 1, 2**64 - 1, 5], dtype=np.uint64)
         row = _kernel.streams([key])[0]
@@ -422,29 +459,39 @@ def test_fallback_when_the_compiler_fails(lib, monkeypatch, tmp_path, capsys):
         build_posterior(MODEL, data)
 
 
-class _PerturbedBootstrap:
-    """The compiled library with an ``lmc_bootstrap`` whose last mean is one
-    ulp too large, as a numpy with another bounded draw or summation order
-    would make it."""
+class _Perturbed:
+    """The compiled library with its function ``name``, ``lmc_normals`` or
+    ``lmc_bootstrap``, wrapped so that the last value it writes is one ulp
+    too large, as a numpy with other ziggurat tables, or another bounded
+    draw or summation order, would make it.  Both functions end in (count,
+    output pointer)."""
 
-    def __init__(self, lib):
-        self._lib = lib
+    def __init__(self, lib, name):
+        self._lib, self._name = lib, name
 
     def __getattr__(self, name):
-        return getattr(self._lib, name)
+        fn = getattr(self._lib, name)
+        if name != self._name:
+            return fn
 
-    def lmc_bootstrap(self, state, sq, m, resamples, means):
-        self._lib.lmc_bootstrap(state, sq, m, resamples, means)
-        cell = ctypes.c_double.from_address(means + 8 * (resamples - 1))
-        cell.value = np.nextafter(cell.value, np.inf)
+        def perturbed(*args):
+            fn(*args)
+            n, out = args[-2:]
+            cell = ctypes.c_double.from_address(out + 8 * (n - 1))
+            cell.value = np.nextafter(cell.value, np.inf)
+
+        return perturbed
 
 
-def test_fallback_when_the_bootstrap_differs(lib, monkeypatch, capsys):
+def _falls_back(lib, monkeypatch, capsys, name):
+    """``load()`` on the library with ``name`` perturbed: it returns None
+    with one stderr line, returned here, and chains and the bootstrap keep
+    their bits."""
     cfg = ChainConfig(gamma=0.1, n_steps=3000, x0=[0.2, 0.2], seed=0, fine_substeps=2)
     ref = outputs(replicate_runs(GAUSS, cfg, 9, base_seed=3))
     sq = stream(2).exponential(size=300)
     ci = _bootstrap_ci(sq, 19)
-    monkeypatch.setattr(_kernel, "_open", lambda path: _PerturbedBootstrap(lib))
+    monkeypatch.setattr(_kernel, "_open", lambda path: _Perturbed(lib, name))
     monkeypatch.setattr(_kernel, "_lib", None)
     monkeypatch.setattr(_kernel, "_tried", False)
     capsys.readouterr()
@@ -452,7 +499,18 @@ def test_fallback_when_the_bootstrap_differs(lib, monkeypatch, capsys):
     assert outputs(replicate_runs(GAUSS, cfg, 9, base_seed=3)) == ref
     assert _kernel.load() is None
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "bootstrap of 5 values differs" in err
+    assert err.count("\n") == 1
+    return err
+
+
+def test_fallback_when_the_bootstrap_differs(lib, monkeypatch, capsys):
+    assert "bootstrap of 5 values differs" in _falls_back(lib, monkeypatch, capsys,
+                                                          "lmc_bootstrap")
+
+
+def test_fallback_when_the_normals_differ(lib, monkeypatch, capsys):
+    err = _falls_back(lib, monkeypatch, capsys, "lmc_normals")
+    assert "normals differ from numpy's standard_normal" in err
 
 
 def test_cli_without_a_compiler_exits_2_on_a_logistic_run(tmp_path):

@@ -125,6 +125,18 @@ MUTANTS = [
            ("tests/test_diagnostics.py::TestMseExperiment::test_bootstrap_blocks_match_one_draw"
             "[compiled-1500000-2]",),
            compiled=True),
+    Mutant("normal-drops-the-sign-xor", "cesaro_lmc/_kernel.c",
+           "        bits ^= (r & 0x100) << 55;\n", "",
+           ("tests/test_kernel.py::TestNormals::test_equal_to_numpy_standard_normal[0]",),
+           compiled=True),
+    Mutant("normal-slow-path-drops-the-rewind", "cesaro_lmc/_kernel.c",
+           "    s->pos--;\n", "",
+           ("tests/test_kernel.py::TestNormals::test_equal_to_numpy_standard_normal[0]",),
+           compiled=True),
+    Mutant("ziggurat-scale-probed-at-rabs-2", "cesaro_lmc/_kernel.c",
+           "probe(idx, 1, &at_once)", "probe(idx, 2, &at_once)",
+           ("tests/test_kernel.py::TestNormals::test_equal_to_numpy_standard_normal[0]",),
+           compiled=True),
 ]
 
 

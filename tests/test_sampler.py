@@ -188,6 +188,22 @@ class TestStream:
         assert mine.integers(0, 2**62, 10**4).tobytes() == ref.integers(0, 2**62, 10**4).tobytes()
         assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, *stream(9).integers(0, 2**64, 5, np.uint64)])
+    def test_mix64_array_is_the_scalar_form(self, seed):
+        def splitmix64(seed, index):  # in Python integers, masked at each step
+            mask = 2**64 - 1
+            z = (int(seed) + 0x9E3779B97F4A7C15 * (int(index) + 1)) & mask
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        index = [0, 1, 2**63, 2**64 - 1, *stream(int(seed) % 97).integers(0, 2**64, 50, np.uint64)]
+        keys = mix64(seed, np.array(index, dtype=np.uint64))
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [mix64(seed, i) for i in index]
+        assert keys.tolist() == [splitmix64(seed, i) for i in index]
+        assert all(type(mix64(seed, i)) is int for i in index[:4])
+
     def test_no_package_code_reads_the_seed_sequence(self):
         # a stream's seed sequence is all zeros: only its key makes it
         src = Path(cesaro_lmc.__file__).parent
