@@ -1,4 +1,4 @@
-/* Compiled potentials, the one chain loop and the bootstrap.
+/* Compiled potentials and the one chain loop.
  *
  * A potential here (lmc_pot) is one term: a logistic term or a Gaussian
  * term.  The logistic term is
@@ -22,10 +22,8 @@
  * lmc_init reads from numpy's own random_standard_normal, and hands every
  * draw that test does not accept back to that function, the code
  * Generator.standard_normal runs.  So the chain draws numpy's variates
- * without a numpy Generator or a noise block.  lmc_bootstrap draws the
- * bootstrap's indices by numpy's bounded rule on the same stream type and
- * sums them in numpy's pairwise order.  _kernel.py checks both against
- * numpy when it loads the library.
+ * without a numpy Generator or a noise block.  _kernel.py checks the
+ * normals against numpy when it loads the library.
  *
  * Build with -ffp-contract=off: a fused multiply-add would round once
  * where numpy rounds twice.
@@ -49,8 +47,7 @@ extern double random_standard_normal(bitgen_t *bitgen_state);
 typedef struct {
     uint64_t ctr[4], key[2];
     uint64_t buf[4], pos;
-    uint64_t spare, has_spare;  /* the upper half of the last next32 draw */
-    uint64_t pad[3];
+    uint64_t pad[5];
 } lmc_stream;
 
 /* Philox4x64-10 (Salmon et al., SC'11) of the counter, as numpy computes it */
@@ -90,20 +87,9 @@ static inline uint64_t next64(lmc_stream *s)
     return s->buf[0];
 }
 
-static inline uint32_t next32(lmc_stream *s)
-{
-    if (s->has_spare) {
-        s->has_spare = 0;
-        return (uint32_t)s->spare;
-    }
-    uint64_t v = next64(s);
-    s->spare = v >> 32;
-    s->has_spare = 1;
-    return (uint32_t)v;
-}
-
 static uint64_t bitgen_next64(void *s) { return next64(s); }
-static uint32_t bitgen_next32(void *s) { return next32(s); }
+/* numpy's normals never draw 32 bits; a numpy that did would fail the self-check */
+static uint32_t bitgen_next32(void *s) { return (uint32_t)next64(s); }
 static double bitgen_next_double(void *s) { return (next64(s) >> 11) * (1.0 / 9007199254740992.0); }
 
 /* a bitgen_t drawing from s, as numpy's Philox binds its state */
@@ -321,66 +307,6 @@ void lmc_normals(lmc_stream *s, int64_t n, double *out)
         out[i] = normal(s);
 }
 
-/* n raw draws from one stream: next64 where wide[i], else next32 */
-void lmc_raw(lmc_stream *s, int64_t n, const uint8_t *wide, uint64_t *out)
-{
-    for (int64_t i = 0; i < n; i++)
-        out[i] = wide[i] ? next64(s) : next32(s);
-}
-
-/* sq at an index drawn as Generator.integers(0, m) draws it, for m <= 2^32:
- * numpy's buffered_bounded_lemire_uint32 (Lemire, ACM TOMACS 2019), with
- * threshold = (2^32 - m) mod m.  m = 1 draws nothing. */
-static inline double resampled(lmc_stream *s, const double *sq, uint64_t m, uint64_t threshold)
-{
-    if (m == 1)
-        return sq[0];
-    uint64_t p = (uint64_t)next32(s) * m;
-    while ((uint32_t)p < threshold)
-        p = (uint64_t)next32(s) * m;
-    return sq[p >> 32];
-}
-
-/* The sum of n resampled values in the order of numpy's float64
- * pairwise_sum, each drawn when the sum reaches it (the pairwise order
- * reads its values first to last). */
-static double resampled_sum(lmc_stream *s, const double *sq, uint64_t m, uint64_t threshold,
-                            int64_t n)
-{
-    if (n < 8) {
-        double res = 0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += resampled(s, sq, m, threshold);
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = resampled(s, sq, m, threshold);
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += resampled(s, sq, m, threshold);
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += resampled(s, sq, m, threshold);
-        return res;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    double left = resampled_sum(s, sq, m, threshold, n2);  /* drawn first */
-    return left + resampled_sum(s, sq, m, threshold, n - n2);
-}
-
-/* The means of `resamples` bootstrap resamples of sq (m values, 1 <= m <=
- * 2^32), the bits of sq[gen.integers(0, m, size=(resamples, m))].mean(axis=1)
- * on the Generator of stream s, with no index block. */
-void lmc_bootstrap(lmc_stream *s, const double *sq, int64_t m, int64_t resamples, double *means)
-{
-    const uint64_t threshold = ((1ULL << 32) - (uint64_t)m) % (uint64_t)m;
-    for (int64_t r = 0; r < resamples; r++)
-        means[r] = resampled_sum(s, sq, (uint64_t)m, threshold, m) / (double)m;
-}
 /* Coarse steps step0 .. step0 + todo - 1 of m replicates, one replicate at a
  * time.  x, ces, comp are (m, d); diverged is (m,), -1 while alive, and a
  * replicate with diverged >= 0 is skipped.  On divergence a replicate's

@@ -1,4 +1,4 @@
-"""Build and load the compiled potentials, chain loop and bootstrap (``_kernel.c``).
+"""Build and load the compiled potentials and chain loop (``_kernel.c``).
 
 The library is compiled on first use, never at import, with
 ``cc -O2 -ffp-contract=off -fPIC -shared`` against numpy's shipped
@@ -17,13 +17,10 @@ keyed by a seed in the state of ``Philox(key=seed)``, and advanced in
 place.  On first load, 4096 normals drawn from such a row (the tail and
 draws numpy's slow path takes among them) are compared with numpy's
 ``standard_normal``, and the row's counter, buffer and position with the
-Philox state after the same draws; then compiled bootstraps on 5, 100 and 300
-values, which take each branch of the pairwise sum, with numpy's
-``sq[gen.integers(0, m, size=(r, m))].mean(axis=1)``.  If compiling,
-loading or that check fails, :func:`load` returns None and one line says
-so on stderr: Gaussian chains then run on the numpy driver and the
-bootstrap on numpy (the same bits), and the logistic family, whose
-evaluators exist only in C, refuses to run.
+Philox state after the same draws.  If compiling, loading or that check
+fails, :func:`load` returns None and one line says so on stderr: Gaussian
+chains then run on the numpy driver (the same bits), and the logistic
+family, whose evaluators exist only in C, refuses to run.
 
 A :class:`Kernel` binds a potential's ``kernel`` field, one term
 ``("logistic", rows, cplus, cminus, mu)`` or ``("gaussian", rho, mean)``,
@@ -61,7 +58,6 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _CHECK_KEY = 0x5EF4  # Philox key of the load-time self-check: its first 4096 normals hold 3 tails
 _CHECK_NORMALS = 4096  # normals of the self-check
-_CHECK_SIZES = (5, 100, 300)  # bootstrap sizes of the self-check: n < 8, n <= 128, n > 128
 _ROW = 16  # uint64 words of a stream (lmc_stream)
 _MIN_RANGE_WORK = 1 << 16  # the least work a range may hold, in replicate-substeps
 _RANGES_PER_WORKER = 8  # so a worker on a CPU the host slows takes fewer ranges
@@ -129,8 +125,6 @@ def _open(path: str):
         "lmc_grad": (None, [pot, i64, p, p]),
         "lmc_hess_vec": (None, [pot, i64, p, p, p]),
         "lmc_normals": (None, [p, i64, p]),
-        "lmc_raw": (None, [p, i64, p, p]),
-        "lmc_bootstrap": (None, [p, p, i64, i64, p]),
         "lmc_step": (None, [pot, p, i64, f64, f64, i64, i64, i64, p, p, p, p, p, i64, p]),
     }
     for name, (restype, argtypes) in signatures.items():
@@ -146,9 +140,8 @@ def streams(seeds) -> np.ndarray:
     ``seeds`` is a uint64 array (the keys of ``rng.mix64``), taken as it
     is, or a sequence of ints, taken modulo 2^64.  A row is ``lmc_stream``:
     words 0-3 the counter (0), 4-5 the key (the seed, 0), 6-9 the block
-    buffer, 10 its position (4, empty), 11-12 the spare 32-bit half and its
-    flag.  The rows start on a 64-byte line, so concurrent ranges never
-    share one.
+    buffer, 10 its position (4, empty), 11-15 padding.  The rows start on a
+    64-byte line, so concurrent ranges never share one.
     """
     rows = _lines((len(seeds), _ROW), np.uint64)
     if getattr(seeds, "dtype", None) == np.uint64:
@@ -166,25 +159,8 @@ def normals(lib, row: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def bootstrap_means(lib, key: int, sq: np.ndarray, resamples: int) -> np.ndarray:
-    """The means of ``resamples`` resamples of the ``m`` values ``sq`` (1 <= m
-    <= 2^32), with the bits of ``sq[gen.integers(0, m, size=(resamples,
-    m))].mean(axis=1)`` for ``gen`` the Philox Generator keyed by ``key``."""
-    sq = np.ascontiguousarray(sq, dtype=np.float64)
-    if sq.ndim != 1 or not 1 <= sq.shape[0] <= 1 << 32:
-        raise ParameterError(f"a bootstrap takes 1 to 2^32 values, got shape {sq.shape}")
-    means = np.empty(resamples)
-    lib.lmc_bootstrap(streams([key]).ctypes.data, sq.ctypes.data, sq.shape[0], resamples,
-                      means.ctypes.data)
-    return means
-
-
-def _numpy_stream(key):
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _self_check(lib) -> None:
-    row, gen = streams([_CHECK_KEY])[0], _numpy_stream(_CHECK_KEY)
+    row, gen = streams([_CHECK_KEY])[0], np.random.Generator(np.random.Philox(key=_CHECK_KEY))
     mine = normals(lib, row, _CHECK_NORMALS)
     if mine.tobytes() != gen.standard_normal(_CHECK_NORMALS).tobytes():
         raise RuntimeError("its normals differ from numpy's standard_normal")
@@ -192,11 +168,6 @@ def _self_check(lib) -> None:
     if (row[:4].tolist() != state["state"]["counter"].tolist()
             or row[6:10].tolist() != state["buffer"].tolist() or row[10] != state["buffer_pos"]):
         raise RuntimeError("its stream after the normals differs from numpy's Philox")
-    for m in _CHECK_SIZES:
-        sq = _numpy_stream(m).exponential(size=m)
-        ref = sq[_numpy_stream(_CHECK_KEY).integers(0, m, size=(4, m))].mean(axis=1)
-        if bootstrap_means(lib, _CHECK_KEY, sq, 4).tobytes() != ref.tobytes():
-            raise RuntimeError(f"its bootstrap of {m} values differs from numpy's")
 
 
 def load():
@@ -208,10 +179,10 @@ def load():
             lib = _open(_shared_object())
             _self_check(lib)
             _lib = lib
-        except Exception as exc:  # Gaussian chains and the bootstrap fall back to numpy, same bits
+        except Exception as exc:  # Gaussian chains fall back to numpy, same bits
             print(
                 f"cesaro-lmc: compiled kernel unavailable ({exc}); Gaussian chains use the "
-                "numpy driver, the bootstrap numpy, and the logistic family cannot run",
+                "numpy driver, and the logistic family cannot run",
                 file=sys.stderr,
             )
     return _lib

@@ -288,8 +288,7 @@ def _reference(pot, base_seed: int):
         return pot.mean, "closed-form"
     if pot.dim <= 3:
         return quadrature_posterior_mean(pot)[0], "quadrature"
-    seed = mix64(base_seed, 0x15)  # its own stream, as the bootstrap's
-    return importance_posterior_mean(pot, seed)[0], "importance-sampling"
+    return importance_posterior_mean(pot, mix64(base_seed, 0x15))[0], "importance-sampling"
 
 
 def _theta_star(cfg: dict, model) -> np.ndarray:

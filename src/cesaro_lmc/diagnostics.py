@@ -28,7 +28,7 @@ class ExperimentReport:
     reference: np.ndarray
     reference_provenance: str  # closed-form | quadrature | importance-sampling (cli._reference)
     mse: float
-    ci: tuple  # bootstrap 95% interval on the MSE
+    ci: tuple  # normal 95% interval on the MSE (_normal_ci)
     manifest: dict = field(default_factory=dict)
     n_diverged: int = 0
 
@@ -69,27 +69,18 @@ def fit_line(x, y) -> RateFit:
     return RateFit(x=x, y=y, slope=slope, intercept=intercept, r2=r2)
 
 
-def _bootstrap_ci(sq_errors: np.ndarray, seed: int, resamples: int = 2000):
-    """The 2.5 and 97.5 percentiles of the means of ``resamples`` resamples,
-    drawn as ``stream(mix64(seed, 0xB007)).integers(0, m)`` draws them."""
-    from . import _kernel  # at the first experiment, not at package import
+_Z975 = 1.959963984540054  # the standard normal's 97.5% quantile
 
-    key = mix64(seed, 0xB007)
-    m = sq_errors.shape[0]
-    lib = _kernel.load()
-    if lib is not None and m <= 1 << 32:  # the domain of its bounded draw
-        means = _kernel.bootstrap_means(lib, key, sq_errors, resamples)
-    else:
-        rng = stream(key)
-        # resamples in blocks of about 2^18 indices; the Philox stream and
-        # each row's mean do not depend on the block size
-        rows = max(1, (1 << 18) // m)
-        means = np.concatenate([
-            sq_errors[rng.integers(0, m, size=(min(rows, resamples - i), m))].mean(axis=1)
-            for i in range(0, resamples, rows)
-        ])
-    lo, hi = np.percentile(means, [2.5, 97.5])
-    return float(lo), float(hi)
+
+def _normal_ci(sq: np.ndarray):
+    """The normal 95% interval on the mean of the i.i.d. values ``sq``:
+    mean +- z s / sqrt(m), s their ddof=1 deviation; (mean, mean) for one value."""
+    m = sq.shape[0]
+    mean = float(np.mean(sq))
+    if m == 1:
+        return mean, mean
+    half = _Z975 * float(np.std(sq, ddof=1)) / math.sqrt(m)
+    return mean - half, mean + half
 
 
 def mse_experiment(
@@ -124,7 +115,7 @@ def mse_experiment(
     est = np.stack([runs[i].cesaro for i in range(m_replicates) if i not in bad])
     sq = np.sum((est - reference) ** 2, axis=1)
     mse = float(np.mean(sq))
-    ci = _bootstrap_ci(sq, base_seed)
+    ci = _normal_ci(sq)
     manifest = {
         "gamma": plan.gamma,
         "n_steps": plan.n_steps,

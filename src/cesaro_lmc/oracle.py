@@ -42,7 +42,9 @@ def quadrature_posterior_mean(
     """Mean of pi proportional to e^{-W} by Laplace-centered trapezoid quadrature.
 
     Returns (mean, error_estimate); the estimate is a Richardson comparison
-    against the half-resolution grid.  Restricted to d <= 3.
+    against the half-resolution grid.  Near rounding level that comparison
+    is no bound, so the estimate is at least nodes_per_axis * eps * |c|, c
+    the box's far corner |mode| + k_sigma * sigma.  Restricted to d <= 3.
     """
     if pot.dim > 3:
         raise CapabilityError("quadrature posterior means are computed for d <= 3 only")
@@ -87,8 +89,9 @@ def quadrature_posterior_mean(
 
     fine = _mean_on(nodes_per_axis)
     coarse = _mean_on((nodes_per_axis + 1) // 2)
-    err = float(np.linalg.norm(fine - coarse))
-    return fine, err
+    corner = float(np.linalg.norm(np.abs(mode) + k_sigma * sigma))
+    floor = nodes_per_axis * np.finfo(float).eps * corner
+    return fine, max(float(np.linalg.norm(fine - coarse)), floor)
 
 
 # ---------------------------------------------------------------------------

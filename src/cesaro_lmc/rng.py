@@ -11,12 +11,12 @@ by ``mix64(s, i)`` (a splitmix64 finalizer), so any partition of replicates
 across workers yields the same numbers; ``mix64`` derives a batch's keys in
 one array pass.
 
-The compiled chain loop and bootstrap (``_kernel``) draw from their own
-copy of numpy's Philox4x64-10 stream, keyed the same way and checked
-against numpy when the library loads, so they give the bits of
-:func:`stream` without building its Generator.  Their normals run the
-first test of numpy's ziggurat inline and hand every other draw to
-numpy's own ``random_standard_normal``.
+The compiled chain loop (``_kernel``) draws from its own copy of numpy's
+Philox4x64-10 stream, keyed the same way and checked against numpy when
+the library loads, so it gives the bits of :func:`stream` without
+building its Generator.  Its normals run the first test of numpy's
+ziggurat inline and hand every other draw to numpy's own
+``random_standard_normal``.
 """
 
 from __future__ import annotations

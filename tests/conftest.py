@@ -21,8 +21,8 @@ def pytest_runtest_setup(item):
 @pytest.fixture(scope="session")
 def built_lib():
     """The compiled library as built, not checked at load: a test of its
-    streams or bootstrap checks the C code itself, where a library that
-    failed the self-check would only make ``load()`` fall back to numpy."""
+    streams checks the C code itself, where a library that failed the
+    self-check would only make ``load()`` fall back to numpy."""
     try:
         return _kernel._open(_kernel._shared_object())
     except OSError:

@@ -1,13 +1,14 @@
 import math
+import statistics
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from cesaro_lmc import _kernel
 from cesaro_lmc.bayes import GaussianLocationModel, LogisticModel, sample_dataset
 from cesaro_lmc.diagnostics import (
     SeparationMap,
-    _bootstrap_ci,
+    _normal_ci,
     bayes_rate_experiment,
     concentration_check,
     fit_line,
@@ -18,7 +19,7 @@ from cesaro_lmc.diagnostics import (
 from cesaro_lmc.errors import CapabilityError, ExperimentError, ParameterError
 from cesaro_lmc.oracle import ou_cesaro_moments
 from cesaro_lmc.potentials import builtin_gaussian_location
-from cesaro_lmc.rng import mix64, stream
+from cesaro_lmc.rng import stream
 from cesaro_lmc.sampler import ChainConfig, moment_clamp
 from cesaro_lmc.tuning import TuningPlan
 
@@ -41,29 +42,30 @@ class TestMseExperiment:
         report = mse_experiment(OU, ou_plan(n=200), 50, reference=[0.0], base_seed=5)
         assert report.recompute_mse() == report.mse
 
-    def test_bootstrap_ci_brackets_mse(self):
+    def test_ci_brackets_mse(self):
         report = mse_experiment(OU, ou_plan(n=200), 100, reference=[0.0], base_seed=7)
         lo, hi = report.ci
         assert lo <= report.mse <= hi
 
-    # m = 1 draws nothing; 8, 9, 127, 128, 129 and 8193 sit at the edges of
-    # numpy's pairwise sum; at m = 1 500 000 Lemire's rejection fires about
-    # 160 times per resample.  Fewer resamples keep the reference's index
-    # block small.
-    @pytest.mark.parametrize("m, resamples", [
-        (1, 2000), (3, 2000), (7, 2000), (8, 2000), (9, 2000), (127, 2000), (128, 2000),
-        (129, 2000), (200, 2000), (1999, 2000), (2000, 2000), (8193, 200), (1_500_000, 2)])
-    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
-    def test_bootstrap_blocks_match_one_draw(self, request, compiled, m, resamples,
-                                             monkeypatch):
-        """Resampling in blocks, or in the compiled library as built (see
-        conftest), gives the bits of one (resamples, m) index draw."""
-        lib = request.getfixturevalue("built_lib") if compiled else None
-        monkeypatch.setattr(_kernel, "load", lambda: lib)
-        sq = np.random.default_rng(m).exponential(size=m)
-        idx = stream(mix64(19, 0xB007)).integers(0, m, size=(resamples, m))
-        lo, hi = np.percentile(sq[idx].mean(axis=1), [2.5, 97.5])
-        assert _bootstrap_ci(sq, 19, resamples) == (float(lo), float(hi))
+    @pytest.mark.parametrize("m", [2, 20, 200, 2000])
+    def test_normal_ci_is_the_clt_interval(self, m):
+        sq = stream(m).chisquare(2, size=m)
+        mean = statistics.fmean(sq.tolist())
+        half = NormalDist().inv_cdf(0.975) * statistics.stdev(sq.tolist()) / math.sqrt(m)
+        lo, hi = _normal_ci(sq)
+        assert lo == pytest.approx(mean - half, rel=1e-12)
+        assert hi == pytest.approx(mean + half, rel=1e-12)
+
+    def test_one_replicate_is_its_own_interval(self):
+        assert _normal_ci(np.array([0.37])) == (0.37, 0.37)
+        report = mse_experiment(OU, ou_plan(n=50), 1, reference=[0.0], base_seed=3)
+        assert report.ci == (report.mse, report.mse) and math.isfinite(report.mse)
+
+    def test_normal_ci_covers_at_95_percent(self):
+        """4000 samples of m = 200 chi^2_2 squared errors, whose mean is 2."""
+        sq = stream(21).chisquare(2, size=(4000, 200))
+        covered = sum(lo <= 2.0 <= hi for lo, hi in map(_normal_ci, sq))
+        assert 0.93 <= covered / 4000 <= 0.97
 
     def test_ci_shrinks_with_replicates(self):
         r1 = mse_experiment(OU, ou_plan(n=100), 100, reference=[0.0], base_seed=11)

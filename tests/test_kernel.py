@@ -19,7 +19,7 @@ import pytest
 
 from cesaro_lmc import _kernel
 from cesaro_lmc.bayes import GaussianLocationModel, LogisticModel, build_posterior, sample_dataset
-from cesaro_lmc.diagnostics import _bootstrap_ci, moment_check
+from cesaro_lmc.diagnostics import moment_check
 from cesaro_lmc.errors import CapabilityError, DivergenceError, ParameterError
 from cesaro_lmc.potentials import builtin_gaussian_location, builtin_logistic
 from cesaro_lmc.rng import mix64, stream
@@ -135,28 +135,9 @@ class TestNormals:
         assert row[:4].tolist() == gen.bit_generator.state["state"]["counter"].tolist()
         assert row[1:4].tolist() == [0, 0, 6]
 
-    @pytest.mark.parametrize("key", KEYS)
-    def test_mixed_32_and_64_bit_draws(self, built_lib, key):
-        """A 32-bit draw keeps the upper half of its 64-bit word for the next
-        32-bit draw, and a 64-bit draw in between leaves it waiting."""
-        wide = stream(7).integers(0, 2, size=4000).astype(np.uint8)
-        row = _kernel.streams([key])[0]
-        out = np.empty(wide.size, np.uint64)
-        built_lib.lmc_raw(row.ctypes.data, wide.size, wide.ctypes.data, out.ctypes.data)
-        gen = numpy_stream(key)
-        ref = [gen.bit_generator.random_raw() if w else gen.integers(2**32, dtype=np.uint32)
-               for w in wide]
-        assert out.tolist() == [int(v) for v in ref]
-
     def test_rows_start_cache_lines(self):
         rows = _kernel.streams(range(5))
         assert rows.shape == (5, 16) and rows.ctypes.data % 64 == 0
-
-
-@pytest.mark.parametrize("sq", [np.zeros(0), np.zeros((2, 2))], ids=["empty", "2-d"])
-def test_bootstrap_refuses_a_sample_it_cannot_take(built_lib, sq):
-    with pytest.raises(ParameterError, match="a bootstrap takes 1 to 2\\^32 values"):
-        _kernel.bootstrap_means(built_lib, 1, sq, 3)
 
 
 class TestAgainstNumpyDriver:
@@ -460,11 +441,10 @@ def test_fallback_when_the_compiler_fails(lib, monkeypatch, tmp_path, capsys):
 
 
 class _Perturbed:
-    """The compiled library with its function ``name``, ``lmc_normals`` or
-    ``lmc_bootstrap``, wrapped so that the last value it writes is one ulp
-    too large, as a numpy with other ziggurat tables, or another bounded
-    draw or summation order, would make it.  Both functions end in (count,
-    output pointer)."""
+    """The compiled library with its function ``name``, ``lmc_normals``,
+    wrapped so that the last value it writes is one ulp too large, as a
+    numpy with other ziggurat tables would make it.  The function ends in
+    (count, output pointer)."""
 
     def __init__(self, lib, name):
         self._lib, self._name = lib, name
@@ -485,27 +465,18 @@ class _Perturbed:
 
 def _falls_back(lib, monkeypatch, capsys, name):
     """``load()`` on the library with ``name`` perturbed: it returns None
-    with one stderr line, returned here, and chains and the bootstrap keep
-    their bits."""
+    with one stderr line, returned here, and chains keep their bits."""
     cfg = ChainConfig(gamma=0.1, n_steps=3000, x0=[0.2, 0.2], seed=0, fine_substeps=2)
     ref = outputs(replicate_runs(GAUSS, cfg, 9, base_seed=3))
-    sq = stream(2).exponential(size=300)
-    ci = _bootstrap_ci(sq, 19)
     monkeypatch.setattr(_kernel, "_open", lambda path: _Perturbed(lib, name))
     monkeypatch.setattr(_kernel, "_lib", None)
     monkeypatch.setattr(_kernel, "_tried", False)
     capsys.readouterr()
-    assert _bootstrap_ci(sq, 19) == ci
     assert outputs(replicate_runs(GAUSS, cfg, 9, base_seed=3)) == ref
     assert _kernel.load() is None
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     return err
-
-
-def test_fallback_when_the_bootstrap_differs(lib, monkeypatch, capsys):
-    assert "bootstrap of 5 values differs" in _falls_back(lib, monkeypatch, capsys,
-                                                          "lmc_bootstrap")
 
 
 def test_fallback_when_the_normals_differ(lib, monkeypatch, capsys):

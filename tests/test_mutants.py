@@ -84,6 +84,13 @@ MUTANTS = [
            "                    comp -= t1\n", "",
            ("tests/test_kernel.py::TestAgainstNumpyDriver::test_replicates[1-1-gaussian]",),
            compiled=True),
+    Mutant("normal-interval-drops-sqrt-m", "cesaro_lmc/diagnostics.py",
+           "float(np.std(sq, ddof=1)) / math.sqrt(m)", "float(np.std(sq, ddof=1))",
+           ("tests/test_diagnostics.py::TestMseExperiment::test_ci_shrinks_with_replicates",)),
+    Mutant("quadrature-error-drops-the-rounding-floor", "cesaro_lmc/oracle.py",
+           "max(float(np.linalg.norm(fine - coarse)), floor)", "float(np.linalg.norm(fine - coarse))",
+           ("tests/test_oracle.py::TestClosedFormMeans::test_quadrature_agrees_with_the_mean"
+            "[gaussian_location_posterior]",)),
     Mutant("poincare-tail-takes-sqrt-of-var", "cesaro_lmc/diagnostics.py",
            "delta / (2.0 * sd)))", "delta / (2.0 * math.sqrt(var))))",
            ("tests/test_diagnostics.py::test_bounds_equal_the_printed_formulas_bit_for_bit"
@@ -107,23 +114,6 @@ MUTANTS = [
     Mutant("philox-weyl-constant-altered", "cesaro_lmc/_kernel.c",
            "k1 += 0xBB67AE8584CAA73BULL;", "k1 += 0xBB67AE8584CAA73AULL;",
            ("tests/test_kernel.py::TestNormals::test_equal_to_numpy_standard_normal[0]",),
-           compiled=True),
-    Mutant("philox-next32-drops-the-spare-half", "cesaro_lmc/_kernel.c",
-           "    s->has_spare = 1;\n", "",
-           ("tests/test_kernel.py::TestNormals::test_mixed_32_and_64_bit_draws[0]",),
-           compiled=True),
-    Mutant("bootstrap-sum-seeded-with-the-first-value", "cesaro_lmc/_kernel.c",
-           "        means[r] = resampled_sum(s, sq, (uint64_t)m, threshold, m) / (double)m;\n",
-           "    {\n        double first = resampled(s, sq, (uint64_t)m, threshold);\n"
-           "        means[r] = (first + resampled_sum(s, sq, (uint64_t)m, threshold, m - 1))"
-           " / (double)m;\n    }\n",
-           ("tests/test_diagnostics.py::TestMseExperiment::test_bootstrap_blocks_match_one_draw"
-            "[compiled-200-2000]",),
-           compiled=True),
-    Mutant("bootstrap-drops-lemire-rejection", "cesaro_lmc/_kernel.c",
-           "    while ((uint32_t)p < threshold)\n        p = (uint64_t)next32(s) * m;\n", "",
-           ("tests/test_diagnostics.py::TestMseExperiment::test_bootstrap_blocks_match_one_draw"
-            "[compiled-1500000-2]",),
            compiled=True),
     Mutant("normal-drops-the-sign-xor", "cesaro_lmc/_kernel.c",
            "        bits ^= (r & 0x100) << 55;\n", "",
