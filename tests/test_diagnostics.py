@@ -1,5 +1,8 @@
+import importlib.util
+import json
 import math
 import statistics
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -22,6 +25,18 @@ from cesaro_lmc.potentials import builtin_gaussian_location
 from cesaro_lmc.rng import stream
 from cesaro_lmc.sampler import ChainConfig, moment_clamp
 from cesaro_lmc.tuning import TuningPlan
+
+VALIDATION = Path(__file__).resolve().parents[1] / "validation"
+
+
+@pytest.fixture(scope="module")
+def coverage_script():
+    """validation/run_interval_coverage.py as a module (it runs nothing on import)."""
+    spec = importlib.util.spec_from_file_location(
+        "run_interval_coverage", VALIDATION / "run_interval_coverage.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 OU = builtin_gaussian_location(1, 0.0, 1.0)
 
@@ -66,6 +81,21 @@ class TestMseExperiment:
         sq = stream(21).chisquare(2, size=(4000, 200))
         covered = sum(lo <= 2.0 <= hi for lo, hi in map(_normal_ci, sq))
         assert 0.93 <= covered / 4000 <= 0.97
+
+    @pytest.mark.parametrize("m, d", [(m, d) for m in (20, 200, 2000) for d in (1, 2, 5)])
+    def test_coverage_record_passes_its_gate(self, coverage_script, m, d):
+        """validation/interval_coverage.json holds every cell of the decision
+        rule at the script's sizes, each within the gate, and its coverages
+        agree with its counts of trials only one interval covered."""
+        record = json.loads((VALIDATION / "interval_coverage.json").read_text())
+        assert record["passed"] is True
+        (cell,) = [c for c in record["cells"] if (c["m"], c["d"]) == (m, d)]
+        assert (cell["trials"], cell["resamples"]) == coverage_script.SIZES[m]
+        gap = cell["coverage_normal"] - cell["coverage_bootstrap"]
+        assert abs(gap) == pytest.approx(cell["gap"], abs=1e-12)
+        assert cell["gap"] <= coverage_script.GAP
+        discordant = cell["only_normal_covers"] - cell["only_bootstrap_covers"]
+        assert discordant == round(gap * cell["trials"])
 
     def test_ci_shrinks_with_replicates(self):
         r1 = mse_experiment(OU, ou_plan(n=100), 100, reference=[0.0], base_seed=11)

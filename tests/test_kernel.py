@@ -135,6 +135,18 @@ class TestNormals:
         assert row[:4].tolist() == gen.bit_generator.state["state"]["counter"].tolist()
         assert row[1:4].tolist() == [0, 0, 6]
 
+    @pytest.mark.parametrize("key", KEYS)
+    def test_draws_leave_the_padding_alone(self, built_lib, key):
+        """Words 11-15 of a row are padding: no draw, fast path or numpy's
+        slow path, reads or writes them."""
+        row = _kernel.streams([key])[0]
+        row[11:] = np.arange(1, 6, dtype=np.uint64) * 0x0123456789ABCDEF
+        padding = row[11:].copy()
+        gen = numpy_stream(key)
+        assert _kernel.normals(built_lib, row, 10**5).tobytes() == gen.standard_normal(
+            10**5).tobytes()
+        assert row[11:].tolist() == padding.tolist()
+
     def test_rows_start_cache_lines(self):
         rows = _kernel.streams(range(5))
         assert rows.shape == (5, 16) and rows.ctypes.data % 64 == 0

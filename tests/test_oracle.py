@@ -105,6 +105,20 @@ class TestClosedFormMeans:
         assert np.linalg.norm(mean - pot.mean) <= err  # err is at rounding level
 
 
+    @pytest.mark.parametrize("k_sigma", [8.0, 12.0])
+    @pytest.mark.parametrize("n", [50, 100, 200, 400])
+    @pytest.mark.parametrize("make", [
+        lambda n: builtin_gaussian_location(2, [0.7, -1.3], float(n)),
+        lambda n: build_posterior(GaussianLocationModel(2, 1.0), sample_dataset(
+            GaussianLocationModel(2, 1.0), [1.0, -0.5], n, seed=3)).potential,
+    ], ids=["gaussian", "gaussian_location_posterior"])
+    def test_error_estimate_bounds_the_error_at_rounding_level(self, make, n, k_sigma):
+        """Concentrated posteriors, whose Richardson comparison falls to
+        rounding level: the floored estimate still bounds the error."""
+        pot = make(n)
+        mean, err = quadrature_posterior_mean(pot, k_sigma=k_sigma)
+        assert np.linalg.norm(mean - pot.mean) <= err
+
 class TestOuCesaroMoments:
     def test_stationary_start_mean(self):
         mean, _ = ou_cesaro_moments(1.0, 0.7, 0.1, 500, x0=0.7)
