@@ -18,16 +18,14 @@ from .potentials import (
     verify_kl_profile,
 )
 from .bayes import (
-    Dataset,
     GaussianLocationModel,
     LogisticModel,
     PosteriorPotential,
     build_posterior,
-    epsilon_n,
     sample_dataset,
 )
 from .sampler import ChainConfig, ChainRun, replicate_runs, run_chain
-from .tuning import TuningInputs, TuningPlan, compute_upsilon, tune_bayes, tune_sc, tune_weak
+from .tuning import TuningInputs, TuningPlan, compute_upsilon, epsilon_n, tune_bayes, tune_sc, tune_weak
 from .oracle import (
     PoissonSolution1D,
     importance_posterior_mean,

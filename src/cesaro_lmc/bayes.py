@@ -1,4 +1,4 @@
-"""Datasets, model families and the posterior potential.
+"""Model families, their sampled observations and the posterior potential.
 
 The posterior potential over theta is
 
@@ -9,12 +9,17 @@ potential U plus the standard Gaussian prior V0(theta) = |theta|^2 / 2, the
 one log-concave prior the package uses.  Only the gradient of W_n is ever
 needed; the normalizing constant is never computed.
 
-Each model family gives W_n as one :class:`Potential`,
-``posterior(obs)``, whose ``profile`` is the aggregated curvature profile,
-``smoothness.L`` the Lipschitz constant of its gradient, n L + 1 for a
-per-observation L, ``kernel`` its compiled term and ``mean`` its exact mean
-(each None when it has none).  ``build_posterior`` adds its mode, as
-``minimizer_hint``.
+A dataset is the plain (n, q) array of observations that
+``sample_dataset`` draws; the model, theta_star, n and seed it was drawn
+with regenerate it bit for bit, so it carries nothing else.  Each model
+family gives W_n as one :class:`Potential`, ``posterior(obs)``, whose
+``profile`` is the aggregated curvature profile, ``smoothness.L`` the
+Lipschitz constant of its gradient, n L + 1 for a per-observation L,
+``kernel`` its compiled term and ``mean`` its exact mean (each None when it
+has none).  ``build_posterior`` adds its mode, as ``minimizer_hint``.  Each
+family also declares the per-observation constants that
+``tuning.tune_bayes`` reads: ``d``, ``per_obs_profile``, ``per_obs_L``,
+``alpha_c``, ``b1`` and ``C_P``.
 
 Aggregation of regularity constants: a rho-strongly-convex per-observation
 model yields an (n rho + 1)-strongly-convex posterior, the prior's unit
@@ -54,28 +59,6 @@ from .potentials import (
     find_minimizer,
 )
 from .rng import stream
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """Observations plus the fields that regenerate them bit-identically:
-    ``sample_dataset`` of the model with ``theta_star``, ``n`` and ``seed``."""
-
-    observations: np.ndarray  # (n, q)
-    model_id: str
-    theta_star: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        obs = np.atleast_2d(np.asarray(self.observations, dtype=float))
-        object.__setattr__(self, "observations", obs)
-        object.__setattr__(self, "theta_star", np.asarray(self.theta_star, dtype=float))
-        if not np.all(np.isfinite(obs)):
-            raise ParameterError("observations must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.observations.shape[0]
 
 
 class GaussianLocationModel:
@@ -279,18 +262,22 @@ class PosteriorPotential:
     potential: Potential
 
 
-def build_posterior(model, data: Dataset) -> PosteriorPotential:
+def build_posterior(model, obs) -> PosteriorPotential:
     """W_n = sum_i U(xi_i, .) + |theta|^2 / 2, the family's ``posterior(obs)``,
     with its mode as ``minimizer_hint``.
 
-    An empty dataset is refused (``sample_dataset`` draws n >= 1).  The mode
-    is the family's ``minimizer_hint`` when it has one (the conjugate
-    posterior's exact mean), else found by gradient descent from the origin;
-    the potential's minimum is normalised to 1 there.
+    ``obs`` is the (n, q) observation array; a 1-D array is one observation.
+    Observations that are not finite, or whose q does not match the model's,
+    are refused, and so is an empty array (``sample_dataset`` draws n >= 1).
+    The mode is the family's ``minimizer_hint`` when it has one (the
+    conjugate posterior's exact mean), else found by gradient descent from
+    the origin; the potential's minimum is normalised to 1 there.
     """
     if not hasattr(model, "posterior"):
         raise CapabilityError(f"unsupported model family: {model!r}")
-    obs = data.observations
+    obs = np.atleast_2d(np.asarray(obs, dtype=float))
+    if not np.all(np.isfinite(obs)):
+        raise ParameterError("observations must be finite")
     n = obs.shape[0]
     if obs.shape[1] != model.q:
         raise ParameterError(f"observation dimension {obs.shape[1]} does not match model q={model.q}")
@@ -305,32 +292,12 @@ def build_posterior(model, data: Dataset) -> PosteriorPotential:
     return PosteriorPotential(potential=pot)
 
 
-def sample_dataset(model, theta_star, n: int, seed: int) -> Dataset:
-    """n i.i.d. draws from the model at theta_star, deterministic in seed."""
+def sample_dataset(model, theta_star, n: int, seed: int) -> np.ndarray:
+    """The (n, q) array of n i.i.d. draws from the model at theta_star; the
+    same model, theta_star, n and seed give the same bits."""
     if n < 1:
         raise ParameterError("n must be >= 1")
     if not hasattr(model, "sample"):
         raise CapabilityError(f"model {model!r} does not support exact simulation")
-    rng = stream(seed)
-    obs = model.sample(theta_star, n, rng)
-    return Dataset(
-        observations=obs,
-        model_id=model.model_id,
-        theta_star=np.broadcast_to(np.asarray(theta_star, dtype=float), (model.d,)).copy(),
-        seed=int(seed),
-    )
+    return model.sample(theta_star, n, stream(seed))
 
-
-def epsilon_n(C_P: float, L: float, alpha_c: float, d: int, n, b1: float = 1.0):
-    """Statistical accuracy eps_n with eps_n^2 = (C_P L^2 d log(n) / n)^{1/alpha_c}.
-
-    Returns (eps_n, valid) where ``valid`` flags b1 * eps_n^alpha_c <= 1,
-    the regime in which the consistency bound applies.
-    """
-    if n < 2:
-        raise ParameterError("n must be >= 2 so that log n > 0")
-    if alpha_c < 1:
-        raise ParameterError("alpha_c must be >= 1")
-    eps_sq = (C_P * L**2 * d * math.log(n) / n) ** (1.0 / alpha_c)
-    eps = math.sqrt(eps_sq)
-    return eps, bool(b1 * eps**alpha_c <= 1.0)

@@ -283,12 +283,12 @@ def _build(cfg: dict, section: str):
 def _reference(pot, base_seed: int):
     """The mean of e^{-W} that ``run`` scores chains against, and its provenance, from the
     first rule that applies: the potential's own ``mean`` ("closed-form"), "quadrature" at
-    d <= 3, else "importance-sampling"."""
+    d <= 3, else "importance-sampling", from a stream that no replicate (0..M-1) shares."""
     if pot.mean is not None:
         return pot.mean, "closed-form"
     if pot.dim <= 3:
         return quadrature_posterior_mean(pot)[0], "quadrature"
-    return importance_posterior_mean(pot, mix64(base_seed, 0x15))[0], "importance-sampling"
+    return importance_posterior_mean(pot, mix64(base_seed, 2**64 - 1))[0], "importance-sampling"
 
 
 def _theta_star(cfg: dict, model) -> np.ndarray:
@@ -298,6 +298,9 @@ def _theta_star(cfg: dict, model) -> np.ndarray:
 
 # regime family -> the block it tunes
 _TUNES = {"bayes": "model", "sc": "potential", "weak": "potential"}
+# regime family -> the tuning keys its tunings read; a config that gives another is refused
+_READS = {"bayes": {"calib", "certified_x0"}, "sc": {"eps", "eps_grid", "x0_dist", "calib"},
+          "weak": {"eps", "eps_grid", "frak_e", "x0_dist", "calib"}}
 # block -> the section and key of its grid's one point; the grid is that key + "_grid"
 _GRID = {"model": ("data", "n"), "potential": ("tuning", "eps")}
 
@@ -326,8 +329,9 @@ def _plans(cfg: dict):
     ``data.n_grid`` (default ``[data.n]``): a ``bayes-*`` regime tunes its per-observation
     constants at each n.  A potential's is ``tuning.eps_grid`` (default ``[tuning.eps]``,
     else ``[1.0]``): ``sc-*`` and ``weak-*`` tune it at each eps.  The other block's grid
-    or point key, or a point key beside its grid key, is refused.  A tuning option the
-    config leaves out takes the library's default."""
+    or point key, or a point key beside its grid key, is refused, and so is a tuning key
+    the regime does not read (``_READS``).  A tuning option the config leaves out takes
+    the library's default."""
     subject = _tuned(cfg)
     tb = cfg["tuning"]
     family, _, variant = tb["regime"].partition("-")
@@ -343,13 +347,14 @@ def _plans(cfg: dict):
         raise ConfigError(f"give {section}.{key} or {section}.{key}_grid, not both")
     if block == "model" and not {key, f"{key}_grid"} & given.keys():
         raise ConfigError("a bayes-* tuning needs data.n")
+    unread = sorted(tb.keys() - _READS[family] - {"regime"})
+    if unread:
+        raise ConfigError(f"tuning.{unread[0]} is not read by the {tb['regime']} regime")
     grid = given.get(f"{key}_grid", [given.get(key, 1.0)])
     opts = {k: float(v) for k, v in _given(tb, "frak_e", "x0_dist", "calib").items()}
     if family == "bayes":
-        # tune_bayes takes its target, eps_n, from n: the eps field is not read
-        inputs = TuningInputs(subject.per_obs_profile, subject.per_obs_L, subject.d, 1.0, **opts)
-        plans = [tune_bayes(inputs, n, subject.alpha_c, variant, subject.C_P,
-                            **_given(tb, "certified_x0")) for n in grid]
+        plans = [tune_bayes(subject, n, variant, **_given(tb, "certified_x0"), **opts)
+                 for n in grid]
     else:
         grid, s = [float(v) for v in grid], subject.smoothness
         tune = tune_sc if family == "sc" else tune_weak

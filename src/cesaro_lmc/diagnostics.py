@@ -170,8 +170,8 @@ def bayes_rate_experiment(
     for j, n in enumerate(n_grid):
         errs = np.empty(m_datasets)
         for i in range(m_datasets):
-            data = sample_dataset(model, theta_star, n, mix64(base_seed, j * m_datasets + i))
-            tm = model.posterior(data.observations).mean
+            obs = sample_dataset(model, theta_star, n, mix64(base_seed, j * m_datasets + i))
+            tm = model.posterior(obs).mean
             if tm is None:
                 raise CapabilityError(f"model {model.model_id} has no closed-form posterior mean")
             errs[i] = float(np.sum((tm - theta_star) ** 2))

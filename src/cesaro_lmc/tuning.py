@@ -1,10 +1,11 @@
 """Closed-form step-size / iteration-count prescriptions.
 
 Every tuning below evaluates a printed formula verbatim: the weakly convex
-family (variants i.a, i.b, ii.a, ii.b), the strongly convex family
-(variants i, ii) and the sample-size-indexed Bayesian tunings (weak i/ii/iii
-and strongly convex i.a/i.b).  Plans record every intermediate quantity so
-the final (gamma, N) can be audited by substitution.
+family (variants i.a, i.b, ii.a, ii.b) and the strongly convex family
+(variants i, ii), which take :class:`TuningInputs`, and the sample-size-indexed
+Bayesian tunings (weak i/ii/iii and strongly convex i.a/i.b), which read a
+model's per-observation constants.  Plans record every intermediate quantity
+so the final (gamma, N) can be audited by substitution.
 
 Universal constants hidden in the order statements are represented by a
 single calibration factor ``calib`` multiplying N and dividing gamma.
@@ -24,7 +25,7 @@ from .potentials import ConvexityProfile, StronglyConvex, WeaklyConvexKL
 
 @dataclass(frozen=True)
 class TuningInputs:
-    """Everything a tuning formula may consume.
+    """What the weakly and strongly convex tunings consume.
 
     ``d_prime`` is the output dimension of the averaged statistic (= d for
     the identity map); ``frak_e`` is the slack exponent of the weakly
@@ -251,22 +252,32 @@ def tune_sc(inputs: TuningInputs, variant: str) -> TuningPlan:
 _BAYES_REGIMES = ("weak-i", "weak-ii", "weak-iii", "sc-i.a", "sc-i.b")
 
 
-def tune_bayes(
-    inputs: TuningInputs,
-    n: int,
-    alpha_c: float,
-    regime: str,
-    C_P: Optional[float] = None,
-    certified_x0: bool = False,
-) -> TuningPlan:
+def epsilon_n(C_P: float, L: float, alpha_c: float, d: int, n, b1: float = 1.0):
+    """Statistical accuracy eps_n with eps_n^2 = (C_P L^2 d log(n) / n)^{1/alpha_c}.
+
+    Returns (eps_n, valid) where ``valid`` flags b1 * eps_n^alpha_c <= 1,
+    the regime in which the consistency bound applies.
+    """
+    if n < 2:
+        raise ParameterError("n must be >= 2 so that log n > 0")
+    if alpha_c < 1:
+        raise ParameterError("alpha_c must be >= 1")
+    eps_sq = (C_P * L**2 * d * math.log(n) / n) ** (1.0 / alpha_c)
+    eps = math.sqrt(eps_sq)
+    return eps, bool(b1 * eps**alpha_c <= 1.0)
+
+
+def tune_bayes(model, n: int, regime: str, certified_x0: bool = False,
+               calib: float = 1.0) -> TuningPlan:
     """Sample-size-indexed tunings targeting the statistical accuracy eps_n.
 
-    ``inputs`` describes the PER-OBSERVATION model (profile, L, d); the
-    clamp is applied against the aggregated posterior smoothness.  ``C_P``
-    is the model's Poincare constant; None means the model declares none,
-    and eps_n is then computed with C_P = 1.  The plan's constants record
-    the value used ("C_P") and whether it was assumed ("C_P_assumed").  The
-    sc-i.b regime additionally requires the caller to certify
+    ``model`` gives the PER-OBSERVATION constants: ``d``, ``per_obs_profile``,
+    ``per_obs_L``, ``alpha_c``, ``b1`` and ``C_P``; the clamp is applied
+    against the aggregated posterior smoothness.  ``C_P`` None means the
+    model declares no Poincare constant, and eps_n is then computed with
+    C_P = 1.  The plan's constants record the value used ("C_P") and whether
+    it was assumed ("C_P_assumed"), and "eps_n_valid" flags b1 eps_n^alpha_c
+    <= 1.  The sc-i.b regime additionally requires the caller to certify
     |theta_hat_0 - theta*|^2 <= d / n^2 via ``certified_x0``; its
     (gamma, N) = (1/n, n v d) tuning is meaningful even when d exceeds n,
     so the d <= n consistency regime is enforced for the eps_n-based
@@ -274,28 +285,23 @@ def tune_bayes(
     """
     if regime not in _BAYES_REGIMES:
         raise ParameterError(f"unknown bayes regime {regime!r}; choose from {_BAYES_REGIMES}")
-    if n < 2:
-        raise ParameterError("n must be >= 2")
-    if alpha_c < 1:
-        raise ParameterError("alpha_c must be >= 1")
-    d = inputs.d
+    alpha_c, d, L, prof = model.alpha_c, model.d, model.per_obs_L, model.per_obs_profile
+    cp = 1.0 if model.C_P is None else float(model.C_P)
+    eps_n, eps_valid = epsilon_n(cp, L, alpha_c, d, n, model.b1)  # refuses n < 2, alpha_c < 1
+    if not calib > 0:
+        raise ParameterError("calib must be positive")
     if d > n and regime != "sc-i.b":
         raise ParameterError(f"regime {regime} requires d <= n (got d={d}, n={n})")
     ai = 1.0 / alpha_c
-    from .bayes import epsilon_n  # local import to avoid a module cycle
-
-    cp = 1.0 if C_P is None else float(C_P)
-    eps_n, eps_valid = epsilon_n(cp, inputs.L, alpha_c, d, n)
-    agg_L = n * inputs.L  # aggregated likelihood smoothness (prior excluded here)
+    agg_L = n * L  # aggregated likelihood smoothness (prior excluded here)
     # weak regimes inherit the weakly convex ceiling with aggregated constants;
     # the strongly convex prescriptions carry their caps inside the formula
     clamp = weak_gamma_clamp(d, agg_L, agg_L) if regime.startswith("weak") else math.inf
     cons = {"regime": regime, "n": n, "alpha_c": alpha_c, "d": d, "C_P": cp,
-            "C_P_assumed": C_P is None, "eps_n": eps_n, "eps_n_valid": eps_valid,
+            "C_P_assumed": model.C_P is None, "eps_n": eps_n, "eps_n_valid": eps_valid,
             "aggregated_L": agg_L}
 
     if regime.startswith("weak"):
-        prof = inputs.profile
         if not isinstance(prof, WeaklyConvexKL):
             raise ParameterError("bayes weak regimes need a weakly convex profile")
         if prof.r != prof.q:
@@ -322,7 +328,7 @@ def tune_bayes(
             nn = max(m1, m2) / gamma
             cons.update({"gamma_terms": [g1, g2], "n_terms": [m1, m2]})
     else:
-        if not isinstance(inputs.profile, StronglyConvex):
+        if not isinstance(prof, StronglyConvex):
             raise ParameterError("bayes sc regimes need a strongly convex profile")
         if regime == "sc-i.a":
             gamma = float(n) ** -2.0
@@ -334,7 +340,7 @@ def tune_bayes(
                 )
             gamma = 1.0 / n
             nn = float(max(n, d))
-    return _finish(f"bayes-{regime}", gamma, nn, clamp, inputs.calib, cons)
+    return _finish(f"bayes-{regime}", gamma, nn, clamp, calib, cons)
 
 
 def audit_plan(plan: TuningPlan) -> bool:

@@ -19,7 +19,6 @@ import pytest
 from cesaro_lmc.bayes import (
     GaussianLocationModel,
     build_posterior,
-    epsilon_n,
     sample_dataset,
 )
 from cesaro_lmc.diagnostics import (
@@ -43,7 +42,7 @@ from cesaro_lmc.potentials import (
     verify_kl_profile,
 )
 from cesaro_lmc.sampler import ChainConfig, moment_clamp, replicate_runs, run_chain
-from cesaro_lmc.tuning import TuningInputs, tune_bayes, tune_sc, tune_weak
+from cesaro_lmc.tuning import TuningInputs, epsilon_n, tune_bayes, tune_sc, tune_weak
 
 
 class _Stopwatch:
@@ -87,10 +86,7 @@ def test_02_conjugate_posterior_equivalence():
         for n in (100, 400, 1600):
             data = sample_dataset(model, theta_star, n, seed=20240802 + n)
             post = build_posterior(model, data)
-            plan = tune_bayes(
-                TuningInputs(profile=StronglyConvex(1.0), L=1.0, d=d, eps=1.0),
-                n=n, alpha_c=1.0, regime="sc-i.a", C_P=model.C_P,
-            )
+            plan = tune_bayes(model, n=n, regime="sc-i.a")
             reference, _ = quadrature_posterior_mean(post.potential)
             report = mse_experiment(
                 post.potential, plan, m, reference, base_seed=777 + n,
@@ -105,7 +101,7 @@ def test_02_conjugate_posterior_equivalence():
 
 def test_03_bayesian_rate_slope():
     # The consistency theory bounds the posterior-mean MSE by eps_n^2
-    # (bayes.epsilon_n), which carries a log n factor; a bound, not the
+    # (tuning.epsilon_n), which carries a log n factor; a bound, not the
     # exact rate, so the factor need not be attained.  The conjugate
     # Gaussian posterior mean has MSE (nd + |theta*|^2)/(n+1)^2 ~ d/n with no
     # log factor, so its slope on log(n / log n) is about -1.18 over

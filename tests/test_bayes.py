@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from cesaro_lmc.bayes import (
-    Dataset,
     GaussianLocationModel,
     LogisticModel,
     PPowerLocationModel,
     build_posterior,
-    epsilon_n,
     sample_dataset,
 )
 from cesaro_lmc.errors import CapabilityError, ParameterError
@@ -21,6 +19,7 @@ from cesaro_lmc.potentials import (
     verify_kl_profile,
 )
 from cesaro_lmc.rng import stream
+from cesaro_lmc.tuning import epsilon_n
 
 # one model of each family, all with d = 2
 FAMILIES = {
@@ -68,7 +67,7 @@ class TestPosterior:
         if family == "p_power":  # no exact sampler: any observations do
             obs = 0.5 + stream(21).standard_normal((n, 2))
         else:
-            obs = sample_dataset(model, [0.4, -0.3], n, seed=21).observations
+            obs = sample_dataset(model, [0.4, -0.3], n, seed=21)
         pot = model.posterior(obs)
         assert isinstance(pot, Potential)
         thetas, vs = stream(22).standard_normal((2, 4, 2)) * 2.0
@@ -94,7 +93,7 @@ class TestPosterior:
 
     def test_logistic_without_ridge_is_strongly_convex_by_its_prior(self):
         model = LogisticModel(np.array([[1.0, 0.5], [-0.3, 1.2]]))
-        pot = model.posterior(sample_dataset(model, [0.4, -0.3], 50, seed=2).observations)
+        pot = model.posterior(sample_dataset(model, [0.4, -0.3], 50, seed=2))
         assert pot.profile == StronglyConvex(1.0) and pot.kernel[4] == 1.0
 
     @pytest.mark.parametrize("centre", [1e3, 1e6])
@@ -104,7 +103,7 @@ class TestPosterior:
         3.5e-16 here.  The cancelling form (rho/2)(sum |xi|^2 - |s|^2/n) is
         1.5e-13 off at 1e3, though the prior's |theta|^2 / 2 dominates the value."""
         model = GaussianLocationModel(2, 1.0)
-        obs = sample_dataset(model, [centre, -centre], 400, seed=23).observations
+        obs = sample_dataset(model, [centre, -centre], 400, seed=23)
         pot = model.posterior(obs)
         for theta in obs[:5] + 0.3:
             ref = math.fsum([*(0.5 * np.sum((theta - xi) ** 2) for xi in obs),
@@ -117,28 +116,28 @@ class TestSampleDataset:
         model = GaussianLocationModel(1, 1.0)
         d1 = sample_dataset(model, [0.0], 3, seed=42)
         d2 = sample_dataset(model, [0.0], 3, seed=42)
-        assert np.array_equal(d1.observations, d2.observations)
+        assert np.array_equal(d1, d2)
         big = sample_dataset(model, [0.0], 10**6, seed=7)
-        assert abs(big.observations.mean()) < 4e-3
+        assert abs(big.mean()) < 4e-3
 
     def test_gaussian_mean_within_4_se(self):
         model = GaussianLocationModel(1, 1.0)
         data = sample_dataset(model, [5.0], 10**5, seed=3)
         se = 1.0 / math.sqrt(10**5)
-        assert abs(data.observations.mean() - 5.0) <= 4 * se
+        assert abs(data.mean() - 5.0) <= 4 * se
 
     def test_logistic_symmetric_labels(self):
         model = LogisticModel(np.array([[1.0, 0.0]]))
         data = sample_dataset(model, [0.0, 0.0], 4000, seed=9)
-        labels = data.observations[:, -1]
+        labels = data[:, -1]
         freq = np.mean(labels == 1.0)
         band = 3 * math.sqrt(0.25 / 4000)
         assert abs(freq - 0.5) <= band
 
     def test_seed_required_determinism(self):
         model = GaussianLocationModel(2, 2.0)
-        a = sample_dataset(model, [1.0, -1.0], 50, seed=1).observations
-        b = sample_dataset(model, [1.0, -1.0], 50, seed=2).observations
+        a = sample_dataset(model, [1.0, -1.0], 50, seed=1)
+        b = sample_dataset(model, [1.0, -1.0], 50, seed=2)
         assert not np.array_equal(a, b)
 
     def test_rejects_nonpositive_n(self):
@@ -150,16 +149,15 @@ class TestDatasetRoundTrip:
     def test_manifest_regenerates_bit_identically(self):
         model = GaussianLocationModel(3, 1.0)
         data = sample_dataset(model, [0.0, 1.0, 2.0], 40, seed=123)
-        again = sample_dataset(model, data.theta_star, data.n, data.seed)
-        assert np.array_equal(again.observations, data.observations)
+        again = sample_dataset(model, [0.0, 1.0, 2.0], 40, seed=123)
+        assert np.array_equal(again, data)
 
 
 class TestBuildPosterior:
     def test_quadratic_mode(self):
         # n=2 observations {0, 2}, unit prior: mode solves (n+1) theta = sum
         model = GaussianLocationModel(1, 1.0)
-        data = Dataset(np.array([[0.0], [2.0]]), model.model_id, np.array([0.0]), 0)
-        post = build_posterior(model, data)
+        post = build_posterior(model, np.array([[0.0], [2.0]]))
         assert post.potential.minimizer_hint[0] == pytest.approx(2.0 / 3.0, abs=1e-8)
 
     def test_conjugate_mode_is_the_exact_mean(self):
@@ -167,15 +165,14 @@ class TestBuildPosterior:
         model = GaussianLocationModel(5, 1.3)
         data = sample_dataset(model, np.linspace(-1.0, 1.0, 5), 100, seed=7)
         pot = build_posterior(model, data).potential
-        exact = 1.3 * data.observations.sum(axis=0) / (100 * 1.3 + 1.0)
+        exact = 1.3 * data.sum(axis=0) / (100 * 1.3 + 1.0)
         assert pot.minimizer_hint.tobytes() == pot.mean.tobytes() == exact.tobytes()
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_empty_dataset_refused(self, family):
         model = FAMILIES[family]
-        data = Dataset(np.empty((0, model.q)), model.model_id, np.zeros(2), 0)
         with pytest.raises(ParameterError, match="dataset is empty"):
-            build_posterior(model, data)
+            build_posterior(model, np.empty((0, model.q)))
 
     def test_gradient_matches_finite_differences(self):
         model = GaussianLocationModel(2, 2.0)
@@ -199,7 +196,7 @@ class TestBuildPosterior:
         rng = stream(10)
         for _ in range(10):
             theta = rng.standard_normal(3)
-            val_s, grad_s = streamed_gaussian_sum(data.observations, 1.3, theta)
+            val_s, grad_s = streamed_gaussian_sum(data, 1.3, theta)
             ref_v = val_s + 0.5 * np.sum(theta**2)
             ref_g = grad_s + theta
             assert post.potential.value(theta) == pytest.approx(ref_v, rel=1e-12)
@@ -226,14 +223,21 @@ class TestBuildPosterior:
         model = FAMILIES[family]
         for q in (model.q - 1, model.q + 1):
             for n in (0, 3):
-                data = Dataset(np.zeros((n, q)), model.model_id, np.zeros(2), 0)
                 with pytest.raises(ParameterError, match=f"does not match model q={model.q}"):
-                    build_posterior(model, data)
+                    build_posterior(model, np.zeros((n, q)))
 
     def test_unsupported_family_refused(self):
-        data = Dataset(np.zeros((3, 2)), "other", np.zeros(2), 0)
         with pytest.raises(CapabilityError, match="unsupported model family"):
-            build_posterior(object(), data)
+            build_posterior(object(), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_observations_that_are_not_finite_refused(self, family, bad):
+        model = FAMILIES[family]
+        obs = np.ones((3, model.q))
+        obs[1, -1] = bad
+        with pytest.raises(ParameterError, match="observations must be finite"):
+            build_posterior(model, obs)
 
     @pytest.mark.parametrize("n", [2, 5, 10, 20, 40])
     def test_aggregated_kl_lower_bound(self, n):
@@ -243,8 +247,7 @@ class TestBuildPosterior:
         model = PPowerLocationModel(2, p)
         rng = stream(100 + n)
         obs = rng.standard_normal((n, 2))
-        data = Dataset(obs, model.model_id, np.zeros(2), 0)
-        post = build_posterior(model, data)
+        post = build_posterior(model, obs)
         prof = post.potential.profile
         assert isinstance(prof, WeaklyConvexKL)
         probes = post.potential.minimizer_hint + 4.0 * rng.standard_normal((100, 2))
@@ -255,8 +258,7 @@ class TestBuildPosterior:
 
     def test_aggregated_kl_constants_stored(self):
         model = PPowerLocationModel(2, 0.75)
-        data = Dataset(stream(13).standard_normal((10, 2)), model.model_id, np.zeros(2), 0)
-        post = build_posterior(model, data)
+        post = build_posterior(model, stream(13).standard_normal((10, 2)))
         prof = post.potential.profile
         assert isinstance(prof, WeaklyConvexKL)
         r = (1 - 0.75) / 0.75
@@ -271,7 +273,7 @@ class TestBuildPosterior:
         bound is n L + 1 (n L alone is exceeded by 6.6% here)."""
         model = PPowerLocationModel(2, 0.75)
         obs = 0.029 * np.cos(np.arange(10)[:, None] + np.array([0.0, 1.5]))
-        post = build_posterior(model, Dataset(obs, model.model_id, np.zeros(2), 0))
+        post = build_posterior(model, obs)
         rep = verify_kl_profile(post.potential, n_probes=200, radius=5.0)
         assert rep.passed, rep.worst
 

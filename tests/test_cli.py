@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from cesaro_lmc import cli
+from cesaro_lmc import cli, sampler
 from cesaro_lmc.bayes import GaussianLocationModel, sample_dataset
 from cesaro_lmc.cli import config_hash, main, validate_config
 from cesaro_lmc.errors import ParameterError
+from cesaro_lmc.rng import mix64
 
 
 def write(tmp_path, name, cfg):
@@ -272,7 +273,7 @@ class TestRunCommand:
                                "params": {"precision": 1.3}, "theta_star": theta_star})
         cfg["run"] = {"M": 10, "base_seed": 4}
         summary = run_summary(tmp_path, cfg)
-        s = sample_dataset(GaussianLocationModel(d, 1.3), theta_star, 100, 7).observations.sum(axis=0)
+        s = sample_dataset(GaussianLocationModel(d, 1.3), theta_star, 100, 7).sum(axis=0)
         assert summary["reference_provenance"] == "closed-form"
         assert summary["reference"] == (1.3 * s / (100 * 1.3 + 1.0)).tolist()
 
@@ -288,6 +289,31 @@ class TestRunCommand:
         assert summary["reference_provenance"] == "importance-sampling"
         assert math.isfinite(summary["mse"])
         assert summary["mse"] < summary["plan"]["constants"]["eps_n"] ** 2
+
+    @pytest.mark.compiled
+    def test_importance_sampling_reference_shares_no_replicate_stream(self, tmp_path,
+                                                                      monkeypatch):
+        """The reference's key is none of the M replicate keys, for M past 21 too."""
+        reference, replicates = [], []
+        importance = cli.importance_posterior_mean
+        monkeypatch.setattr(cli, "importance_posterior_mean",
+                            lambda pot, seed: reference.append(seed) or importance(pot, seed))
+
+        def replicate_keys(seed, index):
+            keys = mix64(seed, index)
+            replicates.extend(np.atleast_1d(keys).tolist())
+            return keys
+
+        monkeypatch.setattr(sampler, "mix64", replicate_keys)
+        design = np.round(np.random.default_rng(4).normal(size=(40, 4)), 6).tolist()
+        cfg = bayes_cfg(model={"family": "logistic", "d": 4,
+                               "params": {"design": design, "ridge": 0.5},
+                               "theta_star": [0.3, -0.2, 0.1, 0.4]},
+                        data={"n": 1000, "seed": 8})
+        cfg["run"] = {"M": 30, "base_seed": 4}
+        assert run_summary(tmp_path, cfg)["reference_provenance"] == "importance-sampling"
+        assert len(reference) == 1 and len(replicates) == 30
+        assert reference[0] not in replicates
 
 
 class TestPlanRule:
@@ -373,6 +399,28 @@ class TestPlanRule:
     ])
     def test_a_missing_block_is_named(self, tmp_path, command, cfg, block):
         assert f" {block} block" in exits_2_with_one_line(tmp_path, command, cfg)
+
+    @pytest.mark.parametrize("command", ["tune", "run"])
+    @pytest.mark.parametrize("config, key, value, regime", [
+        ("conjugate_posterior.json", "frak_e", 0.05, "bayes-sc-i.a"),
+        ("conjugate_posterior.json", "x0_dist", 0.0, "bayes-sc-i.a"),
+        ("ou_smoke.json", "frak_e", 0.05, "sc-i"),
+        ("ou_smoke.json", "certified_x0", True, "sc-i"),
+        ({"potential": {"family": "p_power", "d": 2},
+          "tuning": {"regime": "weak-i.b", "eps": 0.05},
+          "run": {"M": 5, "base_seed": 1}}, "certified_x0", False, "weak-i.b"),
+    ])
+    def test_a_tuning_key_the_regime_does_not_read_is_refused(
+            self, tmp_path, capsys, monkeypatch, command, config, key, value, regime):
+        sampled = []
+        monkeypatch.setattr(cli, "sample_dataset", lambda *a: sampled.append(a))
+        cfg = (json.loads((CONFIGS / config).read_text()) if isinstance(config, str)
+               else copy.deepcopy(config))
+        cfg["tuning"][key] = value
+        code = main([command, "--config", write(tmp_path, "c.json", cfg),
+                     "--output", str(tmp_path / "o")])
+        assert (code, sampled) == (2, [])
+        assert capsys.readouterr().err == f"error: tuning.{key} is not read by the {regime} regime\n"
 
     @pytest.mark.parametrize("command, cfg", [
         ("run", bayes_cfg(model={"family": "gaussian_location", "d": 1, "theta_star": [0.5],
@@ -750,8 +798,7 @@ FUZZ_BASES = [
                   "theta_star": [0.4, -0.2], "alpha_c": 1.0, "b1": 1.0, "C_P": None},
         "prior": {"family": "standard_gaussian"},
         "data": {"n": 100, "seed": 7},
-        "tuning": {"regime": "bayes-sc-i.a", "frak_e": 0.05, "calib": 1.0,
-                   "x0_dist": 0.0, "certified_x0": False},
+        "tuning": {"regime": "bayes-sc-i.a", "calib": 1.0, "certified_x0": False},
     }),
     ("verify", {
         "potential": {"family": "p_power", "d": 2, "params": {"p": 0.75, "center": 0.0}},
@@ -786,6 +833,11 @@ FUZZ_BASES = [
         "potential": LOGISTIC_POTENTIAL, "tuning": {"regime": "sc-i", "eps": 0.4},
         "run": {"M": 10, "base_seed": 3},
     }, marks=pytest.mark.compiled),
+    ("tune", {
+        "potential": {"family": "p_power", "d": 2, "params": {"p": 0.75, "center": 0.0}},
+        "tuning": {"regime": "weak-i.a", "eps": 0.1, "frak_e": 0.05, "calib": 1.0,
+                   "x0_dist": 1.0},
+    }),
 ]
 _NUM = {"int", "float"}
 # the JSON types each key of FUZZ_BASES takes; any other key takes only objects

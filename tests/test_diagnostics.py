@@ -171,7 +171,7 @@ class TestRateFit:
             errs = []
             for i in range(400):
                 data = sample_dataset(model, np.zeros(d), 200, seed=1000 * d + i)
-                tm = data.observations.sum(axis=0) / 201.0
+                tm = data.sum(axis=0) / 201.0
                 errs.append(float(np.sum(tm**2)))
             mses[d] = np.mean(errs)
         assert mses[4] / mses[2] == pytest.approx(2.0, rel=0.30)

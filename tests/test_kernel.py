@@ -380,7 +380,7 @@ def test_posterior_kernel_is_the_posterior(pots):
     """The logistic posterior is the logistic potential of its observations
     with ridge n lambda + 1, its prior's unit curvature included, bit for bit."""
     post = pots["posterior"]
-    obs = sample_dataset(MODEL, [0.4, -0.3], 200, seed=8).observations
+    obs = sample_dataset(MODEL, [0.4, -0.3], 200, seed=8)
     ref = builtin_logistic(obs[:, :-1], obs[:, -1], ridge=200 * MODEL.ridge + 1.0)
     assert post.kernel[0] == "logistic" and post.kernel[4] == 101.0
     xs, vs = stream(3).standard_normal((2, 50, 2)) * 3.0

@@ -99,6 +99,9 @@ MUTANTS = [
            "opts = {k: float(v) for k, v in", "opts = {k: v for k, v in",
            ("tests/test_cli.py::TestPlanRule::test_json_integers_give_the_bytes_of_floats"
             "[tune-cfg2]",)),
+    Mutant("tune-bayes-drops-model-b1", "cesaro_lmc/tuning.py",
+           "epsilon_n(cp, L, alpha_c, d, n, model.b1)", "epsilon_n(cp, L, alpha_c, d, n)",
+           ("tests/test_tuning.py::TestBayesTunings::test_model_b1_decides_eps_n_valid",)),
     Mutant("bayes-regime-accepts-tuning-eps", "cesaro_lmc/cli.py",
            '((f"{key}_grid", "grid"), (key, "point"))', '((f"{key}_grid", "grid"),)',
            ("tests/test_cli.py::TestPlanRule::test_a_grid_key_the_block_cannot_use_is_refused"

@@ -59,7 +59,7 @@ class TestQuadrature:
         data = sample_dataset(model, [1.0, -0.5], 100, seed=3)
         post = build_posterior(model, data)
         mean, err = quadrature_posterior_mean(post.potential)
-        closed = data.observations.sum(axis=0) / 101.0
+        closed = data.sum(axis=0) / 101.0
         assert np.linalg.norm(mean - closed) < 1e-8
 
     def test_asymmetric_richardson_stability(self):
@@ -323,5 +323,5 @@ class TestQuadratureD3:
         data = sample_dataset(model, [0.5, 0.0, -0.5], 50, seed=31)
         post = build_posterior(model, data)
         mean, _ = quadrature_posterior_mean(post.potential, nodes_per_axis=121)
-        closed = data.observations.sum(axis=0) / 51.0
+        closed = data.sum(axis=0) / 51.0
         assert np.linalg.norm(mean - closed) < 1e-8

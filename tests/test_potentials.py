@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cesaro_lmc.bayes import (
-    Dataset,
     GaussianLocationModel,
     LogisticModel,
     PPowerLocationModel,
@@ -185,7 +184,7 @@ def _posteriors():
     logit = LogisticModel(stream(4).standard_normal((10, 2)), ridge=0.5)
     ppow = PPowerLocationModel(2, p=0.75)
     # 700 observations cross the p-power sum's 512-observation chunk edge
-    pp_obs = Dataset(stream(5).standard_normal((700, 2)), ppow.model_id, np.zeros(2), 5)
+    pp_obs = stream(5).standard_normal((700, 2))
     cases = [
         (gauss, sample_dataset(gauss, [0.3, -0.2], 300, seed=2), ()),
         (ppow, pp_obs, ()),
@@ -194,7 +193,7 @@ def _posteriors():
     return [
         pytest.param(
             lambda model=model, data=data: build_posterior(model, data).potential,
-            id=f"posterior[{model.model_id}, n={data.n}]", marks=marks,
+            id=f"posterior[{model.model_id}, n={len(data)}]", marks=marks,
         )
         for model, data, marks in cases
     ]

@@ -70,7 +70,7 @@ class TestRunChain:
         model = GaussianLocationModel(1, 1.0)
         data = sample_dataset(model, [0.3], 100, seed=21)
         post = build_posterior(model, data)
-        target = data.observations.sum() / 101.0
+        target = data.sum() / 101.0
         gamma, n = 1e-3, 2 * 10**4
         cfg = ChainConfig(gamma=gamma, n_steps=n, x0=post.potential.minimizer_hint, seed=23)
         run = run_chain(post.potential, cfg)

@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from cesaro_lmc.bayes import GaussianLocationModel
 from cesaro_lmc.errors import CapabilityError, ParameterError
 from cesaro_lmc.potentials import StronglyConvex, WeaklyConvexKL
 from cesaro_lmc.tuning import (
@@ -28,6 +30,12 @@ def sc_inputs(**kw):
     base = dict(profile=StronglyConvex(1.0), L=1.0, d=1, eps=0.1, x0_dist=0.0)
     base.update(kw)
     return TuningInputs(**base)
+
+
+def per_obs(profile, L, d, alpha_c=1.0, C_P=None, b1=1.0):
+    """A model's per-observation constants, the ones tune_bayes reads."""
+    return SimpleNamespace(per_obs_profile=profile, per_obs_L=L, d=d, alpha_c=alpha_c,
+                           C_P=C_P, b1=b1)
 
 
 class TestUpsilon:
@@ -205,61 +213,38 @@ class TestClampBehavior:
 
 class TestBayesTunings:
     def test_sc_ia_printed_example(self):
-        plan = tune_bayes(
-            TuningInputs(profile=StronglyConvex(1.0), L=1.0, d=4, eps=1.0),
-            n=100, alpha_c=1.0, regime="sc-i.a",
-        )
+        plan = tune_bayes(per_obs(StronglyConvex(1.0), 1.0, 4), n=100, regime="sc-i.a")
         assert plan.gamma == pytest.approx(1e-4)
         assert plan.n_steps == 100
         # a model that declares no Poincare constant is tuned with C_P = 1, and the plan says so
         assert (plan.constants["C_P"], plan.constants["C_P_assumed"]) == (1.0, True)
-        declared = tune_bayes(
-            TuningInputs(profile=StronglyConvex(1.0), L=1.0, d=4, eps=1.0),
-            n=100, alpha_c=1.0, regime="sc-i.a", C_P=2,
-        )
+        declared = tune_bayes(per_obs(StronglyConvex(1.0), 1.0, 4, C_P=2), n=100, regime="sc-i.a")
         assert (declared.constants["C_P"], declared.constants["C_P_assumed"]) == (2.0, False)
         assert declared.constants["eps_n"] == pytest.approx(math.sqrt(2) * plan.constants["eps_n"])
 
     def test_weak_ii_matches_sc_ia(self):
-        pa = tune_bayes(
-            TuningInputs(profile=StronglyConvex(1.0), L=1.0, d=4, eps=1.0),
-            n=100, alpha_c=1.0, regime="sc-i.a",
-        )
-        pw = tune_bayes(
-            TuningInputs(profile=FLAT, L=1.0, d=4, eps=1.0),
-            n=100, alpha_c=1.0, regime="weak-ii",
-        )
+        pa = tune_bayes(per_obs(StronglyConvex(1.0), 1.0, 4), n=100, regime="sc-i.a")
+        pw = tune_bayes(per_obs(FLAT, 1.0, 4), n=100, regime="weak-ii")
         assert pw.gamma == pa.gamma
         assert pw.n_steps == pa.n_steps
 
     def test_sc_ib_printed_example(self):
-        plan = tune_bayes(
-            TuningInputs(profile=StronglyConvex(1.0), L=1.0, d=100, eps=1.0),
-            n=64, alpha_c=1.0, regime="sc-i.b", certified_x0=True,
-        )
+        plan = tune_bayes(per_obs(StronglyConvex(1.0), 1.0, 100), n=64, regime="sc-i.b",
+                          certified_x0=True)
         assert plan.gamma == pytest.approx(1.0 / 64.0)
         assert plan.n_steps == 100
 
     def test_sc_ib_requires_certification(self):
         with pytest.raises(CapabilityError):
-            tune_bayes(
-                TuningInputs(profile=StronglyConvex(1.0), L=1.0, d=2, eps=1.0),
-                n=64, alpha_c=1.0, regime="sc-i.b",
-            )
+            tune_bayes(per_obs(StronglyConvex(1.0), 1.0, 2), n=64, regime="sc-i.b")
 
     def test_d_exceeding_n_rejected_for_eps_regimes(self):
         with pytest.raises(ParameterError):
-            tune_bayes(
-                TuningInputs(profile=StronglyConvex(1.0), L=1.0, d=100, eps=1.0),
-                n=64, alpha_c=1.0, regime="sc-i.a",
-            )
+            tune_bayes(per_obs(StronglyConvex(1.0), 1.0, 100), n=64, regime="sc-i.a")
 
     def test_weak_i_as_printed(self):
         r = 1.0 / 3.0
-        plan = tune_bayes(
-            TuningInputs(profile=PPOW, L=1.5, d=2, eps=1.0),
-            n=100, alpha_c=2.0, regime="weak-i",
-        )
+        plan = tune_bayes(per_obs(PPOW, 1.5, 2, alpha_c=2.0), n=100, regime="weak-i")
         ai = 0.5
         assert plan.constants["gamma_raw"] == pytest.approx(
             2 ** (-(2 * r + 1 - ai)) * 100 ** (-2 * r - ai)
@@ -269,10 +254,7 @@ class TestBayesTunings:
         )
 
     def test_weak_iii_max_terms(self):
-        plan = tune_bayes(
-            TuningInputs(profile=PPOW, L=1.5, d=2, eps=1.0),
-            n=400, alpha_c=1.0, regime="weak-iii",
-        )
+        plan = tune_bayes(per_obs(PPOW, 1.5, 2), n=400, regime="weak-iii")
         g1, g2 = plan.constants["gamma_terms"]
         assert plan.constants["gamma_raw"] == pytest.approx(min(g1, g2))
         m1, m2 = plan.constants["n_terms"]
@@ -281,19 +263,25 @@ class TestBayesTunings:
         )
 
     def test_eps_n_recorded(self):
-        plan = tune_bayes(
-            TuningInputs(profile=StronglyConvex(1.0), L=1.0, d=2, eps=1.0),
-            n=100, alpha_c=1.0, regime="sc-i.a", C_P=2.0,
-        )
+        plan = tune_bayes(per_obs(StronglyConvex(1.0), 1.0, 2, C_P=2.0), n=100, regime="sc-i.a")
         expect = math.sqrt(2.0 * 2 * math.log(100) / 100)
         assert plan.constants["eps_n"] == pytest.approx(expect)
 
     def test_small_n_rejected(self):
         with pytest.raises(ParameterError):
-            tune_bayes(
-                TuningInputs(profile=StronglyConvex(1.0), L=1.0, d=1, eps=1.0),
-                n=1, alpha_c=1.0, regime="sc-i.a",
-            )
+            tune_bayes(per_obs(StronglyConvex(1.0), 1.0, 1), n=1, regime="sc-i.a")
+
+    def test_nonpositive_calib_rejected(self):
+        for calib in (0.0, -1.0):
+            with pytest.raises(ParameterError, match="calib must be positive"):
+                tune_bayes(GaussianLocationModel(2, 1.0), n=100, regime="sc-i.a", calib=calib)
+
+    def test_model_b1_decides_eps_n_valid(self):
+        """eps_n = 0.173 at n = 400, d = 2: valid for b1 = 1, not for b1 eps_n = 8.7 > 1."""
+        for b1, valid in ((1.0, True), (50.0, False)):
+            plan = tune_bayes(GaussianLocationModel(2, 1.0, b1=b1), n=400, regime="sc-i.a")
+            assert plan.constants["eps_n"] == pytest.approx(0.1731, abs=1e-4)
+            assert plan.constants["eps_n_valid"] is valid
 
 
 class TestTableOneSlopes:
@@ -399,17 +387,13 @@ class TestRandomizedPlanSweep:
             n = int(rng.integers(4, 5000))
             d = int(rng.integers(1, min(n, 10) + 1))
             alpha = float(rng.uniform(1.0, 3.0))
-            sc_inputs_ = TuningInputs(
-                profile=StronglyConvex(1.0), L=1.0, d=d, eps=1.0
-            )
-            plan = tune_bayes(sc_inputs_, n=n, alpha_c=alpha, regime="sc-i.a")
+            plan = tune_bayes(per_obs(StronglyConvex(1.0), 1.0, d, alpha_c=alpha), n=n,
+                              regime="sc-i.a")
             assert plan.n_steps >= 1 and audit_plan(plan)
             p = rng.uniform(0.55, 1.0)
             r = (1 - p) / p
-            weak_inputs_ = TuningInputs(
-                profile=WeaklyConvexKL(2 * p * (2 * p - 1), 2 * p, r, r),
-                L=2 * p, d=d, eps=1.0,
-            )
+            model = per_obs(WeaklyConvexKL(2 * p * (2 * p - 1), 2 * p, r, r), 2 * p, d,
+                            alpha_c=alpha)
             for regime in ("weak-i", "weak-iii"):
-                plan = tune_bayes(weak_inputs_, n=n, alpha_c=alpha, regime=regime)
+                plan = tune_bayes(model, n=n, regime=regime)
                 assert plan.n_steps >= 1 and audit_plan(plan)
