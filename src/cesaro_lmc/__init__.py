@@ -25,7 +25,7 @@ from .bayes import (
     sample_dataset,
 )
 from .sampler import ChainConfig, ChainRun, replicate_runs, run_chain
-from .tuning import TuningInputs, TuningPlan, compute_upsilon, epsilon_n, tune_bayes, tune_sc, tune_weak
+from .tuning import TuningPlan, compute_upsilon, epsilon_n, tune_bayes, tune_sc, tune_weak
 from .oracle import (
     PoissonSolution1D,
     importance_posterior_mean,

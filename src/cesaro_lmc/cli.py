@@ -52,7 +52,7 @@ from .potentials import (
     verify_kl_profile,
 )
 from .rng import mix64
-from .tuning import TuningInputs, tune_bayes, tune_sc, tune_weak
+from .tuning import tune_bayes, tune_sc, tune_weak
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -298,11 +298,18 @@ def _theta_star(cfg: dict, model) -> np.ndarray:
 
 # regime family -> the block it tunes
 _TUNES = {"bayes": "model", "sc": "potential", "weak": "potential"}
-# regime family -> the tuning keys its tunings read; a config that gives another is refused
-_READS = {"bayes": {"calib", "certified_x0"}, "sc": {"eps", "eps_grid", "x0_dist", "calib"},
-          "weak": {"eps", "eps_grid", "frak_e", "x0_dist", "calib"}}
-# block -> the section and key of its grid's one point; the grid is that key + "_grid"
-_GRID = {"model": ("data", "n"), "potential": ("tuning", "eps")}
+_SC_WEAK = {"eps", "eps_grid", "calib"}  # what every sc-* and weak-* tuning reads
+# regime -> the tuning keys its tuning reads; a config that gives another is refused
+_READS = {
+    "bayes-weak-i": {"calib"}, "bayes-weak-ii": {"calib"}, "bayes-weak-iii": {"calib"},
+    "bayes-sc-i.a": {"calib"}, "bayes-sc-i.b": {"calib", "certified_x0"},
+    "sc-i": _SC_WEAK | {"x0_dist"}, "sc-ii": _SC_WEAK | {"x0_dist"},
+    "weak-i.a": _SC_WEAK | {"frak_e", "x0_dist"}, "weak-i.b": _SC_WEAK | {"frak_e"},
+    "weak-ii.a": _SC_WEAK | {"frak_e"}, "weak-ii.b": _SC_WEAK | {"frak_e"},
+}
+# block -> the section and key of its grid's one point, and the type its tuner takes the
+# point as; the grid is that key + "_grid"
+_GRID = {"model": ("data", "n", int), "potential": ("tuning", "eps", float)}
 
 
 def _tuned(cfg: dict):
@@ -314,9 +321,9 @@ def _tuned(cfg: dict):
     regime = cfg.get("tuning", {}).get("regime")
     if regime is None:
         raise ConfigError("tuning.regime is required")
-    section = _TUNES.get(regime.partition("-")[0])
-    if section is None:
+    if regime not in _READS:
         raise ConfigError(f"unknown tuning regime {regime!r}")
+    section = _TUNES[regime.partition("-")[0]]
     if section != have or subject is None:
         raise ConfigError(f"tuning.regime {regime!r} tunes a {section} block, "
                           "which the config does not have")
@@ -326,41 +333,36 @@ def _tuned(cfg: dict):
 def _plans(cfg: dict):
     """The tuned block, its grid's key, and each grid point with its (gamma, N) plan, all
     from the config alone, before any dataset is sampled.  A model's grid is
-    ``data.n_grid`` (default ``[data.n]``): a ``bayes-*`` regime tunes its per-observation
-    constants at each n.  A potential's is ``tuning.eps_grid`` (default ``[tuning.eps]``,
-    else ``[1.0]``): ``sc-*`` and ``weak-*`` tune it at each eps.  The other block's grid
-    or point key, or a point key beside its grid key, is refused, and so is a tuning key
-    the regime does not read (``_READS``).  A tuning option the config leaves out takes
-    the library's default."""
+    ``data.n_grid`` (default ``[data.n]``), a potential's ``tuning.eps_grid`` (default
+    ``[tuning.eps]``, else ``[1.0]``).  Every regime is tuned by one call per point,
+    ``tune_<family>(block, point, variant, **options)``: ``bayes-*`` reads the model's
+    per-observation constants at n, ``sc-*`` and ``weak-*`` the potential's own at eps.
+    The other block's grid or point key, or a point key beside its grid key, is refused,
+    and so is a tuning key the regime does not read (``_READS``).  A tuning option the
+    config leaves out takes the library's default."""
     subject = _tuned(cfg)
     tb = cfg["tuning"]
     family, _, variant = tb["regime"].partition("-")
     block = _TUNES[family]
-    for other, (section, key) in _GRID.items():
+    for other, (section, key, _) in _GRID.items():
         for name, what in ((f"{key}_grid", "grid"), (key, "point")):
             if other != block and name in cfg.get(section, {}):
                 raise ConfigError(f"{section}.{name} is a {what} of a {other} block, "
                                   f"and the config has a {block} block")
-    section, key = _GRID[block]
+    section, key, point = _GRID[block]
     given = cfg.get(section, {})
     if key in given and f"{key}_grid" in given:
         raise ConfigError(f"give {section}.{key} or {section}.{key}_grid, not both")
     if block == "model" and not {key, f"{key}_grid"} & given.keys():
         raise ConfigError("a bayes-* tuning needs data.n")
-    unread = sorted(tb.keys() - _READS[family] - {"regime"})
+    unread = sorted(tb.keys() - _READS[tb["regime"]] - {"regime"})
     if unread:
         raise ConfigError(f"tuning.{unread[0]} is not read by the {tb['regime']} regime")
-    grid = given.get(f"{key}_grid", [given.get(key, 1.0)])
+    grid = [point(v) for v in given.get(f"{key}_grid", [given.get(key, 1.0)])]
     opts = {k: float(v) for k, v in _given(tb, "frak_e", "x0_dist", "calib").items()}
-    if family == "bayes":
-        plans = [tune_bayes(subject, n, variant, **_given(tb, "certified_x0"), **opts)
-                 for n in grid]
-    else:
-        grid, s = [float(v) for v in grid], subject.smoothness
-        tune = tune_sc if family == "sc" else tune_weak
-        plans = [tune(TuningInputs(subject.profile, s.L, subject.dim, eps, L_tilde=s.L_tilde,
-                                   lap_grad_sup=s.lap_grad_sup, rho_lap=s.rho_lap, **opts), variant)
-                 for eps in grid]
+    # the tuner is looked up by its name at each call, so that a rebound tune_* is the one called
+    tune = {"bayes": tune_bayes, "sc": tune_sc, "weak": tune_weak}[family]
+    plans = [tune(subject, v, variant, **_given(tb, "certified_x0"), **opts) for v in grid]
     return subject, key, list(zip(grid, plans))
 
 

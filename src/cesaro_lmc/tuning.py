@@ -2,10 +2,12 @@
 
 Every tuning below evaluates a printed formula verbatim: the weakly convex
 family (variants i.a, i.b, ii.a, ii.b) and the strongly convex family
-(variants i, ii), which take :class:`TuningInputs`, and the sample-size-indexed
-Bayesian tunings (weak i/ii/iii and strongly convex i.a/i.b), which read a
-model's per-observation constants.  Plans record every intermediate quantity
-so the final (gamma, N) can be audited by substitution.
+(variants i, ii), which read a potential's ``profile``, ``smoothness`` and
+``dim``, and the sample-size-indexed Bayesian tunings (weak i/ii/iii and
+strongly convex i.a/i.b), which read a model's per-observation constants.
+The averaged statistic is the identity, so its output dimension d' is d.
+Plans record every intermediate quantity so the final (gamma, N) can be
+audited by substitution.
 
 Universal constants hidden in the order statements are represented by a
 single calibration factor ``calib`` multiplying N and dividing gamma.
@@ -17,46 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import CapabilityError, ParameterError
-from .potentials import ConvexityProfile, StronglyConvex, WeaklyConvexKL
-
-
-@dataclass(frozen=True)
-class TuningInputs:
-    """What the weakly and strongly convex tunings consume.
-
-    ``d_prime`` is the output dimension of the averaged statistic (= d for
-    the identity map); ``frak_e`` is the slack exponent of the weakly
-    convex bounds; ``x0_dist`` is |x0 - x*|.
-    """
-
-    profile: ConvexityProfile
-    L: float
-    d: int
-    eps: float
-    d_prime: Optional[int] = None
-    frak_e: float = 0.05
-    L_tilde: Optional[float] = None
-    lap_grad_sup: Optional[float] = None
-    rho_lap: Optional[float] = None  # growth exponent: lap_grad_sup^2 <= C d^(2 rho_lap)
-    x0_dist: float = 0.0
-    calib: float = 1.0
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ParameterError("eps must be positive")
-        if not (0 < self.frak_e < 1):
-            raise ParameterError("frak_e must lie in (0, 1)")
-        if self.d_prime is None:
-            object.__setattr__(self, "d_prime", self.d)
-        if self.d_prime > self.d:
-            raise ParameterError("d_prime must not exceed d")
-        if not self.calib > 0:
-            raise ParameterError("calib must be positive")
-        if self.x0_dist < 0:
-            raise ParameterError("x0_dist must be nonnegative")
+from .potentials import Smoothness, StronglyConvex, WeaklyConvexKL
 
 
 @dataclass(frozen=True)
@@ -124,71 +89,86 @@ def _finish(regime, gamma_raw, n_raw, clamp, calib, constants) -> TuningPlan:
     )
 
 
-def _require_c3(inputs: TuningInputs, variant: str):
-    if inputs.L_tilde is None or inputs.lap_grad_sup is None:
+def _check_options(eps: float, x0_dist: float, calib: float, frak_e: float = 0.05):
+    """The refusals of a potential tuning's options, made before the potential is read."""
+    if not eps > 0:
+        raise ParameterError("eps must be positive")
+    if not (0 < frak_e < 1):
+        raise ParameterError("frak_e must lie in (0, 1)")
+    if not calib > 0:
+        raise ParameterError("calib must be positive")
+    if x0_dist < 0:
+        raise ParameterError("x0_dist must be nonnegative")
+
+
+def _require_c3(s: Smoothness, variant: str):
+    if s.L_tilde is None or s.lap_grad_sup is None:
         raise CapabilityError(
-            f"variant {variant} needs L_tilde and lap_grad_sup (C^3 data) in the inputs"
+            f"variant {variant} needs L_tilde and lap_grad_sup (C^3 data) in the potential"
         )
 
 
-def _check_small_eps(inputs: TuningInputs, prof: WeaklyConvexKL, variant: str):
-    cap = min(1.0, inputs.d_prime * inputs.d ** (-(1.0 - prof.r) / (2.0 * (1.0 + prof.q - prof.r))))
-    if inputs.eps > cap:
+def _check_small_eps(prof: WeaklyConvexKL, d: int, eps: float, variant: str):
+    cap = min(1.0, d * d ** (-(1.0 - prof.r) / (2.0 * (1.0 + prof.q - prof.r))))
+    if eps > cap:
         raise ParameterError(
-            f"variant {variant} requires eps <= 1 ^ d' d^(-(1-r)/(2(1+q-r))) = {cap:.6g}, "
-            f"got eps={inputs.eps}"
+            f"variant {variant} requires eps <= 1 ^ d d^(-(1-r)/(2(1+q-r))) = {cap:.6g}, "
+            f"got eps={eps}"
         )
 
 
-def tune_weak(inputs: TuningInputs, variant: str) -> TuningPlan:
-    """Weakly convex tunings; ``variant`` in {"i.a", "i.b", "ii.a", "ii.b"}."""
-    prof = inputs.profile
+def tune_weak(pot, eps: float, variant: str, frak_e: float = 0.05, x0_dist: float = 0.0,
+              calib: float = 1.0) -> TuningPlan:
+    """Weakly convex tunings of ``pot`` at accuracy ``eps``; ``variant`` in {"i.a", "i.b",
+    "ii.a", "ii.b"}.  ``frak_e`` is the slack exponent of the bounds; ``x0_dist`` is
+    |x0 - x*|, which only i.a reads."""
+    _check_options(eps, x0_dist, calib, frak_e)
+    prof, s, d = pot.profile, pot.smoothness, pot.dim
     if not isinstance(prof, WeaklyConvexKL):
         raise ParameterError("tune_weak needs a weakly convex profile")
     c1, c2, q, r = prof.c1, prof.c2, prof.q, prof.r
-    L, d, dp, eps, e = inputs.L, inputs.d, inputs.d_prime, inputs.eps, inputs.frak_e
+    L, e = s.L, frak_e
     clamp = weak_gamma_clamp(d, L, c2)
     cons = {"variant": variant, "c1": c1, "c2": c2, "q": q, "r": r, "L": L, "d": d,
-            "d_prime": dp, "eps": eps, "frak_e": e}
+            "d_prime": d, "eps": eps, "frak_e": e}
 
     if variant == "i.a":
         ups = compute_upsilon(prof, L, d)
-        x0d = inputs.x0_dist
         g1 = c1 ** (2.0 * (1.0 + e)) / (d * L**2 * ups ** (2.0 * r * (1.0 + e))) * eps**2
         g2 = d / (c2 * ups ** (1.0 - q - 2.0 * r * e))
-        if x0d > 0:
+        if x0_dist > 0:
             g3 = d / (
                 c2
                 * (1.0 + q) ** ((1.0 - q) / (1.0 + q))
                 * c2 ** ((1.0 - q) / (1.0 + q))
                 * ups ** (-2.0 * r * e)
-                * x0d ** (2.0 * (1.0 - q) / (1.0 + q))
+                * x0_dist ** (2.0 * (1.0 - q) / (1.0 + q))
             )
         else:
             g3 = math.inf  # zero initial distance: the term drops out of the min
         g4 = ups ** (2.0 * r * (1.0 + e) + q - 1.0) * d * L**2 / (c2 * c1 ** (2.0 * (1.0 + e)))
         gamma = min(g1, g2, g3, g4)
         n1 = ups ** ((1.0 + 3.0 * r) / 2.0 * (1.0 + e)) * c1 ** (-1.5 * (1.0 + e)) / gamma / eps
-        n2 = dp * ups ** (2.0 * r * (1.0 + e)) * c1 ** (-2.0 * (1.0 + e)) / gamma / eps**2
+        n2 = d * ups ** (2.0 * r * (1.0 + e)) * c1 ** (-2.0 * (1.0 + e)) / gamma / eps**2
         n = max(n1, n2)
         cons.update({"upsilon": ups, "gamma_terms": [g1, g2, g3, g4], "n_terms": [n1, n2],
-                     "x0_dist": x0d})
+                     "x0_dist": x0_dist})
     elif variant == "i.b":
-        _check_small_eps(inputs, prof, variant)
+        _check_small_eps(prof, d, eps, variant)
         expo = 2.0 * r / (1.0 + q - r)
         gamma = eps**2 * d ** (-(1.0 + expo + e))
-        n = eps**-4 * dp * d ** (1.0 + 2.0 * expo + e)
+        n = eps**-4 * d * d ** (1.0 + 2.0 * expo + e)
         cons.update({"d_exponent_gamma": -(1.0 + expo + e), "d_exponent_n": 1.0 + 2.0 * expo + e})
     elif variant == "ii.a":
-        _require_c3(inputs, variant)
+        _require_c3(s, variant)
         ups = compute_upsilon(prof, L, d)
-        lt, lap = inputs.L_tilde, inputs.lap_grad_sup
+        lt, lap = s.L_tilde, s.lap_grad_sup
         t1 = 1.0 / (L * math.sqrt(c2) * ups ** ((1.0 - q + 2.0 * r) / 2.0 * (1.0 + e)))
         t2 = c1 ** (1.0 + e) / (L * lt * d * ups ** (2.0 * r * (1.0 + e))) if lt > 0 else math.inf
         t3 = 1.0 / (lap * ups ** (r * (1.0 + e))) if lap > 0 else math.inf
         c21 = c1 ** (1.0 + e) * min(t1, t2, t3)
         c12 = max(
-            dp * ups ** (2.0 * r * (1.0 + e)) / c1 ** (2.0 * (1.0 + e)),
+            d * ups ** (2.0 * r * (1.0 + e)) / c1 ** (2.0 * (1.0 + e)),
             eps * ups ** ((1.0 + 3.0 * r) / 2.0 * (1.0 + e)) / c1 ** (1.5 + e),
         )
         gamma = c21 * eps
@@ -196,57 +176,60 @@ def tune_weak(inputs: TuningInputs, variant: str) -> TuningPlan:
         cons.update({"upsilon": ups, "c_2_1": c21, "c_1_2": c12,
                      "c_2_1_terms": [t1, t2, t3]})
     elif variant == "ii.b":
-        _require_c3(inputs, variant)
-        _check_small_eps(inputs, prof, variant)
-        if inputs.rho_lap is None:
+        _require_c3(s, variant)
+        _check_small_eps(prof, d, eps, variant)
+        if s.rho_lap is None:
             raise CapabilityError(
                 "variant ii.b needs the Laplacian growth exponent rho_lap"
             )
-        rho_lap = cons["rho_lap"] = inputs.rho_lap
+        rho_lap = cons["rho_lap"] = s.rho_lap
         ratio = r / (1.0 + q - r)
         gamma = eps * d ** (-max(1.0 + 2.0 * ratio, rho_lap + ratio) - e)
-        n = eps**-3 * dp * d ** (max(1.0 + 4.0 * ratio, rho_lap + 3.0 * ratio) + e)
+        n = eps**-3 * d * d ** (max(1.0 + 4.0 * ratio, rho_lap + 3.0 * ratio) + e)
     else:
         raise ParameterError(f"unknown weak variant {variant!r}")
-    return _finish(f"weak-{variant}", gamma, n, clamp, inputs.calib, cons)
+    return _finish(f"weak-{variant}", gamma, n, clamp, calib, cons)
 
 
-def tune_sc(inputs: TuningInputs, variant: str) -> TuningPlan:
-    """Strongly convex tunings; ``variant`` in {"i", "ii"}."""
-    prof = inputs.profile
+def tune_sc(pot, eps: float, variant: str, x0_dist: float = 0.0,
+            calib: float = 1.0) -> TuningPlan:
+    """Strongly convex tunings of ``pot`` at accuracy ``eps``; ``variant`` in {"i", "ii"}.
+    ``x0_dist`` is |x0 - x*|."""
+    _check_options(eps, x0_dist, calib)
+    prof, s, d = pot.profile, pot.smoothness, pot.dim
     if not isinstance(prof, StronglyConvex):
         raise ParameterError("tune_sc needs a strongly convex profile")
-    rho, L, d, dp, eps = prof.rho, inputs.L, inputs.d, inputs.d_prime, inputs.eps
+    rho, L = prof.rho, s.L
     clamp = sc_gamma_clamp(d, L)
-    cons = {"variant": variant, "rho": rho, "L": L, "d": d, "d_prime": dp, "eps": eps}
+    cons = {"variant": variant, "rho": rho, "L": L, "d": d, "d_prime": d, "eps": eps}
 
     if variant == "i":
         g1 = rho**2 / (L**2 * d) * eps**2
         g2 = rho / L**2
-        g3 = d / (L**2 * inputs.x0_dist**2) if inputs.x0_dist > 0 else math.inf
+        g3 = d / (L**2 * x0_dist**2) if x0_dist > 0 else math.inf
         gamma = min(g1, g2, g3)
-        n1 = dp / rho**2 / gamma / eps**2
+        n1 = d / rho**2 / gamma / eps**2
         n2 = math.sqrt(d) * rho**-1.5 / eps / gamma
         n = max(n1, n2)
         cons.update({"gamma_terms": [g1, g2, g3], "n_terms": [n1, n2],
-                     "x0_dist": inputs.x0_dist})
+                     "x0_dist": x0_dist})
     elif variant == "ii":
-        _require_c3(inputs, variant)
-        lt, lap = inputs.L_tilde, inputs.lap_grad_sup
+        _require_c3(s, variant)
+        lt, lap = s.L_tilde, s.lap_grad_sup
         b2_terms = [
             d**2,
             L**4 * d / rho**3,
             L**2 * (1.0 / rho**2 + lt**2 / rho**4),
             lap**2 / rho**2,
-            2.0 * L**4 / rho**2 * inputs.x0_dist**2,
+            2.0 * L**4 / rho**2 * x0_dist**2,
         ]
         b2 = sum(b2_terms)
         gamma = eps / math.sqrt(b2)
-        n = max(eps**-3 * math.sqrt(b2) * dp / rho**2, 1.0 / gamma, d / gamma / rho)
+        n = max(eps**-3 * math.sqrt(b2) * d / rho**2, 1.0 / gamma, d / gamma / rho)
         cons.update({"b2": b2, "b2_terms": b2_terms})
     else:
         raise ParameterError(f"unknown strongly convex variant {variant!r}")
-    return _finish(f"sc-{variant}", gamma, n, clamp, inputs.calib, cons)
+    return _finish(f"sc-{variant}", gamma, n, clamp, calib, cons)
 
 
 _BAYES_REGIMES = ("weak-i", "weak-ii", "weak-iii", "sc-i.a", "sc-i.b")

@@ -12,6 +12,7 @@ conjugate MSE rather than with -1/alpha_c (see the test body).
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from cesaro_lmc.potentials import (
     verify_kl_profile,
 )
 from cesaro_lmc.sampler import ChainConfig, moment_clamp, replicate_runs, run_chain
-from cesaro_lmc.tuning import TuningInputs, epsilon_n, tune_bayes, tune_sc, tune_weak
+from cesaro_lmc.tuning import epsilon_n, tune_bayes, tune_sc, tune_weak
 
 
 class _Stopwatch:
@@ -147,11 +148,7 @@ def test_04_weak_convex_mse_scaling():
         pot = builtin_p_power(d, 0.0, p)
         ratios = {}
         for eps in (0.3, 0.2, 0.1):
-            plan = tune_weak(
-                TuningInputs(profile=pot.profile, L=pot.smoothness.L, d=d, eps=eps,
-                             frak_e=0.05, x0_dist=0.0),
-                "i.b",
-            )
+            plan = tune_weak(pot, eps, "i.b", frak_e=0.05, x0_dist=0.0)
             # the p-power law is symmetric around its center, its mean
             report = mse_experiment(
                 pot, plan, m, reference=pot.mean, base_seed=20240804,
@@ -165,29 +162,23 @@ def test_04_weak_convex_mse_scaling():
 
 def test_05_tuning_formula_exponents():
     with _Stopwatch("5 tuning exponents", 60):
-        flat = builtin_p_power(1, 0.0, 1.0).profile  # r = q = 0
         ppow = builtin_p_power(1, 0.0, 0.75).profile
 
-        def ratio(tune, inputs_small, inputs_half, variant):
-            a = tune(inputs_small, variant).constants["n_steps_raw"]
-            b = tune(inputs_half, variant).constants["n_steps_raw"]
+        def ratio(tune, pot, variant):
+            a = tune(pot, 0.01, variant).constants["n_steps_raw"]
+            b = tune(pot, 0.005, variant).constants["n_steps_raw"]
             return b / a
 
-        mk = lambda eps, prof, **kw: TuningInputs(profile=prof, L=1.0, d=1, eps=eps, **kw)
-        r_ib = ratio(tune_weak, mk(0.01, ppow), mk(0.005, ppow), "i.b")
+        # stand-ins with L = 1 and d = 1: the constants the tunings read
+        mk = lambda prof, **c3: SimpleNamespace(dim=1, profile=prof,
+                                                smoothness=Smoothness(1.0, **c3))
+        r_ib = ratio(tune_weak, mk(ppow), "i.b")
         assert r_ib == pytest.approx(16.0, rel=1e-9)
-        sc = lambda eps, **kw: TuningInputs(
-            profile=StronglyConvex(1.0), L=1.0, d=1, eps=eps, x0_dist=0.0, **kw
-        )
-        r_sci = ratio(tune_sc, sc(0.01), sc(0.005), "i")
+        r_sci = ratio(tune_sc, mk(StronglyConvex(1.0)), "i")
         assert r_sci == pytest.approx(16.0, rel=1e-9)
-        r_scii = ratio(
-            tune_sc, sc(0.01, L_tilde=1.0, lap_grad_sup=0.0),
-            sc(0.005, L_tilde=1.0, lap_grad_sup=0.0), "ii",
-        )
+        r_scii = ratio(tune_sc, mk(StronglyConvex(1.0), L_tilde=1.0, lap_grad_sup=0.0), "ii")
         assert r_scii == pytest.approx(8.0, rel=1e-9)
-        kw = dict(L_tilde=1.0, lap_grad_sup=1.0, rho_lap=1.0)
-        r_iib = ratio(tune_weak, mk(0.01, ppow, **kw), mk(0.005, ppow, **kw), "ii.b")
+        r_iib = ratio(tune_weak, mk(ppow, L_tilde=1.0, lap_grad_sup=1.0, rho_lap=1.0), "ii.b")
         assert r_iib == pytest.approx(8.0, rel=1e-9)
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from cesaro_lmc import cli, sampler
-from cesaro_lmc.bayes import GaussianLocationModel, sample_dataset
+from cesaro_lmc.bayes import GaussianLocationModel, PPowerLocationModel, sample_dataset
 from cesaro_lmc.cli import config_hash, main, validate_config
 from cesaro_lmc.errors import ParameterError
 from cesaro_lmc.rng import mix64
@@ -409,6 +409,11 @@ class TestPlanRule:
         ({"potential": {"family": "p_power", "d": 2},
           "tuning": {"regime": "weak-i.b", "eps": 0.05},
           "run": {"M": 5, "base_seed": 1}}, "certified_x0", False, "weak-i.b"),
+        # only bayes-sc-i.b reads certified_x0, and only weak-i.a reads x0_dist of the weak-*
+        ("conjugate_posterior.json", "certified_x0", True, "bayes-sc-i.a"),
+        *[({"potential": {"family": "p_power", "d": 2}, "tuning": {"regime": regime, "eps": 0.5},
+            "run": {"M": 5, "base_seed": 1}}, "x0_dist", 7.0, regime)
+          for regime in ("weak-i.b", "weak-ii.a", "weak-ii.b")],
     ])
     def test_a_tuning_key_the_regime_does_not_read_is_refused(
             self, tmp_path, capsys, monkeypatch, command, config, key, value, regime):
@@ -421,6 +426,46 @@ class TestPlanRule:
                      "--output", str(tmp_path / "o")])
         assert (code, sampled) == (2, [])
         assert capsys.readouterr().err == f"error: tuning.{key} is not read by the {regime} regime\n"
+
+    @pytest.mark.parametrize("regime", sorted(cli._READS))
+    def test_every_key_the_table_lets_a_regime_read_moves_its_tuning(
+            self, tmp_path, capsys, monkeypatch, regime):
+        """A key ``cli._READS`` accepts for a regime must reach its formulas: some value of
+        it changes the (gamma, N) of a tuning the regime completes, or its exit code."""
+        # no config family has a weakly convex per-observation profile, so the bayes weak-*
+        # regimes are reached through the p-power location model, registered here
+        monkeypatch.setitem(cli._MODELS, "p_power_location", (
+            {**cli._MODEL, "params": {"p": cli._NUMBER}},
+            lambda b: PPowerLocationModel(b["d"], **b["params"])))
+
+        def tuned(cfg):
+            code = main(["tune", "--config", write(tmp_path, "c.json", cfg)])
+            plans = json.loads(capsys.readouterr().out) if code == 0 else []
+            plans = plans if isinstance(plans, list) else [plans]
+            return code, [(p["gamma"], p["n_steps"]) for p in plans]
+
+        family, _, variant = regime.partition("-")
+        if family == "bayes":
+            p = 1.0 if variant == "weak-ii" else 0.75  # weak-ii is the r = 0 case
+            model = ({"family": "p_power_location", "d": 2, "params": {"p": p}}
+                     if variant.startswith("weak") else {"family": "gaussian_location", "d": 2})
+            base = {"model": model, "data": {"n": 100, "seed": 1}, "tuning": {"regime": regime}}
+            if variant == "sc-i.b":
+                base["tuning"]["certified_x0"] = True
+        else:  # an eps small enough that the regime's gamma ceiling does not bite
+            base = {"potential": {"family": "p_power" if family == "weak" else "gaussian", "d": 2},
+                    "tuning": {"regime": regime, "eps": 0.02}}
+        before = tuned(base)
+        assert before[0] == 0
+        # a large calib and x0_dist, so that the calibration and the distance term bite
+        probes = {"eps": 0.01, "eps_grid": [0.02, 0.01], "calib": 100.0, "x0_dist": 1e6,
+                  "frak_e": 0.3, "certified_x0": False}
+        for key in sorted(cli._READS[regime]):
+            cfg = copy.deepcopy(base)
+            if key == "eps_grid":
+                del cfg["tuning"]["eps"]
+            cfg["tuning"][key] = probes[key]
+            assert tuned(cfg) != before, key
 
     @pytest.mark.parametrize("command, cfg", [
         ("run", bayes_cfg(model={"family": "gaussian_location", "d": 1, "theta_star": [0.5],
@@ -798,7 +843,7 @@ FUZZ_BASES = [
                   "theta_star": [0.4, -0.2], "alpha_c": 1.0, "b1": 1.0, "C_P": None},
         "prior": {"family": "standard_gaussian"},
         "data": {"n": 100, "seed": 7},
-        "tuning": {"regime": "bayes-sc-i.a", "calib": 1.0, "certified_x0": False},
+        "tuning": {"regime": "bayes-sc-i.b", "calib": 1.0, "certified_x0": True},
     }),
     ("verify", {
         "potential": {"family": "p_power", "d": 2, "params": {"p": 0.75, "center": 0.0}},

@@ -126,15 +126,16 @@ class TestMseExperiment:
 
     def test_two_point_eps_scaling(self):
         # MSE tracks eps^2 under the strongly convex tuning
-        from cesaro_lmc.tuning import TuningInputs, tune_sc
-        from cesaro_lmc.potentials import StronglyConvex
+        from types import SimpleNamespace
 
+        from cesaro_lmc.tuning import tune_sc
+        from cesaro_lmc.potentials import Smoothness, StronglyConvex
+
+        # a stand-in with OU's L = 1 and d = 1
+        sc = SimpleNamespace(dim=1, profile=StronglyConvex(1.0), smoothness=Smoothness(1.0))
         mses = {}
         for eps in (0.2, 0.1):
-            plan = tune_sc(
-                TuningInputs(profile=StronglyConvex(1.0), L=1.0, d=1, eps=eps, x0_dist=0.0),
-                "i",
-            )
+            plan = tune_sc(sc, eps, "i", x0_dist=0.0)
             rep = mse_experiment(OU, plan, 200, reference=[0.0], base_seed=17)
             mses[eps] = rep.mse
         ratio = mses[0.1] / mses[0.2]

@@ -5,9 +5,8 @@ import pytest
 
 from cesaro_lmc.bayes import GaussianLocationModel
 from cesaro_lmc.errors import CapabilityError, ParameterError
-from cesaro_lmc.potentials import StronglyConvex, WeaklyConvexKL
+from cesaro_lmc.potentials import Smoothness, StronglyConvex, WeaklyConvexKL
 from cesaro_lmc.tuning import (
-    TuningInputs,
     audit_plan,
     compute_upsilon,
     sc_gamma_clamp,
@@ -20,16 +19,18 @@ FLAT = WeaklyConvexKL(c1=1.0, c2=1.0, q=0.0, r=0.0)
 PPOW = WeaklyConvexKL(c1=0.75, c2=1.5, q=1.0 / 3.0, r=1.0 / 3.0)
 
 
-def weak_inputs(**kw):
-    base = dict(profile=FLAT, L=1.0, d=1, eps=0.1, frak_e=0.05)
-    base.update(kw)
-    return TuningInputs(**base)
+def potential(profile, L, d, **c3):
+    """A potential's constants, the ones tune_weak and tune_sc read; ``c3`` gives the
+    smoothness's L_tilde, lap_grad_sup and rho_lap."""
+    return SimpleNamespace(dim=d, profile=profile, smoothness=Smoothness(L, **c3))
 
 
-def sc_inputs(**kw):
-    base = dict(profile=StronglyConvex(1.0), L=1.0, d=1, eps=0.1, x0_dist=0.0)
-    base.update(kw)
-    return TuningInputs(**base)
+def weak_pot(profile=FLAT, L=1.0, d=1, **c3):
+    return potential(profile, L, d, **c3)
+
+
+def sc_pot(**c3):
+    return potential(StronglyConvex(1.0), 1.0, 1, **c3)
 
 
 def per_obs(profile, L, d, alpha_c=1.0, C_P=None, b1=1.0):
@@ -60,38 +61,36 @@ class TestUpsilon:
 class TestWeakTunings:
     def test_ib_printed_example(self):
         # d = 1 so the frak_e power is invisible: gamma = eps^2, N = eps^-4
-        plan = tune_weak(weak_inputs(), "i.b")
+        plan = tune_weak(weak_pot(), 0.1, "i.b")
         assert plan.constants["gamma_raw"] == pytest.approx(0.01)
         assert plan.constants["n_steps_raw"] == pytest.approx(1e4)
         assert not plan.clamped
         assert plan.n_steps == 10000
 
     def test_ib_exponent_arithmetic(self):
-        plan = tune_weak(
-            TuningInputs(profile=PPOW, L=1.5, d=2, eps=0.05, frak_e=0.01), "i.b"
-        )
+        plan = tune_weak(weak_pot(PPOW, L=1.5, d=2), 0.05, "i.b", frak_e=0.01)
         assert plan.constants["d_exponent_n"] == pytest.approx(1 + 4 / 3 + 0.01)
         assert plan.constants["d_exponent_gamma"] == pytest.approx(-(1 + 2 / 3 + 0.01))
 
     def test_ib_small_eps_precondition(self):
         with pytest.raises(ParameterError, match="requires eps"):
-            tune_weak(weak_inputs(eps=1.5), "i.b")
+            tune_weak(weak_pot(), 1.5, "i.b")
 
     def test_ia_zero_distance_drops_third_term(self):
-        plan = tune_weak(weak_inputs(x0_dist=0.0), "i.a")
+        plan = tune_weak(weak_pot(), 0.1, "i.a", x0_dist=0.0)
         assert plan.constants["gamma_terms"][2] == math.inf
 
     def test_ia_finite_distance_enters(self):
-        plan0 = tune_weak(weak_inputs(x0_dist=0.0), "i.a")
-        plan1 = tune_weak(weak_inputs(x0_dist=100.0), "i.a")
+        plan0 = tune_weak(weak_pot(), 0.1, "i.a", x0_dist=0.0)
+        plan1 = tune_weak(weak_pot(), 0.1, "i.a", x0_dist=100.0)
         assert plan1.constants["gamma_terms"][2] < plan0.constants["gamma_terms"][1]
 
     def test_iia_needs_c3_data(self):
         with pytest.raises(CapabilityError):
-            tune_weak(weak_inputs(), "ii.a")
+            tune_weak(weak_pot(), 0.1, "ii.a")
 
     def test_iia_formula(self):
-        plan = tune_weak(weak_inputs(L_tilde=1.0, lap_grad_sup=1.0), "ii.a")
+        plan = tune_weak(weak_pot(L_tilde=1.0, lap_grad_sup=1.0), 0.1, "ii.a")
         c21 = plan.constants["c_2_1"]
         c12 = plan.constants["c_1_2"]
         assert plan.constants["gamma_raw"] == pytest.approx(c21 * 0.1)
@@ -99,16 +98,11 @@ class TestWeakTunings:
 
     def test_iib_needs_rho_lap(self):
         with pytest.raises(CapabilityError):
-            tune_weak(weak_inputs(L_tilde=1.0, lap_grad_sup=1.0), "ii.b")
+            tune_weak(weak_pot(L_tilde=1.0, lap_grad_sup=1.0), 0.1, "ii.b")
 
     def test_iib_formula(self):
-        plan = tune_weak(
-            TuningInputs(
-                profile=PPOW, L=1.5, d=2, eps=0.01, frak_e=0.02,
-                L_tilde=1.0, lap_grad_sup=1.0, rho_lap=1.5,
-            ),
-            "ii.b",
-        )
+        pot = weak_pot(PPOW, L=1.5, d=2, L_tilde=1.0, lap_grad_sup=1.0, rho_lap=1.5)
+        plan = tune_weak(pot, 0.01, "ii.b", frak_e=0.02)
         ratio = (1 / 3) / (1 + 1 / 3 - 1 / 3)
         g_expect = 0.01 * 2 ** (-max(1 + 2 * ratio, 1.5 + ratio) - 0.02)
         n_expect = 0.01**-3 * 2 * 2 ** (max(1 + 4 * ratio, 1.5 + 3 * ratio) + 0.02)
@@ -117,73 +111,99 @@ class TestWeakTunings:
 
     def test_unknown_variant(self):
         with pytest.raises(ParameterError):
-            tune_weak(weak_inputs(), "iii")
+            tune_weak(weak_pot(), 0.1, "iii")
 
 
 class TestScTunings:
     def test_printed_example(self):
-        plan = tune_sc(sc_inputs(), "i")
+        plan = tune_sc(sc_pot(), 0.1, "i")
         assert plan.gamma == pytest.approx(0.01)
         assert plan.n_steps == 10000
         assert plan.constants["gamma_terms"][2] == math.inf
 
     def test_gamma_cap_branch(self):
         # large eps: the rho/L^2 cap wins and the moment clamp bites
-        plan = tune_sc(sc_inputs(eps=10.0), "i")
+        plan = tune_sc(sc_pot(), 10.0, "i")
         assert plan.constants["gamma_terms"][1] == pytest.approx(1.0)
         assert plan.gamma <= sc_gamma_clamp(1, 1.0)
         assert plan.clamped
 
     def test_sc_ii_all_ones(self):
-        plan = tune_sc(sc_inputs(L_tilde=1.0, lap_grad_sup=0.0), "ii")
+        plan = tune_sc(sc_pot(L_tilde=1.0, lap_grad_sup=0.0), 0.1, "ii")
         assert plan.constants["b2"] == pytest.approx(4.0)
         assert plan.gamma == pytest.approx(0.05)
         assert plan.n_steps == 2000
 
     def test_sc_ii_needs_c3(self):
         with pytest.raises(CapabilityError):
-            tune_sc(sc_inputs(), "ii")
+            tune_sc(sc_pot(), 0.1, "ii")
+
+
+C3 = dict(L_tilde=1.0, lap_grad_sup=1.0, rho_lap=1.0)
+BAD_OPTIONS = [({"eps": 0.0}, "eps must be positive"), ({"eps": -0.1}, "eps must be positive"),
+               ({"calib": 0.0}, "calib must be positive"), ({"calib": -1.0}, "calib must be positive"),
+               ({"x0_dist": -0.5}, "x0_dist must be nonnegative")]
+BAD_FRAK_E = [({"frak_e": e}, r"frak_e must lie in \(0, 1\)") for e in (0.0, 1.0, 1.5, -0.2)]
+
+
+class TestOptionRefusals:
+    """Each potential tuning refuses an option outside its range, whatever the variant."""
+
+    @pytest.mark.parametrize("variant", ["i.a", "i.b", "ii.a", "ii.b"])
+    @pytest.mark.parametrize("bad, message", BAD_OPTIONS + BAD_FRAK_E)
+    def test_weak(self, variant, bad, message):
+        opts = {"eps": 0.1, **bad}
+        with pytest.raises(ParameterError, match=message):
+            tune_weak(weak_pot(**C3), opts.pop("eps"), variant, **opts)
+
+    @pytest.mark.parametrize("variant", ["i", "ii"])
+    @pytest.mark.parametrize("bad, message", BAD_OPTIONS)
+    def test_sc(self, variant, bad, message):
+        opts = {"eps": 0.1, **bad}
+        with pytest.raises(ParameterError, match=message):
+            tune_sc(sc_pot(**C3), opts.pop("eps"), variant, **opts)
 
 
 class TestScalingLaws:
     def test_n_ratio_16_for_ib_and_sc_i(self):
-        for make, variant in ((weak_inputs, "i.b"), (sc_inputs, "i")):
+        for make, variant in ((weak_pot, "i.b"), (sc_pot, "i")):
             tune = tune_weak if variant == "i.b" else tune_sc
-            p1 = tune(make(eps=0.02), variant)
-            p2 = tune(make(eps=0.01), variant)
+            p1 = tune(make(), 0.02, variant)
+            p2 = tune(make(), 0.01, variant)
             ratio = p2.constants["n_steps_raw"] / p1.constants["n_steps_raw"]
             assert ratio == pytest.approx(16.0, rel=1e-12)
             assert not p1.clamped and not p2.clamped
 
     def test_n_ratio_8_for_sc_ii_and_iib(self):
-        p1 = tune_sc(sc_inputs(eps=0.02, L_tilde=1.0, lap_grad_sup=0.0), "ii")
-        p2 = tune_sc(sc_inputs(eps=0.01, L_tilde=1.0, lap_grad_sup=0.0), "ii")
+        pot = sc_pot(L_tilde=1.0, lap_grad_sup=0.0)
+        p1 = tune_sc(pot, 0.02, "ii")
+        p2 = tune_sc(pot, 0.01, "ii")
         assert p2.constants["n_steps_raw"] / p1.constants["n_steps_raw"] == pytest.approx(
             8.0, rel=1e-12
         )
-        kw = dict(L_tilde=1.0, lap_grad_sup=1.0, rho_lap=1.0)
-        q1 = tune_weak(weak_inputs(eps=0.01, **kw), "ii.b")
-        q2 = tune_weak(weak_inputs(eps=0.005, **kw), "ii.b")
+        pot = weak_pot(L_tilde=1.0, lap_grad_sup=1.0, rho_lap=1.0)
+        q1 = tune_weak(pot, 0.01, "ii.b")
+        q2 = tune_weak(pot, 0.005, "ii.b")
         assert q2.constants["n_steps_raw"] / q1.constants["n_steps_raw"] == pytest.approx(
             8.0, rel=1e-12
         )
         assert not q1.clamped and not q2.clamped
 
     def test_gamma_ratio_4_for_sc_i(self):
-        p1 = tune_sc(sc_inputs(eps=0.01), "i")
-        p2 = tune_sc(sc_inputs(eps=0.02), "i")
+        p1 = tune_sc(sc_pot(), 0.01, "i")
+        p2 = tune_sc(sc_pot(), 0.02, "i")
         assert p2.gamma / p1.gamma == pytest.approx(4.0, rel=1e-12)
 
     def test_calibration_moves_both(self):
-        p1 = tune_sc(sc_inputs(), "i")
-        p2 = tune_sc(sc_inputs(calib=2.0), "i")
+        p1 = tune_sc(sc_pot(), 0.1, "i")
+        p2 = tune_sc(sc_pot(), 0.1, "i", calib=2.0)
         assert p2.gamma == pytest.approx(p1.gamma / 2.0)
         assert p2.constants["n_steps_real"] == pytest.approx(2.0 * p1.constants["n_steps_real"])
 
 
 class TestClampBehavior:
     def test_clamp_preserves_horizon(self):
-        plan = tune_weak(weak_inputs(eps=0.9, d_prime=1, profile=PPOW, L=1.5), "i.a")
+        plan = tune_weak(weak_pot(PPOW, L=1.5), 0.9, "i.a")
         if not plan.clamped:
             pytest.skip("parameters did not trigger the clamp")
         raw_t = plan.constants["gamma_raw"] * plan.constants["n_steps_raw"]
@@ -192,9 +212,9 @@ class TestClampBehavior:
 
     def test_every_plan_respects_its_clamp(self):
         plans = [
-            tune_weak(weak_inputs(), "i.b"),
-            tune_weak(weak_inputs(eps=0.9), "i.a"),
-            tune_sc(sc_inputs(eps=5.0), "i"),
+            tune_weak(weak_pot(), 0.1, "i.b"),
+            tune_weak(weak_pot(), 0.9, "i.a"),
+            tune_sc(sc_pot(), 5.0, "i"),
         ]
         for plan in plans:
             assert plan.gamma <= plan.constants["gamma_clamp"] + 1e-15
@@ -202,11 +222,11 @@ class TestClampBehavior:
 
     def test_audit_reproduces_all(self):
         plans = [
-            tune_weak(weak_inputs(), "i.b"),
-            tune_weak(weak_inputs(x0_dist=2.0), "i.a"),
-            tune_weak(weak_inputs(L_tilde=1.0, lap_grad_sup=1.0), "ii.a"),
-            tune_sc(sc_inputs(), "i"),
-            tune_sc(sc_inputs(L_tilde=1.0, lap_grad_sup=0.0), "ii"),
+            tune_weak(weak_pot(), 0.1, "i.b"),
+            tune_weak(weak_pot(), 0.1, "i.a", x0_dist=2.0),
+            tune_weak(weak_pot(L_tilde=1.0, lap_grad_sup=1.0), 0.1, "ii.a"),
+            tune_sc(sc_pot(), 0.1, "i"),
+            tune_sc(sc_pot(L_tilde=1.0, lap_grad_sup=0.0), 0.1, "ii"),
         ]
         assert all(audit_plan(p) for p in plans)
 
@@ -302,19 +322,19 @@ class TestTableOneSlopes:
         return fit.slope
 
     def test_minus_four_family(self):
-        plans = [tune_weak(weak_inputs(eps=e), "i.b") for e in (0.2, 0.1, 0.05)]
+        plans = [tune_weak(weak_pot(), e, "i.b") for e in (0.2, 0.1, 0.05)]
         assert self._slope(plans) == pytest.approx(-4.0, abs=1e-9)
-        plans = [tune_sc(sc_inputs(eps=e), "i") for e in (0.2, 0.1, 0.05)]
+        plans = [tune_sc(sc_pot(), e, "i") for e in (0.2, 0.1, 0.05)]
         assert self._slope(plans) == pytest.approx(-4.0, abs=1e-9)
 
     def test_minus_three_family(self):
         plans = [
-            tune_sc(sc_inputs(eps=e, L_tilde=1.0, lap_grad_sup=0.0), "ii")
+            tune_sc(sc_pot(L_tilde=1.0, lap_grad_sup=0.0), e, "ii")
             for e in (0.2, 0.1, 0.05)
         ]
         assert self._slope(plans) == pytest.approx(-3.0, abs=1e-9)
         plans = [
-            tune_weak(weak_inputs(eps=e, L_tilde=1.0, lap_grad_sup=1.0), "ii.a")
+            tune_weak(weak_pot(L_tilde=1.0, lap_grad_sup=1.0), e, "ii.a")
             for e in (0.2, 0.1, 0.05)
         ]
         assert self._slope(plans) == pytest.approx(-3.0, abs=1e-9)
@@ -334,18 +354,17 @@ class TestRandomizedPlanSweep:
             r = (1 - p) / p
             prof = WeaklyConvexKL(2 * p * (2 * p - 1), 2 * p, r, r)
             d = int(rng.integers(1, 8))
-            inputs = TuningInputs(
-                profile=prof, L=2 * p, d=d, eps=float(rng.uniform(0.01, 0.5)),
-                frak_e=float(rng.uniform(0.01, 0.5)),
-                x0_dist=float(rng.uniform(0.0, 5.0)),
-                calib=float(rng.uniform(0.5, 2.0)),
-                L_tilde=float(rng.uniform(0.1, 5.0)),
-                lap_grad_sup=float(rng.uniform(0.0, 5.0)),
-                rho_lap=float(rng.uniform(0.0, 1.5)),
-            )
+            # drawn in the order the sweep has always drawn them
+            eps = float(rng.uniform(0.01, 0.5))
+            opts = dict(frak_e=float(rng.uniform(0.01, 0.5)),
+                        x0_dist=float(rng.uniform(0.0, 5.0)),
+                        calib=float(rng.uniform(0.5, 2.0)))
+            pot = weak_pot(prof, L=2 * p, d=d, L_tilde=float(rng.uniform(0.1, 5.0)),
+                           lap_grad_sup=float(rng.uniform(0.0, 5.0)),
+                           rho_lap=float(rng.uniform(0.0, 1.5)))
             for variant in ("i.a", "i.b", "ii.a", "ii.b"):
                 try:
-                    plan = tune_weak(inputs, variant)
+                    plan = tune_weak(pot, eps, variant, **opts)
                 except Exception as exc:
                     from cesaro_lmc.errors import ParameterError as PE
 
@@ -365,14 +384,13 @@ class TestRandomizedPlanSweep:
         for _ in range(200):
             rho = float(rng.uniform(0.1, 2.0))
             L = rho * float(rng.uniform(1.0, 5.0))
-            inputs = TuningInputs(
-                profile=StronglyConvex(rho), L=L, d=int(rng.integers(1, 10)),
-                eps=float(rng.uniform(0.01, 1.0)), x0_dist=float(rng.uniform(0.0, 5.0)),
-                L_tilde=float(rng.uniform(0.0, 5.0)) or 1.0,
-                lap_grad_sup=float(rng.uniform(0.0, 5.0)),
-            )
+            d = int(rng.integers(1, 10))
+            eps, x0_dist = float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.0, 5.0))
+            pot = potential(StronglyConvex(rho), L, d,
+                            L_tilde=float(rng.uniform(0.0, 5.0)) or 1.0,
+                            lap_grad_sup=float(rng.uniform(0.0, 5.0)))
             for variant in ("i", "ii"):
-                plan = tune_sc(inputs, variant)
+                plan = tune_sc(pot, eps, variant, x0_dist=x0_dist)
                 assert plan.gamma > 0 and plan.n_steps >= 1
                 assert plan.gamma <= plan.constants["gamma_clamp"] * (1 + 1e-12)
                 assert audit_plan(plan)
