@@ -37,7 +37,6 @@ from .diagnostics import (
     ExperimentReport,
     RateFit,
     SeparationMap,
-    bayes_rate_experiment,
     concentration_check,
     fit_line,
     moment_check,

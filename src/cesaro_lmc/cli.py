@@ -218,13 +218,10 @@ _SCHEMA = {
         },
         "test_phi": {
             "theta_alt": _required(_NUMBERS), "n": _required(_COUNT), "r_n": _required(_POSITIVE),
-            "M": _required(_COUNT), "seed": _SEED, "b1": _NUMBER, "b2": _NUMBER, "alpha_c": _NUMBER,
+            "M": _required(_COUNT), "seed": _SEED, "b2": _NUMBER,
         },
     },
-    "oracle": {
-        "task": _STRING, "nodes_per_axis": _COUNT, "k_sigma": _NUMBER, "n_nodes": _COUNT,
-        "f": _one_of("identity"),
-    },
+    "oracle": {"task": _STRING, "nodes_per_axis": _COUNT, "k_sigma": _NUMBER, "n_nodes": _COUNT},
 }
 
 
@@ -337,9 +334,9 @@ def _plans(cfg: dict):
     ``[tuning.eps]``, else ``[1.0]``).  Every regime is tuned by one call per point,
     ``tune_<family>(block, point, variant, **options)``: ``bayes-*`` reads the model's
     per-observation constants at n, ``sc-*`` and ``weak-*`` the potential's own at eps.
-    The other block's grid or point key, or a point key beside its grid key, is refused,
-    and so is a tuning key the regime does not read (``_READS``).  A tuning option the
-    config leaves out takes the library's default."""
+    The other block's grid or point key, a data block beside a potential, or a point key
+    beside its grid key, is refused, and so is a tuning key the regime does not read
+    (``_READS``).  A tuning option the config leaves out takes the library's default."""
     subject = _tuned(cfg)
     tb = cfg["tuning"]
     family, _, variant = tb["regime"].partition("-")
@@ -355,6 +352,9 @@ def _plans(cfg: dict):
         raise ConfigError(f"give {section}.{key} or {section}.{key}_grid, not both")
     if block == "model" and not {key, f"{key}_grid"} & given.keys():
         raise ConfigError("a bayes-* tuning needs data.n")
+    if block == "potential" and "data" in cfg:
+        raise ConfigError("a data block is read only with a model block, "
+                          "and the config has a potential block")
     unread = sorted(tb.keys() - _READS[tb["regime"]] - {"regime"})
     if unread:
         raise ConfigError(f"tuning.{unread[0]} is not read by the {tb['regime']} regime")
@@ -431,9 +431,8 @@ def cmd_run(cfg: dict, output_dir=None, out=None) -> int:
             data = sample_dataset(subject, theta, value, cfg["data"]["seed"])
             pot = build_posterior(subject, data).potential
         if theta is not None or reference is None:  # one reference serves a potential's grid
-            reference = _reference(pot, base_seed)
-        reports.append(mse_experiment(pot, plan, run_block["M"], reference[0], base_seed,
-                                      reference_provenance=reference[1]))
+            reference, provenance = _reference(pot, base_seed)
+        reports.append(mse_experiment(pot, plan, run_block["M"], reference, base_seed))
 
     if len(points) == 1:
         (_, plan), (report,) = points[0], reports
@@ -443,7 +442,7 @@ def cmd_run(cfg: dict, output_dir=None, out=None) -> int:
         )
         summary = {"mse": report.mse, "ci95": list(report.ci),
                    "reference": [float(v) for v in np.atleast_1d(report.reference)],
-                   "reference_provenance": report.reference_provenance,
+                   "reference_provenance": provenance,
                    "plan": _plan_to_json(plan), "n_diverged": report.n_diverged}
         header = ["replicate"] + [f"estimate_{j}" for j in range(pot.dim)] + ["squared_error"]
         line = f"mse={report.mse:.6g}"
@@ -481,8 +480,7 @@ def _concentration(model, theta, opts):
 
 
 def _test_phi(model, theta, opts):
-    c_map = SeparationMap(**{"b1": model.b1, "alpha_c": model.alpha_c,
-                             **_given(opts, "b1", "b2", "alpha_c")})
+    c_map = SeparationMap(b1=model.b1, alpha_c=model.alpha_c, **_given(opts, "b2"))
     alt = _vector(opts["theta_alt"], model.d, "diagnostics.test_phi.theta_alt")
     rep = run_test_phi(model, theta, alt, opts["n"], float(opts["r_n"]), c_map, opts["M"],
                        opts["seed"])
@@ -523,23 +521,30 @@ def cmd_verify(cfg: dict, strict: bool = False, out=None) -> int:
     return EXIT_DIVERGED if failed else EXIT_OK
 
 
+# oracle task -> the oracle keys it reads; a config that gives another is refused
+_ORACLE_READS = {"quadrature": {"nodes_per_axis", "k_sigma"}, "poisson": {"n_nodes"}}
+
+
 def cmd_oracle(cfg: dict, out=None) -> int:
     out = out or sys.stdout
     ob = cfg.get("oracle", {})
     task = ob.get("task")
     pot = _build(cfg, "potential")
+    if task not in _ORACLE_READS:
+        raise ConfigError(f"unknown oracle task {task!r}")
+    unread = sorted(ob.keys() - _ORACLE_READS[task] - {"task"})
+    if unread:
+        raise ConfigError(f"oracle.{unread[0]} is not read by the {task} task")
     if task == "quadrature":
         nodes = ob.get("nodes_per_axis", 161)
         mean, err = quadrature_posterior_mean(pot, nodes_per_axis=nodes, **_given(ob, "k_sigma"))
         record = ("posterior_mean", [float(v) for v in mean], err, "laplace-trapezoid",
                   {"nodes_per_axis": nodes})
-    elif task == "poisson":
+    else:
         n_nodes = ob.get("n_nodes", 20001)
         sol = poisson_solve_1d(pot, lambda x: x, n_nodes=n_nodes)
         record = ("poisson_solution", {"pi_f": sol.pi_f, "residual_sup": sol.residual_sup},
                   sol.residual_sup, "integrating-factor", {"n_nodes": n_nodes})
-    else:
-        raise ConfigError(f"unknown oracle task {task!r}")
     record = dict(zip(("target", "value", "error_estimate", "method", "settings"), record))
     json.dump(record, out, indent=2, sort_keys=True)
     out.write("\n")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapabilityError, ExperimentError, ParameterError
 from .potentials import Potential, minimizer
-from .rng import mix64, stream
+from .rng import stream
 from .sampler import ChainConfig, _observe_chain, moment_clamp, replicate_runs
 from .tuning import TuningPlan
 
@@ -26,27 +26,17 @@ from .tuning import TuningPlan
 class ExperimentReport:
     estimates: np.ndarray  # (M, d) replicate Cesaro estimates
     reference: np.ndarray
-    reference_provenance: str  # closed-form | quadrature | importance-sampling (cli._reference)
     mse: float
     ci: tuple  # normal 95% interval on the MSE (_normal_ci)
     manifest: dict = field(default_factory=dict)
     n_diverged: int = 0
 
-    def recompute_mse(self) -> float:
-        return float(np.mean(np.sum((self.estimates - self.reference) ** 2, axis=1)))
-
 
 @dataclass(frozen=True)
 class RateFit:
-    x: np.ndarray
-    y: np.ndarray
     slope: float
     intercept: float
     r2: float
-
-    def slope_trustworthy(self) -> bool:
-        """Refuse slope assertions on poor fits."""
-        return self.r2 >= 0.9
 
 
 def fit_line(x, y) -> RateFit:
@@ -66,7 +56,7 @@ def fit_line(x, y) -> RateFit:
     resid = y - (slope * x + intercept)
     sst = float(np.sum((y - ym) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / sst if sst > 0 else 0.0
-    return RateFit(x=x, y=y, slope=slope, intercept=intercept, r2=r2)
+    return RateFit(slope=slope, intercept=intercept, r2=r2)
 
 
 _Z975 = 1.959963984540054  # the standard normal's 97.5% quantile
@@ -90,7 +80,6 @@ def mse_experiment(
     reference,
     base_seed: int,
     x0=None,
-    reference_provenance: str = "closed-form",
 ) -> ExperimentReport:
     """M tuned chains; MSE of the Cesaro estimates against the reference.
 
@@ -125,60 +114,15 @@ def mse_experiment(
         "x0": [float(v) for v in np.atleast_1d(x0)],
         "potential": pot.name,
         "reference": [float(v) for v in reference],
-        "reference_provenance": reference_provenance,
     }
     return ExperimentReport(
         estimates=est,
         reference=reference,
-        reference_provenance=reference_provenance,
         mse=mse,
         ci=ci,
         manifest=manifest,
         n_diverged=len(diverged),
     )
-
-
-def bayes_rate_experiment(
-    model,
-    theta_star,
-    n_grid: Sequence[int],
-    m_datasets: int,
-    base_seed: int,
-) -> RateFit:
-    """MSE of the oracle posterior mean versus n, fitted on log(n / log n): the library's
-    statistical rate, with no chain; the CLI's ``run`` over ``data.n_grid`` scores chains.
-
-    For each n, ``m_datasets`` fresh datasets are drawn and the posterior
-    mean is the ``mean`` of the model's ``posterior``, its closed form (the
-    conjugate mean under the N(0, I) prior); a model without one raises
-    CapabilityError.  Returns the OLS fit of log MSE against log(n / log n).
-    The consistency theory gives eps_n^2 = (C_P L^2 d log n / n)^{1/alpha_c}
-    as an upper bound on the MSE, so this slope is -1/alpha_c only when the bound is tight, log
-    factor included.  A model whose MSE carries no log factor, such as the
-    unit-precision conjugate Gaussian (MSE (nd + |theta*|^2)/(n+1)^2), gives a steeper
-    slope: -1.18 on {100, 400, 1600, 6400}.  Read the n-exponent by
-    fitting ``fit.y`` against log n instead.
-    """
-    from .bayes import sample_dataset
-
-    n_grid = list(n_grid)
-    if len(n_grid) < 4 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ParameterError("n_grid must be ascending with at least 4 points")
-    theta_star = np.asarray(theta_star, dtype=float)
-
-    mses = []
-    for j, n in enumerate(n_grid):
-        errs = np.empty(m_datasets)
-        for i in range(m_datasets):
-            obs = sample_dataset(model, theta_star, n, mix64(base_seed, j * m_datasets + i))
-            tm = model.posterior(obs).mean
-            if tm is None:
-                raise CapabilityError(f"model {model.model_id} has no closed-form posterior mean")
-            errs[i] = float(np.sum((tm - theta_star) ** 2))
-        mses.append(errs.mean())
-    x = np.log(np.asarray(n_grid, dtype=float) / np.log(n_grid))
-    y = np.log(np.asarray(mses))
-    return fit_line(x, y)
 
 
 @dataclass(frozen=True)

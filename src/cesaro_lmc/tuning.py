@@ -62,7 +62,9 @@ def sc_gamma_clamp(d: int, L: float) -> float:
 
 
 def _finish(regime, gamma_raw, n_raw, clamp, calib, constants) -> TuningPlan:
-    """Apply calibration, clamp gamma, preserve t_N, ceil N."""
+    """Apply calibration, clamp gamma, preserve t_N, ceil N.  When the clamp bites, gamma is
+    the clamp and N = n_raw gamma_raw / clamp: ``calib`` cancels, and so does ``frak_e`` for
+    weak-i.b and weak-ii.b, whose gamma_raw n_raw does not depend on it."""
     gamma = gamma_raw / calib
     n_real = n_raw * calib
     clamped = gamma > clamp

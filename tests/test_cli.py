@@ -21,6 +21,7 @@ import numpy as np
 from cesaro_lmc import cli, sampler
 from cesaro_lmc.bayes import GaussianLocationModel, PPowerLocationModel, sample_dataset
 from cesaro_lmc.cli import config_hash, main, validate_config
+from cesaro_lmc.diagnostics import SeparationMap, run_test_phi
 from cesaro_lmc.errors import ParameterError
 from cesaro_lmc.rng import mix64
 
@@ -257,12 +258,12 @@ class TestRunCommand:
         quad = cli.quadrature_posterior_mean
         calls = []
         monkeypatch.setattr(cli, "quadrature_posterior_mean",
-                            lambda pot: calls.append(pot) or quad(pot))
+                            lambda pot: calls.append(quad(pot)) or calls[-1])
         summary = run_summary(tmp_path, {
             "potential": LOGISTIC_POTENTIAL, "tuning": {"regime": "sc-i", "eps_grid": [0.4, 0.3]},
             "run": {"M": 20, "base_seed": 3}})
         assert len(calls) == 1  # one reference for the whole grid
-        assert [r.reference_provenance for r in reports] == ["quadrature", "quadrature"]
+        assert [r.reference.tolist() for r in reports] == [calls[0][0].tolist()] * 2
         assert all(map(math.isfinite, [summary["spread"], *summary["mse_over_eps_sq"]]))
 
     @pytest.mark.parametrize("d", [2, 5])
@@ -383,6 +384,9 @@ class TestPlanRule:
          "give tuning.eps or tuning.eps_grid, not both"),
         ("conjugate_posterior.json", {"data": {"n_grid": [100, 400]}},
          "give data.n or data.n_grid, not both"),
+        # no command reads a data block beside a potential, not even its seed
+        ("ou_smoke.json", {"data": {"seed": 5}},
+         "a data block is read only with a model block, and the config has a potential block"),
     ])
     def test_a_grid_key_the_block_cannot_use_is_refused(self, tmp_path, command, config,
                                                         changes, message):
@@ -577,6 +581,18 @@ class TestVerifyCommand:
         assert main(["verify", "--config", path, "--strict"]) == 3
         assert main(["verify", "--config", path]) == 0
 
+    def test_phi_separation_map_reads_the_model(self, tmp_path, monkeypatch):
+        maps = []
+        monkeypatch.setattr(cli, "run_test_phi", lambda *a: maps.append(a[5]) or run_test_phi(*a))
+        cfg = {
+            "model": {"family": "gaussian_location", "d": 1, "theta_star": [0.0],
+                      "b1": 3.0, "alpha_c": 1.5},
+            "diagnostics": {"test_phi": {"theta_alt": [1.0], "n": 20, "r_n": 1.0, "M": 10,
+                                          "seed": 1, "b2": 2.0}},
+        }
+        main(["verify", "--config", write(tmp_path, "phi.json", cfg)])
+        assert maps == [SeparationMap(b1=3.0, b2=2.0, alpha_c=1.5)]
+
     @pytest.mark.parametrize(
         "check, opts",
         [
@@ -618,6 +634,16 @@ class TestOracleCommand:
         cfg = {"potential": {"family": "gaussian", "d": 1}, "oracle": {"task": "nope"}}
         path = write(tmp_path, "ot.json", cfg)
         assert main(["oracle", "--config", path]) == 2
+
+    @pytest.mark.parametrize("task, key, value", [
+        ("quadrature", "n_nodes", 7),
+        ("poisson", "nodes_per_axis", 161),
+        ("poisson", "k_sigma", 8.0),
+    ])
+    def test_a_key_the_task_does_not_read_is_refused(self, tmp_path, task, key, value):
+        cfg = {"potential": {"family": "gaussian", "d": 1}, "oracle": {"task": task, key: value}}
+        assert exits_2_with_one_line(tmp_path, "oracle", cfg) == (
+            f"error: oracle.{key} is not read by the {task} task\n")
 
 
 def test_console_entrypoint_runs():
@@ -736,7 +762,7 @@ class TestExitCodeMapping:
              {"test_phi": {"theta_alt": [1.0, 0.0], "n": 200, "r_n": "x", "M": 10, "seed": 1}}),
             ("verify", "conjugate_posterior.json", "diagnostics",
              {"test_phi": {"theta_alt": [1.0, 0.0], "n": 200, "r_n": 1.0, "M": 10, "seed": "x",
-                           "b1": 1.0, "b2": "y", "alpha_c": 1.0}}),
+                           "b2": "y"}}),
             # a model block but no potential block
             ("oracle", "conjugate_posterior.json", "oracle", {"task": "quadrature"}),
             ("verify", "conjugate_posterior.json", "diagnostics",
@@ -766,6 +792,12 @@ class TestExitCodeMapping:
                 marks=pytest.mark.compiled),
             # a key of a deleted task
             ("oracle", "ou_smoke.json", "oracle", {"task": "quadrature", "eps_ref": 0.05}),
+            # a deleted key: the poisson task always solves for f(x) = x
+            ("oracle", "ou_smoke.json", "oracle", {"task": "poisson", "f": "identity"}),
+            # the separation map takes b1 and alpha_c from the model block
+            *[("verify", "conjugate_posterior.json", "diagnostics",
+               {"test_phi": {"theta_alt": [1.5, -0.2], "n": 200, "r_n": 1.0, "M": 10, "seed": 1,
+                             key: 1.0}}) for key in ("b1", "alpha_c")],
         ],
     )
     def test_malformed_oracle_and_diagnostics_values_exit_2(
@@ -856,8 +888,7 @@ FUZZ_BASES = [
         "diagnostics": {
             "concentration": {"n": 10, "delta_grid": [0.5], "M": 10, "seed": 1,
                               "statistic": "psi"},
-            "test_phi": {"theta_alt": [1.0], "n": 10, "r_n": 1.0, "M": 10, "seed": 1,
-                         "b1": 1.0, "b2": 1.0, "alpha_c": 1.0},
+            "test_phi": {"theta_alt": [1.0], "n": 10, "r_n": 1.0, "M": 10, "seed": 1, "b2": 1.0},
         },
     }),
     ("run", {

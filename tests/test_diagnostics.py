@@ -8,18 +8,17 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from cesaro_lmc.bayes import GaussianLocationModel, LogisticModel, sample_dataset
+from cesaro_lmc.bayes import GaussianLocationModel, sample_dataset
 from cesaro_lmc.diagnostics import (
     SeparationMap,
     _normal_ci,
-    bayes_rate_experiment,
     concentration_check,
     fit_line,
     moment_check,
     mse_experiment,
     run_test_phi,
 )
-from cesaro_lmc.errors import CapabilityError, ExperimentError, ParameterError
+from cesaro_lmc.errors import ExperimentError, ParameterError
 from cesaro_lmc.oracle import ou_cesaro_moments
 from cesaro_lmc.potentials import builtin_gaussian_location
 from cesaro_lmc.rng import stream
@@ -55,7 +54,7 @@ class TestMseExperiment:
 
     def test_mse_recomputable(self):
         report = mse_experiment(OU, ou_plan(n=200), 50, reference=[0.0], base_seed=5)
-        assert report.recompute_mse() == report.mse
+        assert np.mean(np.sum((report.estimates - report.reference) ** 2, axis=1)) == report.mse
 
     def test_ci_brackets_mse(self):
         report = mse_experiment(OU, ou_plan(n=200), 100, reference=[0.0], base_seed=7)
@@ -155,14 +154,13 @@ class TestRateFit:
     def test_r2_guard(self):
         rng = np.random.default_rng(0)
         fit = fit_line(np.arange(10.0), rng.standard_normal(10))
-        assert not fit.slope_trustworthy()
+        assert fit.r2 < 0.9
 
     def test_constant_y_is_untrustworthy(self):
         # a flat y (e.g. an estimator that never moves) carries no rate information
         fit = fit_line(np.log([100.0, 400.0, 1600.0, 6400.0]), np.full(4, -2.5))
         assert fit.slope == 0.0
         assert fit.r2 == 0.0
-        assert not fit.slope_trustworthy()
 
     def test_bayes_rate_d_scaling(self):
         # at fixed n the oracle posterior-mean MSE is linear in d
@@ -176,25 +174,6 @@ class TestRateFit:
                 errs.append(float(np.sum(tm**2)))
             mses[d] = np.mean(errs)
         assert mses[4] / mses[2] == pytest.approx(2.0, rel=0.30)
-
-    def test_bayes_rate_experiment_runs(self):
-        model = GaussianLocationModel(2, 1.0)
-        fit = bayes_rate_experiment(model, [1.0, -1.0], [100, 400, 1600, 6400], 100, base_seed=0)
-        assert fit.r2 > 0.95
-        # exact conjugate MSE ~ d/n with no log factor: slope -1.18 on log(n / log n)
-        assert -1.4 < fit.slope < -0.9
-
-    def test_grid_validation(self):
-        model = GaussianLocationModel(1, 1.0)
-        with pytest.raises(ParameterError):
-            bayes_rate_experiment(model, [0.0], [100, 50, 200, 400], 10, 0)
-
-    @pytest.mark.compiled
-    def test_oracle_is_the_models_posterior_mean(self):
-        # a logistic model's posterior (compiled) has no closed-form mean
-        model = LogisticModel(np.array([[1.0, 0.5], [-0.3, 1.2]]))
-        with pytest.raises(CapabilityError, match="posterior mean"):
-            bayes_rate_experiment(model, [0.1, 0.2], [100, 400, 1600, 6400], 5, 0)
 
 
 class TestConcentration:

@@ -99,6 +99,10 @@ MUTANTS = [
            "opts = {k: float(v) for k, v in", "opts = {k: v for k, v in",
            ("tests/test_cli.py::TestPlanRule::test_json_integers_give_the_bytes_of_floats"
             "[tune-cfg2]",)),
+    Mutant("poisson-oracle-reads-k-sigma", "cesaro_lmc/cli.py",
+           '"poisson": {"n_nodes"}}', '"poisson": {"n_nodes", "k_sigma"}}',
+           ("tests/test_cli.py::TestOracleCommand::test_a_key_the_task_does_not_read_is_refused"
+            "[poisson-k_sigma-8.0]",)),
     Mutant("tune-bayes-drops-model-b1", "cesaro_lmc/tuning.py",
            "epsilon_n(cp, L, alpha_c, d, n, model.b1)", "epsilon_n(cp, L, alpha_c, d, n)",
            ("tests/test_tuning.py::TestBayesTunings::test_model_b1_decides_eps_n_valid",)),

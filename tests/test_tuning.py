@@ -5,7 +5,7 @@ import pytest
 
 from cesaro_lmc.bayes import GaussianLocationModel
 from cesaro_lmc.errors import CapabilityError, ParameterError
-from cesaro_lmc.potentials import Smoothness, StronglyConvex, WeaklyConvexKL
+from cesaro_lmc.potentials import Smoothness, StronglyConvex, WeaklyConvexKL, builtin_p_power
 from cesaro_lmc.tuning import (
     audit_plan,
     compute_upsilon,
@@ -209,6 +209,13 @@ class TestClampBehavior:
         raw_t = plan.constants["gamma_raw"] * plan.constants["n_steps_raw"]
         assert plan.gamma * plan.constants["n_steps_real"] == pytest.approx(raw_t, rel=1e-9)
         assert plan.t_horizon >= raw_t * (1 - 1e-9)  # integer ceiling only adds time
+
+    @pytest.mark.parametrize("options", [{}, {"calib": 2.0}, {"calib": 3.0}, {"frak_e": 0.2}])
+    def test_a_biting_clamp_cancels_calib_and_frak_e(self, options):
+        """gamma is the clamp and N = n_raw gamma_raw / clamp: calib cancels, and so
+        does frak_e for weak-i.b, whose gamma_raw n_raw does not depend on it."""
+        plan = tune_weak(builtin_p_power(2), 0.5, "i.b", **options)
+        assert plan.clamped and (plan.gamma, plan.n_steps) == (0.015625, 813)
 
     def test_every_plan_respects_its_clamp(self):
         plans = [
