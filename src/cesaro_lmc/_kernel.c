@@ -15,7 +15,7 @@
  * at a time, so a point's result does not depend on its batch.  lmc_step
  * steps chains with the same gradient code, through the same IEEE
  * operations, in the same order, as the numpy driver (sampler._drive): the
- * Kahan Cesaro update, K Euler substeps, then the divergence test.  Noise
+ * Kahan Cesaro update, the Euler step, then the divergence test.  Noise
  * comes from the replicate's lmc_stream: this file's copy of numpy's
  * Philox4x64-10 generator, whose state is a row of a plain array.  A normal
  * (normal()) runs the first test of numpy's ziggurat inline, on tables that
@@ -307,20 +307,19 @@ void lmc_normals(lmc_stream *s, int64_t n, double *out)
         out[i] = normal(s);
 }
 
-/* Coarse steps step0 .. step0 + todo - 1 of m replicates, one replicate at a
+/* Steps step0 .. step0 + todo - 1 of m replicates, one replicate at a
  * time.  x, ces, comp are (m, d); diverged is (m,), -1 while alive, and a
  * replicate with diverged >= 0 is skipped.  On divergence a replicate's
  * step is recorded and its ces and x become NaN.  When states is not NULL,
- * replicate i writes the state before each substep to the rows starting at
+ * replicate i writes the state before each step to the rows starting at
  * states + i * states_stride; rows after its divergence are left as they
  * were.  Replicate i draws from streams[i].  A replicate touches only its
  * own rows and stream, so the caller (_kernel.Kernel.step) steps disjoint
  * replicate ranges in concurrent calls without moving a bit.  g is the
  * caller's gradient buffer of d doubles, one per concurrent call. */
 void lmc_step(const lmc_pot *p, lmc_stream *streams, int64_t m, double h, double sqrt2h,
-              int64_t k_sub, int64_t step0, int64_t todo, double *x, double *ces,
-              double *comp, int64_t *diverged, double *states, int64_t states_stride,
-              double *g)
+              int64_t step0, int64_t todo, double *x, double *ces, double *comp,
+              int64_t *diverged, double *states, int64_t states_stride, double *g)
 {
     const int64_t d = p->d;
     for (int64_t i = 0; i < m; i++) {
@@ -336,16 +335,14 @@ void lmc_step(const lmc_pot *p, lmc_stream *streams, int64_t m, double h, double
                 ci[j] = (t2 - si[j]) - t1;
                 si[j] = t2;
             }
-            for (int64_t s = 0; s < k_sub; s++) {
-                if (row) {
-                    memcpy(row, xi, (size_t)d * sizeof(double));
-                    row += d;
-                }
-                grad_point(p, xi, g);
-                for (int64_t j = 0; j < d; j++) {
-                    double y = xi[j] - g[j] * h;
-                    xi[j] = y + normal(streams + i) * sqrt2h;
-                }
+            if (row) {
+                memcpy(row, xi, (size_t)d * sizeof(double));
+                row += d;
+            }
+            grad_point(p, xi, g);
+            for (int64_t j = 0; j < d; j++) {
+                double y = xi[j] - g[j] * h;
+                xi[j] = y + normal(streams + i) * sqrt2h;
             }
             /* NaN and inf fail the comparison */
             int bad = 0;

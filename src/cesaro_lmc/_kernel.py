@@ -28,7 +28,7 @@ to the library: its ``value``, ``grad`` and ``hess_vec`` evaluate the term
 and ``step`` advances chains on it.
 
 ``step`` splits the replicate axis into contiguous ranges of at least
-``_MIN_RANGE_WORK`` replicate-substeps, one ``lmc_step`` call each, and
+``_MIN_RANGE_WORK`` replicate-steps, one ``lmc_step`` call each, and
 steps them on at most one thread per CPU of the process's affinity mask
 (there is no setting): the caller's thread and plain threads, joined before
 it returns.  Each thread takes the next range when it is free, so a CPU the
@@ -59,7 +59,7 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _CHECK_KEY = 0x5EF4  # Philox key of the load-time self-check: its first 4096 normals hold 3 tails
 _CHECK_NORMALS = 4096  # normals of the self-check
 _ROW = 16  # uint64 words of a stream (lmc_stream)
-_MIN_RANGE_WORK = 1 << 16  # the least work a range may hold, in replicate-substeps
+_MIN_RANGE_WORK = 1 << 16  # the least work a range may hold, in replicate-steps
 _RANGES_PER_WORKER = 8  # so a worker on a CPU the host slows takes fewer ranges
 # the most threads one step call runs: the CPUs this process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -125,7 +125,7 @@ def _open(path: str):
         "lmc_grad": (None, [pot, i64, p, p]),
         "lmc_hess_vec": (None, [pot, i64, p, p, p]),
         "lmc_normals": (None, [p, i64, p]),
-        "lmc_step": (None, [pot, p, i64, f64, f64, i64, i64, i64, p, p, p, p, p, i64, p]),
+        "lmc_step": (None, [pot, p, i64, f64, f64, i64, i64, p, p, p, p, p, i64, p]),
     }
     for name, (restype, argtypes) in signatures.items():
         fn = getattr(lib, name)
@@ -261,8 +261,8 @@ class Kernel:
                               out.ctypes.data)
         return out.reshape(x.shape)
 
-    def step(self, streams, h, sqrt2h, k_sub, step0, todo, x, ces, comp, diverged, states=None):
-        """Advance the (m, d) arrays of ``_drive`` by ``todo`` coarse steps in place.
+    def step(self, streams, h, sqrt2h, step0, todo, x, ces, comp, diverged, states=None):
+        """Advance the (m, d) arrays of ``_drive`` by ``todo`` steps in place.
 
         ``streams`` holds the replicates' stream rows (:func:`streams`),
         advanced in place, and ``diverged`` is an int64 array, all
@@ -271,7 +271,7 @@ class Kernel:
         """
         m, d = x.shape
         stride = 0 if states is None else states.shape[1] * d
-        most = m * todo * k_sub // _MIN_RANGE_WORK  # ranges the work fills
+        most = m * todo // _MIN_RANGE_WORK  # ranges the work fills
         workers = max(1, min(_WORKERS, m, most))
         # as many ranges for each thread, so threads on equal CPUs end together
         ranges = workers * max(1, min(_RANGES_PER_WORKER, most // workers, m // workers))
@@ -285,8 +285,8 @@ class Kernel:
                 for r in queue:
                     lo, hi = bounds[r], bounds[r + 1]
                     self.lib.lmc_step(
-                        self._pot, streams[lo:].ctypes.data, hi - lo, h, sqrt2h, k_sub, step0,
-                        todo, x[lo:].ctypes.data, ces[lo:].ctypes.data, comp[lo:].ctypes.data,
+                        self._pot, streams[lo:].ctypes.data, hi - lo, h, sqrt2h, step0, todo,
+                        x[lo:].ctypes.data, ces[lo:].ctypes.data, comp[lo:].ctypes.data,
                         diverged[lo:].ctypes.data,
                         None if states is None else states[lo:].ctypes.data, stride,
                         g.ctypes.data,

@@ -243,7 +243,9 @@ def _check(where: str, value, spec) -> None:
 
 def validate_config(cfg: dict) -> dict:
     """Check ``cfg`` against ``_SCHEMA`` and return it as it is (defaults are
-    never filled in: the manifest and the config hash embed the config)."""
+    never filled in: the manifest and the config hash embed the config).  A
+    model block beside a potential block, and a data block beside a potential
+    block (no command reads it), are refused."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     for key, block in cfg.items():
@@ -252,6 +254,9 @@ def validate_config(cfg: dict) -> dict:
         _check(key, block, _SCHEMA[key])
     if "model" in cfg and "potential" in cfg:
         raise ConfigError("give either a model block or a potential block, not both")
+    if "data" in cfg and "potential" in cfg:
+        raise ConfigError("a data block is read only with a model block, "
+                          "and the config has a potential block")
     return cfg
 
 
@@ -334,27 +339,24 @@ def _plans(cfg: dict):
     ``[tuning.eps]``, else ``[1.0]``).  Every regime is tuned by one call per point,
     ``tune_<family>(block, point, variant, **options)``: ``bayes-*`` reads the model's
     per-observation constants at n, ``sc-*`` and ``weak-*`` the potential's own at eps.
-    The other block's grid or point key, a data block beside a potential, or a point key
-    beside its grid key, is refused, and so is a tuning key the regime does not read
-    (``_READS``).  A tuning option the config leaves out takes the library's default."""
+    A potential's grid or point key beside a model, or a point key beside its grid key, is
+    refused, and so is a tuning key the regime does not read (``_READS``).  A tuning option
+    the config leaves out takes the library's default."""
     subject = _tuned(cfg)
     tb = cfg["tuning"]
     family, _, variant = tb["regime"].partition("-")
     block = _TUNES[family]
-    for other, (section, key, _) in _GRID.items():
-        for name, what in ((f"{key}_grid", "grid"), (key, "point")):
-            if other != block and name in cfg.get(section, {}):
-                raise ConfigError(f"{section}.{name} is a {what} of a {other} block, "
-                                  f"and the config has a {block} block")
+    if block == "model":  # a data block beside a potential is refused at load
+        for name, what in (("eps_grid", "grid"), ("eps", "point")):
+            if name in tb:
+                raise ConfigError(f"tuning.{name} is a {what} of a potential block, "
+                                  "and the config has a model block")
     section, key, point = _GRID[block]
     given = cfg.get(section, {})
     if key in given and f"{key}_grid" in given:
         raise ConfigError(f"give {section}.{key} or {section}.{key}_grid, not both")
     if block == "model" and not {key, f"{key}_grid"} & given.keys():
         raise ConfigError("a bayes-* tuning needs data.n")
-    if block == "potential" and "data" in cfg:
-        raise ConfigError("a data block is read only with a model block, "
-                          "and the config has a potential block")
     unread = sorted(tb.keys() - _READS[tb["regime"]] - {"regime"})
     if unread:
         raise ConfigError(f"tuning.{unread[0]} is not read by the {tb['regime']} regime")
@@ -451,10 +453,12 @@ def cmd_run(cfg: dict, output_dir=None, out=None) -> int:
         ratios = [r.mse / p.constants.get("eps_n", v) ** 2 for (v, p), r in zip(points, reports)]
         rows = [[_fmt(v), _fmt(p.gamma), p.n_steps, _fmt(r.mse), _fmt(q)]
                 for (v, p), r, q in zip(points, reports, ratios)]
+        # a zero MSE (a chain started at the mean with N = 1) makes the spread infinite
+        spread = max(ratios) / min(ratios) if min(ratios) > 0 else math.inf
         summary = {"experiment": f"{key}_scaling", f"{key}_grid": [v for v, _ in points],
-                   "mse_over_eps_sq": ratios, "spread": max(ratios) / min(ratios)}
+                   "mse_over_eps_sq": ratios, "spread": "inf" if spread == math.inf else spread}
         header = [key, "gamma", "n_steps", "mse", "mse_over_eps_sq"]
-        line = f"spread={summary['spread']:.3f}"
+        line = f"spread={spread:.3f}"
         if theta is not None:  # the chains' error against theta_star, and its rate in n
             errs = [float(np.mean(np.sum((r.estimates - theta) ** 2, axis=1))) for r in reports]
             rows = [row + [_fmt(e)] for row, e in zip(rows, errs)]

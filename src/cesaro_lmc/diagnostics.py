@@ -292,7 +292,7 @@ def moment_check(
 ) -> MomentReport:
     """Long-run stability of W^p and exp(a W) running means along one chain.
 
-    Observes the coarse states of the chain ``cfg`` describes.  Requires
+    Observes the states of the chain ``cfg`` describes.  Requires
     the moment clamp gamma <= 1/(4dL+1).  Passes when no checkpointed
     running mean exceeds ten times its maximum over the first decile of
     checkpoints.  Raises :class:`ExperimentError` naming the first step at
@@ -311,8 +311,8 @@ def moment_check(
     logs = []
 
     def observe(k0, states, diverged):
-        # running means at the coarse states; cumsum keeps the sequential sum
-        w = pot.value(states[0, :: cfg.fine_substeps]) + pot.offset
+        # running means at the states; cumsum keeps the sequential sum
+        w = pot.value(states[0]) + pot.offset
         v = np.stack([w**p for p in p_grid] + [np.exp(a * w)])
         bad = [k0 + int(i) for i in np.flatnonzero(~np.isfinite(v[-1]))[:1]]
         bad += [int(diverged[0])] if diverged[0] >= 0 else []

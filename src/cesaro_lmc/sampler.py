@@ -15,7 +15,7 @@ chain alone and independent of how replicates are partitioned.
 
 The driver fills one preallocated (replicates, steps, d) noise block in
 place, stream by stream, at most 2^22 doubles, and scales it by
-sqrt(2 gamma/K) in one pass; the Philox stream does not depend on how draws
+sqrt(2 gamma) in one pass; the Philox stream does not depend on how draws
 are chunked, so block size never moves a bit.  The Euler and Kahan updates
 write into fixed buffers, in the same IEEE operation order as the plain
 expressions.  Divergence (a coordinate at
@@ -46,15 +46,14 @@ driver.
 
 Diagnostics observe the chain rather than step a copy of it.  An observer
 is a callable ``ob(k0, states, diverged)`` that the driver calls once per
-noise block: ``states`` is (replicates, rows, d), the state before each
-fine substep of the block's coarse steps k0, k0 + 1, ... (so
-``states[:, ::K]`` are the coarse states), and ``diverged`` holds each
-replicate's divergence step so far (-1 while alive).  A diverged
-replicate's states are NaN from the step after its divergence on.  The
-buffer is reused, so observers copy what they keep.  The tangent trace
-(first-variation matrix Y, co-integrated by explicit Euler with the
-Hessian at each pre-substep state), ``dump_trajectory`` and
-``diagnostics.moment_check`` are observers.
+noise block: ``states`` is (replicates, steps, d), ``states[:, j]`` the
+state before step k0 + j, and ``diverged`` holds each replicate's
+divergence step so far (-1 while alive).  A diverged replicate's states
+are NaN from the step after its divergence on.  The buffer is reused, so
+observers copy what they keep.  The tangent trace (first-variation
+matrix Y, co-integrated by explicit Euler with the Hessian at each
+pre-step state), ``dump_trajectory`` and ``diagnostics.moment_check``
+are observers.
 """
 
 from __future__ import annotations
@@ -72,6 +71,7 @@ from .rng import mix64, stream
 from .tuning import sc_gamma_clamp
 
 _DIVERGE_LIMIT = 1e12
+_MAX_STEPS = 2**63 - 1  # the compiled loop counts steps in int64
 
 
 def moment_clamp(pot: Potential) -> float:
@@ -84,10 +84,9 @@ class ChainConfig:
     """Parameters of one Euler chain.
 
     The Cesaro estimate is the plain average of all ``n_steps`` states
-    from ``x0`` on, x0 included; no prefix is discarded.
-    ``fine_substeps`` = K advances the dynamics with step gamma/K between
-    the coarse Cesaro grid points; ``checkpoints`` spaces the tangent
-    trace's log.
+    from ``x0`` on, x0 included; no prefix is discarded.  ``n_steps``
+    is at most 2^63 - 1, the most the compiled loop counts.
+    ``checkpoints`` spaces the tangent trace's log.
     """
 
     gamma: float
@@ -95,17 +94,14 @@ class ChainConfig:
     x0: np.ndarray
     seed: int
     track_tangent: bool = False
-    fine_substeps: int = 1
     checkpoints: int = 200
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
         if not self.gamma > 0:
             raise ParameterError(f"gamma must be positive, got {self.gamma}")
-        if self.n_steps < 1:
-            raise ParameterError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.fine_substeps < 1:
-            raise ParameterError("fine_substeps must be >= 1")
+        if not 1 <= self.n_steps <= _MAX_STEPS:
+            raise ParameterError(f"n_steps must lie in [1, 2^63 - 1], got {self.n_steps}")
 
 
 @dataclass(frozen=True)
@@ -134,8 +130,7 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
     it loads, else by numpy; both give the same bits.
     """
     m, d = x0_batch.shape
-    k_sub = cfg.fine_substeps
-    h = cfg.gamma / k_sub
+    h = cfg.gamma
     sqrt2h = math.sqrt(2.0 * h)
     n = cfg.n_steps
 
@@ -146,7 +141,7 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
 
     # one noise block of at most 2^22 doubles (32 MiB), filled in place per
     # stream; single chains keep 8192-step blocks
-    chunk = max(1, min(8192 // k_sub, n, (1 << 22) // max(1, m * d * k_sub)))
+    chunk = max(1, min(8192, n, (1 << 22) // max(1, m * d)))
     kern = None
     if pot.kernel is not None:
         from . import _kernel  # at the first compiled chain, not at package import
@@ -160,20 +155,19 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
             chunk = n  # the compiled loop needs no noise block
     else:
         gens = [stream(int(s)) for s in seeds]
-        block = np.empty((m, chunk * k_sub, d))
+        block = np.empty((m, chunk, d))
         t1, t2, hg = (np.empty((m, d)) for _ in range(3))
-    states = np.empty((m, chunk * k_sub, d)) if observers else None
+    states = np.empty((m, chunk, d)) if observers else None
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected, not warned
         while step < n:
             todo = min(chunk, n - step)
-            rows = todo * k_sub
             if kern is not None:
-                kern.step(streams, h, sqrt2h, k_sub, step, todo, x, ces, comp, diverged, states)
+                kern.step(streams, h, sqrt2h, step, todo, x, ces, comp, diverged, states)
             else:
                 for i, g in enumerate(gens):
-                    g.standard_normal((rows, d), out=block[i, :rows])
-                block[:, :rows] *= sqrt2h
+                    g.standard_normal((todo, d), out=block[i, :todo])
+                block[:, :todo] *= sqrt2h
                 for j in range(todo):
                     k = step + j
                     # Cesaro includes the current (pre-step) state: indices 0..N-1
@@ -182,13 +176,12 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
                     np.subtract(t2, ces, out=comp)
                     comp -= t1
                     ces, t2 = t2, ces
-                    for r in range(j * k_sub, (j + 1) * k_sub):
-                        if states is not None:
-                            states[:, r] = x
-                        # grad's output may alias x, so it is read, never written
-                        np.multiply(pot.grad(x), h, out=hg)
-                        x -= hg
-                        x += block[:, r]
+                    if states is not None:
+                        states[:, j] = x
+                    # grad's output may alias x, so it is read, never written
+                    np.multiply(pot.grad(x), h, out=hg)
+                    x -= hg
+                    x += block[:, j]
                     # NaN/inf fail the comparison: one whole-array reduction screens
                     # the batch, the per-row check runs only when it trips
                     if not np.abs(x).max() < _DIVERGE_LIMIT:
@@ -199,43 +192,41 @@ def _drive(pot: Potential, cfg: ChainConfig, x0_batch: np.ndarray, seeds, observ
                         # on every later step; outputs show them as NaN
                         x[diverged >= 0] = x0_batch[diverged >= 0]
             if observers:
-                _mask_dead(states[:, :rows], diverged, step, k_sub)
+                _mask_dead(states[:, :todo], diverged, step)
                 for ob in observers:
-                    ob(step, states[:, :rows], diverged)
+                    ob(step, states[:, :todo], diverged)
             step += todo
     x[diverged >= 0] = np.nan
     return ces / n, x, diverged
 
 
-def _mask_dead(states, diverged, k0, k_sub):
-    """NaN the states of each diverged replicate from the coarse step after
-    its divergence on (``states`` holds the block starting at step k0)."""
+def _mask_dead(states, diverged, k0):
+    """NaN the states of each diverged replicate from the step after its
+    divergence on (``states`` holds the block starting at step k0)."""
     dead = np.flatnonzero(diverged >= 0)
     if dead.size:
-        first = (diverged[dead] + 1 - k0) * k_sub  # first NaN row of the block
+        first = diverged[dead] + 1 - k0  # first NaN row of the block
         late = np.arange(states.shape[1]) >= first[:, None]
         states[dead] = np.where(late[..., None], np.nan, states[dead])
 
 
 class _TangentTrace:
-    """Observer: the first variation Y, stepped y -= h H(x) y at each
-    pre-substep state, its spectral norm logged at the coarse checkpoints
-    of the replicates still alive there."""
+    """Observer: the first variation Y, stepped y -= gamma H(x) y at each
+    pre-step state, its spectral norm logged at the checkpoints of the
+    replicates still alive there."""
 
     def __init__(self, pot: Potential, cfg: ChainConfig, m: int):
         self.pot, self.cfg = pot, cfg
-        self.h = cfg.gamma / cfg.fine_substeps
         self.every = max(1, cfg.n_steps // max(1, cfg.checkpoints))
         self.y = np.broadcast_to(np.eye(pot.dim), (m, pot.dim, pot.dim)).copy()
         self.logs = [[(0.0, float(v))] for v in _spectral_norms(self.y)]
 
     def __call__(self, k0, states, diverged):
-        k_sub, n = self.cfg.fine_substeps, self.cfg.n_steps
+        n = self.cfg.n_steps
         for r in range(states.shape[1]):
-            self.y = self.y - self.h * hess_columns(self.pot, states[:, r], self.y)
-            k, s = divmod(r, k_sub)
-            k += k0
-            if s == k_sub - 1 and (k % self.every == 0 or k == n - 1):
+            self.y = self.y - self.cfg.gamma * hess_columns(self.pot, states[:, r], self.y)
+            k = k0 + r
+            if k % self.every == 0 or k == n - 1:
                 live = np.flatnonzero((diverged < 0) | (diverged > k))
                 t = (k + 1) * self.cfg.gamma
                 for i, v in zip(live, _spectral_norms(self.y[live])):
@@ -300,8 +291,7 @@ def dump_trajectory(pot: Potential, cfg: ChainConfig, frames_path, header_path, 
     frames = []
 
     def keep(k0, states, diverged):
-        coarse = states[0, :: cfg.fine_substeps]
-        frames.append(coarse[(k0 + np.arange(coarse.shape[0])) % stride == 0])
+        frames.append(states[0, (k0 + np.arange(states.shape[1])) % stride == 0])
 
     _observe_chain(pot, cfg, keep)
     data = np.concatenate(frames).astype("<f8", copy=False)

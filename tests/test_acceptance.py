@@ -212,11 +212,11 @@ def test_08_poisson_residual():
 
 def test_09_tangent_contraction():
     with _Stopwatch("9 tangent contraction", 60):
-        gamma, k_sub = 0.02, 20
+        # 500, 1000 and 2000 steps of 0.001 end at exactly t = 0.5, 1.0 and 2.0
+        gamma, n = 0.001, 2000
         pot = builtin_gaussian_location(1, 0.0, 1.0)
         cfg = ChainConfig(
-            gamma=gamma, n_steps=100, x0=[0.5], seed=9, track_tangent=True,
-            fine_substeps=k_sub, checkpoints=100,
+            gamma=gamma, n_steps=n, x0=[0.5], seed=9, track_tangent=True, checkpoints=n
         )
         run = run_chain(pot, cfg)
         log = dict(run.tangent_log)
@@ -237,8 +237,7 @@ def test_09_tangent_contraction():
             smoothness=Smoothness(L=1.1), profile=StronglyConvex(1.0),
         )
         cfg2 = ChainConfig(
-            gamma=gamma, n_steps=100, x0=[1.0, -1.5], seed=10, track_tangent=True,
-            fine_substeps=k_sub, checkpoints=100,
+            gamma=gamma, n_steps=n, x0=[1.0, -1.5], seed=10, track_tangent=True, checkpoints=n
         )
         run2 = run_chain(sc_pot, cfg2)
         for t, norm in run2.tangent_log:

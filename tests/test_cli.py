@@ -266,6 +266,27 @@ class TestRunCommand:
         assert [r.reference.tolist() for r in reports] == [calls[0][0].tolist()] * 2
         assert all(map(math.isfinite, [summary["spread"], *summary["mse_over_eps_sq"]]))
 
+    def test_a_zero_mse_makes_the_spread_inf(self, tmp_path, capsys):
+        # eps 10 and 20 plan N = 1 from the mean: every estimate is x0, so each MSE is 0
+        summary = run_summary(tmp_path, {
+            "potential": {"family": "gaussian", "d": 1,
+                          "params": {"mean": 0.0, "precision": 1.0}},
+            "tuning": {"regime": "sc-i", "eps_grid": [10.0, 20.0]},
+            "run": {"M": 10, "base_seed": 5}})
+        assert summary["mse_over_eps_sq"] == [0.0, 0.0]
+        assert summary["spread"] == "inf"
+        assert " spread=inf -> " in capsys.readouterr().out
+
+    def test_a_step_count_past_int64_is_refused(self, tmp_path):
+        # eps 1e-8 plans about 1e32 steps, which the compiled loop cannot count;
+        # the config is refused before any chain is stepped
+        cfg = {"potential": {"family": "gaussian", "d": 1,
+                             "params": {"mean": 3.0, "precision": 1.0}},
+               "tuning": {"regime": "sc-i", "eps": 1e-8}, "run": {"M": 1, "base_seed": 5}}
+        err = exits_2_with_one_line(tmp_path, "run", cfg)
+        assert err.startswith("error: n_steps must lie in [1, 2^63 - 1], got ")
+        assert list((tmp_path / "o").iterdir()) == []  # no artifact is written
+
     @pytest.mark.parametrize("d", [2, 5])
     def test_gaussian_location_is_scored_by_its_conjugate_mean(self, tmp_path, d):
         # at d <= 3 too: the exact mean comes before quadrature
@@ -350,7 +371,11 @@ class TestPlanRule:
         out, err = capsys.readouterr()
         points = 1 if grid is None else 2
         grid_of = {"eps_grid": ("tuning", "potential"), "n_grid": ("data", "model")}
-        if block != tunes:
+        if block == "potential" and grid == "n_grid":  # refused when the config loads
+            assert (code, events) == (2, [])
+            assert err == ("error: a data block is read only with a model block, "
+                           "and the config has a potential block\n")
+        elif block != tunes:
             assert (code, events) == (2, [])
             assert err == (f"error: tuning.regime {regime!r} tunes a {tunes} block, "
                            "which the config does not have\n")
@@ -376,17 +401,15 @@ class TestPlanRule:
          "tuning.eps_grid is a grid of a potential block, and the config has a model block"),
         ("conjugate_posterior.json", {"tuning": {"eps": 0.01}},
          "tuning.eps is a point of a potential block, and the config has a model block"),
+        # a data block beside a potential is refused before its keys are read
         ("ou_smoke.json", {"data": {"n": 100, "seed": 1}},
-         "data.n is a point of a model block, and the config has a potential block"),
+         "a data block is read only with a model block, and the config has a potential block"),
         ("ou_smoke.json", {"data": {"n_grid": [100, 400], "seed": 1}},
-         "data.n_grid is a grid of a model block, and the config has a potential block"),
+         "a data block is read only with a model block, and the config has a potential block"),
         ("ou_smoke.json", {"tuning": {"eps_grid": [0.3, 0.2]}},
          "give tuning.eps or tuning.eps_grid, not both"),
         ("conjugate_posterior.json", {"data": {"n_grid": [100, 400]}},
          "give data.n or data.n_grid, not both"),
-        # no command reads a data block beside a potential, not even its seed
-        ("ou_smoke.json", {"data": {"seed": 5}},
-         "a data block is read only with a model block, and the config has a potential block"),
     ])
     def test_a_grid_key_the_block_cannot_use_is_refused(self, tmp_path, command, config,
                                                         changes, message):
@@ -394,6 +417,19 @@ class TestPlanRule:
         for section, values in changes.items():
             cfg[section] = {**cfg.get(section, {}), **values}
         assert exits_2_with_one_line(tmp_path, command, cfg) == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["tune", "run", "verify", "oracle"])
+    def test_a_data_block_beside_a_potential_is_refused(self, tmp_path, command):
+        # no command reads a data block beside a potential, not even its seed
+        cfg = {"potential": {"family": "gaussian", "d": 1}, "data": {"seed": 5},
+               "tuning": {"regime": "sc-i", "eps": 0.5}, "run": {"M": 5, "base_seed": 1},
+               "oracle": {"task": "quadrature"}, "diagnostics": {"grad_bounds": True}}
+        assert exits_2_with_one_line(tmp_path, command, cfg) == (
+            "error: a data block is read only with a model block, "
+            "and the config has a potential block\n")
+        del cfg["data"]
+        assert main([command, "--config", write(tmp_path, "c.json", cfg),
+                     "--output", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("command, cfg, block", [
         ("tune", {"tuning": {"regime": "sc-i"}}, "potential"),

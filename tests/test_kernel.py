@@ -154,28 +154,28 @@ class TestNormals:
 
 class TestAgainstNumpyDriver:
     @pytest.mark.parametrize("name", IDS)
-    @pytest.mark.parametrize("m", [1, 7, 200])
-    @pytest.mark.parametrize("k_sub", [1, 3])
-    def test_replicates(self, pots, name, m, k_sub):
+    # the noise blocks of these batches hold 8192 steps, so 8200 steps cross an edge
+    @pytest.mark.parametrize("m, n, base_seed", [
+        (1, 3001, 21), (1, 8200, 21), (7, 3001, 21), (7, 8200, 21), (200, 300, 21),
+        (200, 300, 5)])
+    def test_replicates(self, pots, name, m, n, base_seed):
         pot = pots[name]
-        n = 300 if m == 200 else 3001
         cfg = ChainConfig(gamma=0.5 / pot.smoothness.L, n_steps=n, x0=[0.5, 0.1], seed=0,
-                          fine_substeps=k_sub, track_tangent=True, checkpoints=40)
-        mine = outputs(replicate_runs(pot, cfg, m, base_seed=21))
-        assert mine == outputs(replicate_runs(on_numpy(pot), cfg, m, base_seed=21))
+                          track_tangent=True, checkpoints=40)
+        mine = outputs(replicate_runs(pot, cfg, m, base_seed))
+        assert mine == outputs(replicate_runs(on_numpy(pot), cfg, m, base_seed))
 
-    @pytest.mark.parametrize("k_sub", [1, 3])
-    def test_gaussian_at_wide_m(self, lib, k_sub):
-        cfg = ChainConfig(gamma=0.05, n_steps=50, x0=[0.5, 0.1], seed=0, fine_substeps=k_sub)
-        mine = outputs(replicate_runs(GAUSS, cfg, 2000, base_seed=21))
-        assert mine == outputs(replicate_runs(on_numpy(GAUSS), cfg, 2000, base_seed=21))
+    @pytest.mark.parametrize("base_seed", [21, 5])
+    def test_gaussian_at_wide_m(self, lib, base_seed):
+        cfg = ChainConfig(gamma=0.05, n_steps=50, x0=[0.5, 0.1], seed=0)
+        mine = outputs(replicate_runs(GAUSS, cfg, 2000, base_seed))
+        assert mine == outputs(replicate_runs(on_numpy(GAUSS), cfg, 2000, base_seed))
 
     @pytest.mark.parametrize("name", IDS)
     def test_dump_across_block_edge(self, pots, name, tmp_path):
         pot = pots[name]
-        # K=3 gives 2730-step noise blocks; 6000 steps cross two block edges
-        cfg = ChainConfig(gamma=0.4 / pot.smoothness.L, n_steps=6000, x0=[1.0, -1.0], seed=8,
-                          fine_substeps=3)
+        # a single chain's noise blocks hold 8192 steps; 17000 steps cross two edges
+        cfg = ChainConfig(gamma=0.4 / pot.smoothness.L, n_steps=17000, x0=[1.0, -1.0], seed=8)
 
         def dump(p, tag):
             frames = tmp_path / f"{tag}.bin"
@@ -183,7 +183,7 @@ class TestAgainstNumpyDriver:
             return frames.read_bytes()
 
         mine = dump(pot, "c")
-        assert len(mine) == 8 * 2 * len(range(0, 6000, 7))
+        assert len(mine) == 8 * 2 * len(range(0, 17000, 7))
         assert mine == dump(on_numpy(pot), "n")
 
     @pytest.mark.parametrize("name", IDS)
@@ -286,7 +286,7 @@ class TestSplitRanges:
         spy = _spy(monkeypatch, lib)
         cfg = ChainConfig(gamma=0.5 / pot.smoothness.L, n_steps=400, x0=[0.5, 0.1], seed=0)
         mine = outputs(replicate_runs(pot, cfg, 2002, base_seed=21))
-        # 2002 x 400 replicate-substeps fill 12 ranges of at least 2^16, 4 per thread
+        # 2002 x 400 replicate-steps fill 12 ranges of at least 2^16, 4 per thread
         ranges = spy.ranges()
         assert len(ranges) == 12 and {hi - lo for lo, hi in ranges} == {166, 167}
         assert mine == outputs(replicate_runs(on_numpy(pot), cfg, 2002, base_seed=21))
@@ -311,13 +311,13 @@ class TestSplitRanges:
                                                      name):
         pot = pots[name]
         spy = _spy(monkeypatch, lib)
-        cfg = ChainConfig(gamma=0.5 / pot.smoothness.L, n_steps=100, x0=[0.5, 0.1], seed=0,
-                          fine_substeps=3, track_tangent=True, checkpoints=20)
+        cfg = ChainConfig(gamma=0.5 / pot.smoothness.L, n_steps=300, x0=[0.5, 0.1], seed=0,
+                          track_tangent=True, checkpoints=20)
         mine = outputs(replicate_runs(pot, cfg, 700, base_seed=21))
-        assert len(spy.ranges()) == 3  # one noise block of 700 x 300 substeps
+        assert len(spy.ranges()) == 3  # one noise block of 700 x 300 steps
         assert mine == outputs(replicate_runs(on_numpy(pot), cfg, 700, base_seed=21))
 
-    # 2002 x 150 replicate-substeps: one range of 667, 667 and 668 per thread
+    # 2002 x 150 replicate-steps: one range of 667, 667 and 668 per thread
     @pytest.mark.parametrize("broken", [lambda m: m == 668, lambda m: True], ids=["one", "all"])
     def test_failing_range_raises_in_the_caller(self, lib, threads3, monkeypatch, broken):
         spy = _spy(monkeypatch, lib, broken)
@@ -427,7 +427,7 @@ def _logistic_run_config(tmp_path):
 
 
 def test_fallback_when_the_compiler_fails(lib, monkeypatch, tmp_path, capsys):
-    cfg = ChainConfig(gamma=0.1, n_steps=3000, x0=[0.2, 0.2], seed=0, fine_substeps=2)
+    cfg = ChainConfig(gamma=0.1, n_steps=6000, x0=[0.2, 0.2], seed=0)
     ref = outputs(replicate_runs(GAUSS, cfg, 9, base_seed=3))
 
     def no_compiler(source, target):
@@ -478,7 +478,7 @@ class _Perturbed:
 def _falls_back(lib, monkeypatch, capsys, name):
     """``load()`` on the library with ``name`` perturbed: it returns None
     with one stderr line, returned here, and chains keep their bits."""
-    cfg = ChainConfig(gamma=0.1, n_steps=3000, x0=[0.2, 0.2], seed=0, fine_substeps=2)
+    cfg = ChainConfig(gamma=0.1, n_steps=6000, x0=[0.2, 0.2], seed=0)
     ref = outputs(replicate_runs(GAUSS, cfg, 9, base_seed=3))
     monkeypatch.setattr(_kernel, "_open", lambda path: _Perturbed(lib, name))
     monkeypatch.setattr(_kernel, "_lib", None)

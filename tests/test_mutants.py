@@ -68,7 +68,8 @@ MUTANTS = [
             "test_gaussian_location_is_scored_by_its_conjugate_mean[2]",)),
     Mutant("compiled-gaussian-drops-mean", "cesaro_lmc/_kernel.c",
            "g[j] = p->rho * (x[j] - p->mean[j]);", "g[j] = p->rho * x[j];",
-           ("tests/test_kernel.py::TestAgainstNumpyDriver::test_replicates[1-1-gaussian]",),
+           ("tests/test_kernel.py::TestAgainstNumpyDriver::test_replicates"
+            "[1-3001-21-gaussian]",),
            compiled=True),
     Mutant("compiled-logistic-drops-ridge-gradient", "cesaro_lmc/_kernel.c",
            "g[j] += p->mu * x[j];", "g[j] += 0.0;",
@@ -82,8 +83,12 @@ MUTANTS = [
            compiled=True),
     Mutant("numpy-driver-drops-kahan-term", "cesaro_lmc/sampler.py",
            "                    comp -= t1\n", "",
-           ("tests/test_kernel.py::TestAgainstNumpyDriver::test_replicates[1-1-gaussian]",),
+           ("tests/test_kernel.py::TestAgainstNumpyDriver::test_replicates"
+            "[1-3001-21-gaussian]",),
            compiled=True),
+    Mutant("chain-config-drops-the-int64-step-bound", "cesaro_lmc/sampler.py",
+           "1 <= self.n_steps <= _MAX_STEPS", "1 <= self.n_steps",
+           ("tests/test_sampler.py::TestRunChain::test_n_steps_fits_the_compiled_loops_int64",)),
     Mutant("normal-interval-drops-sqrt-m", "cesaro_lmc/diagnostics.py",
            "float(np.std(sq, ddof=1)) / math.sqrt(m)", "float(np.std(sq, ddof=1))",
            ("tests/test_diagnostics.py::TestMseExperiment::test_ci_shrinks_with_replicates",)),
@@ -107,7 +112,7 @@ MUTANTS = [
            "epsilon_n(cp, L, alpha_c, d, n, model.b1)", "epsilon_n(cp, L, alpha_c, d, n)",
            ("tests/test_tuning.py::TestBayesTunings::test_model_b1_decides_eps_n_valid",)),
     Mutant("bayes-regime-accepts-tuning-eps", "cesaro_lmc/cli.py",
-           '((f"{key}_grid", "grid"), (key, "point"))', '((f"{key}_grid", "grid"),)',
+           '(("eps_grid", "grid"), ("eps", "point"))', '(("eps_grid", "grid"),)',
            ("tests/test_cli.py::TestPlanRule::test_a_grid_key_the_block_cannot_use_is_refused"
             "[conjugate_posterior.json-changes2-tuning.eps is a point of a potential block, "
             "and the config has a model block-tune]",)),
