@@ -27,15 +27,21 @@ A :class:`Kernel` binds a potential's ``kernel`` field, one term
 to the library: its ``value``, ``grad`` and ``hess_vec`` evaluate the term
 and ``step`` advances chains on it.
 
-``step`` splits the replicate axis into contiguous ranges of at least
-``_MIN_RANGE_WORK`` replicate-steps, one ``lmc_step`` call each, and
-steps them on at most one thread per CPU of the process's affinity mask
+Every call splits its batch the same way (:func:`_split`): into contiguous
+ranges of at least ``_MIN_RANGE_WORK`` units of work, one library call
+each, run on at most one thread per CPU of the process's affinity mask
 (there is no setting): the caller's thread and plain threads, joined before
-it returns.  Each thread takes the next range when it is free, so a CPU the
-host slows steps fewer.  No bit depends on the split: a replicate reads and
-writes only its own rows and draws only from its own stream.  The terms'
-arrays, the streams and each thread's gradient buffer sit on cache lines of
-their own.
+it returns.  A unit is a replicate-step for ``step`` and a point-term for
+the evaluators (a point times the logistic pair count, at least 1), so
+single points, single chains and small batches stay one call.  Each thread
+takes the next range when it is free, so a CPU the host slows does less.
+No bit depends on the split: a replicate reads and writes only its own rows
+and draws only from its own stream, and a point is evaluated on its own.
+The terms' arrays, the streams and each range's gradient buffer sit on
+cache lines of their own.
+
+``subprocess`` is imported only when the library has to be compiled, so a
+process that loads it from the cache does not pay for that import.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ import ctypes
 import hashlib
 import math
 import os
-import subprocess
 import sys
 import tempfile
 import threading
@@ -59,9 +64,9 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _CHECK_KEY = 0x5EF4  # Philox key of the load-time self-check: its first 4096 normals hold 3 tails
 _CHECK_NORMALS = 4096  # normals of the self-check
 _ROW = 16  # uint64 words of a stream (lmc_stream)
-_MIN_RANGE_WORK = 1 << 16  # the least work a range may hold, in replicate-steps
+_MIN_RANGE_WORK = 1 << 16  # the least work a range may hold: replicate-steps or point-terms
 _RANGES_PER_WORKER = 8  # so a worker on a CPU the host slows takes fewer ranges
-# the most threads one step call runs: the CPUs this process may run on
+# the most threads one call runs: the CPUs this process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 _lib = None
@@ -80,6 +85,8 @@ def _cache_dir() -> str:
 
 def _compile(source: str, target: str) -> None:
     """Compile ``source`` into the shared object ``target``."""
+    import subprocess  # here, not at import: a cached library needs no compiler
+
     random_lib = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
     cmd = ["cc", *_FLAGS, "-I", np.get_include(), source, random_lib, "-lm", "-o", target]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
@@ -238,28 +245,32 @@ class Kernel:
             raise ParameterError(f"point has shape {np.shape(x)}, expected (..., {self.d})")
         return x.reshape(-1, self.d)
 
+    def _batch(self, fn, out, *args):
+        """``out`` filled by the evaluator ``fn`` over the rows of ``args``
+        and ``out``, in the ranges of :func:`_split`."""
+
+        def run(lo, hi):
+            fn(self._pot, hi - lo, *[a[lo:].ctypes.data for a in (*args, out)])
+
+        _split(out.shape[0], max(1, self._pot.pairs), run)
+        return out
+
     def value(self, x):
         """Value at each point of ``x`` (``(d,)`` or ``(..., d)``)."""
         flat = self._points(x)
-        out = np.empty(flat.shape[0])
-        self.lib.lmc_value(self._pot, flat.shape[0], flat.ctypes.data, out.ctypes.data)
+        out = self._batch(self.lib.lmc_value, np.empty(flat.shape[0]), flat)
         return out.reshape(np.shape(x)[:-1])[()]
 
     def grad(self, x):
         """Gradient at each point of ``x``, shaped like ``x``."""
         flat = self._points(x)
-        out = np.empty_like(flat)
-        self.lib.lmc_grad(self._pot, flat.shape[0], flat.ctypes.data, out.ctypes.data)
-        return out.reshape(np.shape(x))
+        return self._batch(self.lib.lmc_grad, np.empty_like(flat), flat).reshape(np.shape(x))
 
     def hess_vec(self, x, v):
         """Hessian at each point of ``x`` applied to ``v``, broadcast together."""
         x, v = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(v, dtype=np.float64))
         fx, fv = self._points(x), self._points(v)
-        out = np.empty_like(fx)
-        self.lib.lmc_hess_vec(self._pot, fx.shape[0], fx.ctypes.data, fv.ctypes.data,
-                              out.ctypes.data)
-        return out.reshape(x.shape)
+        return self._batch(self.lib.lmc_hess_vec, np.empty_like(fx), fx, fv).reshape(x.shape)
 
     def step(self, streams, h, sqrt2h, step0, todo, x, ces, comp, diverged, states=None):
         """Advance the (m, d) arrays of ``_drive`` by ``todo`` steps in place.
@@ -271,38 +282,51 @@ class Kernel:
         """
         m, d = x.shape
         stride = 0 if states is None else states.shape[1] * d
-        most = m * todo // _MIN_RANGE_WORK  # ranges the work fills
-        workers = max(1, min(_WORKERS, m, most))
-        # as many ranges for each thread, so threads on equal CPUs end together
-        ranges = workers * max(1, min(_RANGES_PER_WORKER, most // workers, m // workers))
-        bounds = [m * r // ranges for r in range(ranges + 1)]
-        queue = iter(range(ranges))  # shared; next() runs under the interpreter lock
-        errors = []
 
-        def work():
-            try:
-                g = _lines((d,))  # this thread's gradient buffer
-                for r in queue:
-                    lo, hi = bounds[r], bounds[r + 1]
-                    self.lib.lmc_step(
-                        self._pot, streams[lo:].ctypes.data, hi - lo, h, sqrt2h, step0, todo,
-                        x[lo:].ctypes.data, ces[lo:].ctypes.data, comp[lo:].ctypes.data,
-                        diverged[lo:].ctypes.data,
-                        None if states is None else states[lo:].ctypes.data, stride,
-                        g.ctypes.data,
-                    )
-            except BaseException as exc:  # re-raised in the caller
-                errors.append(exc)
+        def run(lo, hi):
+            g = _lines((d,))  # this range's gradient buffer
+            self.lib.lmc_step(
+                self._pot, streams[lo:].ctypes.data, hi - lo, h, sqrt2h, step0, todo,
+                x[lo:].ctypes.data, ces[lo:].ctypes.data, comp[lo:].ctypes.data,
+                diverged[lo:].ctypes.data,
+                None if states is None else states[lo:].ctypes.data, stride, g.ctypes.data,
+            )
 
-        threads = []
+        _split(m, todo, run)
+
+
+def _split(n, work, run):
+    """Call ``run(lo, hi)`` on contiguous ranges tiling rows 0..n, each of at
+    least ``_MIN_RANGE_WORK`` units when a row is ``work`` units, on at most
+    ``_WORKERS`` threads; the first exception a range raises is re-raised
+    here, after every thread is joined."""
+    most = n * work // _MIN_RANGE_WORK  # ranges the work fills
+    workers = max(1, min(_WORKERS, n, most))
+    # as many ranges for each thread, so threads on equal CPUs end together
+    ranges = workers * max(1, min(_RANGES_PER_WORKER, most // workers, n // workers))
+    if ranges == 1:
+        run(0, n)
+        return
+    bounds = [n * r // ranges for r in range(ranges + 1)]
+    queue = iter(range(ranges))  # shared; next() runs under the interpreter lock
+    errors = []
+
+    def work_ranges():
         try:
-            for _ in range(workers - 1):
-                thread = threading.Thread(target=work)
-                thread.start()
-                threads.append(thread)
-            work()
-        finally:
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
+            for r in queue:
+                run(bounds[r], bounds[r + 1])
+        except BaseException as exc:  # re-raised in the caller
+            errors.append(exc)
+
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work_ranges)
+            thread.start()
+            threads.append(thread)
+        work_ranges()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]

@@ -52,6 +52,7 @@ from .potentials import (
     verify_kl_profile,
 )
 from .rng import mix64
+from .sampler import _MAX_STEPS
 from .tuning import tune_bayes, tune_sc, tune_weak
 
 EXIT_OK = 0
@@ -340,8 +341,9 @@ def _plans(cfg: dict):
     ``tune_<family>(block, point, variant, **options)``: ``bayes-*`` reads the model's
     per-observation constants at n, ``sc-*`` and ``weak-*`` the potential's own at eps.
     A potential's grid or point key beside a model, or a point key beside its grid key, is
-    refused, and so is a tuning key the regime does not read (``_READS``).  A tuning option
-    the config leaves out takes the library's default."""
+    refused, and so is a tuning key the regime does not read (``_READS``), and a plan whose
+    step count the chains cannot run (``ChainConfig`` refuses it the same way).  A tuning
+    option the config leaves out takes the library's default."""
     subject = _tuned(cfg)
     tb = cfg["tuning"]
     family, _, variant = tb["regime"].partition("-")
@@ -365,6 +367,9 @@ def _plans(cfg: dict):
     # the tuner is looked up by its name at each call, so that a rebound tune_* is the one called
     tune = {"bayes": tune_bayes, "sc": tune_sc, "weak": tune_weak}[family]
     plans = [tune(subject, v, variant, **_given(tb, "certified_x0"), **opts) for v in grid]
+    for plan in plans:
+        if not 1 <= plan.n_steps <= _MAX_STEPS:
+            raise ConfigError(f"n_steps must lie in [1, 2^63 - 1], got {plan.n_steps}")
     return subject, key, list(zip(grid, plans))
 
 
@@ -397,7 +402,9 @@ def _fmt(v: float) -> str:
 
 def _write_artifacts(outdir: Path, h: str, cfg: dict, header, rows, summary: dict) -> Path:
     """Write the run's ``-report.csv``, ``-summary.json`` (``summary`` with the config hash
-    and the package version) and ``-manifest.json``; returns the report's path."""
+    and the package version) and ``-manifest.json`` into ``outdir``, made here so that a run
+    that fails leaves no directory; returns the report's path."""
+    outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{h}-report.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -423,7 +430,6 @@ def cmd_run(cfg: dict, output_dir=None, out=None) -> int:
     base_seed = run_block["base_seed"]
     theta = _theta_star(cfg, subject) if "model" in cfg else None
     outdir = Path(output_dir or run_block.get("output_dir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
     h = config_hash(cfg)
 
     reports, reference = [], None

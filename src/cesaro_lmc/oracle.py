@@ -42,9 +42,13 @@ def quadrature_posterior_mean(
     """Mean of pi proportional to e^{-W} by Laplace-centered trapezoid quadrature.
 
     Returns (mean, error_estimate); the estimate is a Richardson comparison
-    against the half-resolution grid.  Near rounding level that comparison
-    is no bound, so the estimate is at least nodes_per_axis * eps * |c|, c
-    the box's far corner |mode| + k_sigma * sigma.  Restricted to d <= 3.
+    against the half-resolution grid.  The node count is odd, so the half
+    grid is the full grid's even-indexed nodes (bitwise the nodes
+    ``np.linspace`` would give it), and ``pot.value`` is called once, on the
+    full grid's ``nodes_per_axis ** d`` points; the boundary-decay and mass
+    checks run on both grids.  Near rounding level the comparison is no
+    bound, so the estimate is at least nodes_per_axis * eps * |c|, c the
+    box's far corner |mode| + k_sigma * sigma.  Restricted to d <= 3.
     """
     if pot.dim > 3:
         raise CapabilityError("quadrature posterior means are computed for d <= 3 only")
@@ -54,19 +58,20 @@ def quadrature_posterior_mean(
         nodes_per_axis += 1  # odd counts so the half grid reuses alternate nodes
     mode, cov = _laplace_frame(pot)
     sigma = np.sqrt(np.diag(cov))
+    axes = [
+        np.linspace(mode[i] - k_sigma * sigma[i], mode[i] + k_sigma * sigma[i], nodes_per_axis)
+        for i in range(pot.dim)
+    ]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    shape = (nodes_per_axis,) * pot.dim
+    grid, logw = pts.reshape(shape + (pot.dim,)), -pot.value(pts).reshape(shape)
 
-    def _mean_on(npa: int):
-        axes = [
-            np.linspace(mode[i] - k_sigma * sigma[i], mode[i] + k_sigma * sigma[i], npa)
-            for i in range(pot.dim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        logw = -pot.value(pts)
-        logw_max = float(np.max(logw))
+    def _mean_on(lw, nodes):
+        """The weighted mean of the (npa,) * d nodes ``nodes`` at log-weights ``lw``."""
+        npa = lw.shape[0]
+        logw_max = float(np.max(lw))
         # boundary decay check: undecayed tails mean the Laplace box is too small
-        shape = (npa,) * pot.dim
-        lw = logw.reshape(shape)
         for ax in range(pot.dim):
             for face in (0, -1):
                 face_max = float(np.max(np.take(lw, face, axis=ax)))
@@ -85,10 +90,11 @@ def quadrature_posterior_mean(
         mass = float(np.sum(w))
         if not (np.isfinite(mass) and mass > 0):
             raise NumericError("quadrature mass is not positive and finite")
-        return np.tensordot(w, pts, axes=([0], [0])) / mass
+        return np.tensordot(w, nodes.reshape(-1, pot.dim), axes=([0], [0])) / mass
 
-    fine = _mean_on(nodes_per_axis)
-    coarse = _mean_on((nodes_per_axis + 1) // 2)
+    half = (slice(None, None, 2),) * pot.dim
+    fine = _mean_on(logw, grid)
+    coarse = _mean_on(logw[half], grid[half])
     corner = float(np.linalg.norm(np.abs(mode) + k_sigma * sigma))
     floor = nodes_per_axis * np.finfo(float).eps * corner
     return fine, max(float(np.linalg.norm(fine - coarse)), floor)

@@ -22,7 +22,7 @@ from cesaro_lmc import cli, sampler
 from cesaro_lmc.bayes import GaussianLocationModel, PPowerLocationModel, sample_dataset
 from cesaro_lmc.cli import config_hash, main, validate_config
 from cesaro_lmc.diagnostics import SeparationMap, run_test_phi
-from cesaro_lmc.errors import ParameterError
+from cesaro_lmc.errors import NumericError, ParameterError
 from cesaro_lmc.rng import mix64
 
 
@@ -279,13 +279,13 @@ class TestRunCommand:
 
     def test_a_step_count_past_int64_is_refused(self, tmp_path):
         # eps 1e-8 plans about 1e32 steps, which the compiled loop cannot count;
-        # the config is refused before any chain is stepped
-        cfg = {"potential": {"family": "gaussian", "d": 1,
-                             "params": {"mean": 3.0, "precision": 1.0}},
-               "tuning": {"regime": "sc-i", "eps": 1e-8}, "run": {"M": 1, "base_seed": 5}}
-        err = exits_2_with_one_line(tmp_path, "run", cfg)
-        assert err.startswith("error: n_steps must lie in [1, 2^63 - 1], got ")
-        assert list((tmp_path / "o").iterdir()) == []  # no artifact is written
+        # tune refuses the plan that run would refuse, and run steps no chain
+        cfg = json.loads((CONFIGS / "ou_smoke.json").read_text())
+        cfg["tuning"]["eps"] = 1e-8
+        errs = [exits_2_with_one_line(tmp_path, command, cfg) for command in ("tune", "run")]
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("error: n_steps must lie in [1, 2^63 - 1], got ")
+        assert not (tmp_path / "o").exists()  # no output directory is made
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_gaussian_location_is_scored_by_its_conjugate_mean(self, tmp_path, d):
@@ -732,6 +732,15 @@ class TestExitCodeMapping:
         monkeypatch.setattr(cli_mod, "mse_experiment", explode)
         path = write(tmp_path, "d.json", bayes_cfg())
         assert main(["run", "--config", path, "--output", str(tmp_path / "o")]) == 3
+
+    def test_a_run_failing_at_the_reference_leaves_no_directory(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise NumericError("posterior mass has not decayed at the quadrature boundary")
+
+        monkeypatch.setattr(cli, "_reference", fail)
+        path = write(tmp_path, "r.json", json.loads((CONFIGS / "ou_smoke.json").read_text()))
+        assert main(["run", "--config", path, "--output", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "section, key, value",

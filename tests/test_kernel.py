@@ -223,14 +223,23 @@ class TestAgainstNumpyDriver:
 
 class _SpyLib:
     """The compiled library, recording each ``lmc_step`` call's stream
-    address and replicate count; a call whose count ``broken`` returns True
-    for raises instead of stepping."""
+    address and replicate count, and each evaluator call's name and point
+    count; a step call whose count ``broken`` returns True for raises
+    instead of stepping."""
 
     def __init__(self, lib, broken=None):
-        self._lib, self._broken, self.calls = lib, broken, []
+        self._lib, self._broken, self.calls, self.evals = lib, broken, [], []
 
     def __getattr__(self, name):
-        return getattr(self._lib, name)
+        fn = getattr(self._lib, name)
+        if name not in ("lmc_value", "lmc_grad", "lmc_hess_vec"):
+            return fn
+
+        def counted(pot, n, *args):  # records each evaluator call's point count
+            self.evals.append((name, n))
+            fn(pot, n, *args)
+
+        return counted
 
     def lmc_step(self, *args):
         self.calls.append((args[1], args[2]))
@@ -340,6 +349,34 @@ class TestSplitRanges:
         with pytest.raises(RuntimeError, match="this range failed"):
             replicate_runs(GAUSS, cfg, 2002, base_seed=21)
         assert threading.active_count() == before
+
+
+    def test_evaluators_split_a_batch_without_moving_a_bit(self, lib, threads3, monkeypatch):
+        # 4000 points of a 100-pair posterior: 4 * 10^5 point-terms fill 6 ranges
+        model = LogisticModel(stream(6).standard_normal((100, 2)), ridge=0.5)
+        pot = build_posterior(model, sample_dataset(model, [0.4, -0.3], 500, seed=8)).potential
+        assert pot.kernel[1].shape == (100, 2)
+        spy = _SpyLib(lib)
+        kern = _kernel.Kernel(spy, pot.kernel, 2)
+        x, v = stream(7).standard_normal((2, 4000, 2))
+        batch = (kern.value(x), kern.grad(x), kern.hess_vec(x, v))
+        for name in ("lmc_value", "lmc_grad", "lmc_hess_vec"):
+            counts = [n for fn, n in spy.evals if fn == name]
+            assert len(counts) == 6 and sum(counts) == 4000
+        rows = (np.array([pot.value(p) for p in x]), np.array([pot.grad(p) for p in x]),
+                np.array([pot.hess_vec(p, u) for p, u in zip(x, v)]))
+        monkeypatch.setattr(_kernel, "_WORKERS", 1)
+        one_thread = (kern.value(x), kern.grad(x), kern.hess_vec(x, v))
+        for mine, alone, serial in zip(batch, rows, one_thread):
+            assert mine.tobytes() == alone.tobytes() == serial.tobytes()
+
+
+def test_a_cached_kernel_loads_without_subprocess(lib):
+    # the module fixture built or found the library, so this load reads the cache
+    code = ("import sys; from cesaro_lmc import _kernel; "
+            "print(_kernel.load() is not None, 'subprocess' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_package_import_starts_no_thread():

@@ -81,6 +81,11 @@ MUTANTS = [
            ("tests/test_kernel.py::TestSplitRanges::test_batch_matches_singletons_and_numpy"
             "[gaussian]",),
            compiled=True),
+    Mutant("eval-range-drops-row-offset", "cesaro_lmc/_kernel.py",
+           "a[lo:].ctypes.data for a in", "a.ctypes.data for a in",
+           ("tests/test_kernel.py::TestSplitRanges::"
+            "test_evaluators_split_a_batch_without_moving_a_bit",),
+           compiled=True),
     Mutant("numpy-driver-drops-kahan-term", "cesaro_lmc/sampler.py",
            "                    comp -= t1\n", "",
            ("tests/test_kernel.py::TestAgainstNumpyDriver::test_replicates"

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from cesaro_lmc.potentials import (
     builtin_gaussian_location,
     builtin_p_power,
 )
+from cesaro_lmc.rng import stream
 from cesaro_lmc.sampler import ChainConfig, replicate_runs
 
 
@@ -46,6 +48,40 @@ def asymmetric_potential():
         dim=1, value=value, grad=grad, hess_vec=hess_vec,
         smoothness=Smoothness(L=2.0), profile=StronglyConvex(1.0),
     )
+
+
+def _logistic_posterior(d):
+    model = LogisticModel(stream(4).standard_normal((50, d)), ridge=0.5)
+    return build_posterior(model, sample_dataset(model, [0.3, -0.2][:d], 1000, seed=8)).potential
+
+
+def _conjugate_posterior(d):
+    model = GaussianLocationModel(d, 0.5)
+    return build_posterior(model, sample_dataset(model, [1.0, -0.5][:d], 200, seed=8)).potential
+
+
+def _quadrature_on_two_grids(pot, npa, k_sigma):
+    """The quadrature with each grid built by ``np.linspace`` and evaluated
+    apart: the reference the one-evaluation quadrature must equal bit for bit."""
+    mode, cov = oracle._laplace_frame(pot)
+    sigma = np.sqrt(np.diag(cov))
+
+    def mean_on(n):
+        axes = [np.linspace(mode[i] - k_sigma * sigma[i], mode[i] + k_sigma * sigma[i], n)
+                for i in range(pot.dim)]
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        logw = -pot.value(pts)
+        w = np.exp(logw - np.max(logw)).reshape((n,) * pot.dim)
+        edge = np.ones(n)
+        edge[[0, -1]] = 0.5
+        for ax in range(pot.dim):
+            w = w * edge.reshape((n,) + (1,) * (pot.dim - 1 - ax))
+        w = w.ravel()
+        return np.tensordot(w, pts, axes=([0], [0])) / float(np.sum(w))
+
+    fine, coarse = mean_on(npa), mean_on((npa + 1) // 2)
+    corner = float(np.linalg.norm(np.abs(mode) + k_sigma * sigma))
+    return fine, max(float(np.linalg.norm(fine - coarse)), npa * np.finfo(float).eps * corner)
 
 
 class TestQuadrature:
@@ -86,6 +122,25 @@ class TestQuadrature:
         pot = builtin_gaussian_location(1, 0.0, 1.0)
         with pytest.raises(NumericError):
             quadrature_posterior_mean(pot, k_sigma=2.0)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("make, k_sigma", [
+        pytest.param(_logistic_posterior, 8.0, marks=pytest.mark.compiled),
+        (_conjugate_posterior, 8.0),
+        (lambda d: builtin_p_power(d, [0.7, -1.3][:d], 0.75), 12.0),
+    ], ids=["logistic_posterior", "gaussian_location_posterior", "p_power"])
+    def test_one_evaluation_equals_two_grids(self, make, k_sigma, d):
+        pot, rows = make(d), []
+
+        def counted(x):
+            rows.append(len(x))
+            return pot.value(x)
+
+        mean, err = quadrature_posterior_mean(dataclasses.replace(pot, value=counted),
+                                              k_sigma=k_sigma)
+        assert rows == [161**d]
+        ref_mean, ref_err = _quadrature_on_two_grids(pot, 161, k_sigma)
+        assert mean.tobytes() == ref_mean.tobytes() and err == ref_err
 
 
 class TestClosedFormMeans:
