@@ -134,16 +134,18 @@ _STRING = _is(lambda v: isinstance(v, str), "a string")
 _SEED = _required(_INTEGER)  # seeds are never defaulted
 
 
-def _family(families):
-    """A model or potential block, checked against its family's table; an
+def _keyed(key, rows):
+    """A block checked against the table of the row (table, payload) its ``key`` names; an
     absent ``params`` is checked as empty, so a missing required param is named."""
 
     def check(where, block):
         if not isinstance(block, dict):
             raise ConfigError(f"{where} must be an object, got {block!r}")
-        _one_of(*families)(f"{where}.family", block.get("family"))
-        _check(where, {"params": {}, **block}, families[block["family"]][0])
+        _one_of(*rows)(f"{where}.{key}", block.get(key))
+        table = rows[block[key]][0]
+        _check(where, {"params": {}, **block} if "params" in table else block, table)
 
+    check.rows = rows
     return check
 
 
@@ -188,12 +190,40 @@ _POTENTIALS = {
     ),
 }
 _FAMILIES = {"model": _MODELS, "potential": _POTENTIALS}
+_TUNING = {
+    "regime": _STRING, "calib": _NUMBER, "eps": _NUMBER, "frak_e": _NUMBER, "x0_dist": _NUMBER,
+    "eps_grid": _is(lambda v: isinstance(v, list) and len(v) > 1 and all(map(_is_number, v)),
+                    "an array of two or more numbers"),
+    "certified_x0": _is(lambda v: type(v) is bool, "true or false"),
+}
+# regime -> (the tuning keys it reads, the block it tunes); its tuner is tune_<family>, and a
+# bayes-* plan takes its target from n, so no bayes-* regime reads eps
+_REGIMES = {
+    regime: ({k: _TUNING[k] for k in ("regime", "calib", *reads.split())},
+             "model" if regime.startswith("bayes-") else "potential")
+    for regime, reads in {
+        "bayes-weak-i": "", "bayes-weak-ii": "", "bayes-weak-iii": "", "bayes-sc-i.a": "",
+        "bayes-sc-i.b": "certified_x0",
+        "sc-i": "eps eps_grid x0_dist", "sc-ii": "eps eps_grid x0_dist",
+        "weak-i.a": "eps eps_grid frak_e x0_dist", "weak-i.b": "eps eps_grid frak_e",
+        "weak-ii.a": "eps eps_grid frak_e", "weak-ii.b": "eps eps_grid frak_e",
+    }.items()
+}
+# oracle task -> (the oracle keys it reads, the settings its record reports and their defaults)
+_TASKS = {
+    "quadrature": ({"task": _STRING, "nodes_per_axis": _COUNT, "k_sigma": _NUMBER},
+                   {"nodes_per_axis": 161}),
+    "poisson": ({"task": _STRING, "n_nodes": _COUNT}, {"n_nodes": 20001}),
+}
+# block -> the section and key of its grid's one point, and the type its tuner takes the
+# point as; the grid is that key + "_grid"
+_GRID = {"model": ("data", "n", int), "potential": ("tuning", "eps", float)}
 
 # section -> key -> check; a nested dict checks an object's keys in turn, and
 # its keys are the only ones the object may hold
 _SCHEMA = {
-    "model": _family(_MODELS),
-    "potential": _family(_POTENTIALS),
+    "model": _keyed("family", _MODELS),
+    "potential": _keyed("family", _POTENTIALS),
     "prior": {"family": _one_of("standard_gaussian")},
     "data": {
         "n": _COUNT, "seed": _SEED,
@@ -201,13 +231,7 @@ _SCHEMA = {
                       and all(a < b for a, b in zip(v, v[1:])),
                       "an ascending array of two or more integers >= 1"),
     },
-    "tuning": {
-        "regime": _STRING, "eps": _NUMBER, "frak_e": _NUMBER,
-        "eps_grid": _is(lambda v: isinstance(v, list) and len(v) > 1 and all(map(_is_number, v)),
-                        "an array of two or more numbers"),
-        "calib": _NUMBER, "x0_dist": _NUMBER,
-        "certified_x0": _is(lambda v: type(v) is bool, "true or false"),
-    },
+    "tuning": _keyed("regime", _REGIMES),
     "run": {"M": _required(_COUNT), "base_seed": _SEED, "output_dir": _STRING},
     "diagnostics": {
         "kl_profile": _flag_or({"n_probes": _COUNT, "radius": _POSITIVE, "seed": _INTEGER}),
@@ -222,7 +246,7 @@ _SCHEMA = {
             "M": _required(_COUNT), "seed": _SEED, "b2": _NUMBER,
         },
     },
-    "oracle": {"task": _STRING, "nodes_per_axis": _COUNT, "k_sigma": _NUMBER, "n_nodes": _COUNT},
+    "oracle": _keyed("task", _TASKS),
 }
 
 
@@ -243,10 +267,9 @@ def _check(where: str, value, spec) -> None:
 
 
 def validate_config(cfg: dict) -> dict:
-    """Check ``cfg`` against ``_SCHEMA`` and return it as it is (defaults are
-    never filled in: the manifest and the config hash embed the config).  A
-    model block beside a potential block, and a data block beside a potential
-    block (no command reads it), are refused."""
+    """Check ``cfg`` against ``_SCHEMA`` and the rules between its sections, alike for every
+    command, and return it as it is: the manifest and the config hash embed it, so defaults
+    are never filled in."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     for key, block in cfg.items():
@@ -258,6 +281,17 @@ def validate_config(cfg: dict) -> dict:
     if "data" in cfg and "potential" in cfg:
         raise ConfigError("a data block is read only with a model block, "
                           "and the config has a potential block")
+    if "tuning" in cfg:
+        regime = cfg["tuning"]["regime"]
+        tunes = _REGIMES[regime][1]
+        if tunes not in cfg:
+            raise ConfigError(f"tuning.regime {regime!r} tunes a {tunes} block, "
+                              "which the config does not have")
+        if tunes == "model" and not {"n", "n_grid"} & cfg.get("data", {}).keys():
+            raise ConfigError(f"tuning.regime {regime!r} needs data.n or data.n_grid")
+    for section, key, _ in _GRID.values():
+        if {key, f"{key}_grid"} <= cfg.get(section, {}).keys():
+            raise ConfigError(f"give {section}.{key} or {section}.{key}_grid, not both")
     return cfg
 
 
@@ -270,12 +304,17 @@ def load_config(path) -> dict:
         return validate_config(json.load(fh, parse_constant=_refuse_constant))
 
 
+def _block(cfg: dict, section: str) -> dict:
+    """The config's ``section`` block, which the command cannot run without."""
+    if section not in cfg:
+        raise ConfigError(f"no {section} block in the config")
+    return cfg[section]
+
+
 def _build(cfg: dict, section: str):
     """The config's ``section`` block ("model" or "potential"), built by its family.  Its
     ``d``, if given, must be the width its params fix (a logistic design's)."""
-    if section not in cfg:
-        raise ConfigError(f"no {section} block in the config")
-    block = cfg[section]
+    block = _block(cfg, section)
     built = _FAMILIES[section][block["family"]][1](block)
     d = built.d if section == "model" else built.dim
     if block.get("d", d) != d:
@@ -299,69 +338,21 @@ def _theta_star(cfg: dict, model) -> np.ndarray:
     return _vector(cfg["model"].get("theta_star", 0.0), model.d, "model.theta_star")
 
 
-# regime family -> the block it tunes
-_TUNES = {"bayes": "model", "sc": "potential", "weak": "potential"}
-_SC_WEAK = {"eps", "eps_grid", "calib"}  # what every sc-* and weak-* tuning reads
-# regime -> the tuning keys its tuning reads; a config that gives another is refused
-_READS = {
-    "bayes-weak-i": {"calib"}, "bayes-weak-ii": {"calib"}, "bayes-weak-iii": {"calib"},
-    "bayes-sc-i.a": {"calib"}, "bayes-sc-i.b": {"calib", "certified_x0"},
-    "sc-i": _SC_WEAK | {"x0_dist"}, "sc-ii": _SC_WEAK | {"x0_dist"},
-    "weak-i.a": _SC_WEAK | {"frak_e", "x0_dist"}, "weak-i.b": _SC_WEAK | {"frak_e"},
-    "weak-ii.a": _SC_WEAK | {"frak_e"}, "weak-ii.b": _SC_WEAK | {"frak_e"},
-}
-# block -> the section and key of its grid's one point, and the type its tuner takes the
-# point as; the grid is that key + "_grid"
-_GRID = {"model": ("data", "n", int), "potential": ("tuning", "eps", float)}
-
-
-def _tuned(cfg: dict):
-    """The block the tuning regime tunes, built: a ``bayes-*`` regime tunes a model, an
-    ``sc-*`` or ``weak-*`` regime a potential, and any other pairing is refused.  The
-    config's own block is built first, so that its errors come first."""
-    have = "model" if "model" in cfg else "potential"
-    subject = _build(cfg, have) if have in cfg else None
-    regime = cfg.get("tuning", {}).get("regime")
-    if regime is None:
-        raise ConfigError("tuning.regime is required")
-    if regime not in _READS:
-        raise ConfigError(f"unknown tuning regime {regime!r}")
-    section = _TUNES[regime.partition("-")[0]]
-    if section != have or subject is None:
-        raise ConfigError(f"tuning.regime {regime!r} tunes a {section} block, "
-                          "which the config does not have")
-    return subject
-
-
 def _plans(cfg: dict):
     """The tuned block, its grid's key, and each grid point with its (gamma, N) plan, all
     from the config alone, before any dataset is sampled.  A model's grid is
     ``data.n_grid`` (default ``[data.n]``), a potential's ``tuning.eps_grid`` (default
     ``[tuning.eps]``, else ``[1.0]``).  Every regime is tuned by one call per point,
     ``tune_<family>(block, point, variant, **options)``: ``bayes-*`` reads the model's
-    per-observation constants at n, ``sc-*`` and ``weak-*`` the potential's own at eps.
-    A potential's grid or point key beside a model, or a point key beside its grid key, is
-    refused, and so is a tuning key the regime does not read (``_READS``), and a plan whose
-    step count the chains cannot run (``ChainConfig`` refuses it the same way).  A tuning
-    option the config leaves out takes the library's default."""
-    subject = _tuned(cfg)
-    tb = cfg["tuning"]
+    per-observation constants at n, ``sc-*`` and ``weak-*`` the potential's own at eps;
+    an option the config leaves out takes the library's default.  A plan whose step count
+    the chains cannot run is refused as ``ChainConfig`` refuses it."""
+    tb = _block(cfg, "tuning")
     family, _, variant = tb["regime"].partition("-")
-    block = _TUNES[family]
-    if block == "model":  # a data block beside a potential is refused at load
-        for name, what in (("eps_grid", "grid"), ("eps", "point")):
-            if name in tb:
-                raise ConfigError(f"tuning.{name} is a {what} of a potential block, "
-                                  "and the config has a model block")
+    block = _REGIMES[tb["regime"]][1]
+    subject = _build(cfg, block)
     section, key, point = _GRID[block]
     given = cfg.get(section, {})
-    if key in given and f"{key}_grid" in given:
-        raise ConfigError(f"give {section}.{key} or {section}.{key}_grid, not both")
-    if block == "model" and not {key, f"{key}_grid"} & given.keys():
-        raise ConfigError("a bayes-* tuning needs data.n")
-    unread = sorted(tb.keys() - _READS[tb["regime"]] - {"regime"})
-    if unread:
-        raise ConfigError(f"tuning.{unread[0]} is not read by the {tb['regime']} regime")
     grid = [point(v) for v in given.get(f"{key}_grid", [given.get(key, 1.0)])]
     opts = {k: float(v) for k, v in _given(tb, "frak_e", "x0_dist", "calib").items()}
     # the tuner is looked up by its name at each call, so that a rebound tune_* is the one called
@@ -423,9 +414,7 @@ def cmd_run(cfg: dict, output_dir=None, out=None) -> int:
     ``data.seed``; the reference; M chains.  A one-point grid writes one row per
     replicate, a longer grid one row per point."""
     out = out or sys.stdout
-    run_block = cfg.get("run")
-    if run_block is None:
-        raise ConfigError("run block is required for the run command")
+    run_block = _block(cfg, "run")
     subject, key, points = _plans(cfg)
     base_seed = run_block["base_seed"]
     theta = _theta_star(cfg, subject) if "model" in cfg else None
@@ -531,30 +520,18 @@ def cmd_verify(cfg: dict, strict: bool = False, out=None) -> int:
     return EXIT_DIVERGED if failed else EXIT_OK
 
 
-# oracle task -> the oracle keys it reads; a config that gives another is refused
-_ORACLE_READS = {"quadrature": {"nodes_per_axis", "k_sigma"}, "poisson": {"n_nodes"}}
-
-
 def cmd_oracle(cfg: dict, out=None) -> int:
     out = out or sys.stdout
-    ob = cfg.get("oracle", {})
-    task = ob.get("task")
+    ob = _block(cfg, "oracle")
     pot = _build(cfg, "potential")
-    if task not in _ORACLE_READS:
-        raise ConfigError(f"unknown oracle task {task!r}")
-    unread = sorted(ob.keys() - _ORACLE_READS[task] - {"task"})
-    if unread:
-        raise ConfigError(f"oracle.{unread[0]} is not read by the {task} task")
-    if task == "quadrature":
-        nodes = ob.get("nodes_per_axis", 161)
-        mean, err = quadrature_posterior_mean(pot, nodes_per_axis=nodes, **_given(ob, "k_sigma"))
-        record = ("posterior_mean", [float(v) for v in mean], err, "laplace-trapezoid",
-                  {"nodes_per_axis": nodes})
+    settings = {k: ob.get(k, v) for k, v in _TASKS[ob["task"]][1].items()}
+    if ob["task"] == "quadrature":
+        mean, err = quadrature_posterior_mean(pot, **settings, **_given(ob, "k_sigma"))
+        record = ("posterior_mean", [float(v) for v in mean], err, "laplace-trapezoid", settings)
     else:
-        n_nodes = ob.get("n_nodes", 20001)
-        sol = poisson_solve_1d(pot, lambda x: x, n_nodes=n_nodes)
+        sol = poisson_solve_1d(pot, lambda x: x, **settings)
         record = ("poisson_solution", {"pi_f": sol.pi_f, "residual_sup": sol.residual_sup},
-                  sol.residual_sup, "integrating-factor", {"n_nodes": n_nodes})
+                  sol.residual_sup, "integrating-factor", settings)
     record = dict(zip(("target", "value", "error_estimate", "method", "settings"), record))
     json.dump(record, out, indent=2, sort_keys=True)
     out.write("\n")

@@ -131,8 +131,8 @@ def tune_weak(pot, eps: float, variant: str, frak_e: float = 0.05, x0_dist: floa
     c1, c2, q, r = prof.c1, prof.c2, prof.q, prof.r
     L, e = s.L, frak_e
     clamp = weak_gamma_clamp(d, L, c2)
-    cons = {"variant": variant, "c1": c1, "c2": c2, "q": q, "r": r, "L": L, "d": d,
-            "d_prime": d, "eps": eps, "frak_e": e}
+    cons = {"variant": variant, "c1": c1, "c2": c2, "q": q, "r": r, "L": L, "d": d, "eps": eps,
+            "frak_e": e}
 
     if variant == "i.a":
         ups = compute_upsilon(prof, L, d)
@@ -203,7 +203,7 @@ def tune_sc(pot, eps: float, variant: str, x0_dist: float = 0.0,
         raise ParameterError("tune_sc needs a strongly convex profile")
     rho, L = prof.rho, s.L
     clamp = sc_gamma_clamp(d, L)
-    cons = {"variant": variant, "rho": rho, "L": L, "d": d, "d_prime": d, "eps": eps}
+    cons = {"variant": variant, "rho": rho, "L": L, "d": d, "eps": eps}
 
     if variant == "i":
         g1 = rho**2 / (L**2 * d) * eps**2

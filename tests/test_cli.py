@@ -94,6 +94,53 @@ def bayes_cfg(**overrides):
     return cfg
 
 
+def in_process(tmp_path, capsys, command, cfg):
+    """Run the CLI on ``cfg`` in this process: its exit code, stdout and stderr."""
+    code = main([command, "--config", write(tmp_path, "c.json", cfg),
+                 "--output", str(tmp_path / "o")])
+    return (code, *capsys.readouterr())
+
+
+COMMANDS = ["tune", "run", "verify", "oracle"]
+# configs every command runs (the model's, every command but oracle, which needs a potential)
+REFUSAL_BASES = {
+    "potential": {"potential": {"family": "gaussian", "d": 1},
+                  "tuning": {"regime": "sc-i", "eps": 0.5}, "run": {"M": 5, "base_seed": 1},
+                  "oracle": {"task": "quadrature"}, "diagnostics": {"grad_bounds": True}},
+    "model": {"model": {"family": "gaussian_location", "d": 1, "theta_star": [0.5]},
+              "data": {"n": 100, "seed": 1}, "tuning": {"regime": "bayes-sc-i.a"},
+              "run": {"M": 5, "base_seed": 1},
+              "diagnostics": {"concentration": {"n": 10, "delta_grid": [0.5], "M": 10,
+                                                "seed": 1}}},
+}
+# (id, base, the sections it replaces, the one line every command refuses the config with)
+REFUSED = [
+    ("bayes-keys-beside-a-potential", "potential",
+     {"tuning": {"regime": "bayes-sc-i.a", "frak_e": 0.05, "certified_x0": True}},
+     "unknown key tuning.'frak_e'"),
+    ("unknown-regime", "potential", {"tuning": {"regime": "nope", "eps": 0.5}},
+     "tuning.regime must be " + " or ".join(map(repr, cli._REGIMES)) + ", got 'nope'"),
+    ("eps-beside-eps-grid", "potential",
+     {"tuning": {"regime": "sc-i", "eps": 0.5, "eps_grid": [0.5, 0.4]}},
+     "give tuning.eps or tuning.eps_grid, not both"),
+    ("eps-beside-a-model", "model", {"tuning": {"regime": "bayes-sc-i.a", "eps": 0.5}},
+     "unknown key tuning.'eps'"),
+    ("quadrature-n-nodes", "potential", {"oracle": {"task": "quadrature", "n_nodes": 7}},
+     "unknown key oracle.'n_nodes'"),
+    ("poisson-nodes-per-axis", "potential",
+     {"oracle": {"task": "poisson", "nodes_per_axis": 161}},
+     "unknown key oracle.'nodes_per_axis'"),
+    ("data-beside-a-potential", "potential", {"data": {"seed": 5}},
+     "a data block is read only with a model block, and the config has a potential block"),
+    ("regime-without-its-block", "model", {"tuning": {"regime": "sc-i"}},
+     "tuning.regime 'sc-i' tunes a potential block, which the config does not have"),
+    ("bayes-regime-without-data-n", "model", {"data": {"seed": 1}},
+     "tuning.regime 'bayes-sc-i.a' needs data.n or data.n_grid"),
+    ("n-beside-n-grid", "model", {"data": {"n": 100, "n_grid": [100, 400], "seed": 1}},
+     "give data.n or data.n_grid, not both"),
+]
+
+
 class TestConfigValidation:
     def test_unknown_section_rejected(self):
         with pytest.raises(ParameterError, match="unknown config section"):
@@ -101,7 +148,7 @@ class TestConfigValidation:
 
     def test_unknown_key_named(self):
         with pytest.raises(ParameterError, match="tuning.'regmie'"):
-            validate_config({"tuning": {"regmie": "x"}})
+            validate_config({"tuning": {"regime": "sc-i", "regmie": "x"}})
 
     def test_missing_seed_demanded(self):
         with pytest.raises(ParameterError, match="seed"):
@@ -116,8 +163,8 @@ class TestConfigValidation:
         for bad in (0, 2.0, False):
             with pytest.raises(ParameterError, match="model.d"):
                 validate_config(bayes_cfg(model={**bayes_cfg()["model"], "d": bad}))
-        with pytest.raises(ParameterError, match="tuning.frak_e"):
-            validate_config(bayes_cfg(tuning={"regime": "bayes-sc-i.a", "frak_e": True}))
+        with pytest.raises(ParameterError, match="tuning.calib"):
+            validate_config(bayes_cfg(tuning={"regime": "bayes-sc-i.a", "calib": True}))
 
     def test_params_values_typed(self):
         def potential(**params):
@@ -370,19 +417,18 @@ class TestPlanRule:
                      "--output", str(tmp_path / "o")])
         out, err = capsys.readouterr()
         points = 1 if grid is None else 2
-        grid_of = {"eps_grid": ("tuning", "potential"), "n_grid": ("data", "model")}
-        if block == "potential" and grid == "n_grid":  # refused when the config loads
+        # every refusal comes when the config loads, before any plan
+        if block == "potential" and grid == "n_grid":
             assert (code, events) == (2, [])
             assert err == ("error: a data block is read only with a model block, "
                            "and the config has a potential block\n")
+        elif tunes == "model" and grid == "eps_grid":  # no bayes-* regime reads an eps grid
+            assert (code, events) == (2, [])
+            assert err == "error: unknown key tuning.'eps_grid'\n"
         elif block != tunes:
             assert (code, events) == (2, [])
             assert err == (f"error: tuning.regime {regime!r} tunes a {tunes} block, "
                            "which the config does not have\n")
-        elif grid is not None and grid_of[grid][1] != block:
-            assert (code, events) == (2, [])
-            assert err == (f"error: {grid_of[grid][0]}.{grid} is a grid of a {grid_of[grid][1]} "
-                           f"block, and the config has a {block} block\n")
         else:
             assert (code, err) == (0, "")
             sampled = points if command == "run" and block == "model" else 0
@@ -397,10 +443,10 @@ class TestPlanRule:
         ("conjugate_posterior.json", {"data": {"n_grid": [10, 20, 40, 80]},
                                       "tuning": {"regime": "sc-i"}},
          "tuning.regime 'sc-i' tunes a potential block, which the config does not have"),
+        # no bayes-* regime reads a potential's grid or point key
         ("conjugate_posterior.json", {"tuning": {"eps_grid": [0.3, 0.2]}},
-         "tuning.eps_grid is a grid of a potential block, and the config has a model block"),
-        ("conjugate_posterior.json", {"tuning": {"eps": 0.01}},
-         "tuning.eps is a point of a potential block, and the config has a model block"),
+         "unknown key tuning.'eps_grid'"),
+        ("conjugate_posterior.json", {"tuning": {"eps": 0.01}}, "unknown key tuning.'eps'"),
         # a data block beside a potential is refused before its keys are read
         ("ou_smoke.json", {"data": {"n": 100, "seed": 1}},
          "a data block is read only with a model block, and the config has a potential block"),
@@ -418,27 +464,42 @@ class TestPlanRule:
             cfg[section] = {**cfg.get(section, {}), **values}
         assert exits_2_with_one_line(tmp_path, command, cfg) == f"error: {message}\n"
 
-    @pytest.mark.parametrize("command", ["tune", "run", "verify", "oracle"])
-    def test_a_data_block_beside_a_potential_is_refused(self, tmp_path, command):
-        # no command reads a data block beside a potential, not even its seed
-        cfg = {"potential": {"family": "gaussian", "d": 1}, "data": {"seed": 5},
-               "tuning": {"regime": "sc-i", "eps": 0.5}, "run": {"M": 5, "base_seed": 1},
-               "oracle": {"task": "quadrature"}, "diagnostics": {"grad_bounds": True}}
-        assert exits_2_with_one_line(tmp_path, command, cfg) == (
-            "error: a data block is read only with a model block, "
-            "and the config has a potential block\n")
-        del cfg["data"]
-        assert main([command, "--config", write(tmp_path, "c.json", cfg),
-                     "--output", str(tmp_path / "o")]) == 0
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("base, changes, message", [
+        pytest.param(base, changes, message, id=name) for name, base, changes, message in REFUSED])
+    def test_every_command_refuses_the_config_with_one_line(
+            self, tmp_path, capsys, monkeypatch, command, base, changes, message):
+        events = []  # refused when the config loads: no dataset is sampled, no chain stepped
+        for name in ("sample_dataset", "mse_experiment"):
+            monkeypatch.setattr(cli, name, lambda *a, e=name, **k: events.append(e))
+        cfg = {**REFUSAL_BASES[base], **changes}
+        assert in_process(tmp_path, capsys, command, cfg) == (2, "", f"error: {message}\n")
+        assert events == []
 
-    @pytest.mark.parametrize("command, cfg, block", [
-        ("tune", {"tuning": {"regime": "sc-i"}}, "potential"),
-        ("tune", {"data": {"n": 100, "seed": 1}, "tuning": {"regime": "bayes-sc-i.a"}}, "model"),
-        ("run", {"tuning": {"regime": "weak-i.b"}, "run": {"M": 5, "base_seed": 1}}, "potential"),
-        ("oracle", {"oracle": {"task": "quadrature"}}, "potential"),
+    @pytest.mark.parametrize("command, base", [
+        (command, base) for base in REFUSAL_BASES for command in COMMANDS
+        if (command, base) != ("oracle", "model")])  # an oracle runs on a potential only
+    def test_the_bases_of_the_refusal_table_are_accepted(self, tmp_path, capsys, command, base):
+        assert in_process(tmp_path, capsys, command, REFUSAL_BASES[base])[0] == 0
+
+    @pytest.mark.parametrize("command, cfg, message", [
+        ("tune", {"tuning": {"regime": "sc-i"}},
+         "tuning.regime 'sc-i' tunes a potential block, which the config does not have"),
+        ("tune", {"data": {"n": 100, "seed": 1}, "tuning": {"regime": "bayes-sc-i.a"}},
+         "tuning.regime 'bayes-sc-i.a' tunes a model block, which the config does not have"),
+        ("run", {"tuning": {"regime": "weak-i.b"}, "run": {"M": 5, "base_seed": 1}},
+         "tuning.regime 'weak-i.b' tunes a potential block, which the config does not have"),
+        ("oracle", {"oracle": {"task": "quadrature"}}, "no potential block in the config"),
+        # a section the command cannot run without is named the same way
+        ("tune", {"potential": {"family": "gaussian"}}, "no tuning block in the config"),
+        ("run", {"potential": {"family": "gaussian"}, "run": {"M": 5, "base_seed": 1}},
+         "no tuning block in the config"),
+        ("run", {"potential": {"family": "gaussian"}, "tuning": {"regime": "sc-i"}},
+         "no run block in the config"),
+        ("oracle", {"potential": {"family": "gaussian"}}, "no oracle block in the config"),
     ])
-    def test_a_missing_block_is_named(self, tmp_path, command, cfg, block):
-        assert f" {block} block" in exits_2_with_one_line(tmp_path, command, cfg)
+    def test_a_missing_block_is_named(self, tmp_path, capsys, command, cfg, message):
+        assert in_process(tmp_path, capsys, command, cfg) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["tune", "run"])
     @pytest.mark.parametrize("config, key, value, regime", [
@@ -465,13 +526,14 @@ class TestPlanRule:
         code = main([command, "--config", write(tmp_path, "c.json", cfg),
                      "--output", str(tmp_path / "o")])
         assert (code, sampled) == (2, [])
-        assert capsys.readouterr().err == f"error: tuning.{key} is not read by the {regime} regime\n"
+        assert capsys.readouterr().err == f"error: unknown key tuning.{key!r}\n"
 
-    @pytest.mark.parametrize("regime", sorted(cli._READS))
+    @pytest.mark.parametrize("regime", sorted(cli._SCHEMA["tuning"].rows))
     def test_every_key_the_table_lets_a_regime_read_moves_its_tuning(
             self, tmp_path, capsys, monkeypatch, regime):
-        """A key ``cli._READS`` accepts for a regime must reach its formulas: some value of
-        it changes the (gamma, N) of a tuning the regime completes, or its exit code."""
+        """A key a regime's row of ``cli._SCHEMA["tuning"]`` accepts must reach its formulas:
+        some value of it changes the (gamma, N) of a tuning the regime completes, or its exit
+        code."""
         # no config family has a weakly convex per-observation profile, so the bayes weak-*
         # regimes are reached through the p-power location model, registered here
         monkeypatch.setitem(cli._MODELS, "p_power_location", (
@@ -500,7 +562,7 @@ class TestPlanRule:
         # a large calib and x0_dist, so that the calibration and the distance term bite
         probes = {"eps": 0.01, "eps_grid": [0.02, 0.01], "calib": 100.0, "x0_dist": 1e6,
                   "frak_e": 0.3, "certified_x0": False}
-        for key in sorted(cli._READS[regime]):
+        for key in sorted(cli._SCHEMA["tuning"].rows[regime][0].keys() - {"regime"}):
             cfg = copy.deepcopy(base)
             if key == "eps_grid":
                 del cfg["tuning"]["eps"]
@@ -679,7 +741,24 @@ class TestOracleCommand:
     def test_a_key_the_task_does_not_read_is_refused(self, tmp_path, task, key, value):
         cfg = {"potential": {"family": "gaussian", "d": 1}, "oracle": {"task": task, key: value}}
         assert exits_2_with_one_line(tmp_path, "oracle", cfg) == (
-            f"error: oracle.{key} is not read by the {task} task\n")
+            f"error: unknown key oracle.{key!r}\n")
+
+    @pytest.mark.parametrize("task", sorted(cli._SCHEMA["oracle"].rows))
+    def test_every_key_the_table_lets_a_task_read_moves_its_record(self, tmp_path, capsys, task):
+        """A key a task's row of ``cli._SCHEMA["oracle"]`` accepts must reach its oracle: some
+        value of it changes the value or the error estimate the task prints."""
+
+        def record(ob):
+            cfg = {"potential": {"family": "gaussian", "d": 1, "params": {"mean": 0.4}},
+                   "oracle": ob}
+            assert main(["oracle", "--config", write(tmp_path, "o.json", cfg)]) == 0
+            rec = json.loads(capsys.readouterr().out)
+            return rec["value"], rec["error_estimate"]
+
+        before = record({"task": task})
+        probes = {"nodes_per_axis": 41, "k_sigma": 12.0, "n_nodes": 4001}
+        for key in sorted(cli._SCHEMA["oracle"].rows[task][0].keys() - {"task"}):
+            assert record({"task": task, key: probes[key]}) != before, key
 
 
 def test_console_entrypoint_runs():
@@ -888,6 +967,8 @@ class TestExitCodeMapping:
     ])
     def test_overflowing_rows_are_named(self, tmp_path, section, block, name):
         cfg = {section: block, "tuning": {"regime": "sc-i"}}
+        if section == "model":  # the regime that tunes the block, so that it is built
+            cfg.update(data={"n": 100, "seed": 1}, tuning={"regime": "bayes-sc-i.a"})
         assert exits_2_with_one_line(tmp_path, "tune", cfg).startswith(f"error: {name}: ")
 
     @pytest.mark.parametrize("family", [None, ["gaussian"], "probit"])

@@ -110,17 +110,23 @@ MUTANTS = [
            ("tests/test_cli.py::TestPlanRule::test_json_integers_give_the_bytes_of_floats"
             "[tune-cfg2]",)),
     Mutant("poisson-oracle-reads-k-sigma", "cesaro_lmc/cli.py",
-           '"poisson": {"n_nodes"}}', '"poisson": {"n_nodes", "k_sigma"}}',
+           '"poisson": ({"task": _STRING, "n_nodes": _COUNT}',
+           '"poisson": ({"task": _STRING, "n_nodes": _COUNT, "k_sigma": _NUMBER}',
            ("tests/test_cli.py::TestOracleCommand::test_a_key_the_task_does_not_read_is_refused"
             "[poisson-k_sigma-8.0]",)),
     Mutant("tune-bayes-drops-model-b1", "cesaro_lmc/tuning.py",
            "epsilon_n(cp, L, alpha_c, d, n, model.b1)", "epsilon_n(cp, L, alpha_c, d, n)",
            ("tests/test_tuning.py::TestBayesTunings::test_model_b1_decides_eps_n_valid",)),
     Mutant("bayes-regime-accepts-tuning-eps", "cesaro_lmc/cli.py",
-           '(("eps_grid", "grid"), ("eps", "point"))', '(("eps_grid", "grid"),)',
-           ("tests/test_cli.py::TestPlanRule::test_a_grid_key_the_block_cannot_use_is_refused"
-            "[conjugate_posterior.json-changes2-tuning.eps is a point of a potential block, "
-            "and the config has a model block-tune]",)),
+           '"bayes-sc-i.a": ""', '"bayes-sc-i.a": "eps"',
+           ("tests/test_cli.py::TestPlanRule::test_every_command_refuses_the_config_with_one_line"
+            "[eps-beside-a-model-tune]",)),
+    Mutant("load-drops-the-regime-block-rule", "cesaro_lmc/cli.py",
+           "        if tunes not in cfg:\n"
+           "            raise ConfigError(f\"tuning.regime {regime!r} tunes a {tunes} block, \"\n"
+           "                              \"which the config does not have\")\n", "",
+           ("tests/test_cli.py::TestPlanRule::test_every_command_refuses_the_config_with_one_line"
+            "[regime-without-its-block-verify]",)),
     Mutant("philox-counter-bumped-after-the-block", "cesaro_lmc/_kernel.c",
            "    for (int j = 0; j < 4; j++)\n        if (++s->ctr[j] != 0)\n            break;\n"
            "    philox_block(s);\n",

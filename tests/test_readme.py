@@ -1,9 +1,11 @@
-"""The README's library quick start runs as written."""
+"""The README's library quick start runs as written, and its CLI tables are the schema's."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from cesaro_lmc import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,3 +18,23 @@ def test_quick_start_runs():
         exec(compile(code, "README.md quick start", "exec"), {})
     mse, eps_n_sq = map(float, printed.getvalue().split())
     assert 0.0 < mse < eps_n_sq
+
+
+def test_the_cli_tables_are_the_schema():
+    """The README's family, regime and task rows are the keyed tables of ``cli._SCHEMA``:
+    each row names the keys its block may hold (a family's params, required ones in bold)."""
+    section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 3:
+            rows[cells[0].strip("`"), cells[1].strip("`")] = (
+                set(re.findall(r"`(\w+)`", cells[2])), set(re.findall(r"\*\*`(\w+)`\*\*", cells[2])))
+    expected = {}
+    for name, key in [("model", "family"), ("potential", "family"), ("tuning", "regime"),
+                      ("oracle", "task")]:
+        for value, (table, _) in cli._SCHEMA[name].rows.items():
+            keys = table.get("params", {k: v for k, v in table.items() if k != key})
+            expected[name, value] = (
+                set(keys), {k for k, v in keys.items() if getattr(v, "required", False)})
+    assert rows == expected
