@@ -11,8 +11,9 @@
  * occur.  A logistic posterior is one such term, its prior in mu.  The
  * Gaussian term is (rho/2) |x - mean|^2, with gradient rho * (x - mean).
  *
- * lmc_value, lmc_grad and lmc_hess_vec evaluate a batch of points one point
- * at a time, so a point's result does not depend on its batch.  lmc_step
+ * lmc_value, lmc_grad and lmc_hess_vec evaluate a batch of logistic points
+ * one point at a time, so a point's result does not depend on its batch.
+ * A Gaussian term is only stepped (its evaluators are numpy's).  lmc_step
  * steps chains with the same gradient code, through the same IEEE
  * operations, in the same order, as the numpy driver (sampler._drive): the
  * Kahan Cesaro update, the Euler step, then the divergence test.  Noise
@@ -196,7 +197,7 @@ typedef struct {
     int64_t pairs;                        /* logistic term */
     const double *rows, *cplus, *cminus;  /* (pairs, d), (pairs,), (pairs,) */
     double mu;
-    const double *mean;                   /* Gaussian term; NULL for a logistic one */
+    const double *mean;                   /* Gaussian term, only stepped; NULL for a logistic one */
     double rho;
 } lmc_pot;
 
@@ -236,11 +237,6 @@ static double value_point(const lmc_pot *p, const double *x)
 {
     const int64_t d = p->d;
     double w = 0.0, sq = 0.0;
-    if (p->mean) {
-        for (int64_t j = 0; j < d; j++)
-            sq += (x[j] - p->mean[j]) * (x[j] - p->mean[j]);
-        return 0.5 * p->rho * sq;
-    }
     for (int64_t v = 0; v < p->pairs; v++) {
         double z = dot(p->rows + v * d, x, d), l = log1p(exp(-fabs(z)));
         /* a zero weight adds nothing, also where z or |x|^2 is infinite */
@@ -260,11 +256,6 @@ static double value_point(const lmc_pot *p, const double *x)
 static void hess_vec_point(const lmc_pot *p, const double *x, const double *u, double *out)
 {
     const int64_t d = p->d;
-    if (p->mean) {
-        for (int64_t j = 0; j < d; j++)
-            out[j] = p->rho * u[j];
-        return;
-    }
     for (int64_t j = 0; j < d; j++)
         out[j] = 0.0;
     for (int64_t v = 0; v < p->pairs; v++) {

@@ -15,17 +15,17 @@ The library draws from its own copy of numpy's Philox4x64-10 generator.
 A stream is one 16-word row of a plain uint64 array (:func:`streams`),
 keyed by a seed in the state of ``Philox(key=seed)``, and advanced in
 place.  On first load, 4096 normals drawn from such a row (the tail and
-draws numpy's slow path takes among them) are compared with numpy's
-``standard_normal``, and the row's counter, buffer and position with the
-Philox state after the same draws.  If compiling, loading or that check
-fails, :func:`load` returns None and one line says so on stderr: Gaussian
+draws numpy's slow path takes among them) are compared with those of
+``rng.stream`` at the same key, and the row's counter, buffer and position
+with that Philox state after the same draws.  If compiling, loading or that
+check fails, :func:`load` returns None and one line says so on stderr: Gaussian
 chains then run on the numpy driver (the same bits), and the logistic
 family, whose evaluators exist only in C, refuses to run.
 
 A :class:`Kernel` binds a potential's ``kernel`` field, one term
 ``("logistic", rows, cplus, cminus, mu)`` or ``("gaussian", rho, mean)``,
-to the library: its ``value``, ``grad`` and ``hess_vec`` evaluate the term
-and ``step`` advances chains on it.
+to the library: ``step`` advances chains on it, and ``value``, ``grad``
+and ``hess_vec`` evaluate a logistic term; a Gaussian one is only stepped.
 
 Every call splits its batch the same way (:func:`_split`): into contiguous
 ranges of at least ``_MIN_RANGE_WORK`` units of work, one library call
@@ -57,7 +57,7 @@ import threading
 import numpy as np
 
 from .errors import ParameterError
-from .rng import _MASK64
+from .rng import _MASK64, stream
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -167,7 +167,7 @@ def normals(lib, row: np.ndarray, n: int) -> np.ndarray:
 
 
 def _self_check(lib) -> None:
-    row, gen = streams([_CHECK_KEY])[0], np.random.Generator(np.random.Philox(key=_CHECK_KEY))
+    row, gen = streams([_CHECK_KEY])[0], stream(_CHECK_KEY)
     mine = normals(lib, row, _CHECK_NORMALS)
     if mine.tobytes() != gen.standard_normal(_CHECK_NORMALS).tobytes():
         raise RuntimeError("its normals differ from numpy's standard_normal")
@@ -217,7 +217,7 @@ def _array(a, shape, what):
 
 class Kernel:
     """The term of a potential's ``kernel`` field on ``d`` coordinates, bound
-    to the compiled library ``lib``."""
+    to the compiled library ``lib``; a Gaussian term is only stepped."""
 
     def __init__(self, lib, term, d: int):
         if not (isinstance(term, tuple) and term and isinstance(term[0], str)

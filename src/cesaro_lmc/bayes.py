@@ -271,7 +271,7 @@ def build_posterior(model, obs) -> PosteriorPotential:
     are refused, and so is an empty array (``sample_dataset`` draws n >= 1).
     The mode is the family's ``minimizer_hint`` when it has one (the
     conjugate posterior's exact mean), else found by gradient descent from
-    the origin; the potential's minimum is normalised to 1 there.
+    the origin; ``potentials.minimum_shift`` reads it to put the minimum at 1.
     """
     if not hasattr(model, "posterior"):
         raise CapabilityError(f"unsupported model family: {model!r}")
@@ -287,8 +287,7 @@ def build_posterior(model, obs) -> PosteriorPotential:
     mode = pot.minimizer_hint
     if mode is None:
         mode = find_minimizer(pot, np.zeros(model.d), tol_grad=1e-9 * max(1.0, pot.smoothness.L))
-    pot = dataclasses.replace(pot, minimizer_hint=mode, offset=1.0 - float(pot.value(mode)),
-                              name=f"posterior[{model.model_id}, n={n}]")
+    pot = dataclasses.replace(pot, minimizer_hint=mode, name=f"posterior[{model.model_id}, n={n}]")
     return PosteriorPotential(potential=pot)
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, oracle
 from .bayes import GaussianLocationModel, LogisticModel, build_posterior, sample_dataset
 from .diagnostics import (
     SeparationMap,
@@ -52,7 +52,7 @@ from .potentials import (
     verify_kl_profile,
 )
 from .rng import mix64
-from .sampler import _MAX_STEPS
+from .sampler import check_steps
 from .tuning import tune_bayes, tune_sc, tune_weak
 
 EXIT_OK = 0
@@ -212,8 +212,8 @@ _REGIMES = {
 # oracle task -> (the oracle keys it reads, the settings its record reports and their defaults)
 _TASKS = {
     "quadrature": ({"task": _STRING, "nodes_per_axis": _COUNT, "k_sigma": _NUMBER},
-                   {"nodes_per_axis": 161}),
-    "poisson": ({"task": _STRING, "n_nodes": _COUNT}, {"n_nodes": 20001}),
+                   {"nodes_per_axis": oracle.QUADRATURE_NODES}),
+    "poisson": ({"task": _STRING, "n_nodes": _COUNT}, {"n_nodes": oracle.POISSON_NODES}),
 }
 # block -> the section and key of its grid's one point, and the type its tuner takes the
 # point as; the grid is that key + "_grid"
@@ -281,6 +281,9 @@ def validate_config(cfg: dict) -> dict:
     if "data" in cfg and "potential" in cfg:
         raise ConfigError("a data block is read only with a model block, "
                           "and the config has a potential block")
+    if "oracle" in cfg and "model" in cfg:
+        raise ConfigError("an oracle block is read only with a potential block, "
+                          "and the config has a model block")
     if "tuning" in cfg:
         regime = cfg["tuning"]["regime"]
         tunes = _REGIMES[regime][1]
@@ -346,7 +349,7 @@ def _plans(cfg: dict):
     ``tune_<family>(block, point, variant, **options)``: ``bayes-*`` reads the model's
     per-observation constants at n, ``sc-*`` and ``weak-*`` the potential's own at eps;
     an option the config leaves out takes the library's default.  A plan whose step count
-    the chains cannot run is refused as ``ChainConfig`` refuses it."""
+    the chains cannot run is refused by the check ``ChainConfig`` runs (``check_steps``)."""
     tb = _block(cfg, "tuning")
     family, _, variant = tb["regime"].partition("-")
     block = _REGIMES[tb["regime"]][1]
@@ -359,8 +362,7 @@ def _plans(cfg: dict):
     tune = {"bayes": tune_bayes, "sc": tune_sc, "weak": tune_weak}[family]
     plans = [tune(subject, v, variant, **_given(tb, "certified_x0"), **opts) for v in grid]
     for plan in plans:
-        if not 1 <= plan.n_steps <= _MAX_STEPS:
-            raise ConfigError(f"n_steps must lie in [1, 2^63 - 1], got {plan.n_steps}")
+        check_steps(plan.n_steps)
     return subject, key, list(zip(grid, plans))
 
 

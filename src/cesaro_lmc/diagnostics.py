@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapabilityError, ExperimentError, ParameterError
-from .potentials import Potential, minimizer
+from .potentials import Potential, minimizer, minimum_shift
 from .rng import stream
 from .sampler import ChainConfig, _observe_chain, moment_clamp, replicate_runs
 from .tuning import TuningPlan
@@ -290,13 +290,13 @@ def moment_check(
     a: float = 1.0 / 16.0,
     checkpoints: int = 100,
 ) -> MomentReport:
-    """Long-run stability of W^p and exp(a W) running means along one chain.
+    """Long-run stability of W^p and exp(a W) running means along the chain
+    ``cfg`` describes, W shifted to minimum 1 (``minimum_shift``).
 
-    Observes the states of the chain ``cfg`` describes.  Requires
-    the moment clamp gamma <= 1/(4dL+1).  Passes when no checkpointed
-    running mean exceeds ten times its maximum over the first decile of
-    checkpoints.  Raises :class:`ExperimentError` naming the first step at
-    which exp(a W) is not finite or the chain diverges.
+    Requires the moment clamp gamma <= 1/(4dL+1).  Passes when no
+    checkpointed running mean exceeds ten times its maximum over the first
+    decile of checkpoints.  Raises :class:`ExperimentError` naming the
+    first step at which exp(a W) is not finite or the chain diverges.
     """
     if any(p <= 0 or p > 9 for p in p_grid):
         raise ParameterError("moment exponents must lie in (0, 9]")
@@ -305,6 +305,7 @@ def moment_check(
     if cfg.gamma > moment_clamp(pot) * (1.0 + 1e-12):
         raise ParameterError("moment_check requires gamma <= 1/(4dL+1)")
 
+    _, shift = minimum_shift(pot)
     n = cfg.n_steps
     every = max(1, n // checkpoints)
     sums = np.zeros(len(p_grid) + 1)  # W^p for each p, then exp(a W)
@@ -312,7 +313,7 @@ def moment_check(
 
     def observe(k0, states, diverged):
         # running means at the states; cumsum keeps the sequential sum
-        w = pot.value(states[0]) + pot.offset
+        w = pot.value(states[0]) + shift
         v = np.stack([w**p for p in p_grid] + [np.exp(a * w)])
         bad = [k0 + int(i) for i in np.flatnonzero(~np.isfinite(v[-1]))[:1]]
         bad += [int(diverged[0])] if diverged[0] >= 0 else []

@@ -23,6 +23,8 @@ from .errors import CapabilityError, NumericError, ParameterError
 from .potentials import Potential, dense_hessian, minimizer
 from .rng import stream
 
+QUADRATURE_NODES, POISSON_NODES = 161, 20001  # the oracles' grid sizes unless they are told
+
 
 # ---------------------------------------------------------------------------
 # tensor-product quadrature posterior means
@@ -37,7 +39,7 @@ def _laplace_frame(pot: Potential):
 
 
 def quadrature_posterior_mean(
-    pot: Potential, nodes_per_axis: int = 161, k_sigma: float = 8.0
+    pot: Potential, nodes_per_axis: int = QUADRATURE_NODES, k_sigma: float = 8.0
 ):
     """Mean of pi proportional to e^{-W} by Laplace-centered trapezoid quadrature.
 
@@ -206,7 +208,7 @@ def poisson_solve_1d(
     pot: Potential,
     f: Callable[[np.ndarray], np.ndarray],
     *,
-    n_nodes: int = 20001,
+    n_nodes: int = POISSON_NODES,
     k_sigma: float = 10.0,
 ) -> PoissonSolution1D:
     """Solve g'' - W' g' = f - pi(f) on a truncated interval, pi(g) = 0.

@@ -11,9 +11,9 @@ Evaluators are pure functions accepting a single point ``(d,)`` or a batch
 through matrix-vector products; dense matrices are assembled only inside
 verification oracles for d <= 50.
 
-Profile checks interpret W through ``value(x) + offset`` where ``offset``
-shifts the minimum value to 1; the curvature-vs-height inequalities are
-stated for that normalization.
+The curvature-vs-height inequalities and the W-power moment checks are
+stated for W shifted to minimum 1.  No potential stores that shift:
+:func:`minimum_shift` derives it, 1 - W(x*), from the minimiser x*.
 """
 
 from __future__ import annotations
@@ -87,9 +87,8 @@ class Potential:
     """A twice-differentiable convex potential on R^d.
 
     ``value``/``grad``/``hess_vec`` accept points of shape ``(d,)`` or
-    batches ``(m, d)``.  ``offset`` is the additive constant placing the
-    minimum of the *normalized* potential at 1 (used by every W-power
-    check); ``value`` itself is the raw formula.  ``kernel``, when set, is
+    batches ``(m, d)``; ``value`` is the raw formula, and :func:`minimum_shift`
+    gives the constant that puts its minimum at 1.  ``kernel``, when set, is
     the one term, ``("logistic", rows, cplus, cminus, mu)`` or
     ``("gaussian", rho, mean)``, that the compiled chain loop steps with the
     same bits as ``grad``; ``dataclasses.replace`` keeps it, so a potential
@@ -106,14 +105,9 @@ class Potential:
     smoothness: Smoothness
     profile: Optional[ConvexityProfile]
     minimizer_hint: Optional[np.ndarray] = None
-    offset: float = 0.0
     name: str = ""
     kernel: Optional[tuple] = None
     mean: Optional[np.ndarray] = None
-
-    def value_normalized(self, x: np.ndarray) -> np.ndarray:
-        """W shifted so its minimum sits at 1."""
-        return self.value(x) + self.offset
 
 
 def _as_point(x, dim) -> np.ndarray:
@@ -165,7 +159,6 @@ def builtin_gaussian_location(d: int, mean=0.0, precision: float = 1.0) -> Poten
         smoothness=Smoothness(L=rho, L_tilde=0.0, lap_grad_sup=0.0, rho_lap=0.0),
         profile=StronglyConvex(rho),
         minimizer_hint=m,
-        offset=1.0,
         name=f"gaussian(d={d},rho={rho})",
         kernel=("gaussian", rho, m),
         mean=m,
@@ -221,7 +214,6 @@ def builtin_p_power(d: int, center=0.0, p: float = 0.75) -> Potential:
         smoothness=Smoothness(L=2.0 * p, L_tilde=l_tilde, lap_grad_sup=lap_sup, rho_lap=1.0),
         profile=WeaklyConvexKL(c1=2.0 * p * (2.0 * p - 1.0), c2=2.0 * p, q=r, r=r),
         minimizer_hint=c,
-        offset=0.0,
         name=f"p_power(d={d},p={p})",
         mean=c,
     )
@@ -294,7 +286,6 @@ def builtin_logistic(features, labels, ridge: float = 0.0) -> Potential:
         smoothness=Smoothness(L=L),
         profile=profile,
         minimizer_hint=None,
-        offset=0.0,
         name=f"logistic(d={d},n={a.shape[0]},ridge={mu})",
         kernel=kernel,
     )
@@ -345,6 +336,12 @@ def minimizer(pot: Potential) -> np.ndarray:
     return find_minimizer(pot, np.zeros(pot.dim))
 
 
+def minimum_shift(pot: Potential):
+    """The minimiser x* (:func:`minimizer`) and 1 - W(x*), the shift that puts W's minimum at 1."""
+    x_star = minimizer(pot)
+    return x_star, 1.0 - float(pot.value(x_star))
+
+
 @dataclass(frozen=True)
 class ProfileReport:
     """Outcome of a probe-based regularity check."""
@@ -384,9 +381,9 @@ def verify_kl_profile(
     prof = pot.profile
     if not isinstance(prof, WeaklyConvexKL):
         raise CapabilityError("potential does not carry a weakly convex profile")
-    x_star = minimizer(pot)
+    x_star, shift = minimum_shift(pot)
     pts = probe_points(x_star, radius, n_probes, seed)
-    w = pot.value_normalized(pts)
+    w = pot.value(pts) + shift
     hess = dense_hessian(pot, pts)  # (n_probes, d, d)
     eigs = np.linalg.eigvalsh(0.5 * (hess + np.swapaxes(hess, -1, -2)))
     lo = eigs[:, 0] * w**prof.r / prof.c1  # want >= 1
@@ -430,10 +427,10 @@ def verify_grad_bounds(
         prof = WeaklyConvexKL(c1=prof.rho, c2=pot.smoothness.L, q=0.0, r=0.0)
     if not isinstance(prof, WeaklyConvexKL):
         raise CapabilityError("potential carries no convexity profile")
-    x_star = minimizer(pot)
+    x_star, shift = minimum_shift(pot)
     pts = probe_points(x_star, radius, n_probes, seed)
-    w = pot.value_normalized(pts)
-    w_star = float(pot.value_normalized(x_star))
+    w = pot.value(pts) + shift
+    w_star = float(pot.value(x_star) + shift)
     g2 = np.sum(pot.grad(pts) ** 2, axis=-1)
     dist2 = np.sum((pts - x_star) ** 2, axis=-1)
     c1, c2, q, r = prof.c1, prof.c2, prof.q, prof.r

@@ -1,7 +1,8 @@
 """Reproducible random streams.
 
-All randomness in the package flows through counter-based Philox4x64
-generators keyed by explicit 64-bit seeds.  Gaussian variates come from
+All randomness in the package flows through numpy's counter-based
+Philox4x64 generators, ``Philox(key=seed)`` for an explicit seed taken
+modulo 2^64 (:func:`stream`).  Gaussian variates come from
 numpy's ziggurat ``standard_normal``, whose output stream for a given key
 is independent of how draws are chunked, so batched multi-chain simulation
 is bit-identical to running each chain on its own.
@@ -20,8 +21,6 @@ ziggurat inline and hand every other draw to numpy's own
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -44,24 +43,6 @@ def mix64(seed: int, index):
     return int(z[0]) if scalar else z
 
 
-@functools.cache
-def _zero_seed():
-    """A seed source of zero words, so a stream skips the OS entropy that
-    ``Philox(key=k)`` draws and discards (built at the first stream, so
-    importing the package does not import numpy.random)."""
-
-    class ZeroSeed(np.random.bit_generator.ISeedSequence):
-        def generate_state(self, n_words, dtype=np.uint32):
-            return np.zeros(n_words, dtype=dtype)
-
-    return ZeroSeed()
-
-
 def stream(seed: int) -> np.random.Generator:
-    """A Philox generator keyed by a 64-bit seed, in the state of ``Philox(key=seed)``."""
-    bits = np.random.Philox(_zero_seed())
-    bits.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-                  "has_uint32": 0, "uinteger": 0,
-                  "state": {"counter": np.zeros(4, np.uint64),
-                            "key": np.array([int(seed) & _MASK64, 0], np.uint64)}}
-    return np.random.Generator(bits)
+    """The Philox generator keyed by the low 64 bits of ``seed``: ``Philox(key=seed mod 2^64)``."""
+    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))

@@ -71,7 +71,6 @@ from .rng import mix64, stream
 from .tuning import sc_gamma_clamp
 
 _DIVERGE_LIMIT = 1e12
-_MAX_STEPS = 2**63 - 1  # the compiled loop counts steps in int64
 
 
 def moment_clamp(pot: Potential) -> float:
@@ -79,14 +78,19 @@ def moment_clamp(pot: Potential) -> float:
     return sc_gamma_clamp(pot.dim, pot.smoothness.L)
 
 
+def check_steps(n_steps: int) -> None:
+    """Refuse a step count outside [1, 2^63 - 1]: the compiled loop counts steps in int64."""
+    if not 1 <= n_steps <= 2**63 - 1:
+        raise ParameterError(f"n_steps must lie in [1, 2^63 - 1], got {n_steps}")
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """Parameters of one Euler chain.
 
     The Cesaro estimate is the plain average of all ``n_steps`` states
-    from ``x0`` on, x0 included; no prefix is discarded.  ``n_steps``
-    is at most 2^63 - 1, the most the compiled loop counts.
-    ``checkpoints`` spaces the tangent trace's log.
+    from ``x0`` on, x0 included; no prefix is discarded (``check_steps``
+    bounds ``n_steps``).  ``checkpoints`` spaces the tangent trace's log.
     """
 
     gamma: float
@@ -100,8 +104,7 @@ class ChainConfig:
         object.__setattr__(self, "x0", np.atleast_1d(np.asarray(self.x0, dtype=float)))
         if not self.gamma > 0:
             raise ParameterError(f"gamma must be positive, got {self.gamma}")
-        if not 1 <= self.n_steps <= _MAX_STEPS:
-            raise ParameterError(f"n_steps must lie in [1, 2^63 - 1], got {self.n_steps}")
+        check_steps(self.n_steps)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from cesaro_lmc.potentials import (
     StronglyConvex,
     WeaklyConvexKL,
     dense_hessian,
+    minimum_shift,
     verify_kl_profile,
 )
 from cesaro_lmc.rng import stream
@@ -215,8 +216,10 @@ class TestBuildPosterior:
     def test_normalized_minimum_is_one(self):
         model = GaussianLocationModel(1, 1.0)
         data = sample_dataset(model, [0.7], 20, seed=12)
-        post = build_posterior(model, data)
-        assert post.potential.value_normalized(post.potential.minimizer_hint) == pytest.approx(1.0)
+        pot = build_posterior(model, data).potential
+        x_star, shift = minimum_shift(pot)
+        assert x_star is pot.minimizer_hint
+        assert pot.value(x_star) + shift == pytest.approx(1.0)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_dimension_mismatch_rejected(self, family):

@@ -132,6 +132,8 @@ REFUSED = [
      "unknown key oracle.'nodes_per_axis'"),
     ("data-beside-a-potential", "potential", {"data": {"seed": 5}},
      "a data block is read only with a model block, and the config has a potential block"),
+    ("oracle-beside-a-model", "model", {"oracle": {"task": "quadrature"}},
+     "an oracle block is read only with a potential block, and the config has a model block"),
     ("regime-without-its-block", "model", {"tuning": {"regime": "sc-i"}},
      "tuning.regime 'sc-i' tunes a potential block, which the config does not have"),
     ("bayes-regime-without-data-n", "model", {"data": {"seed": 1}},

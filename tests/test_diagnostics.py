@@ -20,7 +20,12 @@ from cesaro_lmc.diagnostics import (
 )
 from cesaro_lmc.errors import ExperimentError, ParameterError
 from cesaro_lmc.oracle import ou_cesaro_moments
-from cesaro_lmc.potentials import builtin_gaussian_location
+from cesaro_lmc.potentials import (
+    builtin_gaussian_location,
+    builtin_logistic,
+    minimizer,
+    minimum_shift,
+)
 from cesaro_lmc.rng import stream
 from cesaro_lmc.sampler import ChainConfig, moment_clamp
 from cesaro_lmc.tuning import TuningPlan
@@ -291,9 +296,21 @@ class TestMomentCheck:
         dump_trajectory(pot, cfg, tmp_path / "t.bin", tmp_path / "t.json", stride=1)
         frames, _ = read_trajectory(tmp_path / "t.bin", tmp_path / "t.json")
         assert frames.shape == (8200, 2)
-        assert rep.first_decile_max[1.0] == float(pot.value_normalized(frames[0]))
-        want = float(np.mean(pot.value_normalized(frames)))
+        shift = minimum_shift(pot)[1]
+        assert rep.first_decile_max[1.0] == float(pot.value(frames[0]) + shift)
+        want = float(np.mean(pot.value(frames) + shift))
         assert rep.sup_running_mean[1.0] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.compiled
+    def test_logistic_w_is_shifted_to_minimum_one(self):
+        # the logistic potential of the benchmark's long chain: its unshifted
+        # minimum is 1.669.  From its minimiser, with checkpoints=1, the first
+        # decile is step 0 alone, whose running mean is W(x*) shifted
+        pot = builtin_logistic(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]]), [1, -1, 1],
+                               ridge=1.0)
+        cfg = ChainConfig(gamma=moment_clamp(pot), n_steps=100, x0=minimizer(pot), seed=1)
+        rep = moment_check(pot, cfg, p_grid=(1.0,), checkpoints=1)
+        assert rep.first_decile_max[1.0] == pytest.approx(1.0, abs=1e-12)
 
     def test_clamp_precondition(self):
         pot = builtin_gaussian_location(1, 0.0, 1.0)

@@ -92,8 +92,13 @@ MUTANTS = [
             "[1-3001-21-gaussian]",),
            compiled=True),
     Mutant("chain-config-drops-the-int64-step-bound", "cesaro_lmc/sampler.py",
-           "1 <= self.n_steps <= _MAX_STEPS", "1 <= self.n_steps",
+           "1 <= n_steps <= 2**63 - 1", "1 <= n_steps",
            ("tests/test_sampler.py::TestRunChain::test_n_steps_fits_the_compiled_loops_int64",)),
+    Mutant("minimum-shift-drops-the-one", "cesaro_lmc/potentials.py",
+           "1.0 - float(pot.value(x_star))", "-float(pot.value(x_star))",
+           ("tests/test_diagnostics.py::TestMomentCheck::"
+            "test_logistic_w_is_shifted_to_minimum_one",),
+           compiled=True),
     Mutant("normal-interval-drops-sqrt-m", "cesaro_lmc/diagnostics.py",
            "float(np.std(sq, ddof=1)) / math.sqrt(m)", "float(np.std(sq, ddof=1))",
            ("tests/test_diagnostics.py::TestMseExperiment::test_ci_shrinks_with_replicates",)),

@@ -27,6 +27,7 @@ from cesaro_lmc.potentials import (
     StronglyConvex,
     builtin_gaussian_location,
     builtin_p_power,
+    minimum_shift,
 )
 from cesaro_lmc.rng import stream
 from cesaro_lmc.sampler import ChainConfig, replicate_runs
@@ -245,7 +246,7 @@ class TestPoisson1D:
         # the tail ratio must not outgrow the central ratio
         prof = pot.profile
         frak_e = 0.05
-        w = pot.value_normalized(sol.grid[:, None])
+        w = pot.value(sol.grid[:, None]) + minimum_shift(pot)[1]
         from cesaro_lmc.tuning import compute_upsilon
 
         ups = compute_upsilon(prof, pot.smoothness.L, 1)

@@ -22,6 +22,8 @@ from cesaro_lmc.potentials import (
     builtin_p_power,
     dense_hessian,
     find_minimizer,
+    minimum_shift,
+    probe_points,
     verify_grad_bounds,
     verify_kl_profile,
 )
@@ -179,7 +181,9 @@ class TestEvaluatorConsistency:
             assert np.array_equal(grads[i], pot.grad(xs[i]))
 
 
-def _posteriors():
+def _posteriors(built=True):
+    """Each family's posterior, by ``build_posterior`` or, unless ``built``,
+    by the family's own ``posterior(obs)``."""
     gauss = GaussianLocationModel(2, precision=1.5)
     logit = LogisticModel(stream(4).standard_normal((10, 2)), ridge=0.5)
     ppow = PPowerLocationModel(2, p=0.75)
@@ -192,8 +196,10 @@ def _posteriors():
     ]
     return [
         pytest.param(
-            lambda model=model, data=data: build_posterior(model, data).potential,
-            id=f"posterior[{model.model_id}, n={len(data)}]", marks=marks,
+            lambda model=model, data=data: (build_posterior(model, data).potential if built
+                                            else model.posterior(data)),
+            id=f"{'posterior' if built else 'model.posterior'}[{model.model_id}, n={len(data)}]",
+            marks=marks,
         )
         for model, data, marks in cases
     ]
@@ -226,6 +232,18 @@ class TestBatchInvariance:
             assert _bits(grads[i]) == _bits(pot.grad(xs[row])[0])
             assert _bits(hvs[i]) == _bits(pot.hess_vec(xs[row], vs[row])[0])
             assert _bits(hv_shared[i]) == _bits(pot.hess_vec(xs[row], vs[0])[0])
+
+
+@pytest.mark.parametrize("make", BUILTINS + _posteriors() + _posteriors(built=False))
+def test_minimum_shift_puts_the_minimum_at_one(make):
+    """W + shift is 1 at x*, where the gradient vanishes, and no less on
+    spheres about it: x* is the minimiser, whatever mode the potential carries."""
+    pot = make()
+    x_star, shift = minimum_shift(pot)
+    assert np.linalg.norm(pot.grad(x_star)) <= 1e-8 * pot.smoothness.L
+    assert float(pot.value(x_star)) + shift == pytest.approx(1.0, abs=1e-12)
+    probes = probe_points(x_star, 1.0, 50, seed=3)
+    assert np.all(pot.value(probes) + shift >= 1.0 - 1e-12)
 
 
 @COMPILED
@@ -359,8 +377,8 @@ class TestProfileVerification:
 
     def test_equality_at_minimizer(self):
         pp = builtin_p_power(2, 0.0, 0.75)
-        x_star = pp.minimizer_hint
-        w_star = pp.value_normalized(x_star)
+        x_star, shift = minimum_shift(pp)
+        w_star = pp.value(x_star) + shift
         assert np.sum(pp.grad(x_star) ** 2) == pytest.approx(0.0, abs=1e-30)
         assert w_star ** (1 + pp.profile.r) - w_star ** (1 + pp.profile.r) == 0.0
 

@@ -13,7 +13,13 @@ from cesaro_lmc.bayes import (
 )
 from cesaro_lmc.errors import DivergenceError, ParameterError
 from cesaro_lmc.oracle import ou_cesaro_moments
-from cesaro_lmc.potentials import Potential, Smoothness, builtin_gaussian_location, builtin_p_power
+from cesaro_lmc.potentials import (
+    Potential,
+    Smoothness,
+    builtin_gaussian_location,
+    builtin_p_power,
+    minimum_shift,
+)
 from cesaro_lmc.rng import mix64, stream
 from cesaro_lmc.diagnostics import moment_check
 from cesaro_lmc.errors import ExperimentError
@@ -167,6 +173,13 @@ class TestStream:
         assert mine.integers(0, 2**62, 10**4).tobytes() == ref.integers(0, 2**62, 10**4).tobytes()
         assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
 
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 0x5EED, 3 * 2**64 - 1, 2**200 + 7])
+    def test_a_seed_past_64_bits_is_keyed_by_its_low_64(self, seed):
+        # config seeds are unbounded JSON integers
+        mine, ref = stream(seed), np.random.Generator(np.random.Philox(key=seed % 2**64))
+        assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
+        assert mine.standard_normal(100).tobytes() == ref.standard_normal(100).tobytes()
+
     @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, *stream(9).integers(0, 2**64, 5, np.uint64)])
     def test_mix64_array_is_the_scalar_form(self, seed):
         def splitmix64(seed, index):  # in Python integers, masked at each step
@@ -244,7 +257,7 @@ class TestMomentTracking:
         gamma = moment_clamp(pot)
         cfg = ChainConfig(gamma=gamma, n_steps=20000, x0=[0.0, 0.0], seed=41)
         rep = moment_check(pot, cfg, p_grid=(1.0,), a=1.0 / 16.0, checkpoints=100)
-        w0 = float(pot.value_normalized(np.zeros(2)))
+        w0 = float(pot.value(np.zeros(2)) + minimum_shift(pot)[1])
         assert rep.exp_sup <= 2.0 * (math.exp(w0 / 16.0) + rep.exp_first_decile_max)
 
 
