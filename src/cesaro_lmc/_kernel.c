@@ -1,19 +1,18 @@
 /* Compiled potentials and the one chain loop.
  *
- * A potential here (lmc_pot) is one term: a logistic term or a Gaussian
- * term.  The logistic term is
+ * A potential here (lmc_pot) is one term,
  *
- *     sum_v c+_v log(1 + e^-z_v) + c-_v log(1 + e^z_v) + (mu/2) |x|^2,
+ *     sum_v c+_v log(1 + e^-z_v) + c-_v log(1 + e^z_v) + (mu/2) |x - center|^2,
  *
  * z_v = <a_v, x>, over sign pairs: the distinct row a_v with weight c+_v
  * and its negation -a_v with weight c-_v share z_v and e = e^-|z_v|, so a
  * pair costs one exp (and one log1p for the value), whichever of its rows
- * occur.  A logistic posterior is one such term, its prior in mu.  The
- * Gaussian term is (rho/2) |x - mean|^2, with gradient rho * (x - mean).
+ * occur.  A logistic potential or posterior is such a term with center 0,
+ * its ridge (and prior) in mu; a Gaussian one, (rho/2) |x - mean|^2, is the
+ * term with no pairs, mu = rho and center = mean.
  *
- * lmc_value, lmc_grad and lmc_hess_vec evaluate a batch of logistic points
- * one point at a time, so a point's result does not depend on its batch.
- * A Gaussian term is only stepped (its evaluators are numpy's).  lmc_step
+ * lmc_value, lmc_grad and lmc_hess_vec evaluate a batch of points one point
+ * at a time, so a point's result does not depend on its batch.  lmc_step
  * steps chains with the same gradient code, through the same IEEE
  * operations, in the same order, as the numpy driver (sampler._drive): the
  * Kahan Cesaro update, the Euler step, then the divergence test.  Noise
@@ -194,11 +193,10 @@ static inline double normal(lmc_stream *s)
 
 typedef struct {
     int64_t d;
-    int64_t pairs;                        /* logistic term */
+    int64_t pairs;
     const double *rows, *cplus, *cminus;  /* (pairs, d), (pairs,), (pairs,) */
     double mu;
-    const double *mean;                   /* Gaussian term, only stepped; NULL for a logistic one */
-    double rho;
+    const double *center;                 /* (d,) */
 } lmc_pot;
 
 /* the coordinate products added in order */
@@ -213,13 +211,9 @@ static double dot(const double *a, const double *x, int64_t d)
 static void grad_point(const lmc_pot *p, const double *x, double *g)
 {
     const int64_t d = p->d;
-    if (p->mean) {
-        for (int64_t j = 0; j < d; j++)
-            g[j] = p->rho * (x[j] - p->mean[j]);
-        return;
-    }
+    /* the quadratic first: a Gaussian's gradient is then numpy's rho * (x - mean) */
     for (int64_t j = 0; j < d; j++)
-        g[j] = 0.0;
+        g[j] = p->mu * (x[j] - p->center[j]);
     for (int64_t v = 0; v < p->pairs; v++) {
         const double *a = p->rows + v * d;
         double z = dot(a, x, d), e = exp(-fabs(z));
@@ -229,8 +223,6 @@ static void grad_point(const lmc_pot *p, const double *x, double *g)
         for (int64_t j = 0; j < d; j++)
             g[j] += s * a[j];
     }
-    for (int64_t j = 0; j < d; j++)
-        g[j] += p->mu * x[j];
 }
 
 static double value_point(const lmc_pot *p, const double *x)
@@ -239,15 +231,17 @@ static double value_point(const lmc_pot *p, const double *x)
     double w = 0.0, sq = 0.0;
     for (int64_t v = 0; v < p->pairs; v++) {
         double z = dot(p->rows + v * d, x, d), l = log1p(exp(-fabs(z)));
-        /* a zero weight adds nothing, also where z or |x|^2 is infinite */
+        /* a zero weight adds nothing, also where z or |x - center|^2 is infinite */
         if (p->cplus[v] != 0.0)
             w += p->cplus[v] * (fmax(-z, 0.0) + l);
         if (p->cminus[v] != 0.0)
             w += p->cminus[v] * (fmax(z, 0.0) + l);
     }
     if (p->mu != 0.0) {
-        for (int64_t j = 0; j < d; j++)
-            sq += x[j] * x[j];
+        for (int64_t j = 0; j < d; j++) {
+            double r = x[j] - p->center[j];
+            sq += r * r;
+        }
         w += 0.5 * p->mu * sq;
     }
     return w;

@@ -22,17 +22,18 @@ check fails, :func:`load` returns None and one line says so on stderr: Gaussian
 chains then run on the numpy driver (the same bits), and the logistic
 family, whose evaluators exist only in C, refuses to run.
 
-A :class:`Kernel` binds a potential's ``kernel`` field, one term
-``("logistic", rows, cplus, cminus, mu)`` or ``("gaussian", rho, mean)``,
-to the library: ``step`` advances chains on it, and ``value``, ``grad``
-and ``hess_vec`` evaluate a logistic term; a Gaussian one is only stepped.
+A :class:`Kernel` binds a potential's ``kernel`` field, the one term
+``(rows, cplus, cminus, mu, center)`` that ``lmc_pot`` describes (a sum over
+sign pairs plus (mu/2) |x - center|^2; a Gaussian has no pairs), to the
+library: ``step`` advances chains on it, and ``value``, ``grad`` and
+``hess_vec`` evaluate it.
 
 Every call splits its batch the same way (:func:`_split`): into contiguous
 ranges of at least ``_MIN_RANGE_WORK`` units of work, one library call
 each, run on at most one thread per CPU of the process's affinity mask
 (there is no setting): the caller's thread and plain threads, joined before
 it returns.  A unit is a replicate-step for ``step`` and a point-term for
-the evaluators (a point times the logistic pair count, at least 1), so
+the evaluators (a point times the term's pair count, at least 1), so
 single points, single chains and small batches stay one call.  Each thread
 takes the next range when it is free, so a CPU the host slows does less.
 No bit depends on the split: a replicate reads and writes only its own rows
@@ -118,7 +119,7 @@ class _Pot(ctypes.Structure):
 
     _fields_ = [("d", ctypes.c_int64), ("pairs", ctypes.c_int64), ("rows", ctypes.c_void_p),
                 ("cplus", ctypes.c_void_p), ("cminus", ctypes.c_void_p), ("mu", ctypes.c_double),
-                ("mean", ctypes.c_void_p), ("rho", ctypes.c_double)]
+                ("center", ctypes.c_void_p)]
 
 
 def _open(path: str):
@@ -216,28 +217,17 @@ def _array(a, shape, what):
 
 
 class Kernel:
-    """The term of a potential's ``kernel`` field on ``d`` coordinates, bound
-    to the compiled library ``lib``; a Gaussian term is only stepped."""
+    """The term ``(rows, cplus, cminus, mu, center)`` of a potential's
+    ``kernel`` field on ``d`` coordinates, bound to the compiled library ``lib``."""
 
     def __init__(self, lib, term, d: int):
-        if not (isinstance(term, tuple) and term and isinstance(term[0], str)
-                and {"logistic": 5, "gaussian": 3}.get(term[0]) == len(term)):
-            raise ParameterError("a kernel is one term, ('logistic', rows, cplus, cminus, mu) "
-                                 "or ('gaussian', rho, mean)")
+        rows, cplus, cminus, mu, center = term
+        pairs = np.shape(rows)[0]
         self.lib, self.d = lib, d
-        if term[0] == "logistic":
-            _, rows, cplus, cminus, mu = term
-            pairs = np.shape(rows)[0]
-            rows, cplus, cminus = (_array(rows, (pairs, d), "rows"),
-                                   _array(cplus, (pairs,), "cplus"),
-                                   _array(cminus, (pairs,), "cminus"))
-            self._pot = _Pot(d=d, pairs=pairs, rows=rows.ctypes.data, cplus=cplus.ctypes.data,
-                             cminus=cminus.ctypes.data, mu=mu)
-            self._keep = [rows, cplus, cminus]  # the arrays the struct points into
-        else:
-            _, rho, mean = term
-            self._keep = [_array(mean, (d,), "mean")]
-            self._pot = _Pot(d=d, mean=self._keep[0].ctypes.data, rho=rho)
+        self._keep = [_array(rows, (pairs, d), "rows"), _array(cplus, (pairs,), "cplus"),
+                      _array(cminus, (pairs,), "cminus"), _array(center, (d,), "center")]
+        ptrs = [a.ctypes.data for a in self._keep]  # the struct points into these arrays
+        self._pot = _Pot(d, pairs, *ptrs[:3], mu, ptrs[3])
 
     def _points(self, x):
         x = np.ascontiguousarray(x, dtype=np.float64)

@@ -168,7 +168,8 @@ _MODELS = {
                                         **_given(b, "alpha_c", "b1")),
     ),
     "logistic": (
-        {**_MODEL, "C_P": _is(lambda v: v is None or _is_number(v), "a number or null"),
+        {**_MODEL, "C_P": _is(lambda v: v is None or (_is_number(v) and v > 0),
+                              "a positive number or null"),
          "params": {"design": _required(_NUMBERS), "ridge": _NUMBER}},
         lambda b: LogisticModel(**b["params"], **_given(b, "alpha_c", "b1", "C_P")),
     ),

@@ -44,7 +44,7 @@ def quadrature_posterior_mean(
     """Mean of pi proportional to e^{-W} by Laplace-centered trapezoid quadrature.
 
     Returns (mean, error_estimate); the estimate is a Richardson comparison
-    against the half-resolution grid.  The node count is odd, so the half
+    against the half-resolution grid.  The node count must be odd, so the half
     grid is the full grid's even-indexed nodes (bitwise the nodes
     ``np.linspace`` would give it), and ``pot.value`` is called once, on the
     full grid's ``nodes_per_axis ** d`` points; the boundary-decay and mass
@@ -54,10 +54,8 @@ def quadrature_posterior_mean(
     """
     if pot.dim > 3:
         raise CapabilityError("quadrature posterior means are computed for d <= 3 only")
-    if nodes_per_axis < 9:
-        raise ParameterError("nodes_per_axis too small")
-    if nodes_per_axis % 2 == 0:
-        nodes_per_axis += 1  # odd counts so the half grid reuses alternate nodes
+    if nodes_per_axis < 9 or nodes_per_axis % 2 == 0:
+        raise ParameterError(f"nodes_per_axis must be an odd count >= 9, got {nodes_per_axis}")
     mode, cov = _laplace_frame(pot)
     sigma = np.sqrt(np.diag(cov))
     axes = [

@@ -89,9 +89,10 @@ class Potential:
     ``value``/``grad``/``hess_vec`` accept points of shape ``(d,)`` or
     batches ``(m, d)``; ``value`` is the raw formula, and :func:`minimum_shift`
     gives the constant that puts its minimum at 1.  ``kernel``, when set, is
-    the one term, ``("logistic", rows, cplus, cminus, mu)`` or
-    ``("gaussian", rho, mean)``, that the compiled chain loop steps with the
-    same bits as ``grad``; ``dataclasses.replace`` keeps it, so a potential
+    the one compiled term ``(rows, cplus, cminus, mu, center)``, W up to a
+    constant as a sum over sign pairs plus (mu/2) |x - center|^2 (see
+    ``_kernel.c``), that the compiled chain loop steps with the same bits
+    as ``grad``; ``dataclasses.replace`` keeps it, so a potential
     with wrapped evaluators steps the same code.  ``mean``, when set, is the
     exact mean of the density proportional to e^{-W}, known in closed form;
     ``dataclasses.replace`` keeps it too, so a W changed by more than a
@@ -160,7 +161,7 @@ def builtin_gaussian_location(d: int, mean=0.0, precision: float = 1.0) -> Poten
         profile=StronglyConvex(rho),
         minimizer_hint=m,
         name=f"gaussian(d={d},rho={rho})",
-        kernel=("gaussian", rho, m),
+        kernel=(np.empty((0, d)), [], [], rho, m),
         mean=m,
     )
 
@@ -272,7 +273,7 @@ def builtin_logistic(features, labels, ridge: float = 0.0) -> Potential:
     cplus = np.bincount(pair[plus], minlength=first.size)[order].astype(float)
     cminus = np.bincount(pair[~plus], minlength=first.size)[order].astype(float)
     rows = np.ascontiguousarray(b[first[order]])
-    kernel = ("logistic", rows, cplus, cminus, mu)
+    kernel = (rows, cplus, cminus, mu, np.zeros(d))
     ev = _kernel.Kernel(lib, kernel, d)
     # Hessian = sum_i a_i a_i^T sigma(1-sigma) + mu I, so the summed bound
     # applies; the all-zero design has a constant gradient, keep L positive
@@ -337,7 +338,11 @@ def minimizer(pot: Potential) -> np.ndarray:
 
 
 def minimum_shift(pot: Potential):
-    """The minimiser x* (:func:`minimizer`) and 1 - W(x*), the shift that puts W's minimum at 1."""
+    """The minimiser x* (:func:`minimizer`) and 1 - W(x*), the shift that puts W's minimum at 1;
+    CapabilityError, before any search, where no hint or convexity profile guarantees an x*."""
+    if pot.minimizer_hint is None and pot.profile is None:
+        raise CapabilityError(f"{pot.name or 'the potential'} has no minimizer_hint and no "
+                              "convexity profile, so W has no minimum to shift to 1")
     x_star = minimizer(pot)
     return x_star, 1.0 - float(pot.value(x_star))
 

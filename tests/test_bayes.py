@@ -89,13 +89,13 @@ class TestPosterior:
             rho = model.precision if family == "gaussian" else model.ridge
             assert pot.profile == StronglyConvex(n * rho + 1.0)
         assert (pot.kernel is not None) == (family != "p_power")
-        if pot.kernel is not None:
-            assert pot.kernel[0] == family
+        if pot.kernel is not None:  # its mu is the posterior's curvature
+            assert pot.kernel[3] == n * rho + 1.0
 
     def test_logistic_without_ridge_is_strongly_convex_by_its_prior(self):
         model = LogisticModel(np.array([[1.0, 0.5], [-0.3, 1.2]]))
         pot = model.posterior(sample_dataset(model, [0.4, -0.3], 50, seed=2))
-        assert pot.profile == StronglyConvex(1.0) and pot.kernel[4] == 1.0
+        assert pot.profile == StronglyConvex(1.0) and pot.kernel[3] == 1.0
 
     @pytest.mark.parametrize("centre", [1e3, 1e6])
     def test_gaussian_posterior_far_from_the_origin(self, centre):

@@ -140,6 +140,10 @@ REFUSED = [
      "tuning.regime 'bayes-sc-i.a' needs data.n or data.n_grid"),
     ("n-beside-n-grid", "model", {"data": {"n": 100, "n_grid": [100, 400], "seed": 1}},
      "give data.n or data.n_grid, not both"),
+    ("non-positive-C_P", "model",
+     {"model": {"family": "logistic", "d": 1, "theta_star": [0.5], "C_P": -1.0,
+                "params": {"design": [[1.0], [-0.5]]}}},
+     "model.C_P must be a positive number or null, got -1.0"),
 ]
 
 
@@ -188,10 +192,15 @@ class TestConfigValidation:
 
     def test_model_and_data_values_typed(self):
         model = bayes_cfg()["model"]
+        # C_P is checked on a logistic model, which takes a positive number or null
+        logistic = {"family": "logistic", "d": 1, "theta_star": [0.5],
+                    "params": {"design": [[1.0], [-0.5]]}}
         for block, key, bad in [
             ("model", "alpha_c", "x"),
             ("model", "theta_star", [0.5, "y"]),
             ("model", "C_P", True),
+            ("model", "C_P", -1.0),
+            ("model", "C_P", 0),
             ("data", "n", "x"),
             ("data", "n", 100.0),
             ("data", "seed", "7"),
@@ -201,10 +210,12 @@ class TestConfigValidation:
             ("data", "n_grid", [400, 100]),
             ("data", "n_grid", [100, 100]),
         ]:
-            base = model if block == "model" else bayes_cfg()["data"]
+            base = {"model": logistic if key == "C_P" else model, "data": bayes_cfg()["data"]}
             with pytest.raises(ParameterError, match=f"{block}.{key} must be"):
-                validate_config(bayes_cfg(**{block: {**base, key: bad}}))
+                validate_config(bayes_cfg(**{block: {**base[block], key: bad}}))
         validate_config(bayes_cfg(model={**model, "C_P": None}))
+        for good in (None, 2.0):
+            validate_config(bayes_cfg(model={**logistic, "C_P": good}))
 
     def test_hash_ignores_key_order(self):
         a = {"data": {"n": 10, "seed": 1}, "tuning": {"regime": "sc-i"}}
@@ -734,6 +745,13 @@ class TestOracleCommand:
         cfg = {"potential": {"family": "gaussian", "d": 1}, "oracle": {"task": "nope"}}
         path = write(tmp_path, "ot.json", cfg)
         assert main(["oracle", "--config", path]) == 2
+
+    @pytest.mark.parametrize("nodes", [7, 160])
+    def test_a_node_count_the_quadrature_cannot_use_exits_2(self, tmp_path, nodes):
+        cfg = {"potential": {"family": "gaussian", "d": 1},
+               "oracle": {"task": "quadrature", "nodes_per_axis": nodes}}
+        assert exits_2_with_one_line(tmp_path, "oracle", cfg) == (
+            f"error: nodes_per_axis must be an odd count >= 9, got {nodes}\n")
 
     @pytest.mark.parametrize("task, key, value", [
         ("quadrature", "n_nodes", 7),

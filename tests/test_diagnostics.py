@@ -8,6 +8,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from cesaro_lmc import potentials
 from cesaro_lmc.bayes import GaussianLocationModel, sample_dataset
 from cesaro_lmc.diagnostics import (
     SeparationMap,
@@ -18,7 +19,7 @@ from cesaro_lmc.diagnostics import (
     mse_experiment,
     run_test_phi,
 )
-from cesaro_lmc.errors import ExperimentError, ParameterError
+from cesaro_lmc.errors import CapabilityError, ExperimentError, ParameterError
 from cesaro_lmc.oracle import ou_cesaro_moments
 from cesaro_lmc.potentials import (
     builtin_gaussian_location,
@@ -311,6 +312,18 @@ class TestMomentCheck:
         cfg = ChainConfig(gamma=moment_clamp(pot), n_steps=100, x0=minimizer(pot), seed=1)
         rep = moment_check(pot, cfg, p_grid=(1.0,), checkpoints=1)
         assert rep.first_decile_max[1.0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.compiled
+    def test_no_minimiser_is_searched_without_a_hint_or_a_profile(self, monkeypatch):
+        """Without ridge the logistic potential of two separable rows has no
+        minimiser: the check refuses at once, before any descent."""
+        calls = []
+        monkeypatch.setattr(potentials, "find_minimizer", lambda *a, **k: calls.append(a))
+        pot = builtin_logistic(np.array([[1.0, 0.0], [0.0, 1.0]]), [1, 1], ridge=0.0)
+        cfg = ChainConfig(gamma=moment_clamp(pot), n_steps=100, x0=[0.0, 0.0], seed=1)
+        with pytest.raises(CapabilityError, match="no minimizer_hint and no convexity profile"):
+            moment_check(pot, cfg)
+        assert calls == []
 
     def test_clamp_precondition(self):
         pot = builtin_gaussian_location(1, 0.0, 1.0)

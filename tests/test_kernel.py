@@ -20,7 +20,7 @@ import pytest
 from cesaro_lmc import _kernel
 from cesaro_lmc.bayes import GaussianLocationModel, LogisticModel, build_posterior, sample_dataset
 from cesaro_lmc.diagnostics import moment_check
-from cesaro_lmc.errors import CapabilityError, DivergenceError, ParameterError
+from cesaro_lmc.errors import CapabilityError, DivergenceError
 from cesaro_lmc.potentials import builtin_gaussian_location, builtin_logistic
 from cesaro_lmc.rng import mix64, stream
 from cesaro_lmc.sampler import ChainConfig, dump_trajectory, replicate_runs, run_chain
@@ -355,7 +355,7 @@ class TestSplitRanges:
         # 4000 points of a 100-pair posterior: 4 * 10^5 point-terms fill 6 ranges
         model = LogisticModel(stream(6).standard_normal((100, 2)), ridge=0.5)
         pot = build_posterior(model, sample_dataset(model, [0.4, -0.3], 500, seed=8)).potential
-        assert pot.kernel[1].shape == (100, 2)
+        assert pot.kernel[0].shape == (100, 2)
         spy = _SpyLib(lib)
         kern = _kernel.Kernel(spy, pot.kernel, 2)
         x, v = stream(7).standard_normal((2, 4000, 2))
@@ -419,23 +419,35 @@ def test_posterior_kernel_is_the_posterior(pots):
     post = pots["posterior"]
     obs = sample_dataset(MODEL, [0.4, -0.3], 200, seed=8)
     ref = builtin_logistic(obs[:, :-1], obs[:, -1], ridge=200 * MODEL.ridge + 1.0)
-    assert post.kernel[0] == "logistic" and post.kernel[4] == 101.0
+    assert post.kernel[3] == 101.0
     xs, vs = stream(3).standard_normal((2, 50, 2)) * 3.0
     assert post.grad(xs).tobytes() == ref.grad(xs).tobytes()
     assert post.value(xs).tobytes() == ref.value(xs).tobytes()
     assert post.hess_vec(xs, vs).tobytes() == ref.hess_vec(xs, vs).tobytes()
 
 
-@pytest.mark.parametrize("term", [
-    (("logistic", np.ones((1, 2)), [1.0], [0.0], 1.0), ("gaussian", 1.0, [0.0, 0.0])),
-    ("p_power", 0.75, [0.0, 0.0]),
-    ("gaussian", 1.0),
-    None,
-], ids=["two-terms", "unknown", "arity", "none"])
-def test_kernel_refuses_anything_but_one_term(lib, term):
-    with pytest.raises(ParameterError, match="a kernel is one term") as exc:
-        _kernel.Kernel(lib, term, 2)
-    assert "\n" not in str(exc.value)
+@pytest.mark.parametrize("case", ["d=1", "d=2", "d=5", "d=9", "conjugate"])
+def test_gaussian_term_is_the_numpy_gaussian(lib, pots, case):
+    """The compiled evaluators on a Gaussian's term, the one with no pairs,
+    give numpy's gradient and Hessian-vector product bit for bit, and its
+    value up to d = 7: from d = 8 numpy's pairwise sum adds the squares in
+    another order.  A conjugate posterior's term is its Gaussian, whose
+    value leaves out the posterior's constant."""
+    if case == "conjugate":
+        pot = pots[case]
+        gauss = builtin_gaussian_location(2, pot.mean, pot.smoothness.L)
+    else:
+        d = int(case[2:])
+        pot = gauss = builtin_gaussian_location(d, stream(30 + d).standard_normal(d), 1.7)
+    d = pot.dim
+    kern = _kernel.Kernel(lib, pot.kernel, d)
+    x, v = stream(40 + d).standard_normal((2, 50, d)) * 3.0
+    assert kern.grad(x).tobytes() == pot.grad(x).tobytes()
+    assert kern.hess_vec(x, v).tobytes() == pot.hess_vec(x, v).tobytes()
+    if d <= 7:
+        assert kern.value(x).tobytes() == gauss.value(x).tobytes()
+    else:
+        np.testing.assert_allclose(kern.value(x), gauss.value(x), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("name", IDS)

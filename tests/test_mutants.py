@@ -67,14 +67,18 @@ MUTANTS = [
            ("tests/test_cli.py::TestRunCommand::"
             "test_gaussian_location_is_scored_by_its_conjugate_mean[2]",)),
     Mutant("compiled-gaussian-drops-mean", "cesaro_lmc/_kernel.c",
-           "g[j] = p->rho * (x[j] - p->mean[j]);", "g[j] = p->rho * x[j];",
+           "g[j] = p->mu * (x[j] - p->center[j]);", "g[j] = p->mu * x[j];",
            ("tests/test_kernel.py::TestAgainstNumpyDriver::test_replicates"
             "[1-3001-21-gaussian]",),
            compiled=True),
     Mutant("compiled-logistic-drops-ridge-gradient", "cesaro_lmc/_kernel.c",
-           "g[j] += p->mu * x[j];", "g[j] += 0.0;",
+           "g[j] = p->mu * (x[j] - p->center[j]);", "g[j] = 0.0;",
            ("tests/test_potentials.py::TestLogisticRowWeights::"
             "test_weighted_rows_match_per_observation_sum[0.5]",),
+           compiled=True),
+    Mutant("compiled-value-drops-center", "cesaro_lmc/_kernel.c",
+           "double r = x[j] - p->center[j];", "double r = x[j];",
+           ("tests/test_kernel.py::test_gaussian_term_is_the_numpy_gaussian[d=2]",),
            compiled=True),
     Mutant("step-range-drops-row-offset", "cesaro_lmc/_kernel.py",
            "x[lo:].ctypes.data", "x.ctypes.data",

@@ -119,6 +119,14 @@ class TestQuadrature:
         with pytest.raises(CapabilityError):
             quadrature_posterior_mean(pot)
 
+    @pytest.mark.parametrize("nodes", [7, 8, 160])
+    def test_node_count_is_an_odd_count_of_at_least_9(self, nodes):
+        """An even count has no half grid of alternate nodes: it is refused, not raised to
+        the next odd count."""
+        pot = builtin_gaussian_location(1, 0.0, 1.0)
+        with pytest.raises(ParameterError, match=f"odd count >= 9, got {nodes}$"):
+            quadrature_posterior_mean(pot, nodes_per_axis=nodes)
+
     def test_undecayed_tail_detected(self):
         pot = builtin_gaussian_location(1, 0.0, 1.0)
         with pytest.raises(NumericError):

@@ -289,7 +289,7 @@ class TestLogisticRowWeights:
     def test_weighted_rows_match_per_observation_sum(self, ridge):
         pot = builtin_logistic(self.FEATURES, self.LABELS, ridge=ridge)
         # (1, 0.5), (-0.3, 1.2), (2, -1) and (0, 0.7) with their negations
-        assert pot.kernel[1].shape == (4, 2)
+        assert pot.kernel[0].shape == (4, 2)
         rng = stream(12)
         for _ in range(20):
             x, v = rng.standard_normal((2, 2)) * 2.0
@@ -299,7 +299,7 @@ class TestLogisticRowWeights:
     def test_pairing_edge_cases(self, case):
         features, labels, pairs = self.EDGES[case]
         pot = builtin_logistic(features, labels, ridge=0.5)
-        _, rows, cplus, cminus, _ = pot.kernel
+        rows, cplus, cminus, _, _ = pot.kernel
         assert rows.shape == (pairs, 2)
         assert np.all(cplus > 0) and np.sum(cplus) + np.sum(cminus) == len(labels)
         rng = stream(14)

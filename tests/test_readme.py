@@ -1,6 +1,8 @@
-"""The README's library quick start runs as written, and its CLI tables are the schema's."""
+"""The README's library quick start runs as written, its CLI tables are the schema's, and
+its mutant count is the mutation table's."""
 
 import contextlib
+import importlib.util
 import io
 import re
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 from cesaro_lmc import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+MUTANTS = Path(__file__).resolve().parent / "test_mutants.py"
 
 
 def test_quick_start_runs():
@@ -38,3 +41,11 @@ def test_the_cli_tables_are_the_schema():
             expected[name, value] = (
                 set(keys), {k for k, v in keys.items() if getattr(v, "required", False)})
     assert rows == expected
+
+
+def test_the_stated_mutant_count_is_the_table_length():
+    spec = importlib.util.spec_from_file_location("readme_mutants", MUTANTS)
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    stated = re.search(r"\((\d+) mutants and the control", README.read_text())
+    assert int(stated.group(1)) == len(mutants.MUTANTS)

@@ -323,6 +323,7 @@ QUARTIC = Potential(
     hess_vec=lambda x, v: 3.0 * np.asarray(x) ** 2 * np.asarray(v),
     smoothness=Smoothness(L=1.0),
     profile=None,
+    minimizer_hint=np.zeros(1),
     name="quartic",
 )
 
