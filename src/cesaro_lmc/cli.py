@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import hashlib
 import json
@@ -86,6 +85,10 @@ def _is_numbers(v) -> bool:
     )
 
 
+def _is_positive(v) -> bool:
+    return _is_number(v) and v > 0
+
+
 def _is_count(v) -> bool:
     return type(v) is int and v >= 1  # bool and float are refused
 
@@ -126,10 +129,11 @@ def _flag_or(table):
 
 _NUMBER = _is(_is_number, "a number")
 _NUMBERS = _is(_is_numbers, "a number or an array of numbers")
-_NUMBER_LIST = _is(lambda v: isinstance(v, list) and all(map(_is_number, v)), "an array of numbers")
+_POSITIVES = _is(lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_positive, v)),
+                 "an array of one or more positive numbers")
 _INTEGER = _is(lambda v: type(v) is int, "an integer")  # bool and float are refused
 _COUNT = _is(_is_count, "an integer >= 1")
-_POSITIVE = _is(lambda v: _is_number(v) and v > 0, "a positive number")
+_POSITIVE = _is(_is_positive, "a positive number")
 _STRING = _is(lambda v: isinstance(v, str), "a string")
 _SEED = _required(_INTEGER)  # seeds are never defaulted
 
@@ -155,7 +159,8 @@ def _given(block: dict, *keys) -> dict:
     return {k: block[k] for k in keys if k in block}
 
 
-_MODEL = {"family": _STRING, "d": _COUNT, "theta_star": _NUMBERS, "alpha_c": _NUMBER, "b1": _NUMBER}
+_MODEL = {"family": _STRING, "d": _COUNT, "theta_star": _NUMBERS, "alpha_c": _NUMBER,
+          "b1": _POSITIVE}
 _LABELS = _is(lambda v: isinstance(v, list) and len(v) > 0
               and all(_is_number(u) and u in (1, -1) for u in v), "an array of +1/-1 labels")
 # family -> (the keys its block may hold, params included; its builder(block), which passes
@@ -168,7 +173,7 @@ _MODELS = {
                                         **_given(b, "alpha_c", "b1")),
     ),
     "logistic": (
-        {**_MODEL, "C_P": _is(lambda v: v is None or (_is_number(v) and v > 0),
+        {**_MODEL, "C_P": _is(lambda v: v is None or _is_positive(v),
                               "a positive number or null"),
          "params": {"design": _required(_NUMBERS), "ridge": _NUMBER}},
         lambda b: LogisticModel(**b["params"], **_given(b, "alpha_c", "b1", "C_P")),
@@ -212,7 +217,7 @@ _REGIMES = {
 }
 # oracle task -> (the oracle keys it reads, the settings its record reports and their defaults)
 _TASKS = {
-    "quadrature": ({"task": _STRING, "nodes_per_axis": _COUNT, "k_sigma": _NUMBER},
+    "quadrature": ({"task": _STRING, "nodes_per_axis": _COUNT, "k_sigma": _POSITIVE},
                    {"nodes_per_axis": oracle.QUADRATURE_NODES}),
     "poisson": ({"task": _STRING, "n_nodes": _COUNT}, {"n_nodes": oracle.POISSON_NODES}),
 }
@@ -239,12 +244,12 @@ _SCHEMA = {
         "grad_bounds": _flag_or({"n_probes": _COUNT, "seed": _INTEGER}),
         # the options concentration and test_phi cannot run without are required
         "concentration": {
-            "n": _required(_COUNT), "delta_grid": _required(_NUMBER_LIST),
+            "n": _required(_COUNT), "delta_grid": _required(_POSITIVES),
             "M": _required(_COUNT), "seed": _SEED, "statistic": _one_of("psi", "score"),
         },
         "test_phi": {
             "theta_alt": _required(_NUMBERS), "n": _required(_COUNT), "r_n": _required(_POSITIVE),
-            "M": _required(_COUNT), "seed": _SEED, "b2": _NUMBER,
+            "M": _required(_COUNT), "seed": _SEED, "b2": _POSITIVE,
         },
     },
     "oracle": _keyed("task", _TASKS),
@@ -377,7 +382,7 @@ def _plan_to_json(plan) -> dict:
             return [clean(u) for u in v]
         return v
 
-    return {**dataclasses.asdict(plan), "t_horizon": plan.t_horizon,
+    return {**plan._asdict(), "t_horizon": plan.t_horizon,
             "constants": {k: clean(v) for k, v in plan.constants.items()}}
 
 

@@ -10,8 +10,7 @@ that regenerates the experiment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,18 +21,16 @@ from .sampler import ChainConfig, _observe_chain, moment_clamp, replicate_runs
 from .tuning import TuningPlan
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(NamedTuple):
     estimates: np.ndarray  # (M, d) replicate Cesaro estimates
     reference: np.ndarray
     mse: float
     ci: tuple  # normal 95% interval on the MSE (_normal_ci)
-    manifest: dict = field(default_factory=dict)
+    manifest: dict
     n_diverged: int = 0
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     slope: float
     intercept: float
     r2: float
@@ -125,8 +122,7 @@ def mse_experiment(
     )
 
 
-@dataclass(frozen=True)
-class BoundCheckRow:
+class BoundCheckRow(NamedTuple):
     delta: float
     frequency: float
     bound: float
@@ -192,8 +188,7 @@ def concentration_check(
             for delta in delta_grid]
 
 
-@dataclass(frozen=True)
-class SeparationMap:
+class SeparationMap(NamedTuple):
     """c(Delta) = b1 Delta^alpha_c for Delta <= 1, b2 (log Delta + 1) beyond."""
 
     b1: float = 1.0
@@ -208,8 +203,7 @@ class SeparationMap:
         return self.b2 * (math.log(delta) + 1.0)
 
 
-@dataclass(frozen=True)
-class TestPhiReport:
+class TestPhiReport(NamedTuple):
     type1_frequency: float
     type2_frequency: float
     bound: float
@@ -273,8 +267,7 @@ def run_test_phi(
     return TestPhiReport(type1, type2, bound, slack, passed, c_r)
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     p_grid: tuple
     sup_running_mean: dict  # p -> sup over checkpoints of the running mean
     first_decile_max: dict

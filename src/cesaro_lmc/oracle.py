@@ -14,8 +14,7 @@ graded grid, whose pi-averages are one trapezoid rule (``pi_of``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -181,8 +180,7 @@ _POISSON_GRADING = 2.0  # sinh map strength: nodes cluster near the mode
 _POISSON_RESIDUAL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class PoissonSolution1D:
+class PoissonSolution1D(NamedTuple):
     grid: np.ndarray
     g: np.ndarray
     g_prime: np.ndarray

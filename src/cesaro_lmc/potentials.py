@@ -18,8 +18,8 @@ stated for W shifted to minimum 1.  No potential stores that shift:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -27,40 +27,40 @@ from .errors import CapabilityError, NumericError, ParameterError
 from .rng import stream
 
 
-@dataclass(frozen=True)
-class StronglyConvex:
+# StronglyConvex, WeaklyConvexKL and Smoothness check their fields in __new__, which
+# _replace does not re-run.
+class StronglyConvex(NamedTuple("StronglyConvex", [("rho", float)])):
     """Hessian bounded below by rho * identity."""
 
-    rho: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.rho > 0:
-            raise ParameterError(f"rho must be positive, got {self.rho}")
+    def __new__(cls, rho: float):
+        if not rho > 0:
+            raise ParameterError(f"rho must be positive, got {rho}")
+        return super().__new__(cls, rho)
 
 
-@dataclass(frozen=True)
-class WeaklyConvexKL:
+class WeaklyConvexKL(NamedTuple("WeaklyConvexKL", [("c1", float), ("c2", float), ("q", float),
+                                                   ("r", float)])):
     """Curvature sandwich c1*W^-r <= lambda_min <= lambda_max <= c2*W^-q."""
 
-    c1: float
-    c2: float
-    q: float
-    r: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.c1 > 0 and self.c2 > 0):
+    def __new__(cls, c1: float, c2: float, q: float, r: float):
+        if not (c1 > 0 and c2 > 0):
             raise ParameterError("c1 and c2 must be positive")
-        if not (0 <= self.q <= self.r < 1):
-            raise ParameterError(
-                f"exponents must satisfy 0 <= q <= r < 1, got q={self.q}, r={self.r}"
-            )
+        if not (0 <= q <= r < 1):
+            raise ParameterError(f"exponents must satisfy 0 <= q <= r < 1, got q={q}, r={r}")
+        return super().__new__(cls, c1, c2, q, r)
 
 
 ConvexityProfile = Union[StronglyConvex, WeaklyConvexKL]
 
 
-@dataclass(frozen=True)
-class Smoothness:
+class Smoothness(NamedTuple("Smoothness", [
+    ("L", float), ("L_tilde", Optional[float]), ("lap_grad_sup", Optional[float]),
+    ("rho_lap", Optional[float]),  # growth exponent: lap_grad_sup^2 <= C d^(2 rho_lap)
+])):
     """Gradient/Hessian regularity constants.
 
     L bounds the gradient Lipschitz constant; L_tilde, when present, bounds
@@ -68,18 +68,16 @@ class Smoothness:
     sup-norm of the componentwise Laplacian of the gradient field.
     """
 
-    L: float
-    L_tilde: Optional[float] = None
-    lap_grad_sup: Optional[float] = None
-    rho_lap: Optional[float] = None  # growth exponent: lap_grad_sup^2 <= C d^(2 rho_lap)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (np.isfinite(self.L) and self.L > 0):
-            raise ParameterError(f"L must be finite and positive, got {self.L}")
-        for name in ("L_tilde", "lap_grad_sup"):
-            v = getattr(self, name)
+    def __new__(cls, L: float, L_tilde: Optional[float] = None,
+                lap_grad_sup: Optional[float] = None, rho_lap: Optional[float] = None):
+        if not (np.isfinite(L) and L > 0):
+            raise ParameterError(f"L must be finite and positive, got {L}")
+        for name, v in (("L_tilde", L_tilde), ("lap_grad_sup", lap_grad_sup)):
             if v is not None and not (np.isfinite(v) and v >= 0):
                 raise ParameterError(f"{name} must be finite and nonnegative")
+        return super().__new__(cls, L, L_tilde, lap_grad_sup, rho_lap)
 
 
 @dataclass(frozen=True)
@@ -347,12 +345,11 @@ def minimum_shift(pot: Potential):
     return x_star, 1.0 - float(pot.value(x_star))
 
 
-@dataclass(frozen=True)
-class ProfileReport:
+class ProfileReport(NamedTuple):
     """Outcome of a probe-based regularity check."""
 
     passed: bool
-    worst: dict = field(default_factory=dict)
+    worst: dict
     violating_probe: Optional[np.ndarray] = None
 
 

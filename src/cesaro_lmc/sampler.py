@@ -61,7 +61,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -107,8 +107,7 @@ class ChainConfig:
         check_steps(self.n_steps)
 
 
-@dataclass(frozen=True)
-class ChainRun:
+class ChainRun(NamedTuple):
     """Outputs of one chain: the Cesaro estimate and the optional tangent trace."""
 
     cesaro: np.ndarray

@@ -18,18 +18,17 @@ when the clamp bites, N is re-enlarged to preserve the horizon t_N = N*gamma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CapabilityError, ParameterError
 from .potentials import Smoothness, StronglyConvex, WeaklyConvexKL
 
 
-@dataclass(frozen=True)
-class TuningPlan:
+class TuningPlan(NamedTuple):
     gamma: float
     n_steps: int
     regime: str
-    constants: dict = field(default_factory=dict)
+    constants: dict
     clamped: bool = False
 
     @property

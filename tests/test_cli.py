@@ -145,6 +145,27 @@ REFUSED = [
                 "params": {"design": [[1.0], [-0.5]]}}},
      "model.C_P must be a positive number or null, got -1.0"),
 ]
+# a right-typed value outside its key's domain: (key, base, its path, the domain, the values
+# tried by label, the sections that carry a value)
+_PHI = {"theta_alt": [1.0], "n": 20, "r_n": 1.0, "M": 10, "seed": 1}
+_NON_POSITIVE = {"zero": 0, "negative": -1.0}
+REFUSED += [
+    (f"{key}-{label}", base, make(v), f"{where} must be {domain}, got {v!r}")
+    for key, base, where, domain, values, make in [
+        ("b1", "model", "model.b1", "a positive number", _NON_POSITIVE,
+         lambda v: {"model": {**REFUSAL_BASES["model"]["model"], "b1": v}}),
+        ("k_sigma", "potential", "oracle.k_sigma", "a positive number", _NON_POSITIVE,
+         lambda v: {"oracle": {"task": "quadrature", "k_sigma": v}}),
+        ("delta_grid", "model", "diagnostics.concentration.delta_grid",
+         "an array of one or more positive numbers",
+         {"zero": [0], "negative": [0.5, -1.0], "empty": []},
+         lambda v: {"diagnostics": {"concentration": {
+             **REFUSAL_BASES["model"]["diagnostics"]["concentration"], "delta_grid": v}}}),
+        ("b2", "model", "diagnostics.test_phi.b2", "a positive number", _NON_POSITIVE,
+         lambda v: {"diagnostics": {"test_phi": {**_PHI, "b2": v}}}),
+    ]
+    for label, v in values.items()
+]
 
 
 class TestConfigValidation:
@@ -752,6 +773,14 @@ class TestOracleCommand:
                "oracle": {"task": "quadrature", "nodes_per_axis": nodes}}
         assert exits_2_with_one_line(tmp_path, "oracle", cfg) == (
             f"error: nodes_per_axis must be an odd count >= 9, got {nodes}\n")
+
+    def test_a_positive_k_sigma_too_small_for_the_box_exits_3(self, tmp_path, capsys):
+        """k_sigma loads when it is positive; a box that holds too little of the mass fails
+        the quadrature's decay check, as at any too-small k_sigma."""
+        cfg = {"potential": {"family": "gaussian", "d": 1},
+               "oracle": {"task": "quadrature", "k_sigma": 1e-300}}
+        assert in_process(tmp_path, capsys, "oracle", cfg) == (
+            3, "", "runtime failure: posterior mass has not decayed at the quadrature boundary\n")
 
     @pytest.mark.parametrize("task, key, value", [
         ("quadrature", "n_nodes", 7),
