@@ -25,6 +25,13 @@
  * without a numpy Generator or a noise block.  _kernel.py checks the
  * normals against numpy when it loads the library.
  *
+ * A pair's exponential is expneg(t) = e^-t, from IEEE operations alone,
+ * so the logistic gradient's bits do not depend on the host's libm (the
+ * value's log1p still does).  pairs_grad takes all z_v, then the weights
+ * s_v, then the ordered sum.  The weights run on any host (weights_portable)
+ * or, on x86-64 under GCC or clang, in 8 AVX-512 lanes (weights_avx512)
+ * with the same operations in the same order; lmc_init picks one by CPU.
+ *
  * Build with -ffp-contract=off: a fused multiply-add would round once
  * where numpy rounds twice.
  */
@@ -32,6 +39,11 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+
+#if defined(__x86_64__) && (__GNUC__ >= 7 || __clang_major__ >= 5)
+#include <immintrin.h>  /* and the target attribute, for weights_avx512 */
+#define LMC_AVX512 1
+#endif
 
 #include "numpy/random/bitgen.h"
 
@@ -92,13 +104,6 @@ static uint64_t bitgen_next64(void *s) { return next64(s); }
 static uint32_t bitgen_next32(void *s) { return (uint32_t)next64(s); }
 static double bitgen_next_double(void *s) { return (next64(s) >> 11) * (1.0 / 9007199254740992.0); }
 
-/* a bitgen_t drawing from s, as numpy's Philox binds its state */
-static bitgen_t bind(lmc_stream *s)
-{
-    bitgen_t gen = {s, bitgen_next64, bitgen_next32, bitgen_next_double, bitgen_next64};
-    return gen;
-}
-
 /* The first test of numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw.
  * 5(8), 2000), which accepts about 98.5% of draws: for a word r, row
  * idx = r & 0xff and rabs = bits 9-60 of r, numpy returns rabs * wi[idx],
@@ -140,33 +145,6 @@ static double probe(uint64_t idx, uint64_t rabs, int *at_once)
     return x;
 }
 
-/* Fill ki and wi from numpy's random_standard_normal, not from copied
- * constants: ki[idx] is the least rabs numpy does not return at once (a
- * binary search over [0, 2^52]), wi[idx] numpy's value at rabs 1, needed
- * only where ki[idx] > 1.  Returns the rows with a positive bound (255
- * with numpy's tables, whose ki[1] is 0).  _kernel._open calls it once per
- * handle, before any other function runs. */
-int64_t lmc_init(void)
-{
-    int64_t rows = 0;
-    for (uint64_t idx = 0; idx < 256; idx++) {
-        uint64_t lo = 0, hi = 1ULL << 52;
-        int at_once;
-        while (lo < hi) {
-            uint64_t mid = lo + (hi - lo) / 2;
-            probe(idx, mid, &at_once);
-            if (at_once)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        ki[idx] = lo;
-        wi[idx] = lo > 1 ? probe(idx, 1, &at_once) : 0.0;
-        rows += lo > 0;
-    }
-    return rows;
-}
-
 /* One standard normal from s, with the bits of numpy's
  * random_standard_normal on a bitgen_t bound to s. */
 static inline double normal(lmc_stream *s)
@@ -187,13 +165,13 @@ static inline double normal(lmc_stream *s)
      * returns to 0 with buf[0] kept), so numpy draws it again and runs its
      * wedge and tail */
     s->pos--;
-    bitgen_t gen = bind(s);
+    /* a bitgen_t drawing from s, as numpy's Philox binds its state */
+    bitgen_t gen = {s, bitgen_next64, bitgen_next32, bitgen_next_double, bitgen_next64};
     return random_standard_normal(&gen);
 }
 
 typedef struct {
-    int64_t d;
-    int64_t pairs;
+    int64_t d, pairs;
     const double *rows, *cplus, *cminus;  /* (pairs, d), (pairs,), (pairs,) */
     double mu;
     const double *center;                 /* (d,) */
@@ -208,21 +186,131 @@ static double dot(const double *a, const double *x, int64_t d)
     return z;
 }
 
+/* 2^(j/64) = hi_j (1 + TAIL[j] 2^-62) within 2^-63, from exact arithmetic:
+ * FRAC[j] holds the 52 fraction bits of hi_j, 2^(j/64) rounded to a double */
+static const uint64_t FRAC[64] = {
+    0x0000000000000, 0x02c9a3e778061, 0x059b0d3158574, 0x0874518759bc8, 0x0b5586cf9890f,
+    0x0e3ec32d3d1a2, 0x11301d0125b51, 0x1429aaea92de0, 0x172b83c7d517b, 0x1a35beb6fcb75,
+    0x1d4873168b9aa, 0x2063b88628cd6, 0x2387a6e756238, 0x26b4565e27cdd, 0x29e9df51fdee1,
+    0x2d285a6e4030b, 0x306fe0a31b715, 0x33c08b26416ff, 0x371a7373aa9cb, 0x3a7db34e59ff7,
+    0x3dea64c123422, 0x4160a21f72e2a, 0x44e086061892d, 0x486a2b5c13cd0, 0x4bfdad5362a27,
+    0x4f9b2769d2ca7, 0x5342b569d4f82, 0x56f4736b527da, 0x5ab07dd485429, 0x5e76f15ad2148,
+    0x6247eb03a5585, 0x6623882552225, 0x6a09e667f3bcd, 0x6dfb23c651a2f, 0x71f75e8ec5f74,
+    0x75feb564267c9, 0x7a11473eb0187, 0x7e2f336cf4e62, 0x82589994cce13, 0x868d99b4492ed,
+    0x8ace5422aa0db, 0x8f1ae99157736, 0x93737b0cdc5e5, 0x97d829fde4e50, 0x9c49182a3f090,
+    0xa0c667b5de565, 0xa5503b23e255d, 0xa9e6b5579fdbf, 0xae89f995ad3ad, 0xb33a2b84f15fb,
+    0xb7f76f2fb5e47, 0xbcc1e904bc1d2, 0xc199bdd85529c, 0xc67f12e57d14b, 0xcb720dcef9069,
+    0xd072d4a07897c, 0xd5818dcfba487, 0xda9e603db3285, 0xdfc97337b9b5f, 0xe502ee78b3ff6,
+    0xea4afa2a490da, 0xefa1bee615a27, 0xf50765b6e4540, 0xfa7c1819e90d8,
+};
+static const int32_t TAIL[64] = {
+    0, -70, 231, 34, 378, 8, -341, -285, -129, 220, 431, 211, 361, 130, 152, 218,
+    154, 255, -293, -71, 173, -25, 10, 62, 90, -253, -99, 307, 262, 323, -226, -317,
+    -315, -39, -96, -177, -109, 44, -311, -333, 238, 112, -30, -292, 71, -190, -284, 163,
+    225, -22, -50, 84, 78, 167, 47, -253, 83, 243, -151, 83, -256, 246, 211, 94,
+};
+
+#define EXPNEG_MAX 750.0                  /* e^-t rounds to 0 from t = 745.14 */
+#define SHIFT 0x1.8p52                    /* x + SHIFT: x rounded, in the low bits */
+#define INV_LN2_64 0x1.71547652b82fep+6   /* 64 / ln 2 */
+#define LN2_64_HI 0x1.62e42ff000000p-7   /* ln 2 / 64 in 32 bits, so k LN2_64_HI is exact */
+#define LN2_64_LO -0x1.718432a1b0e26p-41  /* ln 2 / 64 - LN2_64_HI */
+/* e^r = 1 + r + r^2 (C2 + r C3) + r^4 (C4 + r C5) within 4.7e-18 for |r| <= 1.01 ln2/128,
+ * by Chebyshev interpolation of (e^r - 1 - r) / r^2 */
+#define C2 0x1.ffffffffff511p-2
+#define C3 0x1.5555555555236p-3
+#define C4 0x1.55556ba388635p-5
+#define C5 0x1.11111dd009952p-7
+
+/* e^-t for t >= 0, faithfully rounded, 0 from t = 745.14 and for inf, NaN
+ * for NaN.  Cody and Waite's reduction: x = -t = (64 m + j) ln2/64 + r with
+ * |r| <= ln2/128, so e^x = 2^m hi_j (1 + tail_j) e^r.  2^(m + 1022) hi_j is
+ * written as bits and the result scaled by 2^-1022 last, so a subnormal one
+ * is rounded once more rather than lost. */
+static inline double expneg(double t)
+{
+    double x = -(EXPNEG_MAX < t ? EXPNEG_MAX : t), kd = x * INV_LN2_64 + SHIFT, scale;
+    uint64_t ki;
+    memcpy(&ki, &kd, sizeof ki);  /* SHIFT's bits + 64 m + j; they fall off the top below */
+    uint64_t sbits = FRAC[ki & 63] + (((ki >> 6) + 2045) << 52);  /* exponent m + 1022 */
+    kd -= SHIFT;
+    double r = x - kd * LN2_64_HI - kd * LN2_64_LO, r2 = r * r;
+    double tmp = TAIL[ki & 63] * 0x1p-62 + r + r2 * (C2 + r * C3) + r2 * r2 * (C4 + r * C5);
+    memcpy(&scale, &sbits, sizeof scale);
+    return (scale + scale * tmp) * 0x1p-1022;
+}
+
+/* s[v] = z_v -> s_v = c- sigma(z) - c+ sigma(-z) for the n pairs from v0,
+ * sigma(z) = (z >= 0 ? 1 : e) / (1 + e) with e = e^-|z| */
+static void weights_portable(const lmc_pot *p, int64_t v0, int64_t n, double *s)
+{
+    for (int64_t v = 0; v < n; v++) {
+        double z = s[v], e = expneg(fabs(z));
+        s[v] = (p->cminus[v0 + v] * (z >= 0.0 ? 1.0 : e)
+                - p->cplus[v0 + v] * (z <= 0.0 ? 1.0 : e)) / (1.0 + e);
+    }
+}
+
+static void (*weights)(const lmc_pot *, int64_t, int64_t, double *) = weights_portable;
+
+#ifdef LMC_AVX512
+typedef double v8d __attribute__((vector_size(64)));
+typedef uint64_t v8u __attribute__((vector_size(64)));
+
+/* weights_portable in 8 lanes, each running expneg's and the weight's
+ * operations in their order, so with weights_portable's bits */
+__attribute__((target("avx512f,avx512dq")))
+static void weights_avx512(const lmc_pot *p, int64_t v0, int64_t n, double *s)
+{
+    const v8d one = _mm512_set1_pd(1.0), zero = _mm512_setzero_pd();
+    for (int64_t v = 0; v < n; v += 8) {
+        __mmask8 lanes = (__mmask8)(n - v >= 8 ? 0xff : (1u << (n - v)) - 1);
+        v8d z = _mm512_maskz_loadu_pd(lanes, s + v);
+        v8d x = -_mm512_min_pd(_mm512_set1_pd(EXPNEG_MAX), _mm512_abs_pd(z));
+        v8d kd = x * INV_LN2_64 + SHIFT;
+        v8u ki = (v8u)kd, j = ki & 63;
+        v8u sbits = (v8u)_mm512_i64gather_epi64((__m512i)j, FRAC, 8) + (((ki >> 6) + 2045) << 52);
+        kd -= SHIFT;
+        v8d r = x - kd * LN2_64_HI - kd * LN2_64_LO, r2 = r * r;
+        v8d tmp = _mm512_cvtepi32_pd(_mm512_i64gather_epi32((__m512i)j, TAIL, 4)) * 0x1p-62 + r
+                  + r2 * (C2 + r * C3) + r2 * r2 * (C4 + r * C5);
+        v8d scale = (v8d)sbits, e = (scale + scale * tmp) * 0x1p-1022;
+        v8d up = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(z, zero, _CMP_GE_OQ), e, one);
+        v8d down = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(z, zero, _CMP_LE_OQ), e, one);
+        v8d w = _mm512_maskz_loadu_pd(lanes, p->cminus + v0 + v) * up
+                - _mm512_maskz_loadu_pd(lanes, p->cplus + v0 + v) * down;
+        _mm512_mask_storeu_pd(s + v, lanes, w / (one + e));
+    }
+}
+#endif
+
+#define PASS 64  /* the most pairs of one pass */
+/* g += the pairs' gradients at x, PASS pairs at a time: every z_v, then
+ * weights(), then the ordered sum g += s_v a_v in pair order */
+static void pairs_grad(const lmc_pot *p, const double *x, double *g)
+{
+    const int64_t d = p->d;
+    double s[PASS];
+    for (int64_t v0 = 0; v0 < p->pairs; v0 += PASS) {
+        const int64_t n = p->pairs - v0 < PASS ? p->pairs - v0 : PASS;
+        const double *a = p->rows + v0 * d;
+        for (int64_t v = 0; v < n; v++)
+            s[v] = dot(a + v * d, x, d);
+        weights(p, v0, n, s);
+        for (int64_t v = 0; v < n; v++)
+            for (int64_t j = 0; j < d; j++)
+                g[j] += s[v] * a[v * d + j];
+    }
+}
+
 static void grad_point(const lmc_pot *p, const double *x, double *g)
 {
     const int64_t d = p->d;
     /* the quadratic first: a Gaussian's gradient is then numpy's rho * (x - mean) */
     for (int64_t j = 0; j < d; j++)
         g[j] = p->mu * (x[j] - p->center[j]);
-    for (int64_t v = 0; v < p->pairs; v++) {
-        const double *a = p->rows + v * d;
-        double z = dot(a, x, d), e = exp(-fabs(z));
-        /* c- sigma(z) - c+ sigma(-z), sigma(z) = (z >= 0 ? 1 : e) / (1 + e) */
-        double s = (p->cminus[v] * (z >= 0.0 ? 1.0 : e)
-                    - p->cplus[v] * (z <= 0.0 ? 1.0 : e)) / (1.0 + e);
-        for (int64_t j = 0; j < d; j++)
-            g[j] += s * a[j];
-    }
+    if (p->pairs)
+        pairs_grad(p, x, g);
 }
 
 static double value_point(const lmc_pot *p, const double *x)
@@ -230,7 +318,7 @@ static double value_point(const lmc_pot *p, const double *x)
     const int64_t d = p->d;
     double w = 0.0, sq = 0.0;
     for (int64_t v = 0; v < p->pairs; v++) {
-        double z = dot(p->rows + v * d, x, d), l = log1p(exp(-fabs(z)));
+        double z = dot(p->rows + v * d, x, d), l = log1p(expneg(fabs(z)));
         /* a zero weight adds nothing, also where z or |x - center|^2 is infinite */
         if (p->cplus[v] != 0.0)
             w += p->cplus[v] * (fmax(-z, 0.0) + l);
@@ -254,7 +342,7 @@ static void hess_vec_point(const lmc_pot *p, const double *x, const double *u, d
         out[j] = 0.0;
     for (int64_t v = 0; v < p->pairs; v++) {
         const double *a = p->rows + v * d;
-        double e = exp(-fabs(dot(a, x, d)));
+        double e = expneg(fabs(dot(a, x, d)));
         /* both rows of a pair have curvature sigma(z) sigma(-z) = e / (1 + e)^2 */
         double s = (p->cplus[v] + p->cminus[v]) * (e / ((1.0 + e) * (1.0 + e))) * dot(a, u, d);
         for (int64_t j = 0; j < d; j++)
@@ -262,6 +350,37 @@ static void hess_vec_point(const lmc_pot *p, const double *x, const double *u, d
     }
     for (int64_t j = 0; j < d; j++)
         out[j] += p->mu * u[j];
+}
+
+/* Fill ki and wi from numpy's random_standard_normal, not from copied
+ * constants: ki[idx] is the least rabs numpy does not return at once (a
+ * binary search over [0, 2^52]), wi[idx] numpy's value at rabs 1, needed
+ * only where ki[idx] > 1, and pick the weights' build.  Returns the rows
+ * with a positive bound (255 with numpy's tables, whose ki[1] is 0).
+ * _kernel._open calls it once per handle, before any other function. */
+int64_t lmc_init(void)
+{
+    int64_t rows = 0;
+    for (uint64_t idx = 0; idx < 256; idx++) {
+        uint64_t lo = 0, hi = 1ULL << 52;
+        int at_once;
+        while (lo < hi) {
+            uint64_t mid = lo + (hi - lo) / 2;
+            probe(idx, mid, &at_once);
+            if (at_once)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        ki[idx] = lo;
+        wi[idx] = lo > 1 ? probe(idx, 1, &at_once) : 0.0;
+        rows += lo > 0;
+    }
+#ifdef LMC_AVX512
+    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
+        weights = weights_avx512;
+#endif
+    return rows;
 }
 
 /* n points x (n, d) -> out (n,) */
@@ -283,6 +402,13 @@ void lmc_hess_vec(const lmc_pot *p, int64_t n, const double *x, const double *u,
 {
     for (int64_t i = 0; i < n; i++)
         hess_vec_point(p, x + i * p->d, u + i * p->d, out + i * p->d);
+}
+
+/* out[i] = expneg(t[i]) for i < n */
+void lmc_expneg(int64_t n, const double *t, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = expneg(t[i]);
 }
 
 /* n standard normals from one stream, as Generator.standard_normal(n) */

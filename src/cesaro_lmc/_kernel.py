@@ -26,7 +26,10 @@ A :class:`Kernel` binds a potential's ``kernel`` field, the one term
 ``(rows, cplus, cminus, mu, center)`` that ``lmc_pot`` describes (a sum over
 sign pairs plus (mu/2) |x - center|^2; a Gaussian has no pairs), to the
 library: ``step`` advances chains on it, and ``value``, ``grad`` and
-``hess_vec`` evaluate it.
+``hess_vec`` evaluate it.  A pair's e^-|z| is the library's ``expneg``
+(``lmc_expneg``), from IEEE operations alone, so ``grad`` and ``hess_vec``
+have the same bits on every host (``value`` calls libm's ``log1p``); their
+AVX-512 or portable build is picked from the CPU when the library opens.
 
 Every call splits its batch the same way (:func:`_split`): into contiguous
 ranges of at least ``_MIN_RANGE_WORK`` units of work, one library call
@@ -133,6 +136,7 @@ def _open(path: str):
         "lmc_grad": (None, [pot, i64, p, p]),
         "lmc_hess_vec": (None, [pot, i64, p, p, p]),
         "lmc_normals": (None, [p, i64, p]),
+        "lmc_expneg": (None, [i64, p, p]),
         "lmc_step": (None, [pot, p, i64, f64, f64, i64, i64, p, p, p, p, p, i64, p]),
     }
     for name, (restype, argtypes) in signatures.items():

@@ -10,10 +10,8 @@ Exit codes: 0 success, 2 config/parameter problem, 3 runtime divergence.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -65,6 +63,7 @@ class ConfigError(ParameterError):
 
 def config_hash(cfg: dict) -> str:
     """Canonical hash: key order and whitespace never matter."""
+    import hashlib  # here, not at import: only run names its artifacts by the hash
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
@@ -547,6 +546,7 @@ def cmd_oracle(cfg: dict, out=None) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse  # here, not at import: only the command line parses arguments
     parser = argparse.ArgumentParser(
         prog="cesaro-lmc",
         description="Posterior means by constant-step Langevin chains with Cesaro averaging",

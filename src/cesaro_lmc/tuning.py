@@ -70,24 +70,22 @@ def _finish(regime, gamma_raw, n_raw, clamp, calib, constants) -> TuningPlan:
     if clamped:
         n_real = n_real * (gamma / clamp)
         gamma = clamp
-    constants = dict(constants)
-    constants.update(
-        {
-            "gamma_raw": gamma_raw,
-            "n_steps_raw": n_raw,
-            "calib": calib,
-            "gamma_clamp": clamp,
-            "gamma": gamma,
-            "n_steps_real": n_real,
-        }
-    )
-    return TuningPlan(
-        gamma=gamma,
-        n_steps=max(1, math.ceil(n_real - 1e-9)),
-        regime=regime,
-        constants=constants,
-        clamped=clamped,
-    )
+    for name, v in [("gamma", gamma), ("N", n_real), *constants.items()]:
+        # a term of a min may be inf, where it drops out, but no other number
+        if isinstance(v, float) and not math.isfinite(v) or isinstance(v, list) and any(
+                map(math.isnan, v)):
+            raise _refusal(regime, constants, f"gives {name} = {v!r}")
+    constants = {**constants, "gamma_raw": gamma_raw, "n_steps_raw": n_raw, "calib": calib,
+                 "gamma_clamp": clamp, "gamma": gamma, "n_steps_real": n_real}
+    return TuningPlan(gamma, max(1, math.ceil(n_real - 1e-9)), regime, constants, clamped)
+
+
+def _refusal(regime, constants, what) -> ParameterError:
+    """One line refusing a plan whose arithmetic ``what`` (a phrase or the ArithmeticError)."""
+    if isinstance(what, ArithmeticError):
+        what = "divides by 0" if isinstance(what, ZeroDivisionError) else "overflows"
+    eps = f"eps={constants['eps']!r}" if "eps" in constants else f"eps_n={constants['eps_n']!r}"
+    return ParameterError(f"tuning {regime} at {eps}: its floating-point arithmetic {what}")
 
 
 def _check_options(eps: float, x0_dist: float, calib: float, frak_e: float = 0.05):
@@ -133,62 +131,64 @@ def tune_weak(pot, eps: float, variant: str, frak_e: float = 0.05, x0_dist: floa
     cons = {"variant": variant, "c1": c1, "c2": c2, "q": q, "r": r, "L": L, "d": d, "eps": eps,
             "frak_e": e}
 
-    if variant == "i.a":
-        ups = compute_upsilon(prof, L, d)
-        g1 = c1 ** (2.0 * (1.0 + e)) / (d * L**2 * ups ** (2.0 * r * (1.0 + e))) * eps**2
-        g2 = d / (c2 * ups ** (1.0 - q - 2.0 * r * e))
-        if x0_dist > 0:
-            g3 = d / (
-                c2
-                * (1.0 + q) ** ((1.0 - q) / (1.0 + q))
-                * c2 ** ((1.0 - q) / (1.0 + q))
-                * ups ** (-2.0 * r * e)
-                * x0_dist ** (2.0 * (1.0 - q) / (1.0 + q))
+    try:
+        if variant == "i.a":
+            ups = compute_upsilon(prof, L, d)
+            g1 = c1 ** (2.0 * (1.0 + e)) / (d * L**2 * ups ** (2.0 * r * (1.0 + e))) * eps**2
+            g2 = d / (c2 * ups ** (1.0 - q - 2.0 * r * e))
+            if x0_dist > 0:
+                g3 = d / (
+                    c2
+                    * (1.0 + q) ** ((1.0 - q) / (1.0 + q))
+                    * c2 ** ((1.0 - q) / (1.0 + q))
+                    * ups ** (-2.0 * r * e)
+                    * x0_dist ** (2.0 * (1.0 - q) / (1.0 + q))
+                )
+            else:
+                g3 = math.inf  # zero initial distance: the term drops out of the min
+            g4 = ups ** (2.0 * r * (1.0 + e) + q - 1.0) * d * L**2 / (c2 * c1 ** (2.0 * (1.0 + e)))
+            gamma = min(g1, g2, g3, g4)
+            n1 = ups ** ((1.0 + 3.0 * r) / 2.0 * (1.0 + e)) * c1 ** (-1.5 * (1.0 + e)) / gamma / eps
+            n2 = d * ups ** (2.0 * r * (1.0 + e)) * c1 ** (-2.0 * (1.0 + e)) / gamma / eps**2
+            n = max(n1, n2)
+            cons.update({"upsilon": ups, "gamma_terms": [g1, g2, g3, g4], "n_terms": [n1, n2],
+                         "x0_dist": x0_dist})
+        elif variant == "i.b":
+            _check_small_eps(prof, d, eps, variant)
+            expo = 2.0 * r / (1.0 + q - r)
+            gamma = eps**2 * d ** (-(1.0 + expo + e))
+            n = eps**-4 * d * d ** (1.0 + 2.0 * expo + e)
+            cons.update(d_exponent_gamma=-(1.0 + expo + e), d_exponent_n=1.0 + 2.0 * expo + e)
+        elif variant == "ii.a":
+            _require_c3(s, variant)
+            ups = compute_upsilon(prof, L, d)
+            lt, lap = s.L_tilde, s.lap_grad_sup
+            t1 = 1.0 / (L * math.sqrt(c2) * ups ** ((1.0 - q + 2.0 * r) / 2.0 * (1.0 + e)))
+            t2 = (c1 ** (1.0 + e) / (L * lt * d * ups ** (2.0 * r * (1.0 + e))) if lt > 0
+                  else math.inf)
+            t3 = 1.0 / (lap * ups ** (r * (1.0 + e))) if lap > 0 else math.inf
+            c21 = c1 ** (1.0 + e) * min(t1, t2, t3)
+            c12 = max(
+                d * ups ** (2.0 * r * (1.0 + e)) / c1 ** (2.0 * (1.0 + e)),
+                eps * ups ** ((1.0 + 3.0 * r) / 2.0 * (1.0 + e)) / c1 ** (1.5 + e),
             )
+            gamma = c21 * eps
+            n = c12 / c21 * eps**-3
+            cons.update({"upsilon": ups, "c_2_1": c21, "c_1_2": c12,
+                         "c_2_1_terms": [t1, t2, t3]})
+        elif variant == "ii.b":
+            _require_c3(s, variant)
+            _check_small_eps(prof, d, eps, variant)
+            if s.rho_lap is None:
+                raise CapabilityError("variant ii.b needs the Laplacian growth exponent rho_lap")
+            rho_lap = cons["rho_lap"] = s.rho_lap
+            ratio = r / (1.0 + q - r)
+            gamma = eps * d ** (-max(1.0 + 2.0 * ratio, rho_lap + ratio) - e)
+            n = eps**-3 * d * d ** (max(1.0 + 4.0 * ratio, rho_lap + 3.0 * ratio) + e)
         else:
-            g3 = math.inf  # zero initial distance: the term drops out of the min
-        g4 = ups ** (2.0 * r * (1.0 + e) + q - 1.0) * d * L**2 / (c2 * c1 ** (2.0 * (1.0 + e)))
-        gamma = min(g1, g2, g3, g4)
-        n1 = ups ** ((1.0 + 3.0 * r) / 2.0 * (1.0 + e)) * c1 ** (-1.5 * (1.0 + e)) / gamma / eps
-        n2 = d * ups ** (2.0 * r * (1.0 + e)) * c1 ** (-2.0 * (1.0 + e)) / gamma / eps**2
-        n = max(n1, n2)
-        cons.update({"upsilon": ups, "gamma_terms": [g1, g2, g3, g4], "n_terms": [n1, n2],
-                     "x0_dist": x0_dist})
-    elif variant == "i.b":
-        _check_small_eps(prof, d, eps, variant)
-        expo = 2.0 * r / (1.0 + q - r)
-        gamma = eps**2 * d ** (-(1.0 + expo + e))
-        n = eps**-4 * d * d ** (1.0 + 2.0 * expo + e)
-        cons.update({"d_exponent_gamma": -(1.0 + expo + e), "d_exponent_n": 1.0 + 2.0 * expo + e})
-    elif variant == "ii.a":
-        _require_c3(s, variant)
-        ups = compute_upsilon(prof, L, d)
-        lt, lap = s.L_tilde, s.lap_grad_sup
-        t1 = 1.0 / (L * math.sqrt(c2) * ups ** ((1.0 - q + 2.0 * r) / 2.0 * (1.0 + e)))
-        t2 = c1 ** (1.0 + e) / (L * lt * d * ups ** (2.0 * r * (1.0 + e))) if lt > 0 else math.inf
-        t3 = 1.0 / (lap * ups ** (r * (1.0 + e))) if lap > 0 else math.inf
-        c21 = c1 ** (1.0 + e) * min(t1, t2, t3)
-        c12 = max(
-            d * ups ** (2.0 * r * (1.0 + e)) / c1 ** (2.0 * (1.0 + e)),
-            eps * ups ** ((1.0 + 3.0 * r) / 2.0 * (1.0 + e)) / c1 ** (1.5 + e),
-        )
-        gamma = c21 * eps
-        n = c12 / c21 * eps**-3
-        cons.update({"upsilon": ups, "c_2_1": c21, "c_1_2": c12,
-                     "c_2_1_terms": [t1, t2, t3]})
-    elif variant == "ii.b":
-        _require_c3(s, variant)
-        _check_small_eps(prof, d, eps, variant)
-        if s.rho_lap is None:
-            raise CapabilityError(
-                "variant ii.b needs the Laplacian growth exponent rho_lap"
-            )
-        rho_lap = cons["rho_lap"] = s.rho_lap
-        ratio = r / (1.0 + q - r)
-        gamma = eps * d ** (-max(1.0 + 2.0 * ratio, rho_lap + ratio) - e)
-        n = eps**-3 * d * d ** (max(1.0 + 4.0 * ratio, rho_lap + 3.0 * ratio) + e)
-    else:
-        raise ParameterError(f"unknown weak variant {variant!r}")
+            raise ParameterError(f"unknown weak variant {variant!r}")
+    except ArithmeticError as exc:
+        raise _refusal(f"weak-{variant}", cons, exc) from None
     return _finish(f"weak-{variant}", gamma, n, clamp, calib, cons)
 
 
@@ -204,32 +204,35 @@ def tune_sc(pot, eps: float, variant: str, x0_dist: float = 0.0,
     clamp = sc_gamma_clamp(d, L)
     cons = {"variant": variant, "rho": rho, "L": L, "d": d, "eps": eps}
 
-    if variant == "i":
-        g1 = rho**2 / (L**2 * d) * eps**2
-        g2 = rho / L**2
-        g3 = d / (L**2 * x0_dist**2) if x0_dist > 0 else math.inf
-        gamma = min(g1, g2, g3)
-        n1 = d / rho**2 / gamma / eps**2
-        n2 = math.sqrt(d) * rho**-1.5 / eps / gamma
-        n = max(n1, n2)
-        cons.update({"gamma_terms": [g1, g2, g3], "n_terms": [n1, n2],
-                     "x0_dist": x0_dist})
-    elif variant == "ii":
-        _require_c3(s, variant)
-        lt, lap = s.L_tilde, s.lap_grad_sup
-        b2_terms = [
-            d**2,
-            L**4 * d / rho**3,
-            L**2 * (1.0 / rho**2 + lt**2 / rho**4),
-            lap**2 / rho**2,
-            2.0 * L**4 / rho**2 * x0_dist**2,
-        ]
-        b2 = sum(b2_terms)
-        gamma = eps / math.sqrt(b2)
-        n = max(eps**-3 * math.sqrt(b2) * d / rho**2, 1.0 / gamma, d / gamma / rho)
-        cons.update({"b2": b2, "b2_terms": b2_terms})
-    else:
-        raise ParameterError(f"unknown strongly convex variant {variant!r}")
+    try:
+        if variant == "i":
+            g1 = rho**2 / (L**2 * d) * eps**2
+            g2 = rho / L**2
+            g3 = d / (L**2 * x0_dist**2) if x0_dist > 0 else math.inf
+            gamma = min(g1, g2, g3)
+            n1 = d / rho**2 / gamma / eps**2
+            n2 = math.sqrt(d) * rho**-1.5 / eps / gamma
+            n = max(n1, n2)
+            cons.update({"gamma_terms": [g1, g2, g3], "n_terms": [n1, n2],
+                         "x0_dist": x0_dist})
+        elif variant == "ii":
+            _require_c3(s, variant)
+            lt, lap = s.L_tilde, s.lap_grad_sup
+            b2_terms = [
+                d**2,
+                L**4 * d / rho**3,
+                L**2 * (1.0 / rho**2 + lt**2 / rho**4),
+                lap**2 / rho**2,
+                2.0 * L**4 / rho**2 * x0_dist**2,
+            ]
+            b2 = sum(b2_terms)
+            gamma = eps / math.sqrt(b2)
+            n = max(eps**-3 * math.sqrt(b2) * d / rho**2, 1.0 / gamma, d / gamma / rho)
+            cons.update({"b2": b2, "b2_terms": b2_terms})
+        else:
+            raise ParameterError(f"unknown strongly convex variant {variant!r}")
+    except ArithmeticError as exc:
+        raise _refusal(f"sc-{variant}", cons, exc) from None
     return _finish(f"sc-{variant}", gamma, n, clamp, calib, cons)
 
 
@@ -240,15 +243,21 @@ def epsilon_n(C_P: float, L: float, alpha_c: float, d: int, n, b1: float = 1.0):
     """Statistical accuracy eps_n with eps_n^2 = (C_P L^2 d log(n) / n)^{1/alpha_c}.
 
     Returns (eps_n, valid) where ``valid`` flags b1 * eps_n^alpha_c <= 1,
-    the regime in which the consistency bound applies.
+    the regime in which the consistency bound applies.  An eps_n that is not
+    finite is refused.
     """
     if n < 2:
         raise ParameterError("n must be >= 2 so that log n > 0")
     if alpha_c < 1:
         raise ParameterError("alpha_c must be >= 1")
-    eps_sq = (C_P * L**2 * d * math.log(n) / n) ** (1.0 / alpha_c)
-    eps = math.sqrt(eps_sq)
-    return eps, bool(b1 * eps**alpha_c <= 1.0)
+    try:
+        eps = math.sqrt((C_P * L**2 * d * math.log(n) / n) ** (1.0 / alpha_c))
+        if eps < math.inf:
+            return eps, bool(b1 * eps**alpha_c <= 1.0)
+    except ArithmeticError:
+        pass
+    raise ParameterError(f"eps_n = (C_P L^2 d log(n) / n)^(1/(2 alpha_c)) is not finite at "
+                         f"C_P={C_P!r}, L={L!r}, d={d}, n={n}")
 
 
 def tune_bayes(model, n: int, regime: str, certified_x0: bool = False,
@@ -271,7 +280,10 @@ def tune_bayes(model, n: int, regime: str, certified_x0: bool = False,
         raise ParameterError(f"unknown bayes regime {regime!r}; choose from {_BAYES_REGIMES}")
     alpha_c, d, L, prof = model.alpha_c, model.d, model.per_obs_L, model.per_obs_profile
     cp = 1.0 if model.C_P is None else float(model.C_P)
-    eps_n, eps_valid = epsilon_n(cp, L, alpha_c, d, n, model.b1)  # refuses n < 2, alpha_c < 1
+    try:  # refuses n < 2, alpha_c < 1 and an eps_n that is not finite
+        eps_n, eps_valid = epsilon_n(cp, L, alpha_c, d, n, model.b1)
+    except ParameterError as exc:
+        raise ParameterError(f"tuning bayes-{regime}: {exc}") from None
     if not calib > 0:
         raise ParameterError("calib must be positive")
     if d > n and regime != "sc-i.b":
@@ -285,45 +297,49 @@ def tune_bayes(model, n: int, regime: str, certified_x0: bool = False,
             "C_P_assumed": model.C_P is None, "eps_n": eps_n, "eps_n_valid": eps_valid,
             "aggregated_L": agg_L}
 
-    if regime.startswith("weak"):
-        if not isinstance(prof, WeaklyConvexKL):
-            raise ParameterError("bayes weak regimes need a weakly convex profile")
-        if prof.r != prof.q:
-            raise ParameterError("bayes weak tunings are stated for r == q")
-        r = prof.r
-        cons["r"] = r
-        if regime == "weak-i":
-            # printed for "r >= 1" although the profile needs r < 1; evaluated as printed
-            gamma = d ** (-(2.0 * r + 1.0 - ai)) * float(n) ** (-2.0 * r - ai)
-            nn = float(n) ** (2.0 * ai + 4.0 * r) * d ** (1.0 + 4.0 * r - 2.0 * ai)
-        elif regime == "weak-ii":
-            if r != 0.0:
-                raise ParameterError("weak-ii is the r = q = 0 case")
-            gamma = float(n) ** -2.0
-            nn = float(n) ** (0.5 * (1.0 + ai)) * d ** (0.5 * (1.0 - ai))
-        else:  # weak-iii
-            if not (0.0 < r < 1.0):
-                raise ParameterError("weak-iii needs r in (0, 1)")
-            g1 = float(n) ** (-(2.0 * r + ai)) * d ** (-1.0 - 2.0 * r + ai)
-            g2 = float(n) ** (-2.0 / (1.0 + r)) * d ** (2.0 * r / (1.0 + r))
-            gamma = min(g1, g2)
-            m1 = float(n) ** (0.5 * ai - 1.5 * (1.0 - r)) * d ** ((1.0 + 3.0 * r) / 2.0 - 0.5 * ai)
-            m2 = d ** (2.0 * r - ai) * float(n) ** (ai - 2.0 * (1.0 - r))
-            nn = max(m1, m2) / gamma
-            cons.update({"gamma_terms": [g1, g2], "n_terms": [m1, m2]})
-    else:
-        if not isinstance(prof, StronglyConvex):
-            raise ParameterError("bayes sc regimes need a strongly convex profile")
-        if regime == "sc-i.a":
-            gamma = float(n) ** -2.0
-            nn = float(n) ** (0.5 * (1.0 + ai)) * d ** (0.5 * (1.0 - ai))
-        else:  # sc-i.b
-            if not certified_x0:
-                raise CapabilityError(
-                    "sc-i.b requires the caller to certify |theta0 - theta*|^2 <= d n^-2"
-                )
-            gamma = 1.0 / n
-            nn = float(max(n, d))
+    try:
+        if regime.startswith("weak"):
+            if not isinstance(prof, WeaklyConvexKL):
+                raise ParameterError("bayes weak regimes need a weakly convex profile")
+            if prof.r != prof.q:
+                raise ParameterError("bayes weak tunings are stated for r == q")
+            r = prof.r
+            cons["r"] = r
+            if regime == "weak-i":
+                # printed for "r >= 1" although the profile needs r < 1; evaluated as printed
+                gamma = d ** (-(2.0 * r + 1.0 - ai)) * float(n) ** (-2.0 * r - ai)
+                nn = float(n) ** (2.0 * ai + 4.0 * r) * d ** (1.0 + 4.0 * r - 2.0 * ai)
+            elif regime == "weak-ii":
+                if r != 0.0:
+                    raise ParameterError("weak-ii is the r = q = 0 case")
+                gamma = float(n) ** -2.0
+                nn = float(n) ** (0.5 * (1.0 + ai)) * d ** (0.5 * (1.0 - ai))
+            else:  # weak-iii
+                if not (0.0 < r < 1.0):
+                    raise ParameterError("weak-iii needs r in (0, 1)")
+                g1 = float(n) ** (-(2.0 * r + ai)) * d ** (-1.0 - 2.0 * r + ai)
+                g2 = float(n) ** (-2.0 / (1.0 + r)) * d ** (2.0 * r / (1.0 + r))
+                gamma = min(g1, g2)
+                m1 = (float(n) ** (0.5 * ai - 1.5 * (1.0 - r))
+                      * d ** ((1.0 + 3.0 * r) / 2.0 - 0.5 * ai))
+                m2 = d ** (2.0 * r - ai) * float(n) ** (ai - 2.0 * (1.0 - r))
+                nn = max(m1, m2) / gamma
+                cons.update({"gamma_terms": [g1, g2], "n_terms": [m1, m2]})
+        else:
+            if not isinstance(prof, StronglyConvex):
+                raise ParameterError("bayes sc regimes need a strongly convex profile")
+            if regime == "sc-i.a":
+                gamma = float(n) ** -2.0
+                nn = float(n) ** (0.5 * (1.0 + ai)) * d ** (0.5 * (1.0 - ai))
+            else:  # sc-i.b
+                if not certified_x0:
+                    raise CapabilityError(
+                        "sc-i.b requires the caller to certify |theta0 - theta*|^2 <= d n^-2"
+                    )
+                gamma = 1.0 / n
+                nn = float(max(n, d))
+    except ArithmeticError as exc:
+        raise _refusal(f"bayes-{regime}", cons, exc) from None
     return _finish(f"bayes-{regime}", gamma, nn, clamp, calib, cons)
 
 

@@ -167,6 +167,30 @@ REFUSED += [
     for label, v in values.items()
 ]
 
+# right-typed values whose plan the tuner's floating-point arithmetic cannot compute, on a
+# shipped config: (id, config, the sections' changes, the line, marks)
+_LINES = {"under": "its floating-point arithmetic divides by 0",
+          "over": "its floating-point arithmetic overflows"}
+UNCOMPUTABLE = [
+    (f"{key}-{v:g}", "ou_smoke.json", make(v), f"tuning sc-i at eps={eps(v)!r}: {_LINES[side]}",
+     marks)
+    for key, make, eps, marks in [
+        ("eps", lambda v: {"tuning": {"eps": v}}, lambda v: v, ()),
+        ("precision", lambda v: {"potential": {"family": "gaussian", "d": 1,
+                                               "params": {"mean": 0.0, "precision": v}}},
+         lambda v: 0.1, ()),
+        ("ridge", lambda v: {"potential": {"family": "logistic", "d": 2, "params": {
+            "features": [[1.0, 0.5], [-0.3, 1.2]], "labels": [1, -1], "ridge": v}}},
+         lambda v: 0.1, pytest.mark.compiled),
+    ]
+    for side, v in (("under", 1e-300), ("over", 1e300))
+] + [
+    ("model-precision-1e+300", "conjugate_posterior.json",
+     {"model": {"params": {"precision": 1e300}}},
+     "tuning bayes-sc-i.a: eps_n = (C_P L^2 d log(n) / n)^(1/(2 alpha_c)) is not finite at "
+     "C_P=1e-300, L=1e+300, d=2, n=400", ()),
+]
+
 
 class TestConfigValidation:
     def test_unknown_section_rejected(self):
@@ -470,6 +494,17 @@ class TestPlanRule:
             if command == "tune":  # a grid prints the list of its plans
                 printed = json.loads(out)
                 assert (type(printed), len(printed)) == ((list, 2) if grid else (dict, 6))
+
+    @pytest.mark.parametrize("command", ["tune", "run"])
+    @pytest.mark.parametrize("config, changes, message", [
+        pytest.param(config, changes, message, id=name, marks=marks)
+        for name, config, changes, message, marks in UNCOMPUTABLE])
+    def test_a_plan_the_arithmetic_cannot_compute_exits_2(self, tmp_path, command, config,
+                                                          changes, message):
+        cfg = json.loads((CONFIGS / config).read_text())
+        for section, values in changes.items():
+            cfg[section] = {**cfg.get(section, {}), **values}
+        assert exits_2_with_one_line(tmp_path, command, cfg) == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["tune", "run"])
     @pytest.mark.parametrize("config, changes, message", [
@@ -1232,3 +1267,13 @@ class TestGridExperiments:
         assert main(["tune", "--config", path]) == 0
         plan = json.loads(capsys.readouterr().out)
         assert plan["regime"] == "sc-i"
+
+
+def test_import_leaves_hashlib_and_argparse_to_their_callers():
+    """Only ``config_hash`` hashes and only ``main`` parses arguments, so
+    importing the CLI loads neither module (OpenSSL's ``_hashlib`` is most
+    of the cost)."""
+    code = ("import sys, numpy, cesaro_lmc.cli; "
+            "print('hashlib' in sys.modules, 'argparse' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", "False"]

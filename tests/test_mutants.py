@@ -159,6 +159,15 @@ MUTANTS = [
            "probe(idx, 1, &at_once)", "probe(idx, 2, &at_once)",
            ("tests/test_kernel.py::TestNormals::test_equal_to_numpy_standard_normal[0]",),
            compiled=True),
+    Mutant("expneg-drops-the-low-part-of-ln2", "cesaro_lmc/_kernel.c",
+           "double r = x - kd * LN2_64_HI - kd * LN2_64_LO", "double r = x - kd * LN2_64_HI",
+           ("tests/test_expneg.py::test_expneg_is_faithfully_rounded",),
+           compiled=True),
+    Mutant("pair-sum-in-reverse-pair-order", "cesaro_lmc/_kernel.c",
+           "        for (int64_t v = 0; v < n; v++)\n            for (int64_t j = 0;",
+           "        for (int64_t v = n - 1; v >= 0; v--)\n            for (int64_t j = 0;",
+           ("tests/test_expneg.py::test_pass_is_the_transcription_bit_for_bit[50-pairs]",),
+           compiled=True),
 ]
 
 

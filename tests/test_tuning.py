@@ -9,6 +9,7 @@ from cesaro_lmc.potentials import Smoothness, StronglyConvex, WeaklyConvexKL, bu
 from cesaro_lmc.tuning import (
     audit_plan,
     compute_upsilon,
+    epsilon_n,
     sc_gamma_clamp,
     tune_bayes,
     tune_sc,
@@ -162,6 +163,37 @@ class TestOptionRefusals:
         opts = {"eps": 0.1, **bad}
         with pytest.raises(ParameterError, match=message):
             tune_sc(sc_pot(**C3), opts.pop("eps"), variant, **opts)
+
+
+class TestArithmeticRefusals:
+    """A plan whose floating-point arithmetic fails, or gives a gamma, N or
+    constant that is not finite, is refused in one line naming its regime
+    and eps (eps_n for a bayes plan)."""
+
+    @pytest.mark.parametrize("tune, message", [
+        (lambda: tune_sc(sc_pot(), 1e-300, "i"), "tuning sc-i at eps=1e-300: .* divides by 0"),
+        (lambda: tune_sc(sc_pot(), 1e300, "i"), "tuning sc-i at eps=1e[+]300: .* overflows"),
+        (lambda: tune_sc(potential(StronglyConvex(1e-300), 1.0, 1), 0.1, "i"),
+         "tuning sc-i at eps=0.1: .* divides by 0"),
+        (lambda: tune_sc(potential(StronglyConvex(1.0), 1e300, 1), 0.1, "i"),
+         "tuning sc-i at eps=0.1: .* overflows"),
+        (lambda: tune_sc(sc_pot(), 0.1, "i", calib=1e308), "tuning sc-i at eps=0.1: .* gives N = inf"),
+        (lambda: tune_weak(weak_pot(PPOW), 1e-300, "i.a"), "tuning weak-i.a at eps=1e-300"),
+        (lambda: tune_weak(weak_pot(PPOW, L=1e300, **C3), 0.1, "ii.a"),
+         "tuning weak-ii.a at eps=0.1"),
+        (lambda: tune_bayes(GaussianLocationModel(2, 1e300), n=400, regime="sc-i.a"),
+         "tuning bayes-sc-i.a: eps_n = .* is not finite at C_P=1e-300, L=1e[+]300"),
+    ], ids=["sc-eps-tiny", "sc-eps-huge", "sc-rho-tiny", "sc-L-huge", "sc-calib-huge",
+            "weak-eps-tiny", "weak-L-huge", "bayes-precision-huge"])
+    def test_refused_in_one_line(self, tune, message):
+        with pytest.raises(ParameterError, match=message) as exc:
+            tune()
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("C_P, L", [(1.0, 1e300), (1e300, 1e10), (math.inf, 1.0)])
+    def test_epsilon_n_refuses_what_is_not_finite(self, C_P, L):
+        with pytest.raises(ParameterError, match="eps_n = .* is not finite"):
+            epsilon_n(C_P, L, 1.0, 2, 400)
 
 
 class TestScalingLaws:
