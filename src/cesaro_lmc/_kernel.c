@@ -28,9 +28,19 @@
  * A pair's exponential is expneg(t) = e^-t, from IEEE operations alone,
  * so the logistic gradient's bits do not depend on the host's libm (the
  * value's log1p still does).  pairs_grad takes all z_v, then the weights
- * s_v, then the ordered sum.  The weights run on any host (weights_portable)
- * or, on x86-64 under GCC or clang, in 8 AVX-512 lanes (weights_avx512)
- * with the same operations in the same order; lmc_init picks one by CPU.
+ * s_v, then the ordered sum.  On x86-64 under GCC or clang, with a CPU
+ * that has AVX-512 (lmc_init looks), the weights run 8 pairs per register
+ * (weights_avx512), and lmc_step steps each group of 8 live replicates of
+ * a term with pairs, if it holds at least 4, one replicate per lane
+ * (step_lanes); every other group, Gaussian term and host runs the scalar
+ * body.  A lane runs the scalar operations in their order, so no bit
+ * depends on the path.  ns per replicate-step of M replicates, scalar body
+ * -> lanes forced on, one thread, 2-vCPU Sapphire Rapids (a Gaussian,
+ * d = 2, M = 2000: 17.7 -> 18.7):
+ *
+ *   pairs   M = 1        M = 2        M = 4        M = 8
+ *   50      267 -> 800   267 -> 400   266 -> 196   267 -> 106
+ *   3       83 -> 95     83 -> 52     83 -> 32     83 -> 25
  *
  * Build with -ffp-contract=off: a fused multiply-add would round once
  * where numpy rounds twice.
@@ -41,7 +51,7 @@
 #include <string.h>
 
 #if defined(__x86_64__) && (__GNUC__ >= 7 || __clang_major__ >= 5)
-#include <immintrin.h>  /* and the target attribute, for weights_avx512 */
+#include <immintrin.h>  /* and the target attribute, for weights_avx512 and step_lanes */
 #define LMC_AVX512 1
 #endif
 
@@ -128,11 +138,7 @@ static uint64_t probe_next64(void *st)
 
 static uint32_t probe_next32(void *st) { return (uint32_t)probe_next64(st); }
 
-static double probe_next_double(void *st)
-{
-    ((probe_state *)st)->calls++;
-    return 0.5;
-}
+static double probe_next_double(void *st) { return ((probe_state *)st)->calls++, 0.5; }
 
 /* numpy's normal for the word idx | rabs << 9; *at_once says whether it
  * returned on that word alone */
@@ -252,39 +258,109 @@ static void weights_portable(const lmc_pot *p, int64_t v0, int64_t n, double *s)
 }
 
 static void (*weights)(const lmc_pot *, int64_t, int64_t, double *) = weights_portable;
+#define PASS 64  /* the most pairs of one pass */
 
 #ifdef LMC_AVX512
 typedef double v8d __attribute__((vector_size(64)));
 typedef uint64_t v8u __attribute__((vector_size(64)));
+#define AVX512 __attribute__((target("avx512f,avx512dq")))
 
-/* weights_portable in 8 lanes, each running expneg's and the weight's
- * operations in their order, so with weights_portable's bits */
-__attribute__((target("avx512f,avx512dq")))
-static void weights_avx512(const lmc_pot *p, int64_t v0, int64_t n, double *s)
+/* expneg in 8 lanes, each running its operations in their order, so with its bits */
+AVX512 static inline v8d expneg8(v8d t)
 {
-    const v8d one = _mm512_set1_pd(1.0), zero = _mm512_setzero_pd();
+    v8d x = -_mm512_min_pd(_mm512_set1_pd(EXPNEG_MAX), t), kd = x * INV_LN2_64 + SHIFT;
+    v8u ki = (v8u)kd, j = ki & 63;
+    v8u sbits = (v8u)_mm512_i64gather_epi64((__m512i)j, FRAC, 8) + (((ki >> 6) + 2045) << 52);
+    kd -= SHIFT;
+    v8d r = x - kd * LN2_64_HI - kd * LN2_64_LO, r2 = r * r;
+    v8d tmp = _mm512_cvtepi32_pd(_mm512_i64gather_epi32((__m512i)j, TAIL, 4)) * 0x1p-62 + r
+              + r2 * (C2 + r * C3) + r2 * r2 * (C4 + r * C5);
+    return ((v8d)sbits + (v8d)sbits * tmp) * 0x1p-1022;
+}
+
+/* the weights of 8 pairs at z, as weights_portable takes them */
+AVX512 static inline v8d weight8(v8d z, v8d cplus, v8d cminus)
+{
+    const v8d one = _mm512_set1_pd(1.0), zero = _mm512_setzero_pd(), e = expneg8(_mm512_abs_pd(z));
+    v8d up = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(z, zero, _CMP_GE_OQ), e, one);
+    v8d down = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(z, zero, _CMP_LE_OQ), e, one);
+    return (cminus * up - cplus * down) / (one + e);
+}
+
+/* weights_portable, 8 pairs at a time */
+AVX512 static void weights_avx512(const lmc_pot *p, int64_t v0, int64_t n, double *s)
+{
     for (int64_t v = 0; v < n; v += 8) {
         __mmask8 lanes = (__mmask8)(n - v >= 8 ? 0xff : (1u << (n - v)) - 1);
-        v8d z = _mm512_maskz_loadu_pd(lanes, s + v);
-        v8d x = -_mm512_min_pd(_mm512_set1_pd(EXPNEG_MAX), _mm512_abs_pd(z));
-        v8d kd = x * INV_LN2_64 + SHIFT;
-        v8u ki = (v8u)kd, j = ki & 63;
-        v8u sbits = (v8u)_mm512_i64gather_epi64((__m512i)j, FRAC, 8) + (((ki >> 6) + 2045) << 52);
-        kd -= SHIFT;
-        v8d r = x - kd * LN2_64_HI - kd * LN2_64_LO, r2 = r * r;
-        v8d tmp = _mm512_cvtepi32_pd(_mm512_i64gather_epi32((__m512i)j, TAIL, 4)) * 0x1p-62 + r
-                  + r2 * (C2 + r * C3) + r2 * r2 * (C4 + r * C5);
-        v8d scale = (v8d)sbits, e = (scale + scale * tmp) * 0x1p-1022;
-        v8d up = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(z, zero, _CMP_GE_OQ), e, one);
-        v8d down = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(z, zero, _CMP_LE_OQ), e, one);
-        v8d w = _mm512_maskz_loadu_pd(lanes, p->cminus + v0 + v) * up
-                - _mm512_maskz_loadu_pd(lanes, p->cplus + v0 + v) * down;
-        _mm512_mask_storeu_pd(s + v, lanes, w / (one + e));
+        _mm512_mask_storeu_pd(s + v, lanes, weight8(_mm512_maskz_loadu_pd(lanes, s + v),
+                              _mm512_maskz_loadu_pd(lanes, p->cplus + v0 + v),
+                              _mm512_maskz_loadu_pd(lanes, p->cminus + v0 + v)));
     }
+}
+
+/* lmc_step's scalar body on its live replicates idx[0..n), n <= 8, lane k
+ * stepping replicate idx[k] through the same operations in the same order
+ * (each g[j] adds the pairs in pair order).  A diverged lane leaves the
+ * live mask.  X is lmc_step's work: x, ces, comp and g, d vectors each. */
+AVX512 static void step_lanes(const lmc_pot *p, const int64_t *idx, int n, lmc_stream *streams,
+                              double h, double sqrt2h, int64_t step0, int64_t todo, double *x,
+                              double *ces, double *comp, int64_t *diverged, double *states,
+                              int64_t states_stride, v8d *X)
+{
+    const int64_t d = p->d;
+    v8d *S = X + d, *C = S + d, *G = C + d, w[PASS];
+    __mmask8 live = (__mmask8)((1u << n) - 1);
+    for (int k = 0; k < 8; k++)  /* a lane past n runs a copy of lane 0 and is never read */
+        for (int64_t j = 0, r = idx[k < n ? k : 0] * d; j < d; j++)
+            X[j][k] = x[r + j], S[j][k] = ces[r + j], C[j][k] = comp[r + j];
+    for (int64_t step = step0; step < step0 + todo && live; step++) {
+        for (int64_t j = 0; j < d; j++) {
+            v8d t1 = X[j] - C[j], t2 = S[j] + t1;
+            C[j] = (t2 - S[j]) - t1;
+            S[j] = t2;
+        }
+        for (int k = 0; k < n && states; k++)
+            for (int64_t j = 0; j < d && live >> k & 1; j++)
+                states[idx[k] * states_stride + (step - step0) * d + j] = X[j][k];
+        for (int64_t j = 0; j < d; j++)
+            G[j] = p->mu * (X[j] - p->center[j]);
+        for (int64_t v0 = 0; v0 < p->pairs; v0 += PASS) {
+            const int64_t np = p->pairs - v0 < PASS ? p->pairs - v0 : PASS;
+            const double *a = p->rows + v0 * d;
+            for (int64_t v = 0; v < np; v++) {
+                v8d z = a[v * d] * X[0];
+                for (int64_t j = 1; j < d; j++)
+                    z += a[v * d + j] * X[j];
+                w[v] = weight8(z, _mm512_set1_pd(p->cplus[v0 + v]),
+                               _mm512_set1_pd(p->cminus[v0 + v]));
+            }
+            for (int64_t j = 0; j < d; j++)  /* each g[j] still adds the pairs in order */
+                for (int64_t v = 0; v < np; v++)
+                    G[j] += w[v] * a[v * d + j];
+        }
+        __mmask8 ok = 0xff;
+        for (int64_t j = 0; j < d; j++) {
+            v8d noise = _mm512_setzero_pd();
+            for (int k = 0; k < n; k++)
+                if (live >> k & 1)
+                    noise[k] = normal(streams + idx[k]);
+            X[j] = (X[j] - G[j] * h) + noise * sqrt2h;
+            ok &= _mm512_cmp_pd_mask(_mm512_abs_pd(X[j]), _mm512_set1_pd(DIVERGE_LIMIT), _CMP_LT_OQ);
+        }
+        for (int k = 0; k < n; k++)
+            if (live >> k & 1 && !(ok >> k & 1)) {
+                live &= (__mmask8)~(1u << k);
+                diverged[idx[k]] = step;
+                for (int64_t j = 0, r = idx[k] * d; j < d; j++)
+                    comp[r + j] = C[j][k], ces[r + j] = x[r + j] = NAN;
+            }
+    }
+    for (int k = 0; k < n; k++)
+        for (int64_t j = 0, r = idx[k] * d; j < d && live >> k & 1; j++)
+            x[r + j] = X[j][k], ces[r + j] = S[j][k], comp[r + j] = C[j][k];
 }
 #endif
 
-#define PASS 64  /* the most pairs of one pass */
 /* g += the pairs' gradients at x, PASS pairs at a time: every z_v, then
  * weights(), then the ordered sum g += s_v a_v in pair order */
 static void pairs_grad(const lmc_pot *p, const double *x, double *g)
@@ -418,52 +494,64 @@ void lmc_normals(lmc_stream *s, int64_t n, double *out)
         out[i] = normal(s);
 }
 
-/* Steps step0 .. step0 + todo - 1 of m replicates, one replicate at a
- * time.  x, ces, comp are (m, d); diverged is (m,), -1 while alive, and a
- * replicate with diverged >= 0 is skipped.  On divergence a replicate's
- * step is recorded and its ces and x become NaN.  When states is not NULL,
- * replicate i writes the state before each step to the rows starting at
+/* Steps step0 .. step0 + todo - 1 of m replicates.  x, ces, comp are
+ * (m, d); diverged is (m,), -1 while alive, and a replicate with
+ * diverged >= 0 is skipped.  On divergence a replicate's step is recorded
+ * and its ces and x become NaN.  When states is not NULL, replicate i
+ * writes the state before each step to the rows starting at
  * states + i * states_stride; rows after its divergence are left as they
  * were.  Replicate i draws from streams[i].  A replicate touches only its
  * own rows and stream, so the caller (_kernel.Kernel.step) steps disjoint
- * replicate ranges in concurrent calls without moving a bit.  g is the
- * caller's gradient buffer of d doubles, one per concurrent call. */
+ * replicate ranges in concurrent calls without moving a bit.  work is the
+ * caller's buffer of 32 d doubles on a 64-byte line, one per concurrent
+ * call. */
 void lmc_step(const lmc_pot *p, lmc_stream *streams, int64_t m, double h, double sqrt2h,
               int64_t step0, int64_t todo, double *x, double *ces, double *comp,
-              int64_t *diverged, double *states, int64_t states_stride, double *g)
+              int64_t *diverged, double *states, int64_t states_stride, double *work)
 {
     const int64_t d = p->d;
-    for (int64_t i = 0; i < m; i++) {
-        if (diverged[i] >= 0)
+    for (int64_t i = 0; i < m;) {
+        int64_t idx[8], n = 0;
+        for (; i < m && n < 8; i++)
+            if (diverged[i] < 0)
+                idx[n++] = i;
+#ifdef LMC_AVX512
+        if (weights == weights_avx512 && p->pairs && n >= 4) {  /* the CPU has AVX-512 */
+            step_lanes(p, idx, n, streams, h, sqrt2h, step0, todo, x, ces, comp, diverged,
+                       states, states_stride, (v8d *)work);
             continue;
-        double *xi = x + i * d, *si = ces + i * d, *ci = comp + i * d;
-        double *row = states ? states + i * states_stride : NULL;
-        for (int64_t step = step0; step < step0 + todo; step++) {
-            /* Cesaro includes the current (pre-step) state */
-            for (int64_t j = 0; j < d; j++) {
-                double t1 = xi[j] - ci[j];
-                double t2 = si[j] + t1;
-                ci[j] = (t2 - si[j]) - t1;
-                si[j] = t2;
-            }
-            if (row) {
-                memcpy(row, xi, (size_t)d * sizeof(double));
-                row += d;
-            }
-            grad_point(p, xi, g);
-            for (int64_t j = 0; j < d; j++) {
-                double y = xi[j] - g[j] * h;
-                xi[j] = y + normal(streams + i) * sqrt2h;
-            }
-            /* NaN and inf fail the comparison */
-            int bad = 0;
-            for (int64_t j = 0; j < d; j++)
-                bad |= !(fabs(xi[j]) < DIVERGE_LIMIT);
-            if (bad) {
-                diverged[i] = step;
+        }
+#endif
+        for (int k = 0; k < n; k++) {
+            const int64_t r = idx[k];
+            double *xi = x + r * d, *si = ces + r * d, *ci = comp + r * d, *g = work;
+            double *row = states ? states + r * states_stride : NULL;
+            for (int64_t step = step0; step < step0 + todo; step++) {
+                /* Cesaro includes the current (pre-step) state */
+                for (int64_t j = 0; j < d; j++) {
+                    double t1 = xi[j] - ci[j], t2 = si[j] + t1;
+                    ci[j] = (t2 - si[j]) - t1;
+                    si[j] = t2;
+                }
+                if (row) {
+                    memcpy(row, xi, (size_t)d * sizeof(double));
+                    row += d;
+                }
+                grad_point(p, xi, g);
+                for (int64_t j = 0; j < d; j++) {
+                    double y = xi[j] - g[j] * h;
+                    xi[j] = y + normal(streams + r) * sqrt2h;
+                }
+                /* NaN and inf fail the comparison */
+                int bad = 0;
                 for (int64_t j = 0; j < d; j++)
-                    si[j] = xi[j] = NAN;
-                break;
+                    bad |= !(fabs(xi[j]) < DIVERGE_LIMIT);
+                if (bad) {
+                    diverged[r] = step;
+                    for (int64_t j = 0; j < d; j++)
+                        si[j] = xi[j] = NAN;
+                    break;
+                }
             }
         }
     }

@@ -88,6 +88,10 @@ def _is_positive(v) -> bool:
     return _is_number(v) and v > 0
 
 
+def _is_length(v) -> bool:  # a probe radius or a deviation: 1e154^2 is still a finite double
+    return _is_positive(v) and v < 1e154
+
+
 def _is_count(v) -> bool:
     return type(v) is int and v >= 1  # bool and float are refused
 
@@ -128,11 +132,12 @@ def _flag_or(table):
 
 _NUMBER = _is(_is_number, "a number")
 _NUMBERS = _is(_is_numbers, "a number or an array of numbers")
-_POSITIVES = _is(lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_positive, v)),
-                 "an array of one or more positive numbers")
 _INTEGER = _is(lambda v: type(v) is int, "an integer")  # bool and float are refused
 _COUNT = _is(_is_count, "an integer >= 1")
 _POSITIVE = _is(_is_positive, "a positive number")
+_LENGTH = _is(_is_length, "a positive number below 1e154")
+_LENGTHS = _is(lambda v: isinstance(v, list) and len(v) > 0 and all(map(_is_length, v)),
+               "an array of one or more positive numbers below 1e154")
 _STRING = _is(lambda v: isinstance(v, str), "a string")
 _SEED = _required(_INTEGER)  # seeds are never defaulted
 
@@ -239,11 +244,11 @@ _SCHEMA = {
     "tuning": _keyed("regime", _REGIMES),
     "run": {"M": _required(_COUNT), "base_seed": _SEED, "output_dir": _STRING},
     "diagnostics": {
-        "kl_profile": _flag_or({"n_probes": _COUNT, "radius": _POSITIVE, "seed": _INTEGER}),
+        "kl_profile": _flag_or({"n_probes": _COUNT, "radius": _LENGTH, "seed": _INTEGER}),
         "grad_bounds": _flag_or({"n_probes": _COUNT, "seed": _INTEGER}),
         # the options concentration and test_phi cannot run without are required
         "concentration": {
-            "n": _required(_COUNT), "delta_grid": _required(_POSITIVES),
+            "n": _required(_COUNT), "delta_grid": _required(_LENGTHS),
             "M": _required(_COUNT), "seed": _SEED, "statistic": _one_of("psi", "score"),
         },
         "test_phi": {

@@ -156,13 +156,17 @@ REFUSED += [
          lambda v: {"model": {**REFUSAL_BASES["model"]["model"], "b1": v}}),
         ("k_sigma", "potential", "oracle.k_sigma", "a positive number", _NON_POSITIVE,
          lambda v: {"oracle": {"task": "quadrature", "k_sigma": v}}),
+        # a deviation and a probe radius are squared: from 1e154 the square overflows
         ("delta_grid", "model", "diagnostics.concentration.delta_grid",
-         "an array of one or more positive numbers",
-         {"zero": [0], "negative": [0.5, -1.0], "empty": []},
+         "an array of one or more positive numbers below 1e154",
+         {"zero": [0], "negative": [0.5, -1.0], "empty": [], "huge": [0.5, 1e154]},
          lambda v: {"diagnostics": {"concentration": {
              **REFUSAL_BASES["model"]["diagnostics"]["concentration"], "delta_grid": v}}}),
         ("b2", "model", "diagnostics.test_phi.b2", "a positive number", _NON_POSITIVE,
          lambda v: {"diagnostics": {"test_phi": {**_PHI, "b2": v}}}),
+        ("radius", "potential", "diagnostics.kl_profile.radius", "a positive number below 1e154",
+         {**_NON_POSITIVE, "huge": 1e300},
+         lambda v: {"diagnostics": {"kl_profile": {"radius": v}}}),
     ]
     for label, v in values.items()
 ]
@@ -1014,6 +1018,20 @@ class TestExitCodeMapping:
         cfg = json.loads((CONFIGS / config).read_text())
         cfg[section] = value
         exits_2_with_one_line(tmp_path, command, cfg)
+
+    @pytest.mark.parametrize("config, diagnostics, key", [
+        ("conjugate_posterior.json",
+         {"concentration": {"n": 100, "M": 50, "seed": 0, "delta_grid": [1e300]}},
+         "diagnostics.concentration.delta_grid"),
+        ("p_power_verify.json", {"kl_profile": {"n_probes": 10000, "radius": 1e300, "seed": 0}},
+         "diagnostics.kl_profile.radius"),
+    ])
+    def test_a_length_whose_square_overflows_exits_2(self, tmp_path, config, diagnostics, key):
+        """A deviation or a probe radius from 1e154 on has no finite square: ``verify``
+        refuses it at load, not with an overflow traceback or a FAIL on NaN ratios."""
+        cfg = json.loads((CONFIGS / config).read_text())
+        cfg["diagnostics"] = diagnostics
+        assert exits_2_with_one_line(tmp_path, "verify", cfg).startswith(f"error: {key} must be")
 
     @pytest.mark.parametrize(
         "section, block, key",

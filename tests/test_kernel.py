@@ -371,6 +371,67 @@ class TestSplitRanges:
             assert mine.tobytes() == alone.tobytes() == serial.tobytes()
 
 
+@pytest.mark.compiled
+@pytest.mark.parametrize("m, dead", [(3, None), (4, None), (5, None), (8, 1), (9, None),
+                                     (21, 6)])
+def test_lanes_match_the_scalar_body(lib, m, dead):
+    """A batch of m replicates of a 50-pair logistic posterior, stepped
+    through ``Kernel.step`` in four calls with the states buffer on, equals
+    its ``run_chain`` singletons byte for byte, and its states equal those
+    of each replicate stepped alone.  ``lmc_step`` runs a group of at least
+    4 live replicates of a term with pairs in 8 AVX-512 lanes where the CPU
+    has them, and a lone replicate on the scalar body, so on such a host
+    this checks the lanes against the scalar body; on a host without
+    AVX-512 both sides run the scalar body.  At gamma = 2.4 / mu every step
+    stretches the state by at least 1.4, so from x0 rows spread over
+    1e-2 .. 1e10 the lanes of a group diverge at different steps, in
+    different calls, or not within the 60 steps.  Replicate ``dead`` is
+    dead on entry: its rows, its stream and its states are left as they were."""
+    model = LogisticModel(stream(12).standard_normal((50, 2)), ridge=0.5)
+    pot = build_posterior(model, sample_dataset(model, [0.4, -0.3], 400, seed=9)).potential
+    assert pot.kernel[0].shape == (50, 2)
+    calls = (1, 9, 20, 30)  # the steps of each step call
+    gamma, n = 2.4 / pot.kernel[3], sum(calls)
+    signs = np.where(np.arange(m)[:, None] % 2, [1.0, -0.5], [-0.3, 1.0])
+    x0 = np.geomspace(1e-2, 1e10, m)[:, None] * signs
+    seeds = mix64(17, np.arange(m, dtype=np.uint64))
+    kern = _kernel.Kernel(lib, pot.kernel, 2)
+
+    def batch(rows):
+        """ces, x, diverged, the states each call wrote (unwritten rows at 7.0)
+        and the streams of the replicates ``rows`` stepped as one batch."""
+        streams, x = _kernel.streams(seeds[rows]), x0[rows].copy()
+        ces, comp = np.zeros_like(x), np.zeros_like(x)
+        diverged = np.array([-1 if i != dead else 3 for i in rows], dtype=np.int64)
+        states, written = np.empty((len(rows), max(calls), 2)), []
+        for step, todo in zip(np.cumsum((0,) + calls), calls):
+            states.fill(7.0)
+            kern.step(streams, gamma, np.sqrt(2.0 * gamma), int(step), todo, x, ces, comp,
+                      diverged, states)
+            written.append(states[:, :todo].copy())
+        return ces, x, diverged, np.concatenate(written, axis=1), streams
+
+    ces, x, diverged, states, streams = batch(list(range(m)))
+    live = [i for i in range(m) if i != dead]
+    steps = diverged[live][diverged[live] >= 0]
+    assert 0 < steps.size < len(live) and len(set(steps.tolist())) > 1
+    assert len(set(np.searchsorted(np.cumsum(calls), steps, "right").tolist())) > 1
+    for i in live:
+        try:
+            alone = run_chain(pot, ChainConfig(gamma=gamma, n_steps=n, x0=x0[i],
+                                               seed=int(seeds[i])))
+        except DivergenceError as exc:
+            alone = exc.payload
+        assert (ces[i] / n).tobytes() == alone.cesaro.tobytes()
+        assert x[i].tobytes() == alone.final_state.tobytes()
+        assert diverged[i] == (-1 if alone.diverged_step is None else alone.diverged_step)
+        assert states[i].tobytes() == batch([i])[3][0].tobytes()
+    if dead is not None:
+        assert x[dead].tobytes() == x0[dead].tobytes() and not ces[dead].any()
+        assert diverged[dead] == 3 and np.all(states[dead] == 7.0)
+        assert streams[dead].tobytes() == _kernel.streams(seeds[[dead]])[0].tobytes()
+
+
 def test_a_cached_kernel_loads_without_subprocess(lib):
     # the module fixture built or found the library, so this load reads the cache
     code = ("import sys; from cesaro_lmc import _kernel; "

@@ -10,7 +10,8 @@ copy.  So a mutant the tests let pass, a test id that no longer exists
 (status 4), a copy that no longer imports (status 2) and a ``_kernel.c``
 that no longer compiles (its tests skip, status 0) all fail here.  An old
 text that does not occur exactly once fails too, so a refactor has to
-re-place the mutants of the code it moves.
+re-place the mutants of the code it moves.  A mutant of the AVX-512 lane
+step is skipped on a CPU without AVX-512, which never runs that code.
 """
 
 import os
@@ -32,6 +33,7 @@ class Mutant(NamedTuple):
     new: str
     kills: Tuple[str, ...]  # test ids, relative to the repository root
     compiled: bool = False  # its tests need the compiled kernel
+    lanes: bool = False  # it mutates the AVX-512 lane step, which only such a CPU runs
 
 
 MUTANTS = [
@@ -168,7 +170,25 @@ MUTANTS = [
            "        for (int64_t v = n - 1; v >= 0; v--)\n            for (int64_t j = 0;",
            ("tests/test_expneg.py::test_pass_is_the_transcription_bit_for_bit[50-pairs]",),
            compiled=True),
+    Mutant("lane-kahan-drops-the-compensation", "cesaro_lmc/_kernel.c",
+           "v8d t1 = X[j] - C[j], t2", "v8d t1 = X[j], t2",
+           ("tests/test_kernel.py::test_lanes_match_the_scalar_body[21-6]",),
+           compiled=True, lanes=True),
+    Mutant("lane-divergence-recorded-a-step-late", "cesaro_lmc/_kernel.c",
+           "diverged[idx[k]] = step;", "diverged[idx[k]] = step + 1;",
+           ("tests/test_kernel.py::test_lanes_match_the_scalar_body[21-6]",),
+           compiled=True, lanes=True),
 ]
+
+
+def _avx512():
+    """Whether the CPU has the AVX-512 subsets the kernel's lane step needs (Linux)."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = fh.read()
+    except OSError:
+        return False
+    return "avx512f" in flags and "avx512dq" in flags
 
 
 @pytest.fixture(scope="module")
@@ -206,7 +226,9 @@ def test_every_named_test_passes_on_an_unmutated_copy(tmp_path, kernel_cache):
 
 
 @pytest.mark.parametrize("mutant", [
-    pytest.param(m, id=m.name, marks=[pytest.mark.compiled] * m.compiled) for m in MUTANTS])
+    pytest.param(m, id=m.name, marks=[pytest.mark.compiled] * m.compiled + [
+        pytest.mark.skipif(m.lanes and not _avx512(), reason="the CPU runs no lane step")])
+    for m in MUTANTS])
 def test_mutant_is_killed(mutant, tmp_path, kernel_cache):
     src = _copy_src(tmp_path)
     path = src / mutant.file
