@@ -25,22 +25,25 @@
  * without a numpy Generator or a noise block.  _kernel.py checks the
  * normals against numpy when it loads the library.
  *
- * A pair's exponential is expneg(t) = e^-t, from IEEE operations alone,
- * so the logistic gradient's bits do not depend on the host's libm (the
- * value's log1p still does).  pairs_grad takes all z_v, then the weights
- * s_v, then the ordered sum.  On x86-64 under GCC or clang, with a CPU
- * that has AVX-512 (lmc_init looks), the weights run 8 pairs per register
- * (weights_avx512), and lmc_step steps each group of 8 live replicates of
- * a term with pairs, if it holds at least 4, one replicate per lane
- * (step_lanes); every other group, Gaussian term and host runs the scalar
- * body.  A lane runs the scalar operations in their order, so no bit
- * depends on the path.  ns per replicate-step of M replicates, scalar body
- * -> lanes forced on, one thread, 2-vCPU Sapphire Rapids (a Gaussian,
- * d = 2, M = 2000: 17.7 -> 18.7):
+ * A pair's exponential is expneg(t) = e^-t and its log(1 + e^-|z|) is
+ * log1p01(expneg(|z|)), both from IEEE operations alone, so no logistic
+ * bit depends on the host's libm.  pairs_grad takes all z_v, then the
+ * weights s_v, then the ordered sum; value_point all z_v, then the terms
+ * t+_v and t-_v, then the ordered sum.  On x86-64 under GCC or clang, with
+ * a CPU that has AVX-512 (lmc_init looks), the weights and the terms run 8
+ * pairs per register (weights_avx512, terms_avx512) in a pass of at least
+ * GRAD_LANES or VALUE_LANES pairs, and lmc_step steps each group of 8 live
+ * replicates of a term with pairs, if it holds at least 4, one replicate
+ * per lane (step_lanes); every other pass, group, Gaussian term and host
+ * runs the scalar loop.  A lane runs the scalar operations in their order,
+ * so no bit depends on the path.  ns per replicate-step of M replicates,
+ * scalar body -> lanes forced on, one thread, 2-vCPU Sapphire Rapids (a
+ * Gaussian, d = 2, M = 2000: 17.7 -> 18.7), and ns per point-pair of
+ * lmc_value, scalar -> lanes:
  *
- *   pairs   M = 1        M = 2        M = 4        M = 8
- *   50      267 -> 800   267 -> 400   266 -> 196   267 -> 106
- *   3       83 -> 95     83 -> 52     83 -> 32     83 -> 25
+ *   pairs   M = 1        M = 2        M = 4        M = 8        value
+ *   50      267 -> 800   267 -> 400   266 -> 196   267 -> 106   21.8 -> 7.3
+ *   3       83 -> 95     83 -> 52     83 -> 32     83 -> 25     (scalar) 24
  *
  * Build with -ffp-contract=off: a fused multiply-add would round once
  * where numpy rounds twice.
@@ -246,6 +249,66 @@ static inline double expneg(double t)
     return (scale + scale * tmp) * 0x1p-1022;
 }
 
+/* log(1 + j/16) = LOG_HI[j] + LOG_LO[j] within 2^-106, and INV_F[j] = 1 / (1 + j/16)
+ * rounded, from exact arithmetic; 17 entries, so the 8-lane build reads them from
+ * registers (the first 16 by permutes) rather than by gathers */
+static const double LOG_HI[17] = {
+    0.0, 0x1.f0a30c01162a6p-5, 0x1.e27076e2af2e6p-4, 0x1.5ff3070a793d4p-3,
+    0x1.c8ff7c79a9a22p-3, 0x1.1675cababa60ep-2, 0x1.4618bc21c5ec2p-2, 0x1.739d7f6bbd007p-2,
+    0x1.9f323ecbf984cp-2, 0x1.c8ff7c79a9a22p-2, 0x1.f128f5faf06edp-2, 0x1.0be72e4252a83p-1,
+    0x1.1e85f5e7040d0p-1, 0x1.307d7334f10bep-1, 0x1.41d8fe84672aep-1, 0x1.52a2d265bc5abp-1,
+    0x1.62e42fefa39efp-1,
+};
+static const double LOG_LO[17] = {
+    0.0, 0x1.85f325c5bbacdp-59, -0x1.61578001e0162p-60, -0x1.bc60efafc6f6ep-58,
+    -0x1.4f689f8434012p-57, 0x1.ce63eab883717p-61, 0x1.f42decdeccf1dp-56, -0x1.8c76ceb014b04p-56,
+    -0x1.a92e513217f5cp-59, -0x1.4f689f8434012p-56, -0x1.328df13bb38c3p-56, -0x1.259da11330801p-55,
+    0x1.ef62cd2f9f1e3p-56, 0x1.fb590a1f566dap-57, 0x1.9192f30bd1806p-55, -0x1.1883750ea4d0ap-57,
+    0x1.abc9e3b39803fp-56,
+};
+static const double INV_F[17] = {
+    0x1.0000000000000p+0, 0x1.e1e1e1e1e1e1ep-1, 0x1.c71c71c71c71cp-1, 0x1.af286bca1af28p-1,
+    0x1.999999999999ap-1, 0x1.8618618618618p-1, 0x1.745d1745d1746p-1, 0x1.642c8590b2164p-1,
+    0x1.5555555555555p-1, 0x1.47ae147ae147bp-1, 0x1.3b13b13b13b14p-1, 0x1.2f684bda12f68p-1,
+    0x1.2492492492492p-1, 0x1.1a7b9611a7b96p-1, 0x1.1111111111111p-1, 0x1.0842108421084p-1,
+    0x1.0000000000000p-1,
+};
+
+/* log(1 + r) = r + r^2 q(r) within 2^-56 r^2 for |r| <= 1.01/32, q of degree 8 by
+ * Chebyshev interpolation of (log(1 + r) - r) / r^2 */
+static const double Q[9] = {
+    -0x1.0000000000000p-1, 0x1.555555555551dp-2, -0x1.fffffffffff98p-3, 0x1.9999999b0cd8ep-3,
+    -0x1.55555556a9a6cp-3, 0x1.249234acd7c28p-3, -0x1.ffffda799f956p-4, 0x1.c7f261257b2c7p-4,
+    -0x1.9a5db5d89db2bp-4,
+};
+#define CHOP ~(uint64_t)0xff  /* keeps 45 of 53 bits: then r1 F is exact */
+
+/* log(1 + u) for u in [0, 1], the range of expneg, faithfully rounded, NaN for NaN.
+ * Tang's table-driven reduction (ACM TOMS 16(4), 1990): 1 + u = y + c exactly, c the
+ * rounding error of y = 1 + u, and y = F + f with F = 1 + j/16 nearest y, so
+ * log(1 + u) = log F + log(1 + r) with r = (f + c) / F = r1 + r2: r1 is f / F chopped
+ * to 45 bits, so that f - r1 F is exact, and r2 the rest.  log F + r1 is summed
+ * exactly (Fast2Sum: log F > |r1| or log F = 0), and the rest, small, added last. */
+static inline double log1p01(double u)
+{
+    double y = 1.0 + u, a = y - 1.0, c = u - a, jd = a * 16.0 + SHIFT, r1;
+    uint64_t j, bits;
+    memcpy(&j, &jd, sizeof j);
+    j &= 31;
+    j = j < 16 ? j : 16;  /* j <= 16 but for NaN */
+    jd -= SHIFT;
+    double f = a - jd * 0.0625, F = 1.0 + jd * 0.0625;
+    r1 = f * INV_F[j];
+    memcpy(&bits, &r1, sizeof bits);
+    bits &= CHOP;
+    memcpy(&r1, &bits, sizeof r1);
+    double r2 = ((f - r1 * F) + c) * INV_F[j], r = r1 + r2, rr = r * r, r4 = rr * rr;
+    double q = (Q[0] + r * Q[1]) + rr * (Q[2] + r * Q[3])
+               + r4 * ((Q[4] + r * Q[5]) + rr * (Q[6] + r * Q[7]) + r4 * Q[8]);
+    double s = LOG_HI[j] + r1;
+    return s + ((((LOG_HI[j] - s) + r1) + LOG_LO[j]) + r2 + rr * q);
+}
+
 /* s[v] = z_v -> s_v = c- sigma(z) - c+ sigma(-z) for the n pairs from v0,
  * sigma(z) = (z >= 0 ? 1 : e) / (1 + e) with e = e^-|z| */
 static void weights_portable(const lmc_pot *p, int64_t v0, int64_t n, double *s)
@@ -257,8 +320,26 @@ static void weights_portable(const lmc_pot *p, int64_t v0, int64_t n, double *s)
     }
 }
 
+/* s[v] = z_v -> s[v] = t+_v = c+ (max(-z, 0) + l) and t[v] = t-_v = c- (max(z, 0) + l) for
+ * the n pairs from v0, l = log(1 + e^-|z|) */
+static void terms_portable(const lmc_pot *p, int64_t v0, int64_t n, double *s, double *t)
+{
+    for (int64_t v = 0; v < n; v++) {
+        double z = s[v], l = log1p01(expneg(fabs(z)));
+        s[v] = p->cplus[v0 + v] * ((z < 0.0 ? -z : 0.0) + l);
+        t[v] = p->cminus[v0 + v] * ((z > 0.0 ? z : 0.0) + l);
+    }
+}
+
 static void (*weights)(const lmc_pot *, int64_t, int64_t, double *) = weights_portable;
+static void (*terms)(const lmc_pot *, int64_t, int64_t, double *, double *) = terms_portable;
 #define PASS 64  /* the most pairs of one pass */
+/* the fewest pairs of a pass that takes weights or terms: a shorter one runs the portable
+ * loop, which is faster there (ns per point-pair, portable -> 8 lanes, one thread, 2-vCPU
+ * Sapphire Rapids: grad 3 pairs 9.8 -> 26, 12 pairs 8.4 -> 8.9, 16 pairs 8.6 -> 7.5;
+ * value 3 pairs 24 -> 33, 5 pairs 23 -> 21) */
+#define GRAD_LANES 16
+#define VALUE_LANES 5
 
 #ifdef LMC_AVX512
 typedef double v8d __attribute__((vector_size(64)));
@@ -295,6 +376,45 @@ AVX512 static void weights_avx512(const lmc_pot *p, int64_t v0, int64_t n, doubl
         _mm512_mask_storeu_pd(s + v, lanes, weight8(_mm512_maskz_loadu_pd(lanes, s + v),
                               _mm512_maskz_loadu_pd(lanes, p->cplus + v0 + v),
                               _mm512_maskz_loadu_pd(lanes, p->cminus + v0 + v)));
+    }
+}
+
+/* the entries j of a 17-entry table: the first 16 by a permute, the last by a blend */
+AVX512 static inline v8d table8(const double *t, v8u j)
+{
+    v8d first = _mm512_permutex2var_pd(_mm512_loadu_pd(t), (__m512i)j, _mm512_loadu_pd(t + 8));
+    __mmask8 last = _mm512_cmpeq_epu64_mask((__m512i)j, _mm512_set1_epi64(16));
+    return _mm512_mask_blend_pd(last, first, _mm512_set1_pd(t[16]));
+}
+
+/* log1p01 in 8 lanes, each running its operations in their order, so with its bits */
+AVX512 static inline v8d log1p8(v8d u)
+{
+    const v8d one = _mm512_set1_pd(1.0);
+    v8d y = one + u, a = y - one, c = u - a, jd = a * 16.0 + SHIFT;
+    v8u j = (v8u)_mm512_min_epu64((__m512i)((v8u)jd & 31), _mm512_set1_epi64(16));
+    jd -= SHIFT;
+    v8d f = a - jd * 0.0625, F = one + jd * 0.0625, inv = table8(INV_F, j), hi = table8(LOG_HI, j);
+    v8d r1 = (v8d)((v8u)(f * inv) & CHOP);
+    v8d r2 = ((f - r1 * F) + c) * inv, r = r1 + r2, rr = r * r, r4 = rr * rr;
+    v8d q = (Q[0] + r * Q[1]) + rr * (Q[2] + r * Q[3])
+            + r4 * ((Q[4] + r * Q[5]) + rr * (Q[6] + r * Q[7]) + r4 * Q[8]);
+    v8d s = hi + r1;
+    return s + ((((hi - s) + r1) + table8(LOG_LO, j)) + r2 + rr * q);
+}
+
+/* terms_portable, 8 pairs at a time */
+AVX512 static void terms_avx512(const lmc_pot *p, int64_t v0, int64_t n, double *s, double *t)
+{
+    const v8d zero = _mm512_setzero_pd();
+    for (int64_t v = 0; v < n; v += 8) {
+        __mmask8 lanes = (__mmask8)(n - v >= 8 ? 0xff : (1u << (n - v)) - 1);
+        v8d z = _mm512_maskz_loadu_pd(lanes, s + v), l = log1p8(expneg8(_mm512_abs_pd(z)));
+        /* max_pd returns its second operand, 0, for NaN and for two zeros, as the ternaries do */
+        _mm512_mask_storeu_pd(s + v, lanes, _mm512_maskz_loadu_pd(lanes, p->cplus + v0 + v)
+                                            * (_mm512_max_pd(-z, zero) + l));
+        _mm512_mask_storeu_pd(t + v, lanes, _mm512_maskz_loadu_pd(lanes, p->cminus + v0 + v)
+                                            * (_mm512_max_pd(z, zero) + l));
     }
 }
 
@@ -361,8 +481,8 @@ AVX512 static void step_lanes(const lmc_pot *p, const int64_t *idx, int n, lmc_s
 }
 #endif
 
-/* g += the pairs' gradients at x, PASS pairs at a time: every z_v, then
- * weights(), then the ordered sum g += s_v a_v in pair order */
+/* g += the pairs' gradients at x, PASS pairs at a time: every z_v, then the
+ * weights, then the ordered sum g += s_v a_v in pair order */
 static void pairs_grad(const lmc_pot *p, const double *x, double *g)
 {
     const int64_t d = p->d;
@@ -372,7 +492,7 @@ static void pairs_grad(const lmc_pot *p, const double *x, double *g)
         const double *a = p->rows + v0 * d;
         for (int64_t v = 0; v < n; v++)
             s[v] = dot(a + v * d, x, d);
-        weights(p, v0, n, s);
+        (n >= GRAD_LANES ? weights : weights_portable)(p, v0, n, s);
         for (int64_t v = 0; v < n; v++)
             for (int64_t j = 0; j < d; j++)
                 g[j] += s[v] * a[v * d + j];
@@ -392,14 +512,20 @@ static void grad_point(const lmc_pot *p, const double *x, double *g)
 static double value_point(const lmc_pot *p, const double *x)
 {
     const int64_t d = p->d;
-    double w = 0.0, sq = 0.0;
-    for (int64_t v = 0; v < p->pairs; v++) {
-        double z = dot(p->rows + v * d, x, d), l = log1p(expneg(fabs(z)));
+    double w = 0.0, sq = 0.0, s[PASS], t[PASS];
+    /* PASS pairs at a time: every z_v, then the terms, then the ordered sum in pair order */
+    for (int64_t v0 = 0; v0 < p->pairs; v0 += PASS) {
+        const int64_t n = p->pairs - v0 < PASS ? p->pairs - v0 : PASS;
+        for (int64_t v = 0; v < n; v++)
+            s[v] = dot(p->rows + (v0 + v) * d, x, d);
+        (n >= VALUE_LANES ? terms : terms_portable)(p, v0, n, s, t);
         /* a zero weight adds nothing, also where z or |x - center|^2 is infinite */
-        if (p->cplus[v] != 0.0)
-            w += p->cplus[v] * (fmax(-z, 0.0) + l);
-        if (p->cminus[v] != 0.0)
-            w += p->cminus[v] * (fmax(z, 0.0) + l);
+        for (int64_t v = 0; v < n; v++) {
+            if (p->cplus[v0 + v] != 0.0)
+                w += s[v];
+            if (p->cminus[v0 + v] != 0.0)
+                w += t[v];
+        }
     }
     if (p->mu != 0.0) {
         for (int64_t j = 0; j < d; j++) {
@@ -431,8 +557,9 @@ static void hess_vec_point(const lmc_pot *p, const double *x, const double *u, d
 /* Fill ki and wi from numpy's random_standard_normal, not from copied
  * constants: ki[idx] is the least rabs numpy does not return at once (a
  * binary search over [0, 2^52]), wi[idx] numpy's value at rabs 1, needed
- * only where ki[idx] > 1, and pick the weights' build.  Returns the rows
- * with a positive bound (255 with numpy's tables, whose ki[1] is 0).
+ * only where ki[idx] > 1, and pick the builds of the weights and terms.
+ * Returns the rows with a positive bound (255 with numpy's tables, whose
+ * ki[1] is 0).
  * _kernel._open calls it once per handle, before any other function. */
 int64_t lmc_init(void)
 {
@@ -454,7 +581,7 @@ int64_t lmc_init(void)
     }
 #ifdef LMC_AVX512
     if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq"))
-        weights = weights_avx512;
+        weights = weights_avx512, terms = terms_avx512;
 #endif
     return rows;
 }
@@ -485,6 +612,13 @@ void lmc_expneg(int64_t n, const double *t, double *out)
 {
     for (int64_t i = 0; i < n; i++)
         out[i] = expneg(t[i]);
+}
+
+/* out[i] = log(1 + u[i]) for i < n, u[i] in [0, 1] (the scalar log1p01) */
+void lmc_log1p(int64_t n, const double *u, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = log1p01(u[i]);
 }
 
 /* n standard normals from one stream, as Generator.standard_normal(n) */

@@ -27,31 +27,34 @@ A :class:`Kernel` binds a potential's ``kernel`` field, the one term
 sign pairs plus (mu/2) |x - center|^2; a Gaussian has no pairs), to the
 library: ``step`` advances chains on it, and ``value``, ``grad`` and
 ``hess_vec`` evaluate it.  A pair's e^-|z| is the library's ``expneg``
-(``lmc_expneg``), from IEEE operations alone, so ``grad`` and ``hess_vec``
-have the same bits on every host (``value`` calls libm's ``log1p``).  Where
-the CPU has AVX-512 (looked up when the library opens), ``grad`` takes the
-pair weights 8 per register, and ``lmc_step`` steps each group of 8 live replicates
-of a term with pairs, if it holds at least 4, one replicate per lane, each
-through the scalar body's operations in their order; other groups, Gaussian
-terms and hosts keep the scalar body.  Per replicate-step of M replicates,
-scalar body -> lanes forced on, in ns (one thread, 2-vCPU Sapphire Rapids)::
+(``lmc_expneg``) and log(1 + e^-|z|) its ``log1p01`` of that (``lmc_log1p``),
+from IEEE operations alone, so all three have the same bits on every host.
+Where the CPU has AVX-512 (looked up when the library opens), ``grad`` takes
+the pair weights and ``value`` the pair terms 8 per register (from 16 and 5
+pairs), and ``lmc_step`` steps each group of 8 live replicates of a term with
+pairs, if it holds at least 4, one replicate per lane, each through the
+scalar body's operations in their order; other groups, Gaussian terms and
+hosts keep the scalar body.  In ns per replicate-step of M replicates,
+scalar body -> lanes forced on, and per point-pair of ``value``, scalar ->
+lanes (one thread, 2-vCPU Sapphire Rapids)::
 
-    pairs   M = 1        M = 2        M = 4        M = 8
-    50      267 -> 800   267 -> 400   266 -> 196   267 -> 106
-    3       83 -> 95     83 -> 52     83 -> 32     83 -> 25
+    pairs   M = 1        M = 2        M = 4        M = 8        value
+    50      267 -> 800   267 -> 400   266 -> 196   267 -> 106   21.8 -> 7.3
+    3       83 -> 95     83 -> 52     83 -> 32     83 -> 25     (scalar) 24
 
 Every call splits its batch the same way (:func:`_split`): into contiguous
-ranges of at least ``_MIN_RANGE_WORK`` units of work, one library call
+ranges of about ``_MIN_RANGE_WORK`` units of work or more, one library call
 each, run on at most one thread per CPU of the process's affinity mask
 (there is no setting): the caller's thread and plain threads, joined before
 it returns.  A unit is a replicate-step for ``step`` and a point-term for
 the evaluators (a point times the term's pair count, at least 1), so
 single points, single chains and small batches stay one call.  Each thread
 takes the next range when it is free, so a CPU the host slows does less.
-No bit depends on the split: a replicate reads and writes only its own rows
-and draws only from its own stream, and a point is evaluated on its own.
-The terms' arrays, the streams and each range's gradient buffer sit on
-cache lines of their own.
+Every cut between two ranges falls on a multiple of 8 rows, so the ranges
+of ``step`` fill their lane groups.  No bit depends on the split: a replicate
+reads and writes only its own rows and draws only from its own stream, and
+a point is evaluated on its own.  The terms' arrays, the streams and each
+range's gradient buffer sit on cache lines of their own.
 
 ``subprocess`` is imported only when the library has to be compiled, so a
 process that loads it from the cache does not pay for that import.
@@ -146,6 +149,7 @@ def _open(path: str):
         "lmc_hess_vec": (None, [pot, i64, p, p, p]),
         "lmc_normals": (None, [p, i64, p]),
         "lmc_expneg": (None, [i64, p, p]),
+        "lmc_log1p": (None, [i64, p, p]),
         "lmc_step": (None, [pot, p, i64, f64, f64, i64, i64, p, p, p, p, p, i64, p]),
     }
     for name, (restype, argtypes) in signatures.items():
@@ -299,18 +303,23 @@ class Kernel:
 
 
 def _split(n, work, run):
-    """Call ``run(lo, hi)`` on contiguous ranges tiling rows 0..n, each of at
-    least ``_MIN_RANGE_WORK`` units when a row is ``work`` units, on at most
+    """Call ``run(lo, hi)`` on contiguous ranges tiling rows 0..n, each of about
+    ``_MIN_RANGE_WORK`` units or more when a row is ``work`` units, on at most
     ``_WORKERS`` threads; the first exception a range raises is re-raised
-    here, after every thread is joined."""
+    here, after every thread is joined.  Every cut falls on a multiple of 8
+    rows, so ``lmc_step`` fills its 8-replicate lane groups wherever the live
+    replicates allow."""
     most = n * work // _MIN_RANGE_WORK  # ranges the work fills
     workers = max(1, min(_WORKERS, n, most))
     # as many ranges for each thread, so threads on equal CPUs end together
     ranges = workers * max(1, min(_RANGES_PER_WORKER, most // workers, n // workers))
-    if ranges == 1:
+    # the even cuts, each moved to the nearest multiple of 8; a range left empty goes
+    bounds = sorted({min(n, (n * r // ranges + 4) & -8) for r in range(ranges)} | {n})
+    ranges = len(bounds) - 1
+    if ranges <= 1:
         run(0, n)
         return
-    bounds = [n * r // ranges for r in range(ranges + 1)]
+    workers = min(workers, ranges)
     queue = iter(range(ranges))  # shared; next() runs under the interpreter lock
     errors = []
 

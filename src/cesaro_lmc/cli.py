@@ -69,7 +69,9 @@ def config_hash(cfg: dict) -> str:
 
 
 def _is_number(v) -> bool:
-    return type(v) is int or (type(v) is float and math.isfinite(v))  # bool is refused
+    if type(v) is int:  # bool is refused, and so is an integer beyond the float range
+        return abs(v) <= sys.float_info.max
+    return type(v) is float and math.isfinite(v)
 
 
 def _is_numbers(v) -> bool:

@@ -2,7 +2,9 @@
 name; a deletion or rename in the package must not leave it pointing at
 nothing.  Each benchmark workload also runs once, plain and traced, and must
 pass its gates: they read the package's outputs and the results the tracer's
-probes keep."""
+probes keep.  Its output digest must then be the one ``golden.json`` pins for
+seed 1, on the numpy version, machine and CPU model recorded there; elsewhere
+the comparison skips and names both hosts."""
 
 import importlib
 import importlib.util
@@ -15,18 +17,19 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SPANS = ROOT / "perfbench" / "spans.py"
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden.json").read_text())
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
-spans = _spans()
+spans, bench = _perfbench("spans"), _perfbench("run")
 
 
 @pytest.mark.parametrize("module, name", sorted(spans.ENTRY_POINTS))
@@ -52,3 +55,10 @@ def test_workload_passes_its_gates(workload, mode, tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0, result["gates"]
+    pinned, env = GOLDEN["workloads"], bench.environment()
+    recorded = {"numpy": GOLDEN["numpy"], "machine": pinned["machine"], "cpu": pinned["cpu"]}
+    here = {"numpy": result["numpy"], "machine": env["machine"], "cpu": env["cpu_model"]}
+    if here != recorded:
+        pytest.skip(f"the workload digests were recorded on {recorded}, this host is {here}")
+    assert pinned["seed"] == 1 and result["digest"] == pinned["digests"][workload], (
+        f"{workload} output bytes moved: its seed-1 digest is now {result['digest']}")

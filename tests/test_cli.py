@@ -164,6 +164,9 @@ REFUSED += [
              **REFUSAL_BASES["model"]["diagnostics"]["concentration"], "delta_grid": v}}}),
         ("b2", "model", "diagnostics.test_phi.b2", "a positive number", _NON_POSITIVE,
          lambda v: {"diagnostics": {"test_phi": {**_PHI, "b2": v}}}),
+        # a JSON integer float() cannot convert
+        ("r_n", "model", "diagnostics.test_phi.r_n", "a positive number", {"huge": 10**400},
+         lambda v: {"diagnostics": {"test_phi": {**_PHI, "r_n": v}}}),
         ("radius", "potential", "diagnostics.kl_profile.radius", "a positive number below 1e154",
          {**_NON_POSITIVE, "huge": 1e300},
          lambda v: {"diagnostics": {"kl_profile": {"radius": v}}}),

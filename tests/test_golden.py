@@ -5,7 +5,8 @@
 and the numpy version it was recorded with.  The test recomputes every digest in-process.
 On another numpy version it skips, naming both; on a mismatch its message prints the
 recomputed table, which replaces the file's ``outputs`` once the change is announced.
-The test never writes the file.
+The test never writes the file.  Its ``workloads`` entry pins the seed-1 output digests of the
+benchmark's gated workloads, which ``test_benchmark_hooks.py`` compares.
 """
 
 import hashlib

@@ -295,9 +295,11 @@ class TestSplitRanges:
         spy = _spy(monkeypatch, lib)
         cfg = ChainConfig(gamma=0.5 / pot.smoothness.L, n_steps=400, x0=[0.5, 0.1], seed=0)
         mine = outputs(replicate_runs(pot, cfg, 2002, base_seed=21))
-        # 2002 x 400 replicate-steps fill 12 ranges of at least 2^16, 4 per thread
+        # 2002 x 400 replicate-steps fill 12 ranges of about 2^16, 4 per thread, cut at
+        # multiples of 8 replicates but for the last
         ranges = spy.ranges()
-        assert len(ranges) == 12 and {hi - lo for lo, hi in ranges} == {166, 167}
+        assert len(ranges) == 12 and {hi - lo for lo, hi in ranges} == {160, 168, 170}
+        assert all(lo % 8 == 0 for lo, _ in ranges)
         assert mine == outputs(replicate_runs(on_numpy(pot), cfg, 2002, base_seed=21))
         assert mine == _singletons(pot, cfg, 2002, base_seed=21)
 
@@ -326,15 +328,15 @@ class TestSplitRanges:
         assert len(spy.ranges()) == 3  # one noise block of 700 x 300 steps
         assert mine == outputs(replicate_runs(on_numpy(pot), cfg, 700, base_seed=21))
 
-    # 2002 x 150 replicate-steps: one range of 667, 667 and 668 per thread
-    @pytest.mark.parametrize("broken", [lambda m: m == 668, lambda m: True], ids=["one", "all"])
+    # 2002 x 150 replicate-steps: one range of 664, 672 and 666 per thread
+    @pytest.mark.parametrize("broken", [lambda m: m == 666, lambda m: True], ids=["one", "all"])
     def test_failing_range_raises_in_the_caller(self, lib, threads3, monkeypatch, broken):
         spy = _spy(monkeypatch, lib, broken)
         cfg = ChainConfig(gamma=0.05, n_steps=150, x0=[0.5, 0.1], seed=0)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="replicates failed"):
             replicate_runs(GAUSS, cfg, 2002, base_seed=21)
-        assert sorted(m for _, m in spy.calls) == [667, 667, 668]
+        assert sorted(m for _, m in spy.calls) == [664, 666, 672]
         assert threading.active_count() == before
 
     def test_exception_in_a_thread_reaches_the_caller(self, lib, threads3, monkeypatch):

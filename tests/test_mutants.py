@@ -170,6 +170,15 @@ MUTANTS = [
            "        for (int64_t v = n - 1; v >= 0; v--)\n            for (int64_t j = 0;",
            ("tests/test_expneg.py::test_pass_is_the_transcription_bit_for_bit[50-pairs]",),
            compiled=True),
+    Mutant("log1p-drops-the-rounding-error-of-1-plus-u", "cesaro_lmc/_kernel.c",
+           "double y = 1.0 + u, a = y - 1.0, c = u - a,", "double y = 1.0 + u, a = y - 1.0, c = 0.0,",
+           ("tests/test_expneg.py::test_log1p_is_faithfully_rounded",),
+           compiled=True),
+    Mutant("value-sum-in-reverse-pair-order", "cesaro_lmc/_kernel.c",
+           "        for (int64_t v = 0; v < n; v++) {\n            if (p->cplus",
+           "        for (int64_t v = n - 1; v >= 0; v--) {\n            if (p->cplus",
+           ("tests/test_expneg.py::test_value_pass_is_the_transcription_bit_for_bit[50]",),
+           compiled=True),
     Mutant("lane-kahan-drops-the-compensation", "cesaro_lmc/_kernel.c",
            "v8d t1 = X[j] - C[j], t2", "v8d t1 = X[j], t2",
            ("tests/test_kernel.py::test_lanes_match_the_scalar_body[21-6]",),
